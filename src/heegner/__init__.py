@@ -44,7 +44,6 @@ from .quadforms import (
 )
 from .hauptmodul import (
     CMPoint,
-    classical_j,
     eta,
     j_p,
     j_p0,

@@ -1,12 +1,17 @@
 """Class polynomials P_D(X) from Heegner-point evaluations.
 
-The primary construction multiplies one linear factor per Atkin-Lehner pair
-of ideal classes (degree h/2) and certifies the integer rounding: the
-coefficient residual must stay below 2^-20 and the rounded polynomial must
-re-vanish at every evaluated Heegner value.  On failure the working precision
-doubles, capped at 2^16 bits.  A second route squares down the full h-class
-product through an exact integer polynomial square root and is used as a
-cross-check in the tests.
+P_D has one root per Atkin-Lehner pair of ideal classes (degree h/2), the
+value of j_p at the highest point of the pair's Gamma_0(p)+ orbit.  The
+working precision is sized once from the reduced Heegner forms [a_i, b_i,
+c_i]: log2 prod max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it
+come log2 of the largest binomial coefficient of the degree, 20 bits for the
+rounding tolerance and a guard.  Each root arrives as an ``mpmath.iv``
+complex interval (``hauptmodul.jp_at_form``), the product of the linear
+factors is formed in interval arithmetic, and a coefficient is accepted only
+when its whole interval lies within 2^-20 of exactly one integer, so the
+rounding is proven rather than tested.  A precision too small for the
+proof, such as an explicit ``bits`` below what the roots need, doubles until
+the proof goes through, capped at 2^16 bits.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+from mpmath import iv
+from mpmath.libmp import from_int, mpf_neg, mpf_sub, round_ceiling, to_fixed, to_float
 
-from .hauptmodul import GUARD_BITS, jp_at_form
+from .hauptmodul import GUARD_BITS, iv_workprec, jp_at_form, reduce_heegner_form
 from .quadforms import (
     Discriminant,
     al_pair_classes,
@@ -30,16 +36,15 @@ __all__ = [
     "ClassPolynomial",
     "PrecisionExhaustedError",
     "build_PD",
-    "build_PD_via_square_root",
     "build_Pl",
     "evaluate",
     "real_roots",
     "count_real_roots",
     "count_roots_in",
-    "int_poly_sqrt",
 ]
 
-ROUNDING_TOLERANCE = 2.0**-20
+ROUNDING_BITS = 20
+ROUNDING_TOLERANCE = 2.0**-ROUNDING_BITS
 MAX_BITS = 1 << 16
 
 
@@ -110,119 +115,72 @@ def _as_disc(D, p=None) -> Discriminant:
     return Discriminant.from_D(int(D), p)
 
 
-def _initial_bits(D: int, rep_as) -> int:
-    # height heuristic: 64 + 3.5 * pi * sqrt(|D|) * sum(1/a) / ln 2
-    estimate = 3.5 * math.pi * math.sqrt(-D) * sum(1.0 / a for a in rep_as) / math.log(2)
-    return 64 + int(estimate) + 1
+def _sized_bits(D: int, reps) -> int:
+    """Precision for the roots at the reduced Heegner forms ``reps``.
+
+    |j_p| is about |q|^-1 = exp(pi sqrt|D| / a) at the form's point, and a
+    coefficient of prod (X - r_i) is at most C(n, k) prod max(1, |r_i|).
+    """
+    height = sum(math.pi * math.sqrt(-D) / (rep.a * math.log(2)) for rep in reps)
+    n = len(reps)
+    return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS + GUARD_BITS
 
 
 def _product_of_linear_factors(roots):
-    coeffs = [mpmath.mpc(1)]
+    coeffs = [iv.mpc(1)]
     for r in roots:
-        coeffs = [mpmath.mpc(0)] + coeffs
+        coeffs = [iv.mpc(0)] + coeffs
         for k in range(len(coeffs) - 1):
             coeffs[k] -= r * coeffs[k + 1]
     return coeffs
 
 
-def _certify_round(coeffs):
-    """Round complex coefficients to integers; (ints, residual)."""
+def _round_proven(coeffs):
+    """(integers, residual) when every coefficient interval lies within
+    2^-20 of one integer, else None.
+
+    The residual bounds the distance from every point of every interval to
+    its integer (the midpoint's distance plus the radius), rounded up.
+    """
     ints = []
-    residual = mpmath.mpf(0)
-    for x in coeffs:
-        re, im = mpmath.re(x), mpmath.im(x)
-        n = mpmath.nint(re)
-        residual = max(residual, abs(im), abs(re - n))
-        ints.append(int(n))
-    return ints, float(residual)
+    residual = 0.0
+    for c in coeffs:
+        (re_lo, re_hi), (im_lo, im_hi) = c._mpci_
+        n = (to_fixed(re_lo, 1) + 1) >> 1  # the integer nearest the lower end
+        exact = from_int(n)
+        for gap in (mpf_sub(exact, re_lo), mpf_sub(re_hi, exact), mpf_neg(im_lo), im_hi):
+            distance = to_float(gap, rnd=round_ceiling)
+            if not distance < ROUNDING_TOLERANCE:
+                return None
+            residual = max(residual, distance)
+        ints.append(n)
+    return tuple(ints), residual
 
 
 def build_PD(D, p: int | None = None, bits: int | None = None) -> ClassPolynomial:
-    """The class polynomial P_D(X), one root per Atkin-Lehner class pair."""
+    """The class polynomial P_D(X), one root per Atkin-Lehner class pair.
+
+    With ``bits`` omitted the precision is sized from the reduced forms and
+    one evaluation suffices; an explicit ``bits`` is a starting precision.
+    """
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
     reps = []
     for f, g in pairs:
         hf, hg = heegner_rep(f, disc.p), heegner_rep(g, disc.p)
-        reps.append(hf if hf.a <= hg.a else hg)
-    work = bits if bits is not None else _initial_bits(disc.D, [r.a for r in reps])
+        reps.append(reduce_heegner_form(hf if hf.a <= hg.a else hg, disc.p))
+    work = bits if bits is not None else _sized_bits(disc.D, reps)
     while work <= MAX_BITS:
         roots = [jp_at_form(rep, disc.p, work) for rep in reps]
-        with mpmath.workprec(work + GUARD_BITS):
-            coeffs = _product_of_linear_factors(roots)
-            ints, residual = _certify_round(coeffs)
-            if residual < ROUNDING_TOLERANCE and _revanishes(ints, roots, work):
-                return ClassPolynomial(disc.p, disc.D, tuple(ints), residual)
+        with iv_workprec(work + GUARD_BITS):
+            rounded = _round_proven(_product_of_linear_factors(roots))
+        if rounded is not None:
+            return ClassPolynomial(disc.p, disc.D, *rounded)
         work *= 2
     raise PrecisionExhaustedError(
         f"could not certify P_D for D = {disc.D} within {MAX_BITS} bits"
     )
-
-
-def _revanishes(ints, roots, bits) -> bool:
-    threshold = mpmath.mpf(2) ** -(bits // 4)
-    for r in roots:
-        acc = mpmath.mpc(0)
-        for c in reversed(ints):
-            acc = acc * r + c
-        if abs(acc) >= threshold:
-            return False
-    return True
-
-
-def build_PD_via_square_root(D, p: int | None = None, bits: int | None = None) -> ClassPolynomial:
-    """Alternate construction: full h-class product, then exact integer sqrt.
-
-    Validates the pairing route; the two must agree coefficient for
-    coefficient.
-    """
-    disc = _as_disc(D, p)
-    group = enumerate_classes(disc.D)
-    reps = [heegner_rep(f, disc.p) for f in group.classes]
-    work = bits if bits is not None else 2 * _initial_bits(disc.D, [r.a for r in reps])
-    while work <= 2 * MAX_BITS:
-        roots = [jp_at_form(rep, disc.p, work) for rep in reps]
-        with mpmath.workprec(work + GUARD_BITS):
-            coeffs = _product_of_linear_factors(roots)
-            ints, residual = _certify_round(coeffs)
-            if residual < ROUNDING_TOLERANCE:
-                root_ints = int_poly_sqrt(ints)
-                if root_ints is not None:
-                    return ClassPolynomial(disc.p, disc.D, tuple(root_ints), residual)
-        work *= 2
-    raise PrecisionExhaustedError(
-        f"square-root route failed for D = {disc.D} within {2 * MAX_BITS} bits"
-    )
-
-
-def int_poly_sqrt(coeffs) -> tuple[int, ...] | None:
-    """G with G^2 = F for monic integer F of even degree, or None."""
-    n = len(coeffs) - 1
-    if n % 2 or coeffs[-1] != 1:
-        return None
-    m = n // 2
-    g = [0] * (m + 1)
-    g[m] = 1
-    for k in range(1, m + 1):
-        # coefficient of X^(2m - k) in G^2 equals coeffs[2m - k]
-        acc = 0
-        for i in range(m - k + 1, m):
-            j = 2 * m - k - i
-            if m - k < j <= m:
-                acc += g[i] * g[j]
-        num = coeffs[2 * m - k] - acc
-        if num % 2:
-            return None
-        g[m - k] = num // 2
-    # verify the full square
-    square = [0] * (n + 1)
-    for i in range(m + 1):
-        for j in range(m + 1):
-            square[i + j] += g[i] * g[j]
-    if square != list(coeffs):
-        return None
-    return tuple(g)
 
 
 def build_Pl(ell: int, p: int, bits: int | None = None,
@@ -376,5 +334,6 @@ def real_roots(P: ClassPolynomial, width: Fraction = Fraction(1, 1 << 32)):
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     out.sort()
-    assert len(out) == total
+    if len(out) != total:
+        raise ArithmeticError(f"isolated {len(out)} real roots, Sturm count {total}")
     return out

@@ -42,7 +42,8 @@ EXIT_REAL_J = 66
 
 @dataclass
 class Config:
-    """Runtime limits; flags override, HEEGNER_BITS overrides the default bits."""
+    """Runtime limits; flags override, HEEGNER_BITS sets a starting precision
+    in place of the sized default."""
 
     bits: int | None = None
     ell_bound: int = 500

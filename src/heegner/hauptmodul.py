@@ -1,9 +1,25 @@
 """High-precision evaluation of eta, theta series and the Hauptmoduls j_p.
 
-All evaluations are mpmath-based with an explicit ``bits`` argument; series
-are truncated once dropped terms fall below 2^-(bits+32), and the CM-point
-entry points first move tau to the highest point of its Gamma_0(p)+ orbit so
-that q-series converge quickly even for deep Heegner representatives.
+Each Hauptmodul is q^-1 times a quotient of q-series with integer
+coefficients (for p = 23, a quotient of two theta series), and every series
+is summed the same way: sparsely, over the exponents that occur (generalized
+pentagonal numbers for eta, values of a positive binary quadratic form for
+theta and theta*), in fixed point.  q is a Gaussian integer scaled by
+2^prec, and the powers a sum needs come from a table of q^g for the gaps g
+between consecutive exponents.  Each sum returns its value with an error
+radius in units of 2^-prec: the truncations of the fixed-point products,
+counted as they happen, plus an explicit bound on the dropped tail, which is
+geometric because no coefficient of q^n exceeds a constant times n.
+
+Two entry points share this engine.  ``eta``, ``theta``, ``theta_star``,
+``j_p0`` and ``j_p`` take an mpc tau, by default move it up its Gamma_0(p)+
+orbit in floating point (``reduce_tau``), and return mpc values.
+``jp_at_form`` takes a Heegner form, reduces the form itself exactly
+(``reduce_heegner_form``), so that the point is exact before any
+floating-point work, and returns an ``mpmath.iv`` complex interval that
+provably contains j_p at its CM point: q comes from an interval
+exponential, and the few operations after the sums (1/q, quotient, power,
+the w_p term) run in interval arithmetic.
 
 Supported levels: p in {3, 5, 7, 13} via eta quotients, p = 11 and 19 via
 theta quotients, and p = 23 via the ratio of weight-one class theta series of
@@ -14,11 +30,13 @@ constant term; used only for the empirical mod-23 study).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import iv, mpc, mpf
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_fixed
 
 from .quadforms import QuadForm, fundamental_unit
 
@@ -31,11 +49,12 @@ __all__ = [
     "theta_star",
     "j_p0",
     "j_p",
-    "classical_j",
     "torsion_to_tau",
     "reduce_tau",
+    "reduce_heegner_form",
     "tau_from_form",
     "jp_at_form",
+    "iv_workprec",
     "arc_point",
     "jp_arc_interval",
 ]
@@ -45,6 +64,17 @@ MIN_IM = 0.05
 
 ETA_QUOTIENT_P = (3, 5, 7, 13)
 ALL_P = (3, 5, 7, 11, 13, 19, 23)
+
+# Series kinds.  ETA is the pentagonal sum eta(tau) q^(-1/24), THETA_STAR is
+# theta*(tau) q^(-1/2), and ("theta", a, b, c) is the theta series of a form.
+ETA = ("eta",)
+THETA_STAR = ("theta*",)
+
+
+def _theta_kind(a: int, b: int, c: int):
+    if a <= 0 or 4 * a * c - b * b <= 0:
+        raise ValueError(f"theta exponent form ({a}, {b}, {c}) must be positive definite")
+    return ("theta", a, b, c)
 
 
 def _level_min_im(p: int) -> float:
@@ -62,45 +92,35 @@ def _require_upper(tau, min_im=MIN_IM):
         )
 
 
-def _series_length(bits: int, im: float, period: float = 1.0) -> int:
-    """Largest exponent needed so dropped terms are < 2^-(bits+guard).
+@contextmanager
+def iv_workprec(bits: int):
+    """Run a block with ``mpmath.iv`` at ``bits`` of precision."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
-    ``period`` scales for series in q^(1/period) (theta_star uses period 2).
-    """
-    return int((bits + GUARD_BITS) * math.log(2) * period / (2 * math.pi * im)) + 1
+
+# --- the fixed-point series engine --------------------------------------------
 
 
-def eta(tau, bits: int, min_im: float = MIN_IM):
-    """Dedekind eta via the sparse pentagonal-number series."""
-    _require_upper(tau, min_im)
-    with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        nmax = _series_length(bits, float(mpmath.im(tau)))
-        q = mpmath.expjpi(2 * tau)
-        q2 = q * q
-        q3 = q2 * q
-        total = mpmath.mpc(1)
-        a = q  # q^(k(3k-1)/2)
-        qp = q  # q^k
-        q2p = q3  # q^(2k+1)
-        k = 1
-        sign = -1
-        while k * (3 * k - 1) // 2 <= nmax:
-            b = a * qp  # q^(k(3k+1)/2)
-            total += sign * (a + b)
-            a = b * q2p
-            qp *= q
-            q2p *= q2
-            sign = -sign
-            k += 1
-        return mpmath.expjpi(tau / 12) * total
+def _pentagonal_terms(nmax: int):
+    """(n, (-1)^k) for the generalized pentagonal numbers n = k(3k -+ 1)/2."""
+    terms = [(0, 1)]
+    k, sign = 1, -1
+    while k * (3 * k - 1) // 2 <= nmax:
+        terms.append((k * (3 * k - 1) // 2, sign))
+        if k * (3 * k + 1) // 2 <= nmax:
+            terms.append((k * (3 * k + 1) // 2, sign))
+        k, sign = k + 1, -sign
+    return terms
 
 
 def _theta_counts(a: int, b: int, c: int, nmax: int) -> list[int]:
     """Representation numbers r(n) of a x^2 + b x y + c y^2 for n <= nmax."""
     disc = 4 * a * c - b * b
-    if a <= 0 or disc <= 0:
-        raise ValueError(f"theta exponent form ({a}, {b}, {c}) must be positive definite")
     counts = [0] * (nmax + 1)
     counts[0] = 1
     # y = 0 row: values a x^2, x > 0, doubled by (x, y) -> (-x, -y)
@@ -123,57 +143,224 @@ def _theta_counts(a: int, b: int, c: int, nmax: int) -> list[int]:
     return counts
 
 
-def _horner(counts, q):
-    total = mpmath.mpc(0)
-    for coeff in reversed(counts):
-        total = total * q + coeff
-    return total
+def _theta_star_counts(nmax: int) -> list[int]:
+    """Coefficient of q^j in theta*(tau) q^(-1/2), j <= nmax.
+
+    theta* sums (-1)^m u^k, k = m^2 + m n + 5 n^2, over m + n odd, with
+    u = q^(1/2); every such k is odd, and u^k = u q^((k - 1)/2).
+    """
+    kmax = 2 * nmax + 1
+    counts = [0] * (nmax + 1)
+    m = 1
+    while m * m <= kmax:  # n = 0 needs m odd
+        counts[(m * m - 1) // 2] -= 2
+        m += 2
+    ymax = math.isqrt(4 * kmax // 19)
+    for n in range(1, ymax + 1):
+        w2 = 4 * kmax - 19 * n * n
+        if w2 < 0:
+            break
+        w = math.isqrt(w2)
+        for m in range(-((n + w) // 2), (w - n) // 2 + 1):
+            if (m + n) % 2 == 0:
+                continue
+            k = m * m + m * n + 5 * n * n
+            if k <= kmax:
+                counts[(k - 1) // 2] += -2 if m % 2 else 2
+    return counts
+
+
+def _terms(kind, nmax: int):
+    """The nonzero terms (n, c) of a series kind up to q^nmax, n ascending."""
+    if kind == ETA:
+        return _pentagonal_terms(nmax)
+    if kind == THETA_STAR:
+        counts = _theta_star_counts(nmax)
+    else:
+        counts = _theta_counts(*kind[1:], nmax)
+    return [(n, c) for n, c in enumerate(counts) if c]
+
+
+def _growth(kind) -> int:
+    """A with |coefficient of q^n| <= A n for every n >= 1.
+
+    For a form of discriminant -d, Q(x, y) = n forces |y| <= sqrt(4 a n / d),
+    with at most two x per y, so r(n) <= 2 (2 sqrt(4 a n / d) + 1), which is
+    at most (4 sqrt(4 a / d) + 2) n.  theta* at q^j counts points with
+    Q = 2j + 1 <= 3j of the form [1, 1, 5].
+    """
+    if kind == ETA:
+        return 1
+    if kind == THETA_STAR:
+        a, d, stretch = 1, 19, 3
+    else:
+        a, b, c = kind[1:]
+        d, stretch = 4 * a * c - b * b, 1
+    return math.ceil(4 * math.sqrt(4 * a * stretch / d)) + 2
+
+
+def _truncation(kind, rate: float, prec: int) -> tuple[int, int]:
+    """(nmax, tail) for a series at |q| <= 2^-rate.
+
+    The dropped terms are bounded by A sum_{n > N} n x^n <= A (N + 1)
+    x^(N + 1) / (1 - x)^2; N is chosen so that this is about one unit of
+    2^-prec, and ``tail`` is the bound in those units, rounded up and never
+    below one.
+    """
+    rate *= 1 - 1e-9  # the float rate is a lower bound only up to rounding
+    slack = math.log2(_growth(kind)) - 2 * math.log2(1 - 2.0**-rate)
+    nmax = math.ceil((prec + slack) / rate)
+    nmax = math.ceil((prec + slack + math.log2(nmax + 2)) / rate)
+    log_tail = slack + math.log2(nmax + 1) - (nmax + 1) * rate
+    return nmax, max(1, math.ceil(2.0 ** (log_tail + prec) * (1 + 1e-9)))
+
+
+def _mul(x, y, prec: int):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> prec, (a * d + b * c) >> prec
+
+
+def _qsum(q, q_err: int, terms, prec: int):
+    """Sum of c q^n over ``terms`` in fixed point: (re, im, err).
+
+    q is a Gaussian integer over 2^prec within q_err units of a value of
+    modulus below 1.  A product of two such values with errors e, f is
+    within e + f + 2 units (the two floor shifts cost under sqrt(2), and e f
+    stays below a unit while both are under 2^(prec/2 - 1), checked at the
+    end), so each power carries the count of its chain of products.
+    """
+    one = 1 << prec
+    max_gap = max((n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])), default=1)
+    table, errors = [(one, 0), q], [0, q_err]
+    for _ in range(2, max_gap + 1):
+        table.append(_mul(table[-1], q, prec))
+        errors.append(errors[-1] + q_err + 2)
+    re = im = err = 0
+    power, power_err, last = (one, 0), 0, 0
+    for n, c in terms:
+        if n != last:
+            power = _mul(power, table[n - last], prec)
+            power_err += errors[n - last] + 2
+            last = n
+        re += c * power[0]
+        im += c * power[1]
+        err += abs(c) * power_err
+    if err >= 1 << (prec // 2 - 1):
+        raise ArithmeticError("fixed-point error count outgrew its bound")
+    return re, im, err
+
+
+def _power(q, q_err: int, e: int, prec: int):
+    """q^e by repeated products, with its counted error."""
+    out, err = q, q_err
+    for _ in range(e - 1):
+        out, err = _mul(out, q, prec), err + q_err + 2
+    return out, err
+
+
+def _fixed_series(kind, q, q_err: int, im_tau: float, prec: int, scale: int = 1):
+    """A series kind at q^scale, where q = exp(2 pi i tau), Im(tau) = im_tau."""
+    if scale > 1:
+        q, q_err = _power(q, q_err, scale, prec)
+    nmax, tail = _truncation(kind, 2 * math.pi * scale * im_tau / math.log(2), prec)
+    re, im, err = _qsum(q, q_err, _terms(kind, nmax), prec)
+    return re, im, err + tail
+
+
+def _fixed_from_mpc(z, prec: int):
+    return to_fixed(mpmath.re(z)._mpf_, prec), to_fixed(mpmath.im(z)._mpf_, prec)
+
+
+def _mpc_from_fixed(re: int, im: int, prec: int):
+    return mpc(mpf(from_man_exp(re, -prec)), mpf(from_man_exp(im, -prec)))
+
+
+def _fixed_from_interval(z, prec: int):
+    """Gaussian integer over 2^prec and an error bound (units) for an iv.mpc."""
+    (a, b), (c, d) = z._mpci_
+    re_lo, re_hi = to_fixed(a, prec), to_fixed(b, prec) + 1
+    im_lo, im_hi = to_fixed(c, prec), to_fixed(d, prec) + 1
+    return ((re_lo + re_hi) // 2, (im_lo + im_hi) // 2), (re_hi - re_lo) + (im_hi - im_lo)
+
+
+def _interval_from_fixed(re: int, im: int, err: int, prec: int):
+    wp = iv.prec
+    return iv.make_mpc((
+        (from_man_exp(re - err, -prec, wp, round_floor),
+         from_man_exp(re + err, -prec, wp, round_ceiling)),
+        (from_man_exp(im - err, -prec, wp, round_floor),
+         from_man_exp(im + err, -prec, wp, round_ceiling)),
+    ))
+
+
+def _mpc_values(tau, bits: int, min_im: float):
+    """(value, q) for an mpc tau: value(kind, scale) is a series at q^scale."""
+    _require_upper(tau, min_im)
+    prec = bits + GUARD_BITS
+    with mpmath.workprec(prec):
+        q = mpmath.expjpi(2 * mpc(tau))
+    fixed = _fixed_from_mpc(q, prec)
+    im_tau = float(mpmath.im(tau))
+
+    def value(kind, scale=1):
+        re, im, _ = _fixed_series(kind, fixed, 1, im_tau, prec, scale)
+        return _mpc_from_fixed(re, im, prec)
+
+    return value, q
+
+
+# --- the Hauptmoduls from their series ----------------------------------------
+
+
+def _wp_constant(p: int) -> int:
+    # w_p maps j_p0 to p^(12/(p-1)) / j_p0
+    return p ** (12 // (p - 1))
+
+
+def _eta_quotient(p: int, value, qinv):
+    # (eta(tau) / eta(p tau))^(24/(p-1)) = q^-1 (E(q) / E(q^p))^(24/(p-1))
+    return qinv * (value(ETA, 1) / value(ETA, p)) ** (24 // (p - 1))
+
+
+def _hauptmodul(p: int, value, qinv):
+    """j_p from its series, in the arithmetic of ``value`` and ``qinv`` (1/q)."""
+    if p in ETA_QUOTIENT_P:
+        u = _eta_quotient(p, value, qinv)
+        return u + _wp_constant(p) / u
+    if p == 11:
+        # (theta / (eta(tau) eta(11 tau)))^2, eta(tau) eta(11 tau) = q^(1/2) E(q) E(q^11)
+        return qinv * (value(_theta_kind(1, 1, 3), 1) / (value(ETA, 1) * value(ETA, 11))) ** 2
+    if p == 19:
+        # theta* = -2 q^(1/2) (1 + ...), so the square of the printed
+        # quotient has residue 1/4; rescale to a residue-1 Hauptmodul
+        # (pinned by the supersingular basis {0, 8} mod 19)
+        return 4 * qinv * (value(_theta_kind(1, 1, 5), 1) / value(THETA_STAR, 1)) ** 2
+    # p = 23: ratio of the weight-1 class theta series of discriminant
+    # -23, normalized to residue 1 and vanishing constant term
+    a, b = value(_theta_kind(1, 1, 6), 1), value(_theta_kind(2, 1, 3), 1)
+    return (3 * b - a) / (a - b)
+
+
+def eta(tau, bits: int, min_im: float = MIN_IM):
+    """Dedekind eta via the sparse pentagonal-number series."""
+    with mpmath.workprec(bits + GUARD_BITS):
+        value, _ = _mpc_values(tau, bits, min_im)
+        return mpmath.expjpi(mpc(tau) / 12) * value(ETA)
 
 
 def theta(a: int, b: int, c: int, tau, bits: int, min_im: float = MIN_IM):
     """Lattice sum of q^(a x^2 + b x y + c y^2) over x, y in Z."""
-    _require_upper(tau, min_im)
+    kind = _theta_kind(a, b, c)
     with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        nmax = _series_length(bits, float(mpmath.im(tau)))
-        counts = _theta_counts(a, b, c, nmax)
-        q = mpmath.expjpi(2 * tau)
-        return _horner(counts, q)
+        value, _ = _mpc_values(tau, bits, min_im)
+        return value(kind)
 
 
 def theta_star(tau, bits: int, min_im: float = MIN_IM):
     """Signed sum of (-1)^m q^((m^2 + m n + 5 n^2)/2) over m + n odd."""
-    _require_upper(tau, min_im)
     with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        # series in u = q^(1/2); exponents m^2 + m n + 5 n^2 are odd integers
-        nmax = _series_length(bits, float(mpmath.im(tau)), period=2)
-        counts = [0] * (nmax + 1)
-        m = 1
-        while m * m <= nmax:  # n = 0 needs m odd
-            counts[m * m] += 2 * (-1 if m % 2 else 1)
-            m += 2
-        ymax = math.isqrt(4 * nmax // 19)
-        for n in range(1, ymax + 1):
-            w2 = 4 * nmax - 19 * n * n
-            if w2 < 0:
-                break
-            w = math.isqrt(w2)
-            mlo = -((n + w) // 2)
-            mhi = (w - n) // 2
-            for m in range(mlo, mhi + 1):
-                if (m + n) % 2 == 0:
-                    continue
-                k = m * m + m * n + 5 * n * n
-                if k <= nmax:
-                    counts[k] += 2 * (-1 if m % 2 else 1)
-        u = mpmath.expjpi(tau)
-        return _horner(counts, u)
-
-
-def _wp_constant(p: int):
-    # w_p maps j_p0 to p^(12/(p-1)) / j_p0
-    return mpmath.mpf(p) ** (12 // (p - 1))
+        value, _ = _mpc_values(tau, bits, min_im)
+        return mpmath.expjpi(mpc(tau)) * value(THETA_STAR)
 
 
 def j_p0(tau, p: int, bits: int, reduce: bool = True):
@@ -187,15 +374,11 @@ def j_p0(tau, p: int, bits: int, reduce: bool = True):
         if reduce:
             tau, parity = reduce_tau(tau, p, bits)
             floor = _level_min_im(p)
-        value = _jp0_raw(tau, p, bits, floor)
+        value, q = _mpc_values(tau, bits, floor)
+        u = _eta_quotient(p, value, 1 / q)
         if parity:
-            value = _wp_constant(p) / value
-        return value
-
-
-def _jp0_raw(tau, p: int, bits: int, floor: float):
-    exponent = 24 // (p - 1)
-    return (eta(tau, bits, floor) / eta(p * tau, bits, floor)) ** exponent
+            u = _wp_constant(p) / u
+        return u
 
 
 def j_p(tau, p: int, bits: int, reduce: bool = True):
@@ -208,41 +391,8 @@ def j_p(tau, p: int, bits: int, reduce: bool = True):
         if reduce:
             tau, _ = reduce_tau(tau, p, bits)
             floor = _level_min_im(p)
-        if p in ETA_QUOTIENT_P:
-            u = _jp0_raw(tau, p, bits, floor)
-            return u + _wp_constant(p) / u
-        if p == 11:
-            num = theta(1, 1, 3, tau, bits, floor)
-            den = eta(tau, bits, floor) * eta(11 * tau, bits, floor)
-            return (num / den) ** 2
-        if p == 19:
-            # theta* = -2 q^(1/2) (1 + ...), so the square of the printed
-            # quotient has residue 1/4; rescale to a residue-1 Hauptmodul
-            # (pinned by the supersingular basis {0, 8} mod 19)
-            quotient = theta(1, 1, 5, tau, bits, floor) / theta_star(tau, bits, floor)
-            return 4 * quotient**2
-        # p = 23: ratio of the weight-1 class theta series of discriminant
-        # -23, normalized to residue 1 and vanishing constant term
-        a = theta(1, 1, 6, tau, bits, floor)
-        b = theta(2, 1, 3, tau, bits, floor)
-        return (3 * b - a) / (a - b)
-
-
-def classical_j(tau, bits: int):
-    """Classical j-invariant as E4(tau)^3 / eta(tau)^24."""
-    _require_upper(tau)
-    with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        nmax = _series_length(bits, float(mpmath.im(tau)))
-        sigma3 = [0] * (nmax + 1)
-        for d in range(1, nmax + 1):
-            d3 = d * d * d
-            for m in range(d, nmax + 1, d):
-                sigma3[m] += d3
-        sigma3[0] = 0
-        q = mpmath.expjpi(2 * tau)
-        e4 = 1 + 240 * q * _horner(sigma3[1:], q)
-        return e4**3 / eta(tau, bits) ** 24
+        value, q = _mpc_values(tau, bits, floor)
+        return _hauptmodul(p, value, 1 / q)
 
 
 def torsion_to_tau(tau_E, k: int | None, p: int, bits: int | None = None):
@@ -306,6 +456,47 @@ def reduce_tau(tau, p: int, bits: int, max_moves: int = 500):
         raise ArithmeticError("tau reduction did not terminate")
 
 
+def reduce_heegner_form(form: QuadForm, p: int, max_moves: int = 500) -> QuadForm:
+    """The form of the highest CM point in the Gamma_0(p)+ orbit of a form with p | a.
+
+    The exact counterpart of ``reduce_tau``: Im(tau) = sqrt|D| / (2a), so a
+    move raises the point when it lowers a.  Translations bring b into
+    (-a, a]; the Fricke involution [a, b, c] -> [pc, -b, a/p] applies when
+    pc < a; and the Gamma_0(p) element with lower row (c', d), p | c', sends
+    a to a d^2 - b c' d + c c'^2.  Every move keeps p | a.
+    """
+    if not form.is_positive_definite():
+        raise ValueError("form must be positive definite")
+    if form.a % p:
+        raise ValueError(f"form {form} is not a Heegner representative for p = {p}")
+    a, b, c = form.a, form.b, form.c
+    D = form.discriminant()
+    for _ in range(max_moves):
+        b = (b + a - 1) % (2 * a) - a + 1
+        c = (b * b - D) // (4 * a)
+        if p * c < a:
+            a, b, c = p * c, -b, a // p
+            continue
+        moved = False
+        cp = p
+        while cp * cp * -D < 4 * a * a and not moved:
+            d0 = (cp * b + a) // (2 * a)  # nearest integer to -c' Re(tau)
+            for d in (d0, d0 - 1, d0 + 1):
+                if math.gcd(cp, d) != 1:
+                    continue
+                a1 = a * d * d - b * cp * d + c * cp * cp
+                if a1 < a:
+                    _, x, y = _xgcd(cp, d)  # x c' + y d = 1
+                    a, b, c = (a1, 2 * a * d * x + b * (d * y - cp * x) - 2 * c * cp * y,
+                               a * x * x + b * x * y + c * y * y)
+                    moved = True
+                    break
+            cp += p
+        if not moved:
+            return QuadForm(a, b, c)
+    raise ArithmeticError("form reduction did not terminate")
+
+
 def _xgcd(a, b):
     old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
     while r:
@@ -341,11 +532,31 @@ class CMPoint:
 
 
 def jp_at_form(form: QuadForm, p: int, bits: int):
-    """j_p at the CM point of a form with p | a (a Heegner representative)."""
-    if form.a % p != 0:
-        raise ValueError(f"form {form} is not a Heegner representative for p = {p}")
-    tau = tau_from_form(form, bits)
-    return j_p(tau, p, bits)
+    """An ``iv.mpc`` interval containing j_p at the CM point of a form with p | a.
+
+    The form is reduced exactly; with tau = (-b + i sqrt|D|) / (2a),
+    q = exp(-pi (sqrt|D| + b i) / a).  The series are summed in fixed point
+    at bits + 2 * GUARD_BITS with counted errors, and the result is formed in
+    interval arithmetic at bits + GUARD_BITS, so its radius is near
+    2^-bits |j_p|.
+    """
+    if p not in ALL_P:
+        raise ValueError(f"j_p defined for p in {ALL_P}")
+    form = reduce_heegner_form(form, p)
+    D = form.discriminant()
+    im_tau = math.sqrt(-D) / (2 * form.a)
+    if im_tau < _level_min_im(p):
+        raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
+    prec = bits + 2 * GUARD_BITS
+    with iv_workprec(prec):
+        q = iv.exp(iv.mpc(-iv.pi * iv.sqrt(-D), -iv.pi * form.b) / form.a)
+        fixed, q_err = _fixed_from_interval(q, prec)
+    with iv_workprec(bits + GUARD_BITS):
+        def value(kind, scale=1):
+            return _interval_from_fixed(*_fixed_series(kind, fixed, q_err, im_tau, prec, scale),
+                                        prec)
+
+        return _hauptmodul(p, value, 1 / q)
 
 
 def arc_point(p: int, re, bits: int):

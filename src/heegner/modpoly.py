@@ -198,7 +198,8 @@ def is_perfect_square(f: FPoly) -> FPoly | None:
             acc = acc * acc
             half >>= 1
         root = root * power
-    assert (root * root).coeffs == f.coeffs
+    if (root * root).coeffs != f.coeffs:
+        raise ArithmeticError("square root does not square back to f")
     return root
 
 
@@ -292,13 +293,15 @@ def supersingular_jp_residues(p: int) -> tuple[int, ...]:
         roots.update(r for r in range(p) if f(r) == 0)
         if p in (3, 5, 7, 13):
             # single isomorphism class: f must be a power of one linear factor
-            assert len(roots) == 1, f"expected a unique supersingular j_{p} value"
+            if len(roots) != 1:
+                raise ArithmeticError(f"expected a unique supersingular j_{p} value")
             s = next(iter(roots))
             acc = FPoly(p, (1,))
             lin = FPoly(p, ((-s) % p, 1))
             for _ in range(f.degree):
                 acc = acc * lin
-            assert acc.coeffs == f.coeffs
+            if acc.coeffs != f.coeffs:
+                raise ArithmeticError(f"P_D mod {p} is not a power of X - {s}")
     return tuple(sorted(roots))
 
 

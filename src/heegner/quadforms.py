@@ -321,8 +321,8 @@ def heegner_rep(cls: QuadForm, p: int) -> QuadForm:
         b1 -= 2 * a1
     c1 = (b1 * b1 - D) // (4 * a1)
     out = QuadForm(a1, b1, c1)
-    assert out.a % p == 0 and out.b % p == 0
-    assert out.discriminant() == D
+    if out.a % p or out.b % p or out.discriminant() != D:
+        raise ArithmeticError(f"{out} is not a Heegner representative of {f} for p = {p}")
     return out
 
 
@@ -383,7 +383,8 @@ def fundamental_unit(p: int) -> tuple[int, int]:
     if h * h - p * k * k == -1:
         # norm -1 cannot occur for p = 3 mod 4; square the unit if it did
         h, k = h * h + p * k * k, 2 * h * k
-    assert h % 2 == 0 and k % 2 == 1
+    if h % 2 or k % 2 == 0:
+        raise ArithmeticError(f"unit {h} + {k} sqrt({p}) does not have h even, k odd")
     return h, k
 
 
@@ -447,7 +448,8 @@ def bounded_root_form(p: int, ell: int) -> tuple[QuadForm, tuple[int, int]]:
         )
     A, B = min(sols, key=lambda s: s[1])
     form = QuadForm(p * A, 2 * p * B, A)
-    assert form.discriminant() == -4 * p * ell
+    if form.discriminant() != -4 * p * ell:
+        raise ArithmeticError(f"{form} does not have discriminant {-4 * p * ell}")
     return form, (A, B)
 
 

@@ -3,14 +3,26 @@
 These deliberately avoid the library's own algorithms: ideal arithmetic on
 Z-module bases for form composition, sparse polynomial powering for the Hasse
 coefficient, naive point counts for supersingularity, trial factorization
-over F_q for squarefree decomposition.
+over F_q for squarefree decomposition, the classical j-invariant from its
+Eisenstein and product series, and class polynomials from the full h-class
+product of plain mpmath values, square-rooted over Z.
 """
 
 from __future__ import annotations
 
 import math
 
-from heegner.quadforms import QuadForm, reduce_form
+import mpmath
+
+from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
+from heegner.hauptmodul import j_p, tau_from_form
+from heegner.quadforms import (
+    Discriminant,
+    QuadForm,
+    enumerate_classes,
+    heegner_rep,
+    reduce_form,
+)
 
 
 # --- ideal arithmetic in O_D with basis (1, w), w = (D + sqrt(D))/2 ---------
@@ -292,6 +304,83 @@ def hauptmodul_q_expansion(p, terms=16):
         den = _ser_add(a, _ser_mul(minus, b, n), n)
         return _ser_div(num, den, n)
     raise ValueError(p)
+
+
+# --- class polynomials and j from plain floating point -----------------------
+
+
+def classical_j(tau, bits):
+    """E4(tau)^3 / Delta(tau), with E4 = 1 + 240 sum sigma_3(n) q^n and
+    Delta = q prod (1 - q^n)^24, summed to |q|^n < 2^-(bits + 32)."""
+    with mpmath.workprec(bits + 32):
+        tau = mpmath.mpc(tau)
+        if mpmath.im(tau) <= 0:
+            raise ValueError("tau must lie in the upper half plane")
+        q = mpmath.expjpi(2 * tau)
+        nmax = int((bits + 32) * math.log(2) / (2 * math.pi * float(mpmath.im(tau)))) + 1
+        e4 = mpmath.mpc(1)
+        product = mpmath.mpc(1)
+        qn = mpmath.mpc(1)
+        for n in range(1, nmax + 1):
+            qn *= q
+            e4 += 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0) * qn
+            product *= 1 - qn
+        return e4**3 / (q * product**24)
+
+
+def int_poly_sqrt(coeffs):
+    """G with G^2 = F for monic integer F of even degree, or None."""
+    n = len(coeffs) - 1
+    if n % 2 or coeffs[-1] != 1:
+        return None
+    m = n // 2
+    g = [0] * (m + 1)
+    g[m] = 1
+    for k in range(1, m + 1):
+        # coefficient of X^(2m - k) in G^2 equals coeffs[2m - k]
+        acc = 0
+        for i in range(m - k + 1, m):
+            j = 2 * m - k - i
+            if m - k < j <= m:
+                acc += g[i] * g[j]
+        num = coeffs[2 * m - k] - acc
+        if num % 2:
+            return None
+        g[m - k] = num // 2
+    square = [0] * (n + 1)
+    for i in range(m + 1):
+        for j in range(m + 1):
+            square[i + j] += g[i] * g[j]
+    if square != list(coeffs):
+        return None
+    return tuple(g)
+
+
+def build_PD_via_square_root(D, p, bits=None, max_bits=1 << 17):
+    """P_D from the full h-class product of mpc values j_p(tau), then an exact
+    integer square root; the precision doubles until the residual of the
+    rounding is below 2^-20 and the square root exists."""
+    disc = Discriminant.from_D(D, p)
+    reps = [heegner_rep(f, disc.p) for f in enumerate_classes(disc.D).classes]
+    height = sum(math.pi * math.sqrt(-disc.D) / (rep.a * math.log(2)) for rep in reps)
+    work = bits if bits is not None else 64 + 2 * int(height)
+    while work <= max_bits:
+        with mpmath.workprec(work + 32):
+            coeffs = [mpmath.mpc(1)]
+            for rep in reps:
+                r = j_p(tau_from_form(rep, work), disc.p, work)
+                coeffs = [mpmath.mpc(0)] + coeffs
+                for k in range(len(coeffs) - 1):
+                    coeffs[k] -= r * coeffs[k + 1]
+            ints = [int(mpmath.nint(mpmath.re(c))) for c in coeffs]
+            residual = max(max(abs(mpmath.im(c)), abs(mpmath.re(c) - n))
+                           for c, n in zip(coeffs, ints))
+            if residual < 2.0**-20:
+                root = int_poly_sqrt(ints)
+                if root is not None:
+                    return ClassPolynomial(disc.p, disc.D, root, float(residual))
+        work *= 2
+    raise PrecisionExhaustedError(f"square-root route failed for D = {disc.D}")
 
 
 # --- miscellaneous ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,18 @@ import pytest
 from heegner.classpoly import (
     ClassPolynomial,
     build_PD,
-    build_PD_via_square_root,
     build_Pl,
     count_real_roots,
     evaluate,
-    int_poly_sqrt,
     real_roots,
 )
 from heegner.quadforms import Discriminant, class_number
+
+from oracles import build_PD_via_square_root, int_poly_sqrt
+
+# SHA-256 of the 160 sweep polynomials as JSON lines, in admissible_pairs()
+# order with -pl before -4pl
+SWEEP_SHA256 = "6529952278c0a45b738e669271f9bea8e1641c478072507a15fc0cead974ed7e"
 
 P1628_COEFFS = (
     4253517961,
@@ -172,8 +177,6 @@ class TestSerialization:
 
 def test_cross_construction_sweep(sweep_polys):
     # pairing route vs full-product square root for every sweep D with h <= 40
-    from heegner.classpoly import build_PD_via_square_root
-
     checked = 0
     for (p, ell), shapes in sweep_polys.items():
         for poly in shapes.values():
@@ -183,6 +186,13 @@ def test_cross_construction_sweep(sweep_polys):
             assert alt.coefficients == poly.coefficients, (p, ell, poly.D)
             checked += 1
     assert checked >= 100
+
+
+def test_sweep_polynomials_pinned(sweep_polys):
+    lines = [shapes[shape].to_json() for shapes in sweep_polys.values()
+             for shape in ("-pl", "-4pl")]
+    assert len(lines) == 160
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_small_case_irreducibility():
@@ -208,3 +218,41 @@ def test_precision_exhaustion_error(monkeypatch):
 
 def test_forced_high_precision_matches_default():
     assert build_PD(-220, 11, bits=4096).coefficients == build_PD(-220, 11).coefficients
+
+
+def test_sized_precision_needs_one_attempt(monkeypatch):
+    # D = -29564 at p = 19, degree 60: the sized precision proves the
+    # rounding with one evaluation per root
+    import heegner.classpoly as mod
+
+    precisions = []
+    real = mod.jp_at_form
+
+    def counted(form, p, bits):
+        precisions.append(bits)
+        return real(form, p, bits)
+
+    monkeypatch.setattr(mod, "jp_at_form", counted)
+    poly = build_PD(-29564, 19)
+    assert poly.degree == 60
+    assert len(precisions) == 60 and len(set(precisions)) == 1
+
+
+def test_wide_root_enclosure_never_rounds(monkeypatch):
+    # an enclosure wider than 1/2 contains more than one candidate integer
+    # coefficient; no precision can prove a rounding, so the build must fail.
+    # The widening is one-sided, so that one end of a coefficient interval
+    # still sits on its integer.
+    import heegner.classpoly as mod
+    from mpmath import iv
+
+    real = mod.jp_at_form
+
+    def widened(form, p, bits):
+        return real(form, p, 64) - iv.mpf(["0", "0.6"])
+
+    monkeypatch.setattr(mod, "jp_at_form", widened)
+    with pytest.raises(mod.PrecisionExhaustedError):
+        build_PD(-220, 11)
+    with pytest.raises(mod.PrecisionExhaustedError):
+        build_PD(Discriminant(5, 3, "-pl"))

@@ -7,18 +7,27 @@ import pytest
 from heegner.hauptmodul import (
     MIN_IM,
     arc_point,
-    classical_j,
     eta,
     j_p,
     j_p0,
     jp_arc_interval,
+    jp_at_form,
+    reduce_heegner_form,
     reduce_tau,
     tau_from_form,
     theta,
     theta_star,
     torsion_to_tau,
 )
-from heegner.quadforms import QuadForm, fundamental_unit
+from heegner.quadforms import (
+    Discriminant,
+    QuadForm,
+    enumerate_classes,
+    fundamental_unit,
+    heegner_rep,
+)
+
+from oracles import classical_j
 
 BITS = 256
 
@@ -250,6 +259,61 @@ class TestReduceTau:
         assert float(mpmath.im(tau)) < 0.002
         reduced, _ = reduce_tau(tau, 19, BITS)
         assert float(mpmath.im(reduced)) > 0.03
+
+
+def heegner_forms(p, ell, shape, limit=6):
+    disc = Discriminant(p, ell, shape)
+    return [heegner_rep(f, p) for f in enumerate_classes(disc.D).classes[:limit]]
+
+
+HEEGNER_CASES = [(3, 13, "-4pl"), (5, 7, "-pl"), (7, 5, "-4pl"), (11, 37, "-4pl"),
+                 (13, 7, "-4pl"), (19, 389, "-4pl"), (23, 13, "-4pl")]
+
+
+class TestReduceHeegnerForm:
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_matches_reduce_tau(self, p, ell, shape):
+        for form in heegner_forms(p, ell, shape):
+            reduced = reduce_heegner_form(form, p)
+            D = form.discriminant()
+            assert reduced.discriminant() == D and reduced.a % p == 0
+            assert -reduced.a < reduced.b <= reduced.a
+            tau, _ = reduce_tau(tau_from_form(form, 128), p, 128)
+            assert abs(math.sqrt(-D) / (2 * reduced.a) - float(mpmath.im(tau))) < 1e-12
+            assert err(j_p(tau_from_form(reduced, 128), p, 128, reduce=False),
+                       j_p(tau_from_form(form, 128), p, 128)) < tol(128, 40)
+
+    def test_rejects_non_heegner_form(self):
+        with pytest.raises(ValueError):
+            reduce_heegner_form(QuadForm(5, 0, 11), 11)
+        with pytest.raises(ValueError):
+            reduce_heegner_form(QuadForm(11, 1, -3), 11)
+
+
+class TestJpAtForm:
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_interval_contains_value(self, p, ell, shape):
+        bits = 96
+        for form in heegner_forms(p, ell, shape):
+            box = jp_at_form(form, p, bits)
+            (re_lo, re_hi), (im_lo, im_hi) = [(mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b))
+                                                  for a, b in box._mpci_]
+            with mpmath.workprec(4 * bits):
+                value = j_p(tau_from_form(form, 3 * bits), p, 3 * bits)
+                assert re_lo <= mpmath.re(value) <= re_hi
+                assert im_lo <= mpmath.im(value) <= im_hi
+                radius = max(re_hi - re_lo, im_hi - im_lo) / 2
+                assert radius < 2.0**-bits * max(1, abs(value))
+
+    def test_coefficient_growth_bounds(self):
+        # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
+        from heegner.hauptmodul import ETA, THETA_STAR, _growth, _terms, _theta_kind
+
+        kinds = [ETA, THETA_STAR] + [_theta_kind(*f) for f in ((1, 1, 3), (1, 1, 5), (1, 1, 6),
+                                                                 (2, 1, 3))]
+        for kind in kinds:
+            bound = _growth(kind)
+            assert all(abs(c) <= bound * n for n, c in _terms(kind, 3000) if n)
 
 
 class TestClassicalJ:
