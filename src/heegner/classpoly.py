@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import from_int, mpf_neg, mpf_sub, round_ceiling, to_fixed, to_float
 
-from .hauptmodul import GUARD_BITS, iv_workprec, jp_at_form, reduce_heegner_form
+from .hauptmodul import GUARD_BITS, _iv_workprec, jp_at_form, reduce_heegner_form
 from .quadforms import (
     Discriminant,
     al_pair_classes,
@@ -166,14 +166,13 @@ def build_PD(D, p: int | None = None, bits: int | None = None) -> ClassPolynomia
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
-    reps = []
-    for f, g in pairs:
-        hf, hg = heegner_rep(f, disc.p), heegner_rep(g, disc.p)
-        reps.append(reduce_heegner_form(hf if hf.a <= hg.a else hg, disc.p))
+    # both classes of a pair reach the same highest point; reduced here for
+    # the sizing, each form passes jp_at_form's own reduction unmoved
+    reps = [reduce_heegner_form(heegner_rep(f, disc.p), disc.p) for f, _ in pairs]
     work = bits if bits is not None else _sized_bits(disc.D, reps)
     while work <= MAX_BITS:
         roots = [jp_at_form(rep, disc.p, work) for rep in reps]
-        with iv_workprec(work + GUARD_BITS):
+        with _iv_workprec(work + GUARD_BITS):
             rounded = _round_proven(_product_of_linear_factors(roots))
         if rounded is not None:
             return ClassPolynomial(disc.p, disc.D, *rounded)

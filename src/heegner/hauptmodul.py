@@ -33,6 +33,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import mpmath
 from mpmath import iv, mpc, mpf
@@ -54,7 +55,6 @@ __all__ = [
     "reduce_heegner_form",
     "tau_from_form",
     "jp_at_form",
-    "iv_workprec",
     "arc_point",
     "jp_arc_interval",
 ]
@@ -93,7 +93,7 @@ def _require_upper(tau, min_im=MIN_IM):
 
 
 @contextmanager
-def iv_workprec(bits: int):
+def _iv_workprec(bits: int):
     """Run a block with ``mpmath.iv`` at ``bits`` of precision."""
     saved = iv.prec
     iv.prec = bits
@@ -413,57 +413,69 @@ def torsion_to_tau(tau_E, k: int | None, p: int, bits: int | None = None):
         return -1 / (tau_E + k)
 
 
-def reduce_tau(tau, p: int, bits: int, max_moves: int = 500):
+def _raising_candidates(p: int, al_limit: int, limit: int):
+    """Lower-row entries c of the moves that can raise a point.
+
+    A move of Gamma_0(p)+ with lower row (c, d) (times p for an Atkin-Lehner
+    move) sends Im(tau) to Im(tau) / |c tau + d|^2 when p | c, and to
+    Im(tau) / (p |c tau + d|^2) otherwise.  Since |c tau + d| >= c Im(tau),
+    only c <= al_limit (Atkin-Lehner) and multiples of p up to limit can raise.
+    """
+    return chain(range(1, al_limit + 1), range(p, limit + 1, p))
+
+
+def _move_matrix(c: int, d: int, p: int):
+    """(A, B, C, E) of the move with lower row (c, d), c > 0, gcd(c, d) = 1.
+
+    A matrix of Gamma_0(p) when p | c, else the Atkin-Lehner matrix
+    [[p s, -t], [p c, p d]] of determinant p with s p d + t c = 1.
+    """
+    if c % p == 0:
+        _, s, t = _xgcd(c, d)  # s c + t d = 1
+        return t, -s, c, d
+    _, s, t = _xgcd(p * d, c)
+    return p * s, -t, p * c, p * d
+
+
+def reduce_tau(tau, p: int, bits: int):
     """Move tau to the highest point of its Gamma_0(p)+ orbit.
 
-    Applies integer translations, the Fricke involution tau -> -1/(p tau) and
-    Gamma_0(p) elements with lower row (c, d), c = 0 mod p, whenever they
-    strictly increase Im(tau).  Returns (tau', parity) where parity counts
-    Fricke applications mod 2 (translations and Gamma_0(p) moves leave any
-    Gamma_0(p)-invariant unchanged; odd parity composes one w_p).
+    Every point of the orbit is one move away, and its height depends only
+    on the move's lower row, so one scan over the rows that can raise tau
+    (``_raising_candidates``, with d nearest to -c Re(tau)) finds the highest
+    point; a translation then brings Re(tau) into [-1/2, 1/2].  Returns
+    (tau', parity) where parity is 1 when the move is an Atkin-Lehner one
+    (Gamma_0(p) moves and translations leave any Gamma_0(p)-invariant
+    unchanged; odd parity composes one w_p).
     """
     with mpmath.workprec(bits + GUARD_BITS):
         tau = mpc(tau)
         if mpmath.im(tau) <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        eps = mpf(1) - mpf(2) ** -20
-        parity = 0
-        for _ in range(max_moves):
-            shift = int(mpmath.nint(mpmath.re(tau)))
-            tau -= shift
-            norm = mpmath.re(tau) ** 2 + mpmath.im(tau) ** 2
-            if p * norm < eps:
-                tau = -1 / (p * tau)
-                parity ^= 1
-                continue
-            t = float(mpmath.im(tau))
-            moved = False
-            c = p
-            while c * t < 1 and not moved:
-                d0 = int(mpmath.nint(-c * mpmath.re(tau)))
-                for d in (d0, d0 - 1, d0 + 1):
-                    if math.gcd(c, d) != 1:
-                        continue
-                    den = c * tau + d
-                    if mpmath.re(den) ** 2 + mpmath.im(den) ** 2 < eps:
-                        g, x, y = _xgcd(c, d)
-                        tau = (y * tau - x) / den
-                        moved = True
-                        break
-                c += p
-            if not moved:
-                return tau, parity
-        raise ArithmeticError("tau reduction did not terminate")
+        tau -= int(mpmath.nint(mpmath.re(tau)))
+        x, t = float(mpmath.re(tau)), float(mpmath.im(tau))
+        best, move = 1 - 2.0**-20, None
+        for c in _raising_candidates(p, int(1 / (t * math.sqrt(p))), int(1 / t)):
+            d = round(-c * x)
+            height = ((c * x + d) ** 2 + (c * t) ** 2) * (1 if c % p == 0 else p)
+            if height < best and math.gcd(c, d) == 1:
+                best, move = height, (c, d)
+        if move is None:
+            return tau, 0
+        A, B, C, E = _move_matrix(*move, p)
+        tau = (A * tau + B) / (C * tau + E)
+        return tau - int(mpmath.nint(mpmath.re(tau))), int(move[0] % p != 0)
 
 
-def reduce_heegner_form(form: QuadForm, p: int, max_moves: int = 500) -> QuadForm:
+def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     """The form of the highest CM point in the Gamma_0(p)+ orbit of a form with p | a.
 
-    The exact counterpart of ``reduce_tau``: Im(tau) = sqrt|D| / (2a), so a
-    move raises the point when it lowers a.  Translations bring b into
-    (-a, a]; the Fricke involution [a, b, c] -> [pc, -b, a/p] applies when
-    pc < a; and the Gamma_0(p) element with lower row (c', d), p | c', sends
-    a to a d^2 - b c' d + c c'^2.  Every move keeps p | a.
+    The exact counterpart of ``reduce_tau``: Im(tau) = sqrt|D| / (2a), and
+    the move with lower row (c, d) sends a to f(d, -c) when p | c and to
+    p f(d, -c) otherwise, so one scan for the smallest such value finds the
+    highest point.  The form is then moved by the matrix and translated so
+    that b lies in (-a, a].  Every move keeps p | a; the Fricke involution
+    [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move with row (1, 0).
     """
     if not form.is_positive_definite():
         raise ValueError("form must be positive definite")
@@ -471,30 +483,27 @@ def reduce_heegner_form(form: QuadForm, p: int, max_moves: int = 500) -> QuadFor
         raise ValueError(f"form {form} is not a Heegner representative for p = {p}")
     a, b, c = form.a, form.b, form.c
     D = form.discriminant()
-    for _ in range(max_moves):
-        b = (b + a - 1) % (2 * a) - a + 1
-        c = (b * b - D) // (4 * a)
-        if p * c < a:
-            a, b, c = p * c, -b, a // p
-            continue
-        moved = False
-        cp = p
-        while cp * cp * -D < 4 * a * a and not moved:
-            d0 = (cp * b + a) // (2 * a)  # nearest integer to -c' Re(tau)
-            for d in (d0, d0 - 1, d0 + 1):
-                if math.gcd(cp, d) != 1:
-                    continue
-                a1 = a * d * d - b * cp * d + c * cp * cp
-                if a1 < a:
-                    _, x, y = _xgcd(cp, d)  # x c' + y d = 1
-                    a, b, c = (a1, 2 * a * d * x + b * (d * y - cp * x) - 2 * c * cp * y,
-                               a * x * x + b * x * y + c * y * y)
-                    moved = True
-                    break
-            cp += p
-        if not moved:
-            return QuadForm(a, b, c)
-    raise ArithmeticError("form reduction did not terminate")
+
+    def f(x, y):
+        return a * x * x + b * x * y + c * y * y
+
+    # |c' tau + d| >= c' Im(tau) = c' sqrt|D| / (2a), so a row can lower a
+    # only when c'^2 |D| < 4 a^2, an Atkin-Lehner row only when p c'^2 |D| < 4 a^2
+    best, move = a, None
+    for cp in _raising_candidates(p, math.isqrt((4 * a * a - 1) // (-p * D)),
+                                  math.isqrt((4 * a * a - 1) // -D)):
+        d = (cp * b + a) // (2 * a)  # nearest integer to -c' Re(tau)
+        a1 = f(d, -cp) * (1 if cp % p == 0 else p)
+        if a1 < best and math.gcd(cp, d) == 1:
+            best, move = a1, (cp, d)
+    if move is not None:
+        # the form of M tau is f(E X - B Y, -C X + A Y) / det M, whose
+        # leading coefficient f(E, -C) / det M is best
+        A, B, C, E = _move_matrix(*move, p)
+        det = A * E - B * C
+        a, b = best, (f(E - B, A - C) - f(-B, A)) // det - best
+    b = (b + a - 1) % (2 * a) - a + 1
+    return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
 def _xgcd(a, b):
@@ -548,10 +557,10 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     if im_tau < _level_min_im(p):
         raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
     prec = bits + 2 * GUARD_BITS
-    with iv_workprec(prec):
+    with _iv_workprec(prec):
         q = iv.exp(iv.mpc(-iv.pi * iv.sqrt(-D), -iv.pi * form.b) / form.a)
         fixed, q_err = _fixed_from_interval(q, prec)
-    with iv_workprec(bits + GUARD_BITS):
+    with _iv_workprec(bits + GUARD_BITS):
         def value(kind, scale=1):
             return _interval_from_fixed(*_fixed_series(kind, fixed, q_err, im_tau, prec, scale),
                                         prec)

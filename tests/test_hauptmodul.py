@@ -22,6 +22,7 @@ from heegner.hauptmodul import (
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
+    al_pair_classes,
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
@@ -282,6 +283,23 @@ class TestReduceHeegnerForm:
             assert abs(math.sqrt(-D) / (2 * reduced.a) - float(mpmath.im(tau))) < 1e-12
             assert err(j_p(tau_from_form(reduced, 128), p, 128, reduce=False),
                        j_p(tau_from_form(form, 128), p, 128)) < tol(128, 40)
+
+    def test_reaches_highest_point(self):
+        # no translation, Fricke or Gamma_0(5) move raises (135, 130, 36), but
+        # the Atkin-Lehner move with lower row 5 (2, 1) lowers a to 95
+        form = QuadForm(135, 130, 36)
+        assert reduce_heegner_form(form, 5) == QuadForm(95, -90, 28)
+        tau, parity = reduce_tau(tau_from_form(form, 128), 5, 128)
+        assert parity == 1
+        assert abs(float(mpmath.im(tau)) - math.sqrt(2540) / 190) < 1e-12
+
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_pair_members_meet(self, p, ell, shape):
+        # the two classes of an Atkin-Lehner pair lie in one Gamma_0(p)+ orbit
+        for f, g in al_pair_classes(enumerate_classes(Discriminant(p, ell, shape).D), p):
+            reduced = reduce_heegner_form(heegner_rep(f, p), p)
+            assert reduce_heegner_form(heegner_rep(g, p), p).a == reduced.a
+            assert reduce_heegner_form(reduced, p) == reduced
 
     def test_rejects_non_heegner_form(self):
         with pytest.raises(ValueError):
