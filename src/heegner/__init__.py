@@ -17,9 +17,9 @@ from .classpoly import (
 )
 from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
 from .kernels import HAVE_COMPILED
+from .levels import LEVELS, Level, T2Data, level
 from .modpoly import (
     FPoly,
-    T2Data,
     brandt_table,
     epsilon_split,
     is_perfect_square,

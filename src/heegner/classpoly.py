@@ -25,6 +25,7 @@ from mpmath import iv
 from mpmath.libmp import from_int, mpf_neg, mpf_sub, round_ceiling, to_fixed, to_float
 
 from .hauptmodul import GUARD_BITS, _iv_workprec, jp_at_form, reduce_heegner_form
+from .levels import level
 from .quadforms import (
     Discriminant,
     al_pair_classes,
@@ -184,15 +185,16 @@ def build_PD(D, p: int | None = None, bits: int | None = None) -> ClassPolynomia
 
 def build_Pl(ell: int, p: int, bits: int | None = None,
              parts: tuple[ClassPolynomial, ClassPolynomial] | None = None) -> ClassPolynomial:
-    """Product polynomial P_l = P_{-pl} * P_{-4pl} for p = 5 or 13.
+    """Product polynomial P_l = P_{-pl} * P_{-4pl} at a level whose search
+    multiplies both shapes (p = 5 and 13).
 
     Pass already-built factors through ``parts`` to avoid rebuilding them.
     """
-    if p not in (5, 13):
-        raise ValueError("product polynomials are used for p = 5 and 13")
+    shapes = level(p).shapes
+    if shapes != ("-pl", "-4pl"):
+        raise ValueError(f"p = {p} searches with P_D for shapes {shapes}, not a product")
     if parts is None:
-        odd = build_PD(Discriminant(p, ell, "-pl"), bits=bits)
-        even = build_PD(Discriminant(p, ell, "-4pl"), bits=bits)
+        odd, even = (build_PD(Discriminant(p, ell, shape), bits=bits) for shape in shapes)
     else:
         odd, even = parts
         if odd.D != -p * ell or even.D != -4 * p * ell:

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .classpoly import PrecisionExhaustedError, build_PD, build_Pl
 from .intmath import FactorBudget, is_prime
-from .modpoly import brandt_table, supersingular_jp_residues
-from .quadforms import SEARCH_P, Discriminant, fundamental_unit
+from .levels import level
+from .quadforms import Discriminant, fundamental_unit
 from .hauptmodul import jp_arc_interval
 from .sssearch import RealJCaseError, SupersingularAtPError, search
 from .ssverify import (
@@ -49,7 +49,6 @@ class Config:
     ell_bound: int = 500
     factor_budget: int = FactorBudget.rho_iterations
     verify_bound: int = VERIFY_EFFORT_BOUND
-    output: str = "json"
 
     def __post_init__(self):
         if self.ell_bound <= 0 or self.factor_budget <= 0 or self.verify_bound <= 0:
@@ -112,9 +111,8 @@ def _cmd_classpoly(args) -> int:
     bits = args.bits or _default_bits()
     try:
         if args.D is not None:
-            disc = Discriminant.from_D(args.D, args.p)
-            poly = build_PD(disc, bits=bits)
-        elif args.p in (5, 13):
+            poly = build_PD(Discriminant.from_D(args.D, args.p), bits=bits)
+        elif len(level(args.p).shapes) > 1:
             poly = build_Pl(args.ell, args.p, bits=bits)
         else:
             poly = build_PD(Discriminant(args.p, args.ell, "-4pl"), bits=bits)
@@ -141,7 +139,6 @@ def _cmd_search(args) -> int:
             ell_bound=args.ell_bound,
             factor_budget=args.factor_budget or FactorBudget.rho_iterations,
             verify_bound=args.verify_bound or VERIFY_EFFORT_BOUND,
-            output=args.format,
         )
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: invalid arguments: {exc}", file=sys.stderr)
@@ -209,31 +206,28 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tables(args) -> int:
     p = args.p
-    if p not in SEARCH_P + (23,):
+    try:
+        lev = level(p)
+    except ValueError:
         print(f"error: no tables for p = {p}", file=sys.stderr)
         return EXIT_USAGE
     data: dict = {"p": p}
-    data["supersingular_jp"] = {
-        "values": list(supersingular_jp_residues(p)),
-        "provenance": "table" if p in (11, 19) else "derived",
-    }
-    try:
-        t2 = brandt_table(p)
+    data["supersingular_jp"] = {"values": list(lev.supersingular), "provenance": "table"}
+    t2 = lev.brandt
+    if t2 is not None:
         data["brandt"] = {
             "basis": list(t2.basis),
             "matrix": [list(row) for row in t2.matrix],
             "note": t2.note,
             "provenance": "table",
         }
-    except ValueError:
-        pass
-    if p % 4 == 3 and p != 23:
+    if lev.real_arc:
         c, d = fundamental_unit(p)
         lo, hi = jp_arc_interval(p)
         data["fundamental_unit"] = {"c": c, "d": d, "provenance": "derived"}
         data["arc_interval"] = {"inf": lo, "sup": hi, "provenance": "derived"}
-    if p == 23:
-        data["note"] = "theorem not proven for p=23"
+    if not lev.searchable:
+        data["note"] = f"theorem not proven for p={p}"
     if args.format == "text":
         for key, value in data.items():
             print(f"{key}: {value}")

@@ -21,10 +21,10 @@ provably contains j_p at its CM point: q comes from an interval
 exponential, and the few operations after the sums (1/q, quotient, power,
 the w_p term) run in interval arithmetic.
 
-Supported levels: p in {3, 5, 7, 13} via eta quotients, p = 11 and 19 via
-theta quotients, and p = 23 via the ratio of weight-one class theta series of
-discriminant -23 (normalized to a simple pole of residue 1 and vanishing
-constant term; used only for the empirical mod-23 study).
+The expression of each Hauptmodul in its series is an entry of the level
+table (``levels.LEVELS``): eta quotients on the genus-0 levels, theta
+quotients at p = 11 and 19, and at p = 23 the ratio of the weight-one class
+theta series of discriminant -23.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import mpmath
 from mpmath import iv, mpc, mpf
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_fixed
 
-from .quadforms import QuadForm, fundamental_unit
+from .levels import ETA, THETA_STAR, EtaQuotient, level
+from .quadforms import QuadForm, _xgcd, fundamental_unit
 
 __all__ = [
     "GUARD_BITS",
@@ -61,14 +62,6 @@ __all__ = [
 
 GUARD_BITS = 32
 MIN_IM = 0.05
-
-ETA_QUOTIENT_P = (3, 5, 7, 13)
-ALL_P = (3, 5, 7, 11, 13, 19, 23)
-
-# Series kinds.  ETA is the pentagonal sum eta(tau) q^(-1/24), THETA_STAR is
-# theta*(tau) q^(-1/2), and ("theta", a, b, c) is the theta series of a form.
-ETA = ("eta",)
-THETA_STAR = ("theta*",)
 
 
 def _theta_kind(a: int, b: int, c: int):
@@ -309,36 +302,7 @@ def _mpc_values(tau, bits: int, min_im: float):
     return value, q
 
 
-# --- the Hauptmoduls from their series ----------------------------------------
-
-
-def _wp_constant(p: int) -> int:
-    # w_p maps j_p0 to p^(12/(p-1)) / j_p0
-    return p ** (12 // (p - 1))
-
-
-def _eta_quotient(p: int, value, qinv):
-    # (eta(tau) / eta(p tau))^(24/(p-1)) = q^-1 (E(q) / E(q^p))^(24/(p-1))
-    return qinv * (value(ETA, 1) / value(ETA, p)) ** (24 // (p - 1))
-
-
-def _hauptmodul(p: int, value, qinv):
-    """j_p from its series, in the arithmetic of ``value`` and ``qinv`` (1/q)."""
-    if p in ETA_QUOTIENT_P:
-        u = _eta_quotient(p, value, qinv)
-        return u + _wp_constant(p) / u
-    if p == 11:
-        # (theta / (eta(tau) eta(11 tau)))^2, eta(tau) eta(11 tau) = q^(1/2) E(q) E(q^11)
-        return qinv * (value(_theta_kind(1, 1, 3), 1) / (value(ETA, 1) * value(ETA, 11))) ** 2
-    if p == 19:
-        # theta* = -2 q^(1/2) (1 + ...), so the square of the printed
-        # quotient has residue 1/4; rescale to a residue-1 Hauptmodul
-        # (pinned by the supersingular basis {0, 8} mod 19)
-        return 4 * qinv * (value(_theta_kind(1, 1, 5), 1) / value(THETA_STAR, 1)) ** 2
-    # p = 23: ratio of the weight-1 class theta series of discriminant
-    # -23, normalized to residue 1 and vanishing constant term
-    a, b = value(_theta_kind(1, 1, 6), 1), value(_theta_kind(2, 1, 3), 1)
-    return (3 * b - a) / (a - b)
+# --- the public mpc evaluations -----------------------------------------------
 
 
 def eta(tau, bits: int, min_im: float = MIN_IM):
@@ -364,9 +328,10 @@ def theta_star(tau, bits: int, min_im: float = MIN_IM):
 
 
 def j_p0(tau, p: int, bits: int, reduce: bool = True):
-    """Eta-quotient Hauptmodul of X_0(p) for p in {3, 5, 7, 13}."""
-    if p not in ETA_QUOTIENT_P:
-        raise ValueError(f"j_p0 defined for p in {ETA_QUOTIENT_P}")
+    """Eta-quotient Hauptmodul of X_0(p) at the genus-0 levels."""
+    t0 = level(p).hauptmodul
+    if not isinstance(t0, EtaQuotient):
+        raise ValueError(f"j_p0 is defined at the genus-0 levels, not at p = {p}")
     with mpmath.workprec(bits + GUARD_BITS):
         tau = mpc(tau)
         parity = 0
@@ -375,16 +340,13 @@ def j_p0(tau, p: int, bits: int, reduce: bool = True):
             tau, parity = reduce_tau(tau, p, bits)
             floor = _level_min_im(p)
         value, q = _mpc_values(tau, bits, floor)
-        u = _eta_quotient(p, value, 1 / q)
-        if parity:
-            u = _wp_constant(p) / u
-        return u
+        u = t0.t(value, 1 / q)
+        return t0.w / u if parity else u
 
 
 def j_p(tau, p: int, bits: int, reduce: bool = True):
     """Hauptmodul of X_0*(p), invariant under Gamma_0(p) and tau -> -1/(p tau)."""
-    if p not in ALL_P:
-        raise ValueError(f"j_p defined for p in {ALL_P}")
+    hauptmodul = level(p).hauptmodul
     with mpmath.workprec(bits + GUARD_BITS):
         tau = mpc(tau)
         floor = MIN_IM
@@ -392,7 +354,7 @@ def j_p(tau, p: int, bits: int, reduce: bool = True):
             tau, _ = reduce_tau(tau, p, bits)
             floor = _level_min_im(p)
         value, q = _mpc_values(tau, bits, floor)
-        return _hauptmodul(p, value, 1 / q)
+        return hauptmodul(value, 1 / q)
 
 
 def torsion_to_tau(tau_E, k: int | None, p: int, bits: int | None = None):
@@ -506,18 +468,6 @@ def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
-def _xgcd(a, b):
-    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def tau_from_form(form: QuadForm, bits: int):
     """CM point (-b + i sqrt(|D|)) / (2a) of a positive definite form."""
     with mpmath.workprec(bits + GUARD_BITS):
@@ -549,8 +499,7 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     interval arithmetic at bits + GUARD_BITS, so its radius is near
     2^-bits |j_p|.
     """
-    if p not in ALL_P:
-        raise ValueError(f"j_p defined for p in {ALL_P}")
+    hauptmodul = level(p).hauptmodul
     form = reduce_heegner_form(form, p)
     D = form.discriminant()
     im_tau = math.sqrt(-D) / (2 * form.a)
@@ -565,7 +514,7 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
             return _interval_from_fixed(*_fixed_series(kind, fixed, q_err, im_tau, prec, scale),
                                         prec)
 
-        return _hauptmodul(p, value, 1 / q)
+        return hauptmodul(value, 1 / q)
 
 
 def arc_point(p: int, re, bits: int):
@@ -580,7 +529,7 @@ def arc_point(p: int, re, bits: int):
 
 @lru_cache(maxsize=None)
 def jp_arc_interval(p: int, bits: int = 256) -> tuple[float, float]:
-    """Endpoints of the real interval j_p(S) for p = 3 mod 4.
+    """Endpoints of the real interval j_p(S) at a level with the real arc.
 
     S is the arc |tau| = 1/sqrt(p), -d/c < Re(tau) < 0; j_p increases
     clockwise along it, so the infimum sits at Re = -d/c and the supremum at

@@ -18,7 +18,7 @@ __all__ = [
     "kronecker",
     "is_prime",
     "factorize",
-    "is_perfect_square",
+    "is_square",
     "squarefree_part",
 ]
 
@@ -227,7 +227,8 @@ def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
     return Factorization(sign=sign, factors=factors, cofactor=cofactor)
 
 
-def is_perfect_square(n: int) -> bool:
+def is_square(n: int) -> bool:
+    """Whether the integer n is a perfect square (False for n < 0)."""
     if n < 0:
         return False
     r = math.isqrt(n)

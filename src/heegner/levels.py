@@ -1,0 +1,134 @@
+"""The levels p, one frozen entry each: everything that differs between them.
+
+The theorem holds at p = 3, 5, 7, 11, 13 and 19; p = 23 is carried for the
+empirical mod-23 study, the first level where the argument breaks down (its
+Brandt matrix has odd column sums).  The other modules read a level's data
+through ``level(p)`` instead of branching on p, so adding a level means
+adding an entry to ``LEVELS``.  This module imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+__all__ = ["ETA", "THETA_STAR", "T2Data", "EtaQuotient", "Level", "LEVELS", "level"]
+
+# Series kinds of the evaluator value(kind, scale) that a Hauptmodul
+# expression receives: ETA is the pentagonal sum eta(tau) q^(-1/24),
+# THETA_STAR is theta*(tau) q^(-1/2), and ("theta", a, b, c) is the theta
+# series of a positive definite form.
+ETA = ("eta",)
+THETA_STAR = ("theta*",)
+
+
+@dataclass(frozen=True)
+class T2Data:
+    """Brandt matrix B(2) data for the Hecke correspondence T_2 mod p.
+
+    Row i lists the coefficients of T_2(basis_i) in the basis.  The basis
+    entries are supersingular j_p-invariants; for p = 23 the source only
+    provides the matrix.
+    """
+
+    p: int
+    basis: tuple[int, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    note: str = ""
+
+    def column_sums(self) -> tuple[int, ...]:
+        n = len(self.matrix[0])
+        return tuple(sum(row[j] for row in self.matrix) for j in range(n))
+
+
+class EtaQuotient(NamedTuple):
+    """j_p = t + w / t on a genus-0 X_0(p), t = (eta(tau) / eta(p tau))^exponent.
+
+    t is the Hauptmodul of X_0(p), and the Fricke involution w_p sends t to
+    w / t; ``exponent`` is 24 / (p - 1) and ``w`` is p^(12 / (p - 1)).  A
+    named tuple, because it is created at import several times faster than
+    a dataclass.
+    """
+
+    p: int
+    exponent: int
+    w: int
+
+    def t(self, value, qinv):
+        # (eta(tau) / eta(p tau))^e = q^-1 (E(q) / E(q^p))^e
+        return qinv * (value(ETA, 1) / value(ETA, self.p)) ** self.exponent
+
+    def __call__(self, value, qinv):
+        u = self.t(value, qinv)
+        return u + self.w / u
+
+
+def _theta_11(value, qinv):
+    # (theta / (eta(tau) eta(11 tau)))^2, eta(tau) eta(11 tau) = q^(1/2) E(q) E(q^11)
+    return qinv * (value(("theta", 1, 1, 3), 1) / (value(ETA, 1) * value(ETA, 11))) ** 2
+
+
+def _theta_19(value, qinv):
+    # theta* = -2 q^(1/2) (1 + ...), so the square of the printed quotient
+    # has residue 1/4; rescale to a residue-1 Hauptmodul (pinned by the
+    # supersingular basis {0, 8} mod 19)
+    return 4 * qinv * (value(("theta", 1, 1, 5), 1) / value(THETA_STAR, 1)) ** 2
+
+
+def _theta_23(value, qinv):
+    # ratio of the weight-1 class theta series of discriminant -23,
+    # normalized to residue 1 and vanishing constant term
+    a, b = value(("theta", 1, 1, 6), 1), value(("theta", 2, 1, 3), 1)
+    return (3 * b - a) / (a - b)
+
+
+@dataclass(frozen=True)
+class Level:
+    """What the pipeline needs to know about one level p.
+
+    ``hauptmodul(value, qinv)`` forms j_p from the series evaluator and 1/q,
+    in whatever arithmetic they carry (an ``EtaQuotient`` on genus-0 levels).
+    The search multiplies the class polynomials of the discriminant
+    ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l); modulo an admissible l
+    each of them is a square, or (X - linear_root) times a square.
+    ``supersingular`` lists the supersingular j_p-invariants mod p.
+    ``real_arc`` marks the levels with a fundamental unit of Q(sqrt p) and
+    the arc S of bounded real roots; ``t2_check`` runs the T_2 exponent
+    check mod p; ``j_lift`` marks an exact h -> j lift, through which the
+    harvested primes are verified (``ssverify.lift_j_from_h_level3``, the
+    only one so far).
+    """
+
+    p: int
+    hauptmodul: Callable
+    shapes: tuple[str, ...]
+    supersingular: tuple[int, ...]
+    linear_root: int | None = None
+    brandt: T2Data | None = None
+    searchable: bool = True
+    real_arc: bool = False
+    t2_check: bool = False
+    j_lift: bool = False
+
+
+LEVELS = {lev.p: lev for lev in (
+    Level(3, EtaQuotient(3, 12, 729), ("-4pl",), (0,), real_arc=True, j_lift=True),
+    Level(5, EtaQuotient(5, 6, 125), ("-pl", "-4pl"), (0,), linear_root=-22),
+    Level(7, EtaQuotient(7, 4, 49), ("-4pl",), (0,), real_arc=True),
+    Level(11, _theta_11, ("-4pl",), (0, 10), real_arc=True, t2_check=True,
+          brandt=T2Data(11, (0, -1), ((1, 2), (3, 0)))),
+    Level(13, EtaQuotient(13, 2, 13), ("-pl", "-4pl"), (0,), linear_root=-6),
+    Level(19, _theta_19, ("-4pl",), (0, 8), real_arc=True,
+          brandt=T2Data(19, (0, 8), ((1, 2), (1, 2)))),
+    Level(23, _theta_23, ("-4pl",), (11, 15, 18), searchable=False,
+          brandt=T2Data(23, (), ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
+                        note="not all column sums even: theorem not proven for p=23")),
+)}
+
+
+def level(p: int) -> Level:
+    """The table entry of level p; ValueError for any other p."""
+    try:
+        return LEVELS[p]
+    except KeyError:
+        raise ValueError(f"unsupported p = {p}") from None

@@ -9,13 +9,12 @@ factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .intmath import is_prime, kronecker
+from .levels import T2Data, level
 
 __all__ = [
     "FPoly",
-    "T2Data",
     "squarefree_decomposition",
     "is_perfect_square",
     "is_square_times_linear",
@@ -234,106 +233,53 @@ def t2_degree_check(p: int, ell: int) -> bool:
     return class_number(-4 * p * ell) == (3 - eps) * class_number(-p * ell)
 
 
-@dataclass(frozen=True)
-class T2Data:
-    """Brandt matrix B(2) data for the Hecke correspondence T_2 mod p.
-
-    Row i lists the coefficients of T_2(basis_i) in the basis.  The basis
-    entries are supersingular j_p-invariants; for p = 23 the source only
-    provides the matrix.
-    """
-
-    p: int
-    basis: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    note: str = ""
-
-    def column_sums(self) -> tuple[int, ...]:
-        n = len(self.matrix[0])
-        return tuple(sum(row[j] for row in self.matrix) for j in range(n))
-
-
-_BRANDT = {
-    11: T2Data(11, (0, -1), ((1, 2), (3, 0))),
-    19: T2Data(19, (0, 8), ((1, 2), (1, 2))),
-    23: T2Data(
-        23,
-        (),
-        ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
-        note="not all column sums even: theorem not proven for p=23",
-    ),
-}
-
-
 def brandt_table(p: int) -> T2Data:
-    if p not in _BRANDT:
-        raise ValueError(f"no Brandt data for p = {p}; available: {sorted(_BRANDT)}")
-    return _BRANDT[p]
+    t2 = level(p).brandt
+    if t2 is None:
+        raise ValueError(f"no Brandt data for p = {p}")
+    return t2
 
 
-@lru_cache(maxsize=None)
 def supersingular_jp_residues(p: int) -> tuple[int, ...]:
-    """Supersingular j_p-invariants mod p.
+    """Supersingular j_p-invariants mod p, ascending, from the level table.
 
-    For p = 11 and 19 these come with the Brandt data; for the genus-0 levels
-    there is a single invariant, recovered by reducing a small built class
-    polynomial mod p (all of its roots are supersingular there).  Cached per
-    process.
+    The test suite derives them from the roots mod p of built class
+    polynomials, all of which are supersingular there.
     """
-    if p in (11, 19):
-        return tuple(sorted(b % p for b in brandt_table(p).basis))
-    from .classpoly import build_PD
-    from .quadforms import Discriminant
-
-    ells = (5,) if p == 3 else (3,) if p in (5, 7, 13) else (3, 13, 29)
-    roots: set[int] = set()
-    for ell in ells:
-        poly = build_PD(Discriminant(p, ell, "-4pl"))
-        f = FPoly.from_coeffs(poly.coefficients, p)
-        roots.update(r for r in range(p) if f(r) == 0)
-        if p in (3, 5, 7, 13):
-            # single isomorphism class: f must be a power of one linear factor
-            if len(roots) != 1:
-                raise ArithmeticError(f"expected a unique supersingular j_{p} value")
-            s = next(iter(roots))
-            acc = FPoly(p, (1,))
-            lin = FPoly(p, ((-s) % p, 1))
-            for _ in range(f.degree):
-                acc = acc * lin
-            if acc.coeffs != f.coeffs:
-                raise ArithmeticError(f"P_D mod {p} is not a power of X - {s}")
-    return tuple(sorted(roots))
+    return level(p).supersingular
 
 
 def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[bool, object]:
     """Perfect-square test of a class polynomial modulo its own p.
 
-    ``poly`` is a ClassPolynomial for D = -4pl (p = 3 mod 4) or the product
-    P_l (p = 5, 13).  Returns (True, square root) on success and (False,
-    squarefree decomposition) on failure.  For p = 11, when the companion
-    P_{-pl} is supplied, additionally verifies the Hecke exponent pattern
-    X^(m+3n-eps*m) (X+1)^(2m-eps*n) predicted by the T_2 expansion.
+    ``poly`` is a ClassPolynomial for D = -4pl or the product P_l of the
+    level's search.  Returns (True, square root) on success and (False,
+    squarefree decomposition) on failure.  At a level with the T_2 check
+    (p = 11), when the companion P_{-pl} is supplied, additionally verifies
+    the Hecke exponent pattern predicted by the T_2 expansion: if the Brandt
+    basis invariants b_j have multiplicities m_j in P_{-pl} mod p, then b_i
+    has multiplicity sum_j m_j B_ji - eps m_i in P_{-4pl} mod p, with B the
+    Brandt matrix (at p = 11, X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
     """
     p = poly.p
     f = FPoly.from_coeffs(poly.coefficients, p)
     root = is_perfect_square(f)
     if root is None:
         return False, squarefree_decomposition(f)
-    if p == 11 and poly_minus_pl is not None:
-        g = FPoly.from_coeffs(poly_minus_pl.coefficients, 11)
-        m = _root_multiplicity(g, 0)
-        n = _root_multiplicity(g, -1)
-        if m + n != g.degree:
+    lev = level(p)
+    if lev.t2_check and poly_minus_pl is not None:
+        basis, matrix = lev.brandt.basis, lev.brandt.matrix
+        g = FPoly.from_coeffs(poly_minus_pl.coefficients, p)
+        m = [_root_multiplicity(g, b) for b in basis]
+        if sum(m) != g.degree:
             raise ArithmeticError(
-                f"P_(-pl) mod 11 is not of the form X^m (X+1)^n: {g}"
+                f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g}"
             )
         eps = epsilon_split(_odd_part_discriminant(poly))
-        expected_m = m + 3 * n - eps * m
-        expected_n = 2 * m - eps * n
-        if (_root_multiplicity(f, 0), _root_multiplicity(f, -1)) != (
-            expected_m,
-            expected_n,
-        ) or expected_m + expected_n != f.degree:
+        expected = [sum(mj * row[i] for mj, row in zip(m, matrix)) - eps * m[i]
+                    for i in range(len(basis))]
+        if ([_root_multiplicity(f, b) for b in basis] != expected
+                or sum(expected) != f.degree):
             return False, squarefree_decomposition(f)
     return True, root
 

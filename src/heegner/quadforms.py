@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intmath import is_prime
+from .levels import level
 
 __all__ = [
     "QuadForm",
@@ -32,10 +33,6 @@ __all__ = [
     "bounded_root_form",
     "diophantine_obstruction_check",
 ]
-
-SUPPORTED_P = (3, 5, 7, 11, 13, 19, 23)  # 23 only for the empirical mod-23 study
-SEARCH_P = (3, 5, 7, 11, 13, 19)
-
 
 class ALFixedClassError(ValueError):
     """A class is fixed by the Atkin-Lehner pairing (|D| too small)."""
@@ -181,8 +178,7 @@ class Discriminant:
     shape: str  # "-pl" or "-4pl"
 
     def __post_init__(self):
-        if self.p not in SUPPORTED_P:
-            raise ValueError(f"unsupported p = {self.p}")
+        level(self.p)  # ValueError for an unsupported p
         if not is_prime(self.ell) or self.ell == self.p:
             raise ValueError(f"l = {self.ell} must be a prime distinct from p")
         if self.shape == "-pl":
@@ -358,18 +354,15 @@ def unbounded_root_forms(disc: Discriminant) -> tuple[QuadForm, QuadForm]:
     return f1, f2
 
 
-_UNIT_P = (3, 7, 11, 19)
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(p: int) -> tuple[int, int]:
-    """Fundamental unit c + d*sqrt(p) of Q(sqrt(p)), p in {3, 7, 11, 19}.
+    """Fundamental unit c + d*sqrt(p) of Q(sqrt(p)) at a level with the real arc.
 
     Computed by the continued-fraction expansion of sqrt(p); for these p the
     norm is +1 and c is even, d odd.
     """
-    if p not in _UNIT_P:
-        raise ValueError(f"fundamental unit only supported for p in {_UNIT_P}")
+    if not level(p).real_arc:
+        raise ValueError(f"fundamental unit only supported at the real-arc levels, not p = {p}")
     a0 = math.isqrt(p)
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
@@ -438,8 +431,8 @@ def bounded_root_form(p: int, ell: int) -> tuple[QuadForm, tuple[int, int]]:
     0 <= B/A < d/c; the root t = (-B + i*sqrt(pl)/p... ) has |t| = 1/sqrt(p)
     and real part -B/A inside the arc S.
     """
-    if p % 4 != 3:
-        raise ValueError("bounded root construction requires p = 3 mod 4")
+    if not level(p).real_arc:
+        raise ValueError(f"bounded root construction requires a real-arc level, not p = {p}")
     sols = norm_equation_solutions(p, ell)
     if not sols:
         raise ArithmeticError(

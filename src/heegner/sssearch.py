@@ -1,33 +1,32 @@
 """Supersingular prime search for rational points on X_0*(p).
 
 The procedure: sieve primes l that are admissible for p, demand quadratic
-character 1 at every avoided prime, build the class polynomial (discriminant
--4pl for p = 3 mod 4, the product P_l for p = 5 and 13), require a negative
-value at h, and harvest the numerator primes q with (q | pl) != 1.  Each
-accepted l also has its mod-l and mod-p squareness witnessed at runtime, not
-only in the test suite.
+character 1 at every avoided prime, build the class polynomial of the
+level's discriminant shapes (-4pl alone, or the product P_l of -pl and -4pl;
+see ``levels.LEVELS``), require a negative value at h, and harvest the
+numerator primes q with (q | pl) != 1.  Each accepted l also has its mod-l
+and mod-p squareness witnessed at runtime, not only in the test suite.
 
-Verification of harvested primes runs through ssverify when the j-invariant
-is available (the level-3 lift); otherwise primes are reported unverified.
+Verification of harvested primes runs through ssverify at levels with an
+exact h -> j lift; elsewhere primes are reported unverified.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classpoly import ClassPolynomial, build_PD, build_Pl, evaluate
-from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
+from .intmath import FactorBudget, Factorization, factorize, is_prime, is_square, kronecker
+from .levels import LEVELS, level
 from .modpoly import (
     FPoly,
     is_perfect_square,
     is_square_times_linear,
     mod_p_square_check,
-    supersingular_jp_residues,
 )
-from .quadforms import SEARCH_P, Discriminant
+from .quadforms import Discriminant
 from .hauptmodul import jp_arc_interval
 from .ssverify import (
     VERIFY_EFFORT_BOUND,
@@ -47,8 +46,6 @@ __all__ = [
 ]
 
 INTERIOR_MARGIN = 2.0**-16
-
-LINEAR_SHAPE_ROOT = {5: -22, 13: -6}
 
 
 class RealJCaseError(ValueError):
@@ -78,8 +75,7 @@ class SearchCertificate:
         """Machine-checkable invariants, independent of the search run."""
         if self.value >= 0:
             raise AssertionError("certificate value is not negative")
-        den = self.value.denominator
-        if math.isqrt(den) ** 2 != den:
+        if not is_square(self.value.denominator):
             raise AssertionError("value denominator is not a perfect square")
         pl = self.p * self.ell
         num = self.value.numerator
@@ -118,22 +114,11 @@ class SearchCertificate:
 
 
 def ell_admissible(p: int, ell: int) -> bool:
-    """The congruence and splitting conditions on l for level p."""
-    if not is_prime(ell) or ell == p or ell == 2:
-        return False
-    if p % 4 == 3:
-        return ell % 4 == 1 and kronecker(-p, ell) == 1
-    # p = 5, 13: printed residue lists, cross-checked against the splitting rule
-    if p == 5:
-        in_list = ell % 20 in (3, 7)
-    elif p == 13:
-        in_list = ell % 52 in (7, 11, 15, 19, 31, 47)
-    else:
-        raise ValueError(f"unsupported p = {p}")
-    rule = ell % 4 == 3 and kronecker(-p, ell) == 1
-    if in_list != rule:
-        raise ArithmeticError(f"admissibility table disagrees with rule at l = {ell}")
-    return in_list
+    """The congruence and splitting conditions on l for level p: l an odd
+    prime other than p, p l = 3 mod 4, and -p a square mod l."""
+    level(p)  # ValueError for an unsupported p
+    return (is_prime(ell) and ell not in (2, p) and (p * ell) % 4 == 3
+            and kronecker(-p, ell) == 1)
 
 
 def sigma_condition(ell: int, p: int, sigma) -> bool:
@@ -156,11 +141,13 @@ def find_ell(p: int, h: Fraction, sigma, ell_bound: int,
     """Smallest admissible l <= ell_bound with the sigma condition and a
     negative polynomial value at h.
 
-    Returns (ell, D, polynomial, value, parts) where parts carries the two
-    product factors for p = 5, 13; None when the bound is exhausted.
+    Returns (ell, D, polynomial, value, parts) where parts holds the P_D of
+    the level's shapes, whose product is the polynomial; None when the bound
+    is exhausted.
     """
+    lev = _searchable(p)
     h = Fraction(h)
-    if p % 4 == 3:
+    if lev.real_arc:
         _interior_check(p, h)
     ell = max(start_after, 2)
     while True:
@@ -171,14 +158,8 @@ def find_ell(p: int, h: Fraction, sigma, ell_bound: int,
             continue
         if not sigma_condition(ell, p, sigma):
             continue
-        if p % 4 == 3:
-            poly = build_PD(Discriminant(p, ell, "-4pl"), bits=bits)
-            parts = None
-        else:
-            odd = build_PD(Discriminant(p, ell, "-pl"), bits=bits)
-            even = build_PD(Discriminant(p, ell, "-4pl"), bits=bits)
-            parts = (odd, even)
-            poly = build_Pl(ell, p, parts=parts)
+        parts = tuple(build_PD(Discriminant(p, ell, shape), bits=bits) for shape in lev.shapes)
+        poly = parts[0] if len(parts) == 1 else build_Pl(ell, p, parts=parts)
         value = evaluate(poly, h)
         if value < 0:
             return ell, poly.D, poly, value, parts
@@ -186,21 +167,17 @@ def find_ell(p: int, h: Fraction, sigma, ell_bound: int,
 
 def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts) -> None:
     """The mod-l and mod-p square statements, enforced on the search path."""
-    f_mod_ell = FPoly.from_coeffs(poly.coefficients, ell)
-    if p % 4 == 3:
-        if is_perfect_square(f_mod_ell) is None:
-            raise ArithmeticError(f"P_D mod {ell} is not a perfect square (p={p})")
-        companion = build_PD(Discriminant(p, ell, "-pl")) if p == 11 else None
-        ok, _witness = mod_p_square_check(poly, companion)
-    else:
-        root = LINEAR_SHAPE_ROOT[p]
-        for part in parts:
-            g = FPoly.from_coeffs(part.coefficients, ell)
-            if is_square_times_linear(g, root) is None:
-                raise ArithmeticError(
-                    f"P_D mod {ell} lacks the (X - ({root})) R^2 shape (p={p})"
-                )
-        ok, _witness = mod_p_square_check(poly)
+    lev = level(p)
+    root = lev.linear_root
+    for part in parts:
+        g = FPoly.from_coeffs(part.coefficients, ell)
+        if root is None:
+            if is_perfect_square(g) is None:
+                raise ArithmeticError(f"P_D mod {ell} is not a perfect square (p={p})")
+        elif is_square_times_linear(g, root) is None:
+            raise ArithmeticError(f"P_D mod {ell} lacks the (X - ({root})) R^2 shape (p={p})")
+    companion = build_PD(Discriminant(p, ell, "-pl")) if lev.t2_check else None
+    ok, _witness = mod_p_square_check(poly, companion)
     if not ok:
         raise ArithmeticError(f"polynomial is not a perfect square mod {p}")
 
@@ -216,9 +193,8 @@ def extract_primes(value: Fraction, p: int, ell: int, sigma,
     """
     if value >= 0:
         raise ValueError("extraction requires a negative value")
-    den = value.denominator
-    if math.isqrt(den) ** 2 != den:
-        raise ArithmeticError(f"denominator {den} is not a perfect square")
+    if not is_square(value.denominator):
+        raise ArithmeticError(f"denominator {value.denominator} is not a perfect square")
     fac = factorize(value.numerator, budget)
     pl = p * ell
     candidates = tuple((q, kronecker(q, pl)) for q in fac.primes())
@@ -245,8 +221,7 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     found prime, until ``count`` distinct primes are collected or the l bound
     is exhausted (partial results are returned in that case).
     """
-    if p not in SEARCH_P:
-        raise ValueError(f"search supports p in {SEARCH_P}")
+    lev = _searchable(p)
     h = Fraction(h)
     _check_not_supersingular(p, h)
     avoided = set(int(v) for v in sigma)
@@ -270,7 +245,7 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
         selected, candidates, fac, skip = extract_primes(value, p, ell, current, budget)
         if skip:
             continue
-        if p == 3:
+        if lev.j_lift:
             statuses = verify_certificate(
                 _Selected(selected), lift_j_from_h_level3(h), effort_bound
             )
@@ -294,6 +269,15 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     return certificates
 
 
+def _searchable(p: int):
+    """The level entry of p, which must be one the theorem covers."""
+    lev = LEVELS.get(p)
+    if lev is None or not lev.searchable:
+        searchable = tuple(q for q, entry in LEVELS.items() if entry.searchable)
+        raise ValueError(f"search supports p in {searchable}")
+    return lev
+
+
 @dataclass(frozen=True)
 class _Selected:
     selected: tuple[int, ...]
@@ -303,7 +287,7 @@ def _check_not_supersingular(p: int, h: Fraction) -> None:
     if h.denominator % p == 0:
         return  # h reduces to the cusp mod p, not a supersingular invariant
     residue = h.numerator * pow(h.denominator, -1, p) % p
-    if residue in supersingular_jp_residues(p):
+    if residue in level(p).supersingular:
         raise SupersingularAtPError(
             f"h = {h} = {residue} mod {p} is a supersingular j_{p}-invariant: "
             "the theorem hypothesis excludes this point"

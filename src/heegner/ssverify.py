@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import FactorBudget, is_prime, kronecker, squarefree_part
+from ._kernels_py import _curve_from_j_fq2
+from .intmath import FactorBudget, is_prime, is_square, kronecker, squarefree_part
 from .kernels import hasse_nonzero_fq, hasse_nonzero_fq2
 
 __all__ = [
@@ -194,21 +195,6 @@ def _curve_from_j_fq(j0: int, q: int) -> tuple[int, int]:
     return 3 * k % q, 2 * k % q
 
 
-def _curve_from_j_fq2(el: Fq2) -> tuple[tuple[int, int], tuple[int, int]]:
-    q, m = el.q, el.m
-    if (el.c0, el.c1) == (0, 0):
-        return (0, 0), (1, 0)
-    if el.c1 == 0 and (el.c0 - 1728) % q == 0:
-        return (1, 0), (0, 0)
-    d0, d1 = (1728 - el.c0) % q, (-el.c1) % q
-    norm = (d0 * d0 - m * d1 * d1) % q
-    ninv = pow(norm, -1, q)
-    i0, i1 = d0 * ninv % q, (-d1) * ninv % q
-    k0 = (el.c0 * i0 + m * el.c1 * i1) % q
-    k1 = (el.c0 * i1 + el.c1 * i0) % q
-    return (3 * k0 % q, 3 * k1 % q), (2 * k0 % q, 2 * k1 % q)
-
-
 def is_supersingular_j(j0: int | Fq2, q: int,
                        effort_bound: int = VERIFY_EFFORT_BOUND) -> bool:
     """Hasse-invariant supersingularity test of a j-invariant over F_q or F_q^2.
@@ -224,7 +210,7 @@ def is_supersingular_j(j0: int | Fq2, q: int,
     if q > effort_bound:
         raise EffortBoundExceeded(f"q = {q} exceeds effort bound {effort_bound}")
     if isinstance(j0, Fq2) and not j0.is_rational():
-        (a0, a1), (b0, b1) = _curve_from_j_fq2(j0)
+        (a0, a1), (b0, b1) = _curve_from_j_fq2(q, j0.m, j0.c0, j0.c1)
         return not hasse_nonzero_fq2(q, j0.m, a0, a1, b0, b1)
     if isinstance(j0, Fq2):
         j0 = j0.c0
@@ -311,14 +297,12 @@ def _j30_minpoly_norm(h: Fraction, poly_low: Fraction, poly_lin: Fraction) -> Fr
     return poly_lin * poly_lin * 729 + poly_lin * poly_low * h + poly_low * poly_low
 
 
-def norm_square_check(h, p: int = 3) -> tuple[Fraction, bool]:
+def norm_square_check(h) -> tuple[Fraction, bool]:
     """N(j - 1728) for the curve pair with level-3 invariant h; perfect square?
 
     Requires a non-real lift: the two values of the eta quotient are the
     roots of t^2 - h t + 729, complex exactly when h^2 < 4*729.
     """
-    if p != 3:
-        raise ValueError("norm computation implemented for p = 3 only")
     h = Fraction(h)
     if h * h >= 2916:
         raise ValueError(
@@ -327,9 +311,7 @@ def norm_square_check(h, p: int = 3) -> tuple[Fraction, bool]:
     # reduce t^2 - 486 t - 19683 modulo t^2 - h t + 729: (h - 486) t - 20412
     num_norm = _j30_minpoly_norm(h, Fraction(-20412), h - 486)
     norm = num_norm * num_norm / Fraction(729) ** 3
-    num, den = norm.numerator, norm.denominator
-    is_sq = num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-    return norm, is_sq
+    return norm, is_square(norm.numerator) and is_square(norm.denominator)
 
 
 def lift_j_from_h_level3(h) -> QuadSurd:

@@ -6,8 +6,8 @@ import pytest
 from heegner.intmath import (
     FactorBudget,
     factorize,
-    is_perfect_square,
     is_prime,
+    is_square,
     kronecker,
     squarefree_part,
 )
@@ -139,9 +139,9 @@ class TestFactorize:
             factorize(0)
 
 
-def test_is_perfect_square():
-    assert is_perfect_square(0) and is_perfect_square(144)
-    assert not is_perfect_square(2) and not is_perfect_square(-4)
+def test_is_square():
+    assert is_square(0) and is_square(144)
+    assert not is_square(2) and not is_square(-4)
 
 
 def test_squarefree_part():

@@ -1,0 +1,70 @@
+"""The level table against what the library and its oracles derive."""
+
+import pytest
+
+from heegner.classpoly import build_PD
+from heegner.levels import LEVELS, EtaQuotient, level
+from heegner.modpoly import FPoly, brandt_table, supersingular_jp_residues
+from heegner.quadforms import Discriminant
+
+# l whose P_{-4pl} mod p reaches every supersingular j_p-invariant
+RESIDUE_ELLS = {3: (5,), 5: (3,), 7: (3,), 13: (3,), 23: (3, 13, 29)}
+
+
+def test_lookup():
+    assert sorted(LEVELS) == [3, 5, 7, 11, 13, 19, 23]
+    assert all(level(p).p == p for p in LEVELS)
+    for p in (2, 17, 29):
+        with pytest.raises(ValueError):
+            level(p)
+
+
+def test_entries_follow_the_congruence_of_p():
+    # p = 3 mod 4: D = -4pl alone and the arc S of real roots (theorem levels);
+    # p = 1 mod 4: the product of -pl and -4pl with a linear mod-l factor
+    for p, lev in LEVELS.items():
+        if p % 4 == 3:
+            assert lev.shapes == ("-4pl",) and lev.linear_root is None, p
+            assert lev.real_arc == lev.searchable, p
+        else:
+            assert lev.shapes == ("-pl", "-4pl") and lev.linear_root is not None, p
+            assert not lev.real_arc, p
+    assert [p for p, lev in LEVELS.items() if not lev.searchable] == [23]
+    assert [p for p, lev in LEVELS.items() if lev.j_lift] == [3]
+    assert [p for p, lev in LEVELS.items() if lev.t2_check] == [11]
+
+
+def test_eta_quotient_constants():
+    genus_0 = {p: lev.hauptmodul for p, lev in LEVELS.items()
+               if isinstance(lev.hauptmodul, EtaQuotient)}
+    assert sorted(genus_0) == [3, 5, 7, 13]
+    for p, t in genus_0.items():
+        assert t.p == p
+        assert t.exponent * (p - 1) == 24
+        assert t.w == p ** (12 // (p - 1))
+
+
+@pytest.mark.parametrize("p", sorted(RESIDUE_ELLS))
+def test_supersingular_residues_are_class_polynomial_roots(p):
+    # every root of a class polynomial mod p is a supersingular invariant
+    roots = set()
+    for ell in RESIDUE_ELLS[p]:
+        poly = build_PD(Discriminant(p, ell, "-4pl"))
+        f = FPoly.from_coeffs(poly.coefficients, p)
+        roots.update(r for r in range(p) if f(r) == 0)
+        if p != 23:
+            # genus 0: a single isomorphism class, so f is a power of X - s
+            (s,) = roots
+            power = FPoly(p, (1,))
+            for _ in range(f.degree):
+                power = power * FPoly(p, (-s % p, 1))
+            assert power.coeffs == f.coeffs, (p, ell)
+    assert level(p).supersingular == tuple(sorted(roots))
+    assert supersingular_jp_residues(p) == level(p).supersingular
+
+
+@pytest.mark.parametrize("p", [11, 19])
+def test_supersingular_residues_are_the_brandt_basis(p):
+    basis = brandt_table(p).basis
+    assert level(p).supersingular == tuple(sorted(b % p for b in basis))
+    assert supersingular_jp_residues(p) == level(p).supersingular

@@ -17,3 +17,93 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _is_level(node) -> bool:
+    """``p``, ``x.p`` or ``p % k``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        return _is_level(node.left)
+    return (isinstance(node, ast.Name) and node.id == "p") or (
+        isinstance(node, ast.Attribute) and node.attr == "p")
+
+
+def _is_int(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _int_literals(tree) -> set[str]:
+    """Module-level names bound to an int literal or a collection of them."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_literal(value, set()):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _is_literal(node, names) -> bool:
+    """An int literal, a tuple/list/set of them, a dict keyed by them, a name
+    bound to one of those, or a sum of such collections."""
+    if _is_int(node):
+        return True
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(_is_int(e) for e in node.elts)
+    if isinstance(node, ast.Dict):
+        return bool(node.keys) and all(k is not None and _is_int(k) for k in node.keys)
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_literal(node.left, names) and _is_literal(node.right, names)
+    return False
+
+
+def literal_level_comparisons(source: str, filename: str = "<source>",
+                              names: frozenset[str] = frozenset()) -> list[str]:
+    """Comparisons of p, x.p or p % k with a literal level or list of levels.
+
+    ``names`` adds literal-bound names from other modules, which the source
+    may import.
+    """
+    tree = ast.parse(source, filename=filename)
+    names = _int_literals(tree) | names
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for a, b in zip(operands, operands[1:]):
+            if (_is_level(a) and _is_literal(b, names)) or (
+                    _is_level(b) and _is_literal(a, names)):
+                found.append(f"{filename}:{node.lineno}")
+                break
+    return found
+
+
+def test_no_literal_level_branches():
+    # levels differ only through the table in levels.py: adding a level
+    # means adding an entry there, not a branch elsewhere
+    checked = [path for path in SOURCES if path.name != "levels.py"]
+    names = frozenset().union(*(_int_literals(ast.parse(path.read_text())) for path in checked))
+    found = []
+    for path in checked:
+        found += literal_level_comparisons(path.read_text(), path.name, names)
+    assert not found, found
+
+
+def test_literal_level_matcher():
+    flagged = [
+        "p == 11", "p % 4 == 3", "args.p in (5, 13)", "3 != self.p",
+        "LIST = (3, 7)\nok = p not in LIST", "LIST = (3, 7)\nok = p in LIST + (23,)",
+        "TABLE = {11: 'x'}\nok = p in TABLE",
+    ]
+    for source in flagged:
+        assert literal_level_comparisons(source), source
+    passed = ["0 <= k < p", "c % p == 0", "D % p != 0", "(p * ell) % 4 == 3", "q in (2, 3)",
+              "p == other"]
+    for source in passed:
+        assert not literal_level_comparisons(source), source

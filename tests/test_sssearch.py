@@ -28,12 +28,17 @@ class TestAdmissibility:
         assert not ell_admissible(5, 4)
 
     def test_residue_lists_match_splitting_rule(self):
-        # ell_admissible raises internally if the printed lists for p = 5, 13
-        # ever disagree with the congruence + splitting rule
-        for p in (5, 13):
-            for ell in range(3, 300):
+        # the printed residue lists for p = 5 and 13 are exactly the
+        # congruence + splitting rule, in both directions
+        lists = {5: (20, (3, 7)), 13: (52, (7, 11, 15, 19, 31, 47))}
+        for p, (modulus, residues) in lists.items():
+            for ell in range(3, 10**4):
                 if is_prime(ell) and ell != p:
-                    ell_admissible(p, ell)
+                    assert ell_admissible(p, ell) == (ell % modulus in residues), (p, ell)
+
+    def test_rejects_unsupported_p(self):
+        with pytest.raises(ValueError):
+            ell_admissible(17, 3)
 
     def test_p5_list_is_mod_20(self):
         admissible = [ell for ell in range(3, 300)
