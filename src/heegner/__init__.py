@@ -4,7 +4,8 @@ Construct the class polynomials P_D(X) attached to Heegner points of
 discriminant -pl and -4pl on the Atkin-Lehner quotients X_0*(p) for
 p in {3, 5, 7, 11, 13, 19}, search for supersingular primes of the elliptic
 curves parametrized by rational points, and verify the findings
-independently through the Hasse-invariant criterion.
+independently by walking the 2-isogeny graph of each reduction (Sutherland's
+test, equivalent to the Hasse-invariant criterion) for primes below 2^64.
 """
 
 from .classpoly import (
@@ -16,7 +17,6 @@ from .classpoly import (
     real_roots,
 )
 from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
-from .kernels import HAVE_COMPILED
 from .levels import LEVELS, Level, T2Data, level
 from .modpoly import (
     FPoly,

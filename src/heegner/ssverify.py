@@ -1,11 +1,11 @@
 """Independent supersingularity verification.
 
 A quadratic-surd j-invariant is reduced modulo a prime q (into F_q or F_q^2
-according to the splitting of its radicand) and the reduction is tested by
-the Hasse-invariant criterion: y^2 = f(x) is supersingular iff the
-coefficient of x^(q-1) in f^((q-1)/2) vanishes.  Verification is bounded by
-an explicit effort limit (default 1e7) beyond which primes are reported as
-unverified rather than trusted.
+according to the splitting of its radicand) and tested by walking its
+2-isogeny graph (``supersingular``), which answers the Hasse-invariant
+question in O(log q) square roots.  Verification is bounded by an explicit
+limit, by default 2^64, where ``is_prime`` stops being deterministic; larger
+primes are reported as unverified rather than trusted.
 
 Also home to the norm computation showing that rational points of the level-3
 curve have N(j - 1728) a perfect square, and the exact h -> j lift that
@@ -19,9 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernels_py import _curve_from_j_fq2
 from .intmath import FactorBudget, is_prime, is_square, kronecker, squarefree_part
-from .kernels import hasse_nonzero_fq, hasse_nonzero_fq2
+from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2, sqrt_mod
 
 __all__ = [
     "QuadSurd",
@@ -37,7 +36,7 @@ __all__ = [
     "lift_j_from_h_level3",
 ]
 
-VERIFY_EFFORT_BOUND = 10**7
+VERIFY_EFFORT_BOUND = 2**64
 
 
 class BadReductionError(ValueError):
@@ -130,38 +129,6 @@ class Fq2:
     c0: int
     c1: int
 
-    def is_rational(self) -> bool:
-        return self.c1 == 0
-
-
-def sqrt_mod(a: int, q: int) -> int:
-    """A square root of a modulo an odd prime q (Tonelli-Shanks)."""
-    a %= q
-    if a == 0:
-        return 0
-    if kronecker(a, q) != 1:
-        raise ValueError(f"{a} is not a square mod {q}")
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    # Tonelli-Shanks
-    s, d = 0, q - 1
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    z = 2
-    while kronecker(z, q) != -1:
-        z += 1
-    m_, c, t, r = s, pow(z, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
-    while t != 1:
-        t2, i = t * t % q, 1
-        while t2 != 1:
-            t2 = t2 * t2 % q
-            i += 1
-        b = pow(c, 1 << (m_ - i - 1), q)
-        m_, c = i, b * b % q
-        t, r = t * c % q, r * b % q
-    return r
-
 
 def reduce_mod(j: QuadSurd, q: int) -> list[int] | Fq2:
     """Reduction of j modulo q: residues in F_q, or an element of F_q^2.
@@ -185,23 +152,23 @@ def reduce_mod(j: QuadSurd, q: int) -> list[int] | Fq2:
     return Fq2(q, j.m % q, j.u * winv % q, j.v * winv % q)
 
 
-def _curve_from_j_fq(j0: int, q: int) -> tuple[int, int]:
-    j0 %= q
-    if j0 == 0:
-        return 0, 1
-    if (j0 - 1728) % q == 0:
-        return 1, 0
-    k = j0 * pow((1728 - j0) % q, -1, q) % q
-    return 3 * k % q, 2 * k % q
+def _curve_from_j(F: Fq2Field, j) -> tuple:
+    """(a, b) of a curve y^2 = x^3 + a x + b with invariant j."""
+    if j == (0, 0):
+        return (0, 0), (1, 0)
+    if j == (1728 % F.q, 0):
+        return (1, 0), (0, 0)
+    k = F.mul(j, F.inv(F.sub((1728, 0), j)))
+    return F.scale(k, 3), F.scale(k, 2)
 
 
 def is_supersingular_j(j0: int | Fq2, q: int,
                        effort_bound: int = VERIFY_EFFORT_BOUND) -> bool:
-    """Hasse-invariant supersingularity test of a j-invariant over F_q or F_q^2.
+    """Supersingularity of a j-invariant over F_q or F_q^2.
 
     Twists share the same answer, so any curve with the given invariant may
-    be used; we take y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) and the
-    standard special curves at j = 0 and 1728.
+    be passed to the Hasse-invariant test; we take y^2 = x^3 + 3k x + 2k with
+    k = j/(1728 - j) and the standard special curves at j = 0 and 1728.
     """
     if q in (2, 3):
         raise ValueError("supersingularity test defined for q >= 5")
@@ -209,13 +176,14 @@ def is_supersingular_j(j0: int | Fq2, q: int,
         raise ValueError(f"q = {q} is not prime")
     if q > effort_bound:
         raise EffortBoundExceeded(f"q = {q} exceeds effort bound {effort_bound}")
-    if isinstance(j0, Fq2) and not j0.is_rational():
-        (a0, a1), (b0, b1) = _curve_from_j_fq2(q, j0.m, j0.c0, j0.c1)
-        return not hasse_nonzero_fq2(q, j0.m, a0, a1, b0, b1)
     if isinstance(j0, Fq2):
-        j0 = j0.c0
-    a, b = _curve_from_j_fq(j0, q)
-    return not hasse_nonzero_fq(q, a, b)
+        F, j = Fq2Field(q, j0.m), (j0.c0 % q, j0.c1 % q)
+    else:
+        F, j = Fq2Field(q), (j0 % q, 0)
+    (a0, a1), (b0, b1) = _curve_from_j(F, j)
+    if a1 == b1 == 0:
+        return not hasse_nonzero_fq(q, a0, b0)
+    return not hasse_nonzero_fq2(q, F.m, a0, a1, b0, b1)
 
 
 def verify_certificate(cert, j: QuadSurd,

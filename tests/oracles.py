@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own algorithms: ideal arithmetic on
-Z-module bases for form composition, sparse polynomial powering for the Hasse
-coefficient, naive point counts for supersingularity, trial factorization
+Z-module bases for form composition, sparse polynomial powering and an O(q)
+recurrence for the Hasse coefficient, naive point counts for supersingularity, trial factorization
 over F_q for squarefree decomposition, the classical j-invariant from its
 Eisenstein and product series, and class polynomials from the full h-class
 product of plain mpmath values, square-rooted over Z.
@@ -10,6 +10,7 @@ product of plain mpmath values, square-rooted over Z.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -397,15 +398,20 @@ def pell_fundamental_by_scan(p, dmax=1000):
     raise AssertionError("no unit found in scan range")
 
 
-def point_count(q, a, b):
-    """#E(F_q) for y^2 = x^3 + a x + b by direct character sum."""
-    def chi(v):
-        v %= q
-        if v == 0:
-            return 0
-        return 1 if pow(v, (q - 1) // 2, q) == 1 else -1
+@functools.lru_cache(maxsize=None)
+def _chi_table(q):
+    """chi[v]: 1 for a nonzero square mod q, -1 for a non-square, chi[0] = 0."""
+    chi = [-1] * q
+    chi[0] = 0
+    for x in range(1, q):
+        chi[x * x % q] = 1
+    return chi
 
-    return q + 1 + sum(chi(x * x * x + a * x + b) for x in range(q))
+
+def point_count(q, a, b):
+    """#E(F_q) for y^2 = x^3 + a x + b by summing quadratic characters."""
+    chi = _chi_table(q)
+    return q + 1 + sum(chi[(x * x * x + a * x + b) % q] for x in range(q))
 
 
 def hasse_coefficient_by_power(q, a, b):
@@ -429,3 +435,70 @@ def hasse_coefficient_by_power(q, a, b):
             new[i] = (new[i] + ci * b) % q
         coeffs = new
     return coeffs[q - 1] if len(coeffs) > q - 1 else 0
+
+
+# --- the Hasse invariant by an O(q) sweep -------------------------------------
+
+
+def _mul2(x0, x1, y0, y1, q, m):
+    return (x0 * y0 + m * x1 * y1) % q, (x0 * y1 + x1 * y0) % q
+
+
+def hasse_nonzero_by_sweep(q, m2, a0, a1, b0, b1):
+    """Whether y^2 = x^3 + a x + b over F_q(t), t^2 = m2, with a = a0 + a1 t
+    and b = b0 + b1 t, has nonzero Hasse invariant (is ordinary).
+
+    The invariant is the coefficient of x^(q-1) in f^m, m = (q-1)/2.  From
+    f g' = m f' g for g = f^m the coefficients satisfy
+    b (n+1) c_(n+1) = (3m - n + 2) c_(n-2) + a (m - n) c_n; substituting
+    c_n = b^(m-n) e_n / n! removes the division, so the coefficient vanishes
+    iff e_(q-1) = 0 after one sweep.  Curves with a b = 0 (j = 0 or 1728)
+    reduce to a binomial-coefficient criterion instead.
+    """
+    a0, a1, b0, b1, m2 = a0 % q, a1 % q, b0 % q, b1 % q, m2 % q
+    if (a0, a1) == (0, 0) and (b0, b1) == (0, 0):
+        raise ValueError("singular curve")
+    mm = (q - 1) // 2
+    if (b0, b1) == (0, 0):
+        return mm % 2 == 0
+    if (a0, a1) == (0, 0):
+        return (q - 1) % 3 == 0
+    c20, c21 = _mul2(b0, b1, b0, b1, q, m2)
+    e2, e1, e0 = (0, 0), (0, 0), (1, 0)
+    for n in range(q - 1):
+        c1 = (3 * mm - n + 2) % q * (n * (n - 1) % q) % q
+        t0, t1 = _mul2(c20, c21, e2[0], e2[1], q, m2)
+        s = (mm - n) % q
+        u0, u1 = _mul2(a0, a1, e0[0], e0[1], q, m2)
+        e2, e1, e0 = e1, e0, ((c1 * t0 + s * u0) % q, (c1 * t1 + s * u1) % q)
+    return e0 != (0, 0)
+
+
+def curve_from_j(q, m2, j0, j1):
+    """(a0, a1, b0, b1) of a curve with invariant j0 + j1 t over F_q(t), t^2 = m2:
+    a = 3k, b = 2k with k = j / (1728 - j), or the special curves at j = 0, 1728."""
+    if (j0 % q, j1 % q) == (0, 0):
+        return 0, 0, 1, 0
+    if (j0 - 1728) % q == 0 and j1 % q == 0:
+        return 1, 0, 0, 0
+    d0, d1 = (1728 - j0) % q, (-j1) % q
+    ninv = pow((d0 * d0 - m2 * d1 * d1) % q, -1, q)
+    k0, k1 = _mul2(j0, j1, d0 * ninv % q, -d1 * ninv % q, q, m2)
+    return 3 * k0 % q, 3 * k1 % q, 2 * k0 % q, 2 * k1 % q
+
+
+def nonresidue(q):
+    return next(m for m in range(2, q) if pow(m, (q - 1) // 2, q) == q - 1)
+
+
+def supersingular_mass(q):
+    """Number of supersingular j-invariants in characteristic q >= 5:
+    floor(q/12) + 0, 1, 1, 2 for q = 1, 5, 7, 11 mod 12."""
+    return q // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[q % 12]
+
+
+def supersingular_js(q, m2):
+    """The supersingular j-invariants in F_q(t), t^2 = m2, as pairs (j0, j1),
+    by the sweep; their number is the census of F_(q^2)."""
+    return {(j0, j1) for j1 in range(q) for j0 in range(q)
+            if not hasse_nonzero_by_sweep(q, m2, *curve_from_j(q, m2, j0, j1))}

@@ -25,7 +25,6 @@ from heegner.classpoly import (
 )
 from heegner.hauptmodul import arc_point, j_p, jp_arc_interval, torsion_to_tau
 from heegner.intmath import is_prime, kronecker
-from heegner.kernels import count_points_fq, implementations
 from heegner.modpoly import (
     FPoly,
     epsilon_split,
@@ -43,7 +42,7 @@ from heegner.quadforms import (
 from heegner.sssearch import ell_admissible, search
 from heegner.ssverify import is_supersingular_j, reduce_mod, QuadSurd
 
-from oracles import ideal_product_form
+from oracles import ideal_product_form, point_count
 
 P1628_COEFFS = (
     4253517961,
@@ -256,7 +255,7 @@ def test_criterion_7_structural_oracles():
                 else:
                     k = j0 * pow((1728 - j0) % q, -1, q) % q
                     a, b = 3 * k % q, 2 * k % q
-                assert is_supersingular_j(j0, q) == (count_points_fq(q, a, b) == q + 1)
+                assert is_supersingular_j(j0, q) == (point_count(q, a, b) == q + 1)
 
 
 def test_criterion_8_level_23_empirical():

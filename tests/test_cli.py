@@ -113,7 +113,7 @@ class TestVerify:
         assert code == 1 and out == "ordinary"
 
     def test_unverified_large_exit_4(self, capsys):
-        code, out, _ = run(capsys, "verify", "--j", self.J, "--q", "452233314041")
+        code, out, _ = run(capsys, "verify", "--j", self.J, "--q", str(2**64 + 13))
         assert code == 4 and out == "unverified-large"
 
     def test_composite_q_exit_64(self, capsys):

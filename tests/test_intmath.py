@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 
 from heegner.intmath import (
     FactorBudget,
+    _brent_rho,
     factorize,
     is_prime,
     is_square,
@@ -137,6 +139,54 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+class TestEcm:
+    SEMIPRIME_P7 = (19963943130517, 648155384310727)  # from search(7, 2)
+    TWO_25_DIGIT_PRIMES = (1000000000000000000000007, 1000000000000000000000049)
+
+    def test_splits_level_7_semiprime(self):
+        p, q = self.SEMIPRIME_P7
+        f = factorize(p * q)
+        assert f.factors == ((p, 1), (q, 1)) and f.complete
+
+    def test_completes_cofactor_rho_gave_up_on(self):
+        # search(7, 3/2, count=2) met this 36-digit composite; 2^22 rho
+        # iterations did not split it
+        n = 299715123907843986500722254012018833
+        f = factorize(n)
+        assert f.factors == ((8227830884240749, 1), (36426991284167748917, 1))
+
+    def test_unsplittable_within_budget_time(self):
+        # ECM and rho spend one budget, in units of one rho iteration's time
+        n = math.prod(self.TWO_25_DIGIT_PRIMES)
+        budget = FactorBudget(rho_iterations=1 << 16)
+        factor_s, rho_s = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            f = factorize(n, budget)
+            factor_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            _brent_rho(n, [1 << 16])
+            rho_s.append(time.perf_counter() - start)
+            assert f.cofactor == n and f.factors == ()
+        assert min(factor_s) < 2 * min(rho_s), (factor_s, rho_s)
+
+    def test_deterministic(self):
+        budget = FactorBudget(rho_iterations=1 << 16)
+        for n in (math.prod(self.SEMIPRIME_P7) * 1000003, math.prod(self.TWO_25_DIGIT_PRIMES)):
+            assert factorize(n, budget) == factorize(n, budget)
+
+    def test_factors_certified(self):
+        rng = random.Random(17)
+        for _ in range(5):
+            primes = [p for p in (rng.randrange(10**7, 10**11) for _ in range(40))
+                      if is_prime(p)][:3]
+            n = math.prod(primes)
+            f = factorize(n)
+            assert f.complete and f.value() == n
+            assert all(is_prime(p) for p in f.primes())
+            assert sorted(f.primes()) == sorted(set(primes))
 
 
 def test_is_square():

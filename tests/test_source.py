@@ -5,7 +5,9 @@ from pathlib import Path
 
 import heegner
 
-SOURCES = sorted(Path(heegner.__file__).parent.glob("*.py"))
+PACKAGE = Path(heegner.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parent.parent
 
 
 def test_library_has_no_assert():
@@ -17,6 +19,14 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_pure_python_package():
+    # one implementation of everything: no compiled twin to build or keep in step
+    assert not list(PACKAGE.rglob("*.pyx"))
+    for name in ("pyproject.toml", "setup.py"):
+        path = ROOT / name
+        assert not path.exists() or "cython" not in path.read_text().lower(), name
 
 
 def _is_level(node) -> bool:

@@ -1,11 +1,10 @@
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from heegner.intmath import kronecker
+from heegner.intmath import is_prime, kronecker
 from heegner.ssverify import (
     BadReductionError,
     EffortBoundExceeded,
@@ -18,8 +17,11 @@ from heegner.ssverify import (
     sqrt_mod,
     verify_certificate,
 )
+from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots
 
-from oracles import point_count
+from oracles import point_count, supersingular_mass
+
+ABOVE_VERIFY_BOUND = 2**64 + 13  # the least prime above the bound
 
 J11_POINT = QuadSurd.from_string("(-489229980611-42355313*sqrt(-84567))/4096")
 
@@ -139,7 +141,7 @@ class TestIsSupersingular:
 
     def test_effort_bound(self):
         with pytest.raises(EffortBoundExceeded):
-            is_supersingular_j(5, 452233314041)
+            is_supersingular_j(5, ABOVE_VERIFY_BOUND)
 
     def test_rejects_2_3_and_composites(self):
         with pytest.raises(ValueError):
@@ -149,17 +151,23 @@ class TestIsSupersingular:
 
 
 def test_supersingular_census_matches_mass_formula():
-    # number of supersingular j-invariants in F_(q^2): floor(q/12) + 0,1,1,2
-    # for q = 1,5,7,11 mod 12
-    from heegner.kernels import supersingular_census_fq2
-
-    adjust = {1: 0, 5: 1, 7: 1, 11: 2}
-    q = 3
-    while q < 100:
-        q += 2
-        if not all(q % d for d in range(3, int(math.isqrt(q)) + 1, 2)) or q < 5:
+    # the supersingular 2-isogeny graph is connected: walking it from one
+    # supersingular vertex must visit exactly floor(q/12) + 0, 1, 1, 2 (for
+    # q = 1, 5, 7, 11 mod 12) vertices, each of which the test accepts
+    for q in range(5, 200):
+        if not is_prime(q):
             continue
-        assert supersingular_census_fq2(q) == q // 12 + adjust[q % 12], q
+        F = Fq2Field(q)
+        start = next((j0, 0) for j0 in range(q) if is_supersingular(F, (j0, 0)))
+        seen, frontier = {start}, [start]
+        while frontier:
+            j = frontier.pop()
+            assert is_supersingular(F, j), (q, j)
+            for r in phi2_roots(F, j):
+                if r not in seen:
+                    seen.add(r)
+                    frontier.append(r)
+        assert len(seen) == supersingular_mass(q), q
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,8 @@ class TestVerifyCertificate:
         assert statuses == {7: "supersingular", 151: "supersingular", 2309: "supersingular"}
 
     def test_unverified_large(self):
-        statuses = verify_certificate(_FakeCert((452233314041,)), J11_POINT)
-        assert statuses == {452233314041: "unverified-large"}
+        statuses = verify_certificate(_FakeCert((ABOVE_VERIFY_BOUND,)), J11_POINT)
+        assert statuses == {ABOVE_VERIFY_BOUND: "unverified-large"}
 
     def test_bad_reduction_status(self):
         statuses = verify_certificate(_FakeCert((5,)), QuadSurd.make(1, 1, 5, -3))

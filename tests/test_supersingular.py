@@ -1,0 +1,159 @@
+"""The 2-isogeny-graph supersingularity test against independent oracles."""
+
+import random
+
+import pytest
+
+from heegner.intmath import is_prime
+from heegner.supersingular import (
+    PHI2,
+    Fq2Field,
+    hasse_nonzero_fq,
+    hasse_nonzero_fq2,
+    is_supersingular,
+)
+
+from oracles import (
+    curve_from_j,
+    hasse_coefficient_by_power,
+    point_count,
+    supersingular_js,
+    supersingular_mass,
+)
+
+
+def phi2(x, y):
+    return sum(c * x**i * y**k for k, row in enumerate(PHI2) for i, c in enumerate(row))
+
+
+class TestPhi2:
+    def test_symmetric(self):
+        coeffs = {(i, k): c for k, row in enumerate(PHI2) for i, c in enumerate(row)}
+        assert all(coeffs.get((k, i)) == c for (i, k), c in coeffs.items())
+
+    def test_cm_neighbours(self):
+        # j(rho) = 0 and j(sqrt(-3)) = 54000; j(i) = 1728 has the degree-2
+        # endomorphism 1 + i and two edges to j(2i) = 287496; sqrt(-2) and
+        # (1 + sqrt(-7))/2 give loops at 8000 and -3375
+        for y in range(-3, 4):
+            assert phi2(0, y) == (y - 54000) ** 3
+            assert phi2(1728, y) == (y - 1728) * (y - 287496) ** 2
+        assert phi2(8000, 8000) == 0 and phi2(-3375, -3375) == 0
+
+
+class TestFq2Field:
+    def test_sqrt(self):
+        # x is a square in F_q^2 iff its norm is a square in F_q
+        rng = random.Random(1)
+        for q in (5, 7, 13, 17, 41, 2309, 10007, 2**61 - 1):
+            F = Fq2Field(q)
+            for _ in range(20):
+                x = (rng.randrange(q), rng.randrange(q))
+                root = F.sqrt(F.mul(x, x))
+                assert F.mul(root, root) == F.mul(x, x)
+                norm = (x[0] ** 2 - F.m * x[1] ** 2) % q
+                if norm:
+                    assert (F.sqrt(x) is None) == (pow(norm, (q - 1) // 2, q) != 1), (q, x)
+
+    def test_inverse(self):
+        F = Fq2Field(101)
+        for x in ((1, 0), (0, 1), (37, 64)):
+            assert F.mul(x, F.inv(x)) == (1, 0)
+
+
+class TestHasseFq:
+    def test_against_literal_power(self):
+        rng = random.Random(2)
+        for q in (5, 7, 11, 37, 101, 151):
+            for _ in range(12):
+                a, b = rng.randrange(q), rng.randrange(q)
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                expected = hasse_coefficient_by_power(q, a, b) != 0
+                assert hasse_nonzero_fq(q, a, b) == expected, (q, a, b)
+
+    def test_special_curves(self):
+        # j = 1728 (b = 0): supersingular iff q = 3 mod 4
+        # j = 0 (a = 0): supersingular iff q = 2 mod 3
+        for q in (5, 7, 11, 13, 17, 19, 23, 2309):
+            assert (not hasse_nonzero_fq(q, 1, 0)) == (q % 4 == 3)
+            assert (not hasse_nonzero_fq(q, 0, 1)) == (q % 3 == 2)
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            hasse_nonzero_fq(7, 0, 0)
+        with pytest.raises(ValueError):
+            hasse_nonzero_fq(7, -3, 2)  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+
+
+class TestHasseFq2:
+    def test_rational_inputs_match_fq(self):
+        rng = random.Random(3)
+        for q in (13, 37, 151):
+            m2 = next(m for m in range(2, q) if pow(m, (q - 1) // 2, q) == q - 1)
+            for _ in range(10):
+                a, b = rng.randrange(q), rng.randrange(q)
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                assert hasse_nonzero_fq2(q, m2, a, 0, b, 0) == hasse_nonzero_fq(q, a, b)
+
+
+def _has_repeated_root(F, j):
+    """Whether the discriminant of Phi_2(j, Y) = Y^3 + bY^2 + cY + d vanishes."""
+    d, c, b = (_eval_row(F, row, j) for row in PHI2[:3])
+    mul = F.mul
+    terms = ((mul(mul(b, b), mul(c, c)), 1), (mul(mul(c, c), c), -4),
+             (mul(mul(mul(b, b), b), d), -4), (mul(d, d), -27), (mul(mul(b, c), d), 18))
+    disc = (0, 0)
+    for term, k in terms:
+        disc = F.add(disc, F.scale(term, k))
+    return disc == (0, 0)
+
+
+def _eval_row(F, row, j):
+    value, power = (0, 0), (1, 0)
+    for coef in row:
+        value = F.add(value, F.scale(power, coef))
+        power = F.mul(power, j)
+    return value
+
+
+def test_exhaustive_against_hasse_sweep():
+    # every j in F_q^2 for 5 <= q <= 61, against the O(q) Hasse sweep; this
+    # includes j = 0, 1728 and the j whose Phi_2(j, Y) has a repeated root
+    repeated = 0
+    for q in range(5, 62):
+        if not is_prime(q):
+            continue
+        F = Fq2Field(q)
+        expected = supersingular_js(q, F.m)
+        assert len(expected) == supersingular_mass(q), q
+        found = {(j0, j1) for j1 in range(q) for j0 in range(q)
+                 if is_supersingular(F, (j0, j1))}
+        assert found == expected, (q, sorted(found ^ expected))
+        repeated += sum(1 for j in expected if j not in ((0, 0), (1728 % q, 0))
+                        and _has_repeated_root(F, j))
+    assert repeated > 0  # the repeated-root branch was exercised
+
+
+def test_rational_against_point_count():
+    # every j in F_q, q < 500: supersingular iff #E(F_q) = q + 1
+    for q in range(5, 500):
+        if not is_prime(q):
+            continue
+        F = Fq2Field(q)
+        for j0 in range(q):
+            a, _, b, _ = curve_from_j(q, F.m, j0, 0)
+            assert is_supersingular(F, (j0, 0)) == (point_count(q, a, b) == q + 1), (q, j0)
+
+
+def test_j_54000_near_2_62():
+    # j = 54000 has CM by Z[sqrt(-3)]: supersingular iff q = 2 mod 3
+    q = 2**62
+    while not (is_prime(q) and q % 3 == 2):
+        q -= 1
+    assert is_supersingular(Fq2Field(q), (54000, 0))
+    q = 2**62
+    while not (is_prime(q) and q % 3 == 1):
+        q -= 1
+    assert not is_supersingular(Fq2Field(q), (54000, 0))
