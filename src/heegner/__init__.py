@@ -43,7 +43,6 @@ from .quadforms import (
     reduce_form,
 )
 from .hauptmodul import (
-    CMPoint,
     eta,
     j_p,
     j_p0,

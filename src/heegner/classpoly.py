@@ -9,9 +9,8 @@ rounding tolerance and a guard.  Each root arrives as an ``mpmath.iv``
 complex interval (``hauptmodul.jp_at_form``), the product of the linear
 factors is formed in interval arithmetic, and a coefficient is accepted only
 when its whole interval lies within 2^-20 of exactly one integer, so the
-rounding is proven rather than tested.  A precision too small for the
-proof, such as an explicit ``bits`` below what the roots need, doubles until
-the proof goes through, capped at 2^16 bits.
+rounding is proven rather than tested.  Each root is evaluated once; a
+coefficient interval that fails the proof raises ``PrecisionExhaustedError``.
 """
 
 from __future__ import annotations
@@ -46,11 +45,10 @@ __all__ = [
 
 ROUNDING_BITS = 20
 ROUNDING_TOLERANCE = 2.0**-ROUNDING_BITS
-MAX_BITS = 1 << 16
 
 
 class PrecisionExhaustedError(ArithmeticError):
-    """Rounding could not be certified within the precision cap."""
+    """Rounding could not be proven at the sized precision."""
 
 
 @dataclass(frozen=True)
@@ -158,32 +156,28 @@ def _round_proven(coeffs):
     return tuple(ints), residual
 
 
-def build_PD(D, p: int | None = None, bits: int | None = None) -> ClassPolynomial:
-    """The class polynomial P_D(X), one root per Atkin-Lehner class pair.
-
-    With ``bits`` omitted the precision is sized from the reduced forms and
-    one evaluation suffices; an explicit ``bits`` is a starting precision.
-    """
+def build_PD(D, p: int | None = None) -> ClassPolynomial:
+    """The class polynomial P_D(X), one root per Atkin-Lehner class pair,
+    from one evaluation per root at the precision sized from the reduced
+    forms."""
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
     # both classes of a pair reach the same highest point; reduced here for
     # the sizing, each form passes jp_at_form's own reduction unmoved
     reps = [reduce_heegner_form(heegner_rep(f, disc.p), disc.p) for f, _ in pairs]
-    work = bits if bits is not None else _sized_bits(disc.D, reps)
-    while work <= MAX_BITS:
-        roots = [jp_at_form(rep, disc.p, work) for rep in reps]
-        with _iv_workprec(work + GUARD_BITS):
-            rounded = _round_proven(_product_of_linear_factors(roots))
-        if rounded is not None:
-            return ClassPolynomial(disc.p, disc.D, *rounded)
-        work *= 2
-    raise PrecisionExhaustedError(
-        f"could not certify P_D for D = {disc.D} within {MAX_BITS} bits"
-    )
+    work = _sized_bits(disc.D, reps)
+    roots = [jp_at_form(rep, disc.p, work) for rep in reps]
+    with _iv_workprec(work + GUARD_BITS):
+        rounded = _round_proven(_product_of_linear_factors(roots))
+    if rounded is None:
+        raise PrecisionExhaustedError(
+            f"could not prove the rounding of P_D for D = {disc.D} at {work} bits"
+        )
+    return ClassPolynomial(disc.p, disc.D, *rounded)
 
 
-def build_Pl(ell: int, p: int, bits: int | None = None,
+def build_Pl(ell: int, p: int,
              parts: tuple[ClassPolynomial, ClassPolynomial] | None = None) -> ClassPolynomial:
     """Product polynomial P_l = P_{-pl} * P_{-4pl} at a level whose search
     multiplies both shapes (p = 5 and 13).
@@ -194,7 +188,7 @@ def build_Pl(ell: int, p: int, bits: int | None = None,
     if shapes != ("-pl", "-4pl"):
         raise ValueError(f"p = {p} searches with P_D for shapes {shapes}, not a product")
     if parts is None:
-        odd, even = (build_PD(Discriminant(p, ell, shape), bits=bits) for shape in shapes)
+        odd, even = (build_PD(Discriminant(p, ell, shape)) for shape in shapes)
     else:
         odd, even = parts
         if odd.D != -p * ell or even.D != -4 * p * ell:

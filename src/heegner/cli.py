@@ -1,34 +1,26 @@
 """Command-line front end: classpoly / search / verify / tables.
 
 JSON goes to stdout (big integers as decimal strings), diagnostics to stderr.
-Exit codes: 0 success, 1 ordinary (verify), 2 precision exhaustion, 3 l-bound
-exhausted, 4 unverified-large (verify), 64 usage error, 65 supersingular-at-p
-precondition, 66 real-j case (h outside j_p(S)).
+Exit codes: 0 success, 1 ordinary (verify), 2 rounding not proven at the
+sized precision, 3 l-bound exhausted, 4 unverified-large (verify), 64 usage
+error, 65 supersingular-at-p precondition, 66 real-j case (h outside j_p(S)).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classpoly import PrecisionExhaustedError, build_PD, build_Pl
-from .intmath import FactorBudget, is_prime
+from .intmath import FactorBudget
 from .levels import level
 from .quadforms import Discriminant, fundamental_unit
 from .hauptmodul import jp_arc_interval
 from .sssearch import RealJCaseError, SupersingularAtPError, search
-from .ssverify import (
-    VERIFY_EFFORT_BOUND,
-    EffortBoundExceeded,
-    Fq2,
-    QuadSurd,
-    is_supersingular_j,
-    reduce_mod,
-)
+from .ssverify import VERIFY_EFFORT_BOUND, EffortBoundExceeded, QuadSurd, is_supersingular_mod
 
 EXIT_OK = 0
 EXIT_ORDINARY = 1
@@ -42,10 +34,10 @@ EXIT_REAL_J = 66
 
 @dataclass
 class Config:
-    """Runtime limits; flags override, HEEGNER_BITS sets a starting precision
-    in place of the sized default."""
+    """Runtime limits of a search, from its flags or their defaults; the
+    precision is never a setting, because each class polynomial sizes its
+    own."""
 
-    bits: int | None = None
     ell_bound: int = 500
     factor_budget: int = FactorBudget.rho_iterations
     verify_bound: int = VERIFY_EFFORT_BOUND
@@ -53,8 +45,6 @@ class Config:
     def __post_init__(self):
         if self.ell_bound <= 0 or self.factor_budget <= 0 or self.verify_bound <= 0:
             raise ValueError("bounds must be positive")
-        if self.bits is not None and self.bits <= 0:
-            raise ValueError("bits must be positive")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +62,6 @@ def _build_parser() -> _Parser:
     group = cp.add_mutually_exclusive_group(required=True)
     group.add_argument("--D", type=int)
     group.add_argument("--ell", type=int)
-    cp.add_argument("--bits", type=int)
     cp.add_argument("--format", choices=("json", "text"), default="json")
 
     se = sub.add_parser("search", help="find supersingular primes for a point")
@@ -81,7 +70,6 @@ def _build_parser() -> _Parser:
     se.add_argument("--avoid", type=str, default="", help="comma-separated primes")
     se.add_argument("--count", type=int, default=1)
     se.add_argument("--ell-bound", type=int, default=500)
-    se.add_argument("--bits", type=int)
     se.add_argument("--factor-budget", type=int)
     se.add_argument("--verify-bound", type=int)
     se.add_argument("--format", choices=("json", "text"), default="json")
@@ -97,25 +85,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_bits() -> int | None:
-    env = os.environ.get("HEEGNER_BITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"warning: ignoring invalid HEEGNER_BITS={env!r}", file=sys.stderr)
-    return None
-
-
 def _cmd_classpoly(args) -> int:
-    bits = args.bits or _default_bits()
     try:
         if args.D is not None:
-            poly = build_PD(Discriminant.from_D(args.D, args.p), bits=bits)
+            poly = build_PD(Discriminant.from_D(args.D, args.p))
         elif len(level(args.p).shapes) > 1:
-            poly = build_Pl(args.ell, args.p, bits=bits)
+            poly = build_Pl(args.ell, args.p)
         else:
-            poly = build_PD(Discriminant(args.p, args.ell, "-4pl"), bits=bits)
+            poly = build_PD(Discriminant(args.p, args.ell, "-4pl"))
     except PrecisionExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -135,7 +112,6 @@ def _cmd_search(args) -> int:
         h = Fraction(int(num), int(den) if den else 1)
         sigma = tuple(int(v) for v in args.avoid.split(",") if v)
         cfg = Config(
-            bits=args.bits or _default_bits(),
             ell_bound=args.ell_bound,
             factor_budget=args.factor_budget or FactorBudget.rho_iterations,
             verify_bound=args.verify_bound or VERIFY_EFFORT_BOUND,
@@ -150,7 +126,6 @@ def _cmd_search(args) -> int:
             sigma=sigma,
             count=args.count,
             ell_bound=cfg.ell_bound,
-            bits=cfg.bits,
             budget=FactorBudget(rho_iterations=cfg.factor_budget),
             effort_bound=cfg.verify_bound,
         )
@@ -160,7 +135,10 @@ def _cmd_search(args) -> int:
     except RealJCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REAL_J
-    except (ValueError, PrecisionExhaustedError) as exc:
+    except PrecisionExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     found = 0
@@ -181,27 +159,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bound = args.verify_bound or VERIFY_EFFORT_BOUND
     try:
-        j = QuadSurd.from_string(args.j)
-        if not is_prime(args.q) or args.q == 2:
-            raise ValueError(f"q = {args.q} must be an odd prime")
-        residues = reduce_mod(j, args.q)
-        if isinstance(residues, Fq2):
-            verdicts = [is_supersingular_j(residues, args.q, bound)]
-        else:
-            verdicts = [is_supersingular_j(r, args.q, bound) for r in residues]
+        supersingular = is_supersingular_mod(QuadSurd.from_string(args.j), args.q,
+                                             args.verify_bound or VERIFY_EFFORT_BOUND)
     except EffortBoundExceeded:
         print("unverified-large")
         return EXIT_UNVERIFIED
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if len(set(verdicts)) != 1:
-        print("error: conjugate residues disagree", file=sys.stderr)
-        return EXIT_USAGE
-    print("supersingular" if verdicts[0] else "ordinary")
-    return EXIT_OK if verdicts[0] else EXIT_ORDINARY
+    print("supersingular" if supersingular else "ordinary")
+    return EXIT_OK if supersingular else EXIT_ORDINARY
 
 
 def _cmd_tables(args) -> int:

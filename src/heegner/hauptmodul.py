@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -45,7 +44,6 @@ from .quadforms import QuadForm, _xgcd, fundamental_unit
 __all__ = [
     "GUARD_BITS",
     "MIN_IM",
-    "CMPoint",
     "eta",
     "theta",
     "theta_star",
@@ -62,6 +60,7 @@ __all__ = [
 
 GUARD_BITS = 32
 MIN_IM = 0.05
+ARC_BITS = 256  # precision of the endpoints of j_p(S)
 
 
 def _theta_kind(a: int, b: int, c: int):
@@ -477,19 +476,6 @@ def tau_from_form(form: QuadForm, bits: int):
         return (mpf(-form.b) + mpmath.sqrt(mpf(-D)) * 1j) / (2 * form.a)
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    """An upper-half-plane CM point tagged with its source form."""
-
-    form: QuadForm
-    D: int
-    tau: object
-
-    @classmethod
-    def from_form(cls, form: QuadForm, bits: int) -> "CMPoint":
-        return cls(form, form.discriminant(), tau_from_form(form, bits))
-
-
 def jp_at_form(form: QuadForm, p: int, bits: int):
     """An ``iv.mpc`` interval containing j_p at the CM point of a form with p | a.
 
@@ -528,7 +514,7 @@ def arc_point(p: int, re, bits: int):
 
 
 @lru_cache(maxsize=None)
-def jp_arc_interval(p: int, bits: int = 256) -> tuple[float, float]:
+def jp_arc_interval(p: int) -> tuple[float, float]:
     """Endpoints of the real interval j_p(S) at a level with the real arc.
 
     S is the arc |tau| = 1/sqrt(p), -d/c < Re(tau) < 0; j_p increases
@@ -537,7 +523,7 @@ def jp_arc_interval(p: int, bits: int = 256) -> tuple[float, float]:
     2^-16, far above float error).
     """
     c, d = fundamental_unit(p)
-    with mpmath.workprec(bits + GUARD_BITS):
-        top = j_p(mpmath.mpc(0, 1) / mpmath.sqrt(p), p, bits)
-        left = j_p(arc_point(p, mpf(-d) / c, bits), p, bits)
+    with mpmath.workprec(ARC_BITS + GUARD_BITS):
+        top = j_p(mpmath.mpc(0, 1) / mpmath.sqrt(p), p, ARC_BITS)
+        left = j_p(arc_point(p, mpf(-d) / c, ARC_BITS), p, ARC_BITS)
         return float(mpmath.re(left)), float(mpmath.re(top))

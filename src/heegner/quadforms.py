@@ -211,10 +211,6 @@ class Discriminant:
         raise ValueError(f"D = {D} has neither shape -p*l nor -4*p*l for p = {p}")
 
 
-def _as_D(D) -> int:
-    return int(D)
-
-
 @dataclass(frozen=True)
 class FormClassGroup:
     D: int
@@ -231,7 +227,7 @@ class FormClassGroup:
 
 def enumerate_classes(D) -> FormClassGroup:
     """All reduced primitive forms of discriminant D by exhaustive scan."""
-    D = _as_D(D)
+    D = int(D)
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"invalid negative discriminant {D}")
     forms = []

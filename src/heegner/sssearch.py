@@ -136,8 +136,7 @@ def _interior_check(p: int, h: Fraction) -> None:
         )
 
 
-def find_ell(p: int, h: Fraction, sigma, ell_bound: int,
-             bits: int | None = None, start_after: int = 0):
+def find_ell(p: int, h: Fraction, sigma, ell_bound: int, start_after: int = 0):
     """Smallest admissible l <= ell_bound with the sigma condition and a
     negative polynomial value at h.
 
@@ -158,7 +157,7 @@ def find_ell(p: int, h: Fraction, sigma, ell_bound: int,
             continue
         if not sigma_condition(ell, p, sigma):
             continue
-        parts = tuple(build_PD(Discriminant(p, ell, shape), bits=bits) for shape in lev.shapes)
+        parts = tuple(build_PD(Discriminant(p, ell, shape)) for shape in lev.shapes)
         poly = parts[0] if len(parts) == 1 else build_Pl(ell, p, parts=parts)
         value = evaluate(poly, h)
         if value < 0:
@@ -212,31 +211,29 @@ def extract_primes(value: Fraction, p: int, ell: int, sigma,
 
 
 def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
-           bits: int | None = None, budget: FactorBudget | None = None,
-           effort_bound: int = VERIFY_EFFORT_BOUND,
-           auto_avoid: bool = True) -> list[SearchCertificate]:
+           budget: FactorBudget | None = None,
+           effort_bound: int = VERIFY_EFFORT_BOUND) -> list[SearchCertificate]:
     """Certified supersingular primes for the point h on X_0*(p).
 
     Iterates find_ell/extract_primes, augmenting the avoided set with each
     found prime, until ``count`` distinct primes are collected or the l bound
-    is exhausted (partial results are returned in that case).
+    is exhausted (partial results are returned in that case).  Besides
+    ``sigma``, 2 and the denominator primes of h are always avoided.
     """
     lev = _searchable(p)
     h = Fraction(h)
     _check_not_supersingular(p, h)
-    avoided = set(int(v) for v in sigma)
-    if auto_avoid:
-        # primes of bad reduction are invisible from h alone; always avoid 2
-        # and the denominator primes of h
-        avoided.add(2)
-        if h.denominator > 1:
-            avoided.update(factorize(h.denominator).primes())
+    # primes of bad reduction are invisible from h alone; always avoid 2
+    # and the denominator primes of h
+    avoided = set(int(v) for v in sigma) | {2}
+    if h.denominator > 1:
+        avoided.update(factorize(h.denominator).primes())
     certificates: list[SearchCertificate] = []
     found: list[int] = []
     last_ell = 0
     while len(found) < count:
         current = tuple(sorted(avoided | set(found)))
-        result = find_ell(p, h, current, ell_bound, bits=bits, start_after=last_ell)
+        result = find_ell(p, h, current, ell_bound, start_after=last_ell)
         if result is None:
             break
         ell, D, poly, value, parts = result
@@ -246,9 +243,7 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
         if skip:
             continue
         if lev.j_lift:
-            statuses = verify_certificate(
-                _Selected(selected), lift_j_from_h_level3(h), effort_bound
-            )
+            statuses = verify_certificate(selected, lift_j_from_h_level3(h), effort_bound)
         else:
             statuses = {q: "unverified-no-invariant" for q in selected}
         cert = SearchCertificate(
@@ -276,11 +271,6 @@ def _searchable(p: int):
         searchable = tuple(q for q, entry in LEVELS.items() if entry.searchable)
         raise ValueError(f"search supports p in {searchable}")
     return lev
-
-
-@dataclass(frozen=True)
-class _Selected:
-    selected: tuple[int, ...]
 
 
 def _check_not_supersingular(p: int, h: Fraction) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "reduce_mod",
     "sqrt_mod",
     "is_supersingular_j",
+    "is_supersingular_mod",
     "verify_certificate",
     "norm_square_check",
     "lift_j_from_h_level3",
@@ -81,11 +82,6 @@ class QuadSurd:
             m = 1
         g = math.gcd(math.gcd(u, v), w)
         return cls(u // g, v // g, w // g, m)
-
-    @classmethod
-    def from_rational(cls, h: Fraction) -> "QuadSurd":
-        h = Fraction(h)
-        return cls.make(h.numerator, 0, h.denominator, 1)
 
     _PATTERN = re.compile(
         r"^\(?\s*(?P<u>[+-]?\d+)?\s*"
@@ -186,16 +182,30 @@ def is_supersingular_j(j0: int | Fq2, q: int,
     return not hasse_nonzero_fq2(q, F.m, a0, a1, b0, b1)
 
 
-def verify_certificate(cert, j: QuadSurd,
-                       effort_bound: int = VERIFY_EFFORT_BOUND) -> dict[int, str]:
-    """Per-prime verification statuses for the selected primes of a search
-    certificate, given the j-invariant corresponding to its h.
+def is_supersingular_mod(j: QuadSurd, q: int,
+                         effort_bound: int = VERIFY_EFFORT_BOUND) -> bool:
+    """Supersingularity of the reduction of j modulo the odd prime q.
 
     Every residue of j mod q must give the same verdict (conjugate curves are
-    supersingular together); disagreement raises.
+    supersingular together); disagreement raises ArithmeticError.  A q that
+    divides the denominator of j raises BadReductionError, and a q above the
+    effort bound EffortBoundExceeded.
     """
+    residues = reduce_mod(j, q)
+    if isinstance(residues, Fq2):
+        residues = [residues]
+    verdicts = {is_supersingular_j(r, q, effort_bound) for r in residues}
+    if len(verdicts) != 1:
+        raise ArithmeticError(f"conjugate residues disagree at q = {q}: internal error")
+    return verdicts.pop()
+
+
+def verify_certificate(selected, j: QuadSurd,
+                       effort_bound: int = VERIFY_EFFORT_BOUND) -> dict[int, str]:
+    """Per-prime verification statuses for the selected primes of a search
+    certificate, given the j-invariant corresponding to its h."""
     statuses: dict[int, str] = {}
-    for q in cert.selected:
+    for q in selected:
         if q in (2, 3):
             statuses[q] = "unverified-small"
             continue
@@ -203,19 +213,11 @@ def verify_certificate(cert, j: QuadSurd,
             statuses[q] = "unverified-large"
             continue
         try:
-            residues = reduce_mod(j, q)
+            supersingular = is_supersingular_mod(j, q, effort_bound)
         except BadReductionError:
             statuses[q] = "bad-reduction"
             continue
-        if isinstance(residues, Fq2):
-            verdicts = [is_supersingular_j(residues, q, effort_bound)]
-        else:
-            verdicts = [is_supersingular_j(r, q, effort_bound) for r in residues]
-        if len(set(verdicts)) != 1:
-            raise ArithmeticError(
-                f"conjugate residues disagree at q = {q}: internal error"
-            )
-        statuses[q] = "supersingular" if verdicts[0] else "ordinary"
+        statuses[q] = "supersingular" if supersingular else "ordinary"
     return statuses
 
 

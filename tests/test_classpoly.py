@@ -59,10 +59,6 @@ class TestBuildPD:
         assert poly.coefficients[-1] == 1
         assert poly.rounding_residual < 2.0**-20
 
-    def test_explicit_bits_start(self):
-        poly = build_PD(-220, 11, bits=96)
-        assert poly.coefficients == (121, -77, 1)
-
     def test_cross_construction_agreement(self):
         for D, p in ((-220, 11), (-1628, 11), (-55, 11), (-60, 3), (-15, 5),
                      (-260, 13), (-380, 19), (-35, 7)):
@@ -208,18 +204,6 @@ def test_small_case_irreducibility():
     assert p15.degree == 1
 
 
-def test_precision_exhaustion_error(monkeypatch):
-    import heegner.classpoly as mod
-
-    monkeypatch.setattr(mod, "MAX_BITS", 16)
-    with pytest.raises(mod.PrecisionExhaustedError):
-        build_PD(-1628, 11, bits=16)
-
-
-def test_forced_high_precision_matches_default():
-    assert build_PD(-220, 11, bits=4096).coefficients == build_PD(-220, 11).coefficients
-
-
 def test_sized_precision_needs_one_attempt(monkeypatch):
     # D = -29564 at p = 19, degree 60: the sized precision proves the
     # rounding with one evaluation per root
@@ -248,11 +232,18 @@ def test_wide_root_enclosure_never_rounds(monkeypatch):
 
     real = mod.jp_at_form
 
+    calls = []
+
     def widened(form, p, bits):
+        calls.append(bits)
         return real(form, p, 64) - iv.mpf(["0", "0.6"])
 
     monkeypatch.setattr(mod, "jp_at_form", widened)
+    # one evaluation per root, then the error: no retry at a higher precision
     with pytest.raises(mod.PrecisionExhaustedError):
         build_PD(-220, 11)
+    assert len(calls) == 2
+    calls.clear()
     with pytest.raises(mod.PrecisionExhaustedError):
         build_PD(Discriminant(5, 3, "-pl"))
+    assert len(calls) == 1

@@ -148,9 +148,3 @@ class TestTables:
         code, _, _ = run(capsys, "tables", "--p", "17")
         assert code == 64
 
-
-def test_heegner_bits_env(monkeypatch, capsys):
-    monkeypatch.setenv("HEEGNER_BITS", "128")
-    code, out, _ = run(capsys, "classpoly", "--p", "11", "--D", "-220")
-    assert code == 0
-    assert json.loads(out)["coefficients"] == ["121", "-77", "1"]

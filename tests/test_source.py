@@ -1,6 +1,8 @@
 """Source-level invariants of the library."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import heegner
@@ -117,3 +119,56 @@ def test_literal_level_matcher():
               "p == other"]
     for source in passed:
         assert not literal_level_comparisons(source), source
+
+
+def _perfbench_spans():
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # the standard library only
+    return module
+
+
+def test_traced_boundaries_exist():
+    # perfbench --trace 1 patches these names in the calling modules; a
+    # rename or deletion there breaks the traced benchmark, not the tests
+    spans = _perfbench_spans()
+    missing = []
+    for module, name, *_ in spans.BOUNDARIES + spans.COUNTED:
+        if not callable(getattr(importlib.import_module(f"heegner.{module}"), name, None)):
+            missing.append(f"{module}.{name}")
+    assert not missing, missing
+
+
+def _lib_attributes(tree) -> set[str]:
+    """Dotted names ``lib.x.y`` read in a module, and the operation names in
+    its ``SPAN_OF`` table, which it looks up with ``getattr(lib, name)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "lib":
+                found.add(".".join(reversed(chain)))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(isinstance(t, ast.Name) and t.id == "SPAN_OF" for t in node.targets)):
+            found.update(key.value for key in node.value.keys)
+    return found
+
+
+def test_benchmark_library_names_exist():
+    path = ROOT / "perfbench" / "run.py"
+    names = _lib_attributes(ast.parse(path.read_text(), filename=str(path)))
+    assert {"supersingular_jp_residues", "jp_arc_interval", "sssearch.INTERIOR_MARGIN",
+            "build_PD", "search"} <= names
+    missing = []
+    for dotted in sorted(names):
+        target = heegner
+        for part in dotted.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(dotted)
+    assert not missing, missing

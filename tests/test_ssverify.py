@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -170,22 +169,17 @@ def test_supersingular_census_matches_mass_formula():
         assert len(seen) == supersingular_mass(q), q
 
 
-@dataclass(frozen=True)
-class _FakeCert:
-    selected: tuple
-
-
 class TestVerifyCertificate:
     def test_known_certificate(self):
-        statuses = verify_certificate(_FakeCert((7, 151, 2309)), J11_POINT)
+        statuses = verify_certificate((7, 151, 2309), J11_POINT)
         assert statuses == {7: "supersingular", 151: "supersingular", 2309: "supersingular"}
 
     def test_unverified_large(self):
-        statuses = verify_certificate(_FakeCert((ABOVE_VERIFY_BOUND,)), J11_POINT)
+        statuses = verify_certificate((ABOVE_VERIFY_BOUND,), J11_POINT)
         assert statuses == {ABOVE_VERIFY_BOUND: "unverified-large"}
 
     def test_bad_reduction_status(self):
-        statuses = verify_certificate(_FakeCert((5,)), QuadSurd.make(1, 1, 5, -3))
+        statuses = verify_certificate((5,), QuadSurd.make(1, 1, 5, -3))
         assert statuses == {5: "bad-reduction"}
 
 
