@@ -14,7 +14,6 @@ from .classpoly import (
     build_PD,
     build_Pl,
     evaluate,
-    real_roots,
 )
 from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
 from .levels import LEVELS, Level, T2Data, level

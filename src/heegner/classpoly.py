@@ -2,15 +2,21 @@
 
 P_D has one root per Atkin-Lehner pair of ideal classes (degree h/2), the
 value of j_p at the highest point of the pair's Gamma_0(p)+ orbit.  The
-working precision is sized once from the reduced Heegner forms [a_i, b_i,
-c_i]: log2 prod max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it
-come log2 of the largest binomial coefficient of the degree, 20 bits for the
-rounding tolerance and a guard.  Each root arrives as an ``mpmath.iv``
-complex interval (``hauptmodul.jp_at_form``), the product of the linear
-factors is formed in interval arithmetic, and a coefficient is accepted only
-when its whole interval lies within 2^-20 of exactly one integer, so the
-rounding is proven rather than tested.  Each root is evaluated once; a
-coefficient interval that fails the proof raises ``PrecisionExhaustedError``.
+q-coefficients of j_p are integers and the form [a, -b, c] represents the
+inverse class, so the pair of the inverse classes has the complex conjugate
+root.  A pair that inversion maps to itself (f^2 is 1 or the p-ideal class)
+has a real root; every other pair is matched with its inverse pair, and j_p
+is evaluated once for the two.  The working precision is sized once from
+the reduced Heegner forms [a_i, b_i, c_i], one per root: log2 prod
+max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it come log2 of
+the largest binomial coefficient of the degree, 20 bits for the rounding
+tolerance and a guard.  Each evaluation arrives as an ``mpmath.iv`` complex
+interval (``hauptmodul.jp_at_form``).  A real root gives the factor X - r, a
+conjugate couple the real quadratic X^2 - 2 Re(r) X + |r|^2, and their
+product is formed in real interval arithmetic.  A coefficient is accepted
+only when its whole interval lies within 2^-20 of exactly one integer, so
+the rounding is proven rather than tested; a coefficient interval that fails
+the proof raises ``PrecisionExhaustedError``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import from_int, mpf_neg, mpf_sub, round_ceiling, to_fixed, to_float
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_sub,
+    mpi_add,
+    mpi_mul,
+    round_ceiling,
+    to_fixed,
+    to_float,
+)
 
 from .hauptmodul import GUARD_BITS, _iv_workprec, jp_at_form, reduce_heegner_form
 from .levels import level
@@ -30,6 +46,7 @@ from .quadforms import (
     al_pair_classes,
     enumerate_classes,
     heegner_rep,
+    reduce_form,
 )
 
 __all__ = [
@@ -38,9 +55,6 @@ __all__ = [
     "build_PD",
     "build_Pl",
     "evaluate",
-    "real_roots",
-    "count_real_roots",
-    "count_roots_in",
 ]
 
 ROUNDING_BITS = 20
@@ -125,12 +139,29 @@ def _sized_bits(D: int, reps) -> int:
     return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS + GUARD_BITS
 
 
-def _product_of_linear_factors(roots):
-    coeffs = [iv.mpc(1)]
-    for r in roots:
-        coeffs = [iv.mpc(0)] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= r * coeffs[k + 1]
+def _real_factors(roots):
+    """The monic real factors of prod (X - r), ascending coefficients: X - r
+    for a real root, X^2 - 2 Re(r) X + |r|^2 for a conjugate couple."""
+    for r, real in roots:
+        if not real:
+            yield [r.real**2 + r.imag**2, -2 * r.real]
+        elif 0 in r.imag:
+            yield [-r.real]
+        else:
+            raise ArithmeticError(f"the enclosure {r} of a real root excludes the real line")
+
+
+def _product(factors, prec):
+    """Ascending coefficients, as ``iv`` endpoint pairs at ``prec`` bits, of
+    the product of monic factors, each given without its leading 1."""
+    coeffs = [(fone, fone)]
+    for low in factors:
+        low = [g._mpi_ for g in low]
+        out = [(fzero, fzero)] * len(low) + coeffs
+        for m, g in enumerate(low):
+            for k, c in enumerate(coeffs):
+                out[k + m] = mpi_add(out[k + m], mpi_mul(g, c, prec), prec)
+        coeffs = out
     return coeffs
 
 
@@ -139,15 +170,14 @@ def _round_proven(coeffs):
     2^-20 of one integer, else None.
 
     The residual bounds the distance from every point of every interval to
-    its integer (the midpoint's distance plus the radius), rounded up.
+    its integer, rounded up.
     """
     ints = []
     residual = 0.0
-    for c in coeffs:
-        (re_lo, re_hi), (im_lo, im_hi) = c._mpci_
-        n = (to_fixed(re_lo, 1) + 1) >> 1  # the integer nearest the lower end
+    for lo, hi in coeffs:
+        n = (to_fixed(lo, 1) + 1) >> 1  # the integer nearest the lower end
         exact = from_int(n)
-        for gap in (mpf_sub(exact, re_lo), mpf_sub(re_hi, exact), mpf_neg(im_lo), im_hi):
+        for gap in (mpf_sub(exact, lo), mpf_sub(hi, exact)):
             distance = to_float(gap, rnd=round_ceiling)
             if not distance < ROUNDING_TOLERANCE:
                 return None
@@ -158,18 +188,28 @@ def _round_proven(coeffs):
 
 def build_PD(D, p: int | None = None) -> ClassPolynomial:
     """The class polynomial P_D(X), one root per Atkin-Lehner class pair,
-    from one evaluation per root at the precision sized from the reduced
-    forms."""
+    from one evaluation per real root or conjugate couple of roots at the
+    precision sized from the reduced forms."""
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
     # both classes of a pair reach the same highest point; reduced here for
-    # the sizing, each form passes jp_at_form's own reduction unmoved
-    reps = [reduce_heegner_form(heegner_rep(f, disc.p), disc.p) for f, _ in pairs]
+    # the sizing, each form passes jp_at_form's own reduction unmoved.  The
+    # pair of the inverse classes has the conjugate root, and its form
+    # [a, -b, c] has the same a, so it takes the evaluated form's place in
+    # the sizing; a pair that is its own inverse has a real root.
+    where = {f: i for i, pair in enumerate(pairs) for f in pair}
+    reps, evaluated = [None] * len(pairs), []
+    for i, (f, _) in enumerate(pairs):
+        if reps[i] is None:
+            j = where[reduce_form(f.inverse())]
+            reps[i] = reps[j] = reduce_heegner_form(heegner_rep(f, disc.p), disc.p)
+            evaluated.append((reps[i], i == j))
     work = _sized_bits(disc.D, reps)
-    roots = [jp_at_form(rep, disc.p, work) for rep in reps]
-    with _iv_workprec(work + GUARD_BITS):
-        rounded = _round_proven(_product_of_linear_factors(roots))
+    roots = [(jp_at_form(rep, disc.p, work), real) for rep, real in evaluated]
+    prec = work + GUARD_BITS
+    with _iv_workprec(prec):
+        rounded = _round_proven(_product(_real_factors(roots), prec))
     if rounded is None:
         raise PrecisionExhaustedError(
             f"could not prove the rounding of P_D for D = {disc.D} at {work} bits"
@@ -210,125 +250,3 @@ def _int_poly_mul(f, g):
 def evaluate(P: ClassPolynomial, h: Fraction) -> Fraction:
     """Exact rational value P(h)."""
     return P.evaluate(Fraction(h))
-
-
-# --- real-root machinery (Sturm sequences over Z) ---------------------------
-
-
-def _int_derivative(f):
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def _content(f):
-    g = 0
-    for c in f:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
-def _pseudo_rem_signed(a, b):
-    """Remainder of a by b scaled by a positive constant (sign-faithful).
-
-    Each elimination step replaces r by lc(b)*r - top*X^s*b, so the result is
-    lc(b)^k * rem(a, b); the sign is corrected when lc(b)^k < 0.
-    """
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    steps = 0
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        shift = len(r) - 1 - db
-        r = [lead * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= top * bc
-        while r and r[-1] == 0:
-            r.pop()
-        steps += 1
-    if lead < 0 and steps % 2:
-        r = [-c for c in r]
-    return r
-
-
-def sturm_chain(f):
-    """Sturm chain of an integer polynomial, entries scaled by positive ints."""
-    f = list(f)
-    chain = [f, _int_derivative(f)]
-    while len(chain[-1]) > 1:
-        r = _pseudo_rem_signed(chain[-2], chain[-1])
-        if not r:
-            break
-        r = [-c for c in r]
-        cont = _content(r)
-        chain.append([c // cont for c in r])
-    return chain
-
-
-def _sign_at(f, x: Fraction) -> int:
-    n = len(f) - 1
-    u, v = x.numerator, x.denominator
-    acc = 0
-    upow = 1
-    vpow = v**n
-    for c in f:
-        acc += c * upow * vpow
-        upow *= u
-        if vpow != 1:
-            vpow //= v
-    return (acc > 0) - (acc < 0)
-
-
-def _sign_at_infinity(f, positive: bool) -> int:
-    lead = f[-1]
-    if positive or (len(f) - 1) % 2 == 0:
-        return (lead > 0) - (lead < 0)
-    return (lead < 0) - (lead > 0)
-
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def count_real_roots(P: ClassPolynomial) -> int:
-    chain = sturm_chain(list(P.coefficients))
-    v_neg = _variations([_sign_at_infinity(f, False) for f in chain])
-    v_pos = _variations([_sign_at_infinity(f, True) for f in chain])
-    return v_neg - v_pos
-
-
-def count_roots_in(P: ClassPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints must not be roots."""
-    chain = sturm_chain(list(P.coefficients))
-    v_lo = _variations([_sign_at(f, Fraction(lo)) for f in chain])
-    v_hi = _variations([_sign_at(f, Fraction(hi)) for f in chain])
-    return v_lo - v_hi
-
-
-def real_roots(P: ClassPolynomial, width: Fraction = Fraction(1, 1 << 32)):
-    """Isolating intervals of width <= 2^-32 for all real roots of P."""
-    chain = sturm_chain(list(P.coefficients))
-
-    def var_at(x):
-        return _variations([_sign_at(f, x) for f in chain])
-
-    bound = 1 + max(abs(c) for c in P.coefficients)
-    total = count_real_roots(P)
-    out = []
-    stack = [(Fraction(-bound), Fraction(bound), var_at(Fraction(-bound)), var_at(Fraction(bound)))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        n = vlo - vhi
-        if n == 0:
-            continue
-        if n == 1 and hi - lo <= width:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        vmid = var_at(mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
-    out.sort()
-    if len(out) != total:
-        raise ArithmeticError(f"isolated {len(out)} real roots, Sturm count {total}")
-    return out

@@ -151,6 +151,40 @@ def _primes_below(bound: int) -> list[int]:
     return primes
 
 
+_CHUNK = 256  # primes per gcd in trial division
+_chunk_cache: dict[int, list[int | None]] = {}  # products per chunk, by len(primes)
+
+
+def _trial_divide(n: int, primes: list[int], found: dict[int, int]) -> int:
+    """Divide out of n the primes of ``primes`` that divide it, recording
+    them in ``found``; returns the rest, which is 1, a prime, or has all its
+    prime factors above the last prime.
+
+    One gcd of n with the product of a chunk of primes tells whether any of
+    them divides n; only such a chunk is divided prime by prime.  A chunk's
+    product is built on its first use and kept.
+    """
+    # the primes below a bound are fixed by their number
+    products = _chunk_cache.setdefault(len(primes), [None] * -(-len(primes) // _CHUNK))
+    for k, start in enumerate(range(0, len(primes), _CHUNK)):
+        if primes[start] * primes[start] > n:
+            break
+        chunk = primes[start:start + _CHUNK]
+        if products[k] is None:
+            products[k] = math.prod(chunk)
+        g = math.gcd(n, products[k])
+        if g == 1:
+            continue
+        for p in chunk:
+            if p * p > n:
+                break
+            if g % p == 0:
+                while n % p == 0:
+                    found[p] = found.get(p, 0) + 1
+                    n //= p
+    return n
+
+
 def _brent_rho(n: int, budget: list[int]) -> int | None:
     """Brent's cycle variant of Pollard rho; returns a nontrivial factor."""
     if n % 2 == 0:
@@ -301,7 +335,9 @@ def _ecm(n: int, primes: list[int], budget: list[int]) -> int | None:
 def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
     """Complete factorization of n != 0 within the effort budget.
 
-    Trial division up to ``budget.trial_bound``, then ECM on Montgomery
+    Trial division up to ``budget.trial_bound`` (a gcd per chunk of
+    primes, then division by the primes of the chunks that share a factor
+    with n), then ECM on Montgomery
     curves, then Brent rho with what is left of the budget; every reported
     prime is certified by ``is_prime``.  A surviving composite is returned in
     ``cofactor`` and must be treated as unusable by callers.
@@ -314,13 +350,7 @@ def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
     n = abs(n)
     found: dict[int, int] = {}
     primes = _primes_below(budget.trial_bound)
-    for p in primes:
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    # n is now 1, a prime, or has all prime factors above the trial bound
+    n = _trial_divide(n, primes, found)
     pending = [n] if n > 1 else []
     cofactor = 1
     effort = [budget.rho_iterations]

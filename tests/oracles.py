@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: ideal arithmetic on
 Z-module bases for form composition, sparse polynomial powering and an O(q)
 recurrence for the Hasse coefficient, naive point counts for supersingularity, trial factorization
 over F_q for squarefree decomposition, the classical j-invariant from its
-Eisenstein and product series, and class polynomials from the full h-class
-product of plain mpmath values, square-rooted over Z.
+Eisenstein and product series, class polynomials from the full h-class
+product of plain mpmath values, square-rooted over Z, real roots counted and
+isolated by Sturm sequences, and trial division one prime at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import mpmath
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
 from heegner.hauptmodul import j_p, tau_from_form
+from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -502,3 +504,147 @@ def supersingular_js(q, m2):
     by the sweep; their number is the census of F_(q^2)."""
     return {(j0, j1) for j1 in range(q) for j0 in range(q)
             if not hasse_nonzero_by_sweep(q, m2, *curve_from_j(q, m2, j0, j1))}
+
+
+# --- real roots of integer polynomials by Sturm sequences over Z ------------
+
+
+def _int_derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _content(f):
+    g = 0
+    for c in f:
+        g = math.gcd(g, abs(c))
+    return g or 1
+
+
+def _pseudo_rem_signed(a, b):
+    """Remainder of a by b scaled by a positive constant (sign-faithful).
+
+    Each elimination step replaces r by lc(b)*r - top*X^s*b, so the result is
+    lc(b)^k * rem(a, b); the sign is corrected when lc(b)^k < 0.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    steps = 0
+    while r and len(r) - 1 >= db:
+        top = r[-1]
+        shift = len(r) - 1 - db
+        r = [lead * c for c in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= top * bc
+        while r and r[-1] == 0:
+            r.pop()
+        steps += 1
+    if lead < 0 and steps % 2:
+        r = [-c for c in r]
+    return r
+
+
+def sturm_chain(f):
+    """Sturm chain of an integer polynomial, entries scaled by positive ints."""
+    f = list(f)
+    chain = [f, _int_derivative(f)]
+    while len(chain[-1]) > 1:
+        r = _pseudo_rem_signed(chain[-2], chain[-1])
+        if not r:
+            break
+        r = [-c for c in r]
+        cont = _content(r)
+        chain.append([c // cont for c in r])
+    return chain
+
+
+def _sign_at(f, x: Fraction) -> int:
+    n = len(f) - 1
+    u, v = x.numerator, x.denominator
+    acc = 0
+    upow = 1
+    vpow = v**n
+    for c in f:
+        acc += c * upow * vpow
+        upow *= u
+        if vpow != 1:
+            vpow //= v
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at_infinity(f, positive: bool) -> int:
+    lead = f[-1]
+    if positive or (len(f) - 1) % 2 == 0:
+        return (lead > 0) - (lead < 0)
+    return (lead < 0) - (lead > 0)
+
+
+def _variations(signs) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def count_real_roots(P: ClassPolynomial) -> int:
+    chain = sturm_chain(list(P.coefficients))
+    v_neg = _variations([_sign_at_infinity(f, False) for f in chain])
+    v_pos = _variations([_sign_at_infinity(f, True) for f in chain])
+    return v_neg - v_pos
+
+
+def count_roots_in(P: ClassPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi]; endpoints must not be roots."""
+    chain = sturm_chain(list(P.coefficients))
+    v_lo = _variations([_sign_at(f, Fraction(lo)) for f in chain])
+    v_hi = _variations([_sign_at(f, Fraction(hi)) for f in chain])
+    return v_lo - v_hi
+
+
+def real_roots(P: ClassPolynomial, width: Fraction = Fraction(1, 1 << 32)):
+    """Isolating intervals of width <= 2^-32 for all real roots of P."""
+    chain = sturm_chain(list(P.coefficients))
+
+    def var_at(x):
+        return _variations([_sign_at(f, x) for f in chain])
+
+    bound = 1 + max(abs(c) for c in P.coefficients)
+    total = count_real_roots(P)
+    out = []
+    stack = [(Fraction(-bound), Fraction(bound), var_at(Fraction(-bound)), var_at(Fraction(bound)))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        n = vlo - vhi
+        if n == 0:
+            continue
+        if n == 1 and hi - lo <= width:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        vmid = var_at(mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
+    out.sort()
+    if len(out) != total:
+        raise ArithmeticError(f"isolated {len(out)} real roots, Sturm count {total}")
+    return out
+
+
+# --- trial division one prime at a time ------------------------------------
+
+
+def factorize_by_trial_loop(n, budget=None):
+    """``factorize`` with trial division by every prime below the bound in
+    turn; the rest, whose prime factors all exceed the bound, goes to the
+    library."""
+    budget = budget or FactorBudget()
+    found = {}
+    m = abs(n)
+    for p in _primes_below(budget.trial_bound):
+        if p * p > m:
+            break
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    rest = factorize(m, budget)
+    for p, e in rest.factors:
+        found[p] = found.get(p, 0) + e
+    return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())), rest.cofactor)

@@ -19,8 +19,6 @@ import pytest
 from heegner.classpoly import (
     build_PD,
     build_Pl,
-    count_real_roots,
-    count_roots_in,
     evaluate,
 )
 from heegner.hauptmodul import arc_point, j_p, jp_arc_interval, torsion_to_tau
@@ -42,7 +40,7 @@ from heegner.quadforms import (
 from heegner.sssearch import ell_admissible, search
 from heegner.ssverify import is_supersingular_j, reduce_mod, QuadSurd
 
-from oracles import ideal_product_form, point_count
+from oracles import count_real_roots, count_roots_in, ideal_product_form, point_count
 
 P1628_COEFFS = (
     4253517961,

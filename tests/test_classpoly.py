@@ -7,13 +7,17 @@ from heegner.classpoly import (
     ClassPolynomial,
     build_PD,
     build_Pl,
-    count_real_roots,
     evaluate,
-    real_roots,
 )
-from heegner.quadforms import Discriminant, class_number
+from heegner.quadforms import (
+    Discriminant,
+    class_number,
+    compose,
+    enumerate_classes,
+    p_ideal_class,
+)
 
-from oracles import build_PD_via_square_root, int_poly_sqrt
+from oracles import build_PD_via_square_root, count_real_roots, int_poly_sqrt, real_roots
 
 # SHA-256 of the 160 sweep polynomials as JSON lines, in admissible_pairs()
 # order with -pl before -4pl
@@ -146,6 +150,20 @@ class TestRealRoots:
             assert hi - lo <= Fraction(1, 1 << 32)
 
 
+def self_conjugate_pairs(D, p):
+    """Atkin-Lehner pairs {f, f p} that inversion maps to themselves, those
+    with f^2 principal or the p-ideal class: the pairs with a real root."""
+    group = enumerate_classes(D)
+    squares = (group.principal, p_ideal_class(Discriminant.from_D(D, p)))
+    return sum(compose(f, f) in squares for f in group.classes) // 2
+
+
+def test_real_roots_are_self_conjugate_pairs(sweep_polys):
+    for (p, ell), shapes in sweep_polys.items():
+        for poly in shapes.values():
+            assert count_real_roots(poly) == self_conjugate_pairs(poly.D, p), (p, ell, poly.D)
+
+
 class TestIntPolySqrt:
     def test_exact_square(self):
         # (X^2 + 3X - 5)^2
@@ -206,7 +224,7 @@ def test_small_case_irreducibility():
 
 def test_sized_precision_needs_one_attempt(monkeypatch):
     # D = -29564 at p = 19, degree 60: the sized precision proves the
-    # rounding with one evaluation per root
+    # rounding with one evaluation per real root or conjugate couple
     import heegner.classpoly as mod
 
     precisions = []
@@ -219,7 +237,8 @@ def test_sized_precision_needs_one_attempt(monkeypatch):
     monkeypatch.setattr(mod, "jp_at_form", counted)
     poly = build_PD(-29564, 19)
     assert poly.degree == 60
-    assert len(precisions) == 60 and len(set(precisions)) == 1
+    real = self_conjugate_pairs(-29564, 19)
+    assert len(precisions) == real + (60 - real) // 2 and len(set(precisions)) == 1
 
 
 def test_wide_root_enclosure_never_rounds(monkeypatch):
@@ -247,3 +266,20 @@ def test_wide_root_enclosure_never_rounds(monkeypatch):
     with pytest.raises(mod.PrecisionExhaustedError):
         build_PD(Discriminant(5, 3, "-pl"))
     assert len(calls) == 1
+
+
+def test_real_root_enclosure_off_the_real_line(monkeypatch):
+    # a self-conjugate pair's root is real: an enclosure whose imaginary
+    # part excludes 0 breaks an invariant, not the precision
+    import heegner.classpoly as mod
+    from mpmath import iv
+
+    real = mod.jp_at_form
+
+    def shifted(form, p, bits):
+        return real(form, p, bits) + iv.mpc(0, 1)
+
+    monkeypatch.setattr(mod, "jp_at_form", shifted)
+    with pytest.raises(ArithmeticError, match="real root") as error:
+        build_PD(-220, 11)
+    assert not isinstance(error.value, mod.PrecisionExhaustedError)

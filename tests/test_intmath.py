@@ -14,6 +14,8 @@ from heegner.intmath import (
     squarefree_part,
 )
 
+from oracles import factorize_by_trial_loop
+
 
 def euler_criterion(a, q):
     """Legendre symbol by Euler's criterion; oracle for odd prime q."""
@@ -139,6 +141,22 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_chunked_trial_division_matches_loop(self):
+        # trial division by a gcd per chunk of 256 primes finds what dividing
+        # by every prime in turn finds
+        primes = sieve_primes(10**6)
+        rng = random.Random(29)
+        cases = list(range(-3, 10**4))
+        edges = [0, 1, 255, 256, 257, 511, 512, 1000, 40000, len(primes) - 257,
+                 len(primes) - 256, len(primes) - 1]
+        cases += [primes[i] * primes[j] for i in edges for j in edges]
+        cases += [math.prod(rng.sample(primes, 3)) * rng.randrange(1, 100) for _ in range(50)]
+        cases += [q**e * m for q in (997, 999979, 999983, 1000003) for e in (1, 2, 3)
+                  for m in (1, 2, 999961)]
+        cases.remove(0)
+        for n in cases:
+            assert factorize(n) == factorize_by_trial_loop(n), n
 
 
 class TestEcm:
