@@ -19,7 +19,6 @@ from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
 from .levels import LEVELS, Level, T2Data, level
 from .modpoly import (
     FPoly,
-    brandt_table,
     epsilon_split,
     is_perfect_square,
     is_square_times_linear,
@@ -64,7 +63,6 @@ from .ssverify import (
     QuadSurd,
     is_supersingular_j,
     lift_j_from_h_level3,
-    norm_square_check,
     reduce_mod,
     verify_certificate,
 )

@@ -11,12 +11,14 @@ the reduced Heegner forms [a_i, b_i, c_i], one per root: log2 prod
 max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it come log2 of
 the largest binomial coefficient of the degree, 20 bits for the rounding
 tolerance and a guard.  Each evaluation arrives as an ``mpmath.iv`` complex
-interval (``hauptmodul.jp_at_form``).  A real root gives the factor X - r, a
-conjugate couple the real quadratic X^2 - 2 Re(r) X + |r|^2, and their
-product is formed in real interval arithmetic.  A coefficient is accepted
-only when its whole interval lies within 2^-20 of exactly one integer, so
-the rounding is proven rather than tested; a coefficient interval that fails
-the proof raises ``PrecisionExhaustedError``.
+interval (``hauptmodul.jp_at_form``) and becomes a ``Ball`` over
+2^(work + guard), its endpoints rounded outward.  A real root gives the
+factor X - r, a conjugate couple the real quadratic X^2 - 2 Re(r) X +
+|r|^2, and their product is formed in real balls, integer midpoints with
+integer radii, by integer multiplies.  A coefficient is accepted only when
+its whole ball lies within 2^-20 of exactly one integer, so the rounding is
+proven rather than tested; a coefficient ball that fails the proof raises
+``PrecisionExhaustedError``.
 """
 
 from __future__ import annotations
@@ -26,20 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpf_sub,
-    mpi_add,
-    mpi_mul,
-    round_ceiling,
-    to_fixed,
-    to_float,
-)
-
-from .hauptmodul import GUARD_BITS, _iv_workprec, jp_at_form, reduce_heegner_form
+from .hauptmodul import GUARD_BITS, Ball, jp_at_form, reduce_heegner_form
 from .levels import level
 from .quadforms import (
     Discriminant,
@@ -139,51 +128,68 @@ def _sized_bits(D: int, reps) -> int:
     return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS + GUARD_BITS
 
 
-def _real_factors(roots):
-    """The monic real factors of prod (X - r), ascending coefficients: X - r
-    for a real root, X^2 - 2 Re(r) X + |r|^2 for a conjugate couple."""
+def _real_factors(roots, prec):
+    """The monic real factors of prod (X - r) as real balls (mid, rad) over
+    2^prec, ascending and without the leading 1: X - r for a real root,
+    X^2 - 2 Re(r) X + |r|^2 for a conjugate couple."""
     for r, real in roots:
+        ball = Ball.from_interval(r, prec)
         if not real:
-            yield [r.real**2 + r.imag**2, -2 * r.real]
-        elif 0 in r.imag:
-            yield [-r.real]
+            norm = ball * ball.conjugate()
+            yield [(norm.re, norm.rad), (-2 * ball.re, 2 * ball.rad)]
+        elif abs(ball.im) <= ball.rad:
+            yield [(-ball.re, ball.rad)]
         else:
             raise ArithmeticError(f"the enclosure {r} of a real root excludes the real line")
 
 
 def _product(factors, prec):
-    """Ascending coefficients, as ``iv`` endpoint pairs at ``prec`` bits, of
-    the product of monic factors, each given without its leading 1."""
-    coeffs = [(fone, fone)]
+    """Ascending coefficients, as real balls (mid, rad) over 2^prec, of the
+    product of monic factors, each given without its leading 1.
+
+    A coefficient of the product by X^d + sum g_m X^m is c_(k-d) + sum
+    g_m c_(k-m); it is summed exactly over 2^(2 prec) and floored once, with
+    |g c - g' c'| <= |g'| r_c + r_g (|c'| + r_c) for its radius.
+    """
+    coeffs = [(1 << prec, 0)]
     for low in factors:
-        low = [g._mpi_ for g in low]
-        out = [(fzero, fzero)] * len(low) + coeffs
-        for m, g in enumerate(low):
-            for k, c in enumerate(coeffs):
-                out[k + m] = mpi_add(out[k + m], mpi_mul(g, c, prec), prec)
+        d = len(low)
+        padded = [(0, 0)] * d + coeffs + [(0, 0)] * d
+        out = []
+        for k in range(len(coeffs) + d):
+            mid, spread = padded[k][0] << prec, padded[k][1] << prec
+            for m, (g, g_rad) in enumerate(low):
+                c, c_rad = padded[k - m + d]
+                mid += g * c
+                spread += abs(g) * c_rad + g_rad * (abs(c) + c_rad)
+            out.append((mid >> prec, -(-spread >> prec) + 1))
         coeffs = out
     return coeffs
 
 
-def _round_proven(coeffs):
-    """(integers, residual) when every coefficient interval lies within
-    2^-20 of one integer, else None.
+def _round_proven(coeffs, prec):
+    """(integers, residual) when every coefficient ball lies within 2^-20 of
+    one integer, else None.
 
-    The residual bounds the distance from every point of every interval to
-    its integer, rounded up.
+    The residual bounds the distance from every point of every ball to its
+    integer, rounded up.
     """
     ints = []
     residual = 0.0
-    for lo, hi in coeffs:
-        n = (to_fixed(lo, 1) + 1) >> 1  # the integer nearest the lower end
-        exact = from_int(n)
-        for gap in (mpf_sub(exact, lo), mpf_sub(hi, exact)):
-            distance = to_float(gap, rnd=round_ceiling)
-            if not distance < ROUNDING_TOLERANCE:
-                return None
-            residual = max(residual, distance)
+    for mid, rad in coeffs:
+        n = (mid + (1 << (prec - 1))) >> prec
+        distance = _ceil_float(abs(mid - (n << prec)) + rad, prec)
+        if not distance < ROUNDING_TOLERANCE:
+            return None
+        residual = max(residual, distance)
         ints.append(n)
     return tuple(ints), residual
+
+
+def _ceil_float(units: int, prec: int) -> float:
+    """A float at least units / 2^prec."""
+    shift = max(0, units.bit_length() - 53)
+    return math.ldexp((units >> shift) + 1, shift - prec)
 
 
 def build_PD(D, p: int | None = None) -> ClassPolynomial:
@@ -208,8 +214,7 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     work = _sized_bits(disc.D, reps)
     roots = [(jp_at_form(rep, disc.p, work), real) for rep, real in evaluated]
     prec = work + GUARD_BITS
-    with _iv_workprec(prec):
-        rounded = _round_proven(_product(_real_factors(roots), prec))
+    rounded = _round_proven(_product(_real_factors(roots, prec), prec), prec)
     if rounded is None:
         raise PrecisionExhaustedError(
             f"could not prove the rounding of P_D for D = {disc.D} at {work} bits"

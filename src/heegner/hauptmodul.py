@@ -13,13 +13,16 @@ geometric because no coefficient of q^n exceeds a constant times n.
 
 Two entry points share this engine.  ``eta``, ``theta``, ``theta_star``,
 ``j_p0`` and ``j_p`` take an mpc tau, by default move it up its Gamma_0(p)+
-orbit in floating point (``reduce_tau``), and return mpc values.
+orbit in floating point (``reduce_tau``), and return mpc values with no
+error bound; ``jp_arc_interval`` reads the arc endpoints from them.
 ``jp_at_form`` takes a Heegner form, reduces the form itself exactly
 (``reduce_heegner_form``), so that the point is exact before any
 floating-point work, and returns an ``mpmath.iv`` complex interval that
-provably contains j_p at its CM point: q comes from an interval
-exponential, and the few operations after the sums (1/q, quotient, power,
-the w_p term) run in interval arithmetic.
+provably contains j_p at its CM point.  q comes from an interval
+exponential; from there on the value is a ``Ball``, a Gaussian integer over
+2^prec with an integer error radius: the sums, 1/q and the few operations
+after them (quotient, power, the w_p term) each add their counted rounding
+to the radius, and only the final ball is turned back into an interval.
 
 The expression of each Hauptmodul in its series is an entry of the level
 table (``levels.LEVELS``): eta quotients on the genus-0 levels, theta
@@ -43,6 +46,7 @@ from .quadforms import QuadForm, _xgcd, fundamental_unit
 
 __all__ = [
     "GUARD_BITS",
+    "Ball",
     "MIN_IM",
     "eta",
     "theta",
@@ -267,22 +271,109 @@ def _mpc_from_fixed(re: int, im: int, prec: int):
     return mpc(mpf(from_man_exp(re, -prec)), mpf(from_man_exp(im, -prec)))
 
 
-def _fixed_from_interval(z, prec: int):
-    """Gaussian integer over 2^prec and an error bound (units) for an iv.mpc."""
-    (a, b), (c, d) = z._mpci_
-    re_lo, re_hi = to_fixed(a, prec), to_fixed(b, prec) + 1
-    im_lo, im_hi = to_fixed(c, prec), to_fixed(d, prec) + 1
-    return ((re_lo + re_hi) // 2, (im_lo + im_hi) // 2), (re_hi - re_lo) + (im_hi - im_lo)
+class Ball:
+    """The complex disc of radius ``rad`` about ``re + i im``, in units of 2^-prec.
 
+    The fixed-point format of the series sums, carried through the few
+    operations that form j_p from them (``jp_at_form``) and, as real
+    (mid, rad) pairs over the same 2^prec, through the product of a class
+    polynomial's factors (``classpoly.build_PD``).  The
+    operations take balls at one precision and Python ints; each result
+    encloses every value the operation takes on its input discs, with the
+    rounding it costs counted in ``rad``.  Sums and integer multiples are
+    exact.  A product or a quotient floors its two coordinates, at most
+    sqrt(2) units, counted as 2; radius bounds are rounded up.  ``abs(re) +
+    abs(im)`` stands for the modulus of a midpoint, which it bounds.
+    """
 
-def _interval_from_fixed(re: int, im: int, err: int, prec: int):
-    wp = iv.prec
-    return iv.make_mpc((
-        (from_man_exp(re - err, -prec, wp, round_floor),
-         from_man_exp(re + err, -prec, wp, round_ceiling)),
-        (from_man_exp(im - err, -prec, wp, round_floor),
-         from_man_exp(im + err, -prec, wp, round_ceiling)),
-    ))
+    __slots__ = ("re", "im", "rad", "prec")
+
+    def __init__(self, re: int, im: int, rad: int, prec: int):
+        self.re, self.im, self.rad, self.prec = re, im, rad, prec
+
+    @classmethod
+    def from_interval(cls, z, prec: int) -> "Ball":
+        """The ball about an ``iv.mpc`` box, its endpoints rounded outward."""
+        (a, b), (c, d) = z._mpci_
+        re_lo, re_hi = to_fixed(a, prec), to_fixed(b, prec) + 1
+        im_lo, im_hi = to_fixed(c, prec), to_fixed(d, prec) + 1
+        re, im = (re_lo + re_hi) >> 1, (im_lo + im_hi) >> 1
+        return cls(re, im, (re_hi - re) + (im_hi - im), prec)
+
+    def to_interval(self, wp: int):
+        """The ``iv.mpc`` box around the ball, its endpoints rounded outward to wp bits."""
+        prec, rad = self.prec, self.rad
+        return iv.make_mpc((
+            (from_man_exp(self.re - rad, -prec, wp, round_floor),
+             from_man_exp(self.re + rad, -prec, wp, round_ceiling)),
+            (from_man_exp(self.im - rad, -prec, wp, round_floor),
+             from_man_exp(self.im + rad, -prec, wp, round_ceiling)),
+        ))
+
+    def round_to(self, prec: int) -> "Ball":
+        """The ball at a precision no higher than its own."""
+        shift = self.prec - prec
+        return Ball(self.re >> shift, self.im >> shift, -(-self.rad >> shift) + 2, prec)
+
+    def conjugate(self) -> "Ball":
+        return Ball(self.re, -self.im, self.rad, self.prec)
+
+    def __neg__(self) -> "Ball":
+        return Ball(-self.re, -self.im, self.rad, self.prec)
+
+    def __add__(self, other) -> "Ball":
+        if isinstance(other, int):
+            return Ball(self.re + (other << self.prec), self.im, self.rad, self.prec)
+        return Ball(self.re + other.re, self.im + other.im, self.rad + other.rad, self.prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Ball":
+        return self + -other
+
+    def __mul__(self, other) -> "Ball":
+        if isinstance(other, int):
+            return Ball(self.re * other, self.im * other, self.rad * abs(other), self.prec)
+        (a, b, e), (c, d, f) = (self.re, self.im, self.rad), (other.re, other.im, other.rad)
+        # |(x + s)(y + t) - x y| <= |x| f + |y| e + e f for |s| <= e, |t| <= f
+        spread = (abs(a) + abs(b)) * f + (abs(c) + abs(d) + f) * e
+        prec = self.prec
+        return Ball((a * c - b * d) >> prec, (a * d + b * c) >> prec,
+                    -(-spread >> prec) + 2, prec)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Ball":
+        """1 / self; ArithmeticError when the disc may contain 0.
+
+        With |y - x| <= e and |x| >= m > e, |1/y - 1/x| <= e / (m (m - e)).
+        """
+        a, b, e, prec = self.re, self.im, self.rad, self.prec
+        norm = a * a + b * b
+        m = math.isqrt(norm)  # m <= |x|, in units
+        if m <= e:
+            raise ArithmeticError("division by a ball that may contain 0")
+        scale = 1 << (2 * prec)
+        spread = -(-(e * scale) // (m * (m - e)))
+        return Ball((a * scale) // norm, (-b * scale) // norm, spread + 2, prec)
+
+    def __truediv__(self, other) -> "Ball":
+        return self * other.inverse()
+
+    def __rtruediv__(self, other) -> "Ball":
+        return self.inverse() * other
+
+    def __pow__(self, e: int) -> "Ball":
+        if not isinstance(e, int) or e < 1:
+            return NotImplemented
+        out, base = None, self
+        while True:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if not e:
+                return out
+            base = base * base
 
 
 def _mpc_values(tau, bits: int, min_im: float):
@@ -480,10 +571,12 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     """An ``iv.mpc`` interval containing j_p at the CM point of a form with p | a.
 
     The form is reduced exactly; with tau = (-b + i sqrt|D|) / (2a),
-    q = exp(-pi (sqrt|D| + b i) / a).  The series are summed in fixed point
-    at bits + 2 * GUARD_BITS with counted errors, and the result is formed in
-    interval arithmetic at bits + GUARD_BITS, so its radius is near
-    2^-bits |j_p|.
+    q = exp(-pi (sqrt|D| + b i) / a) and 1/q come from an interval
+    exponential at bits + 2 * GUARD_BITS.  The series are summed in fixed
+    point at that precision with counted errors, and the level's expression
+    forms j_p from them and 1/q in ``Ball`` arithmetic, each operation
+    adding its rounding to the radius.  The ball is returned as an interval
+    at bits + GUARD_BITS, rounded outward; its radius is near 2^-bits |j_p|.
     """
     hauptmodul = level(p).hauptmodul
     form = reduce_heegner_form(form, p)
@@ -493,14 +586,19 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
         raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
     prec = bits + 2 * GUARD_BITS
     with _iv_workprec(prec):
-        q = iv.exp(iv.mpc(-iv.pi * iv.sqrt(-D), -iv.pi * form.b) / form.a)
-        fixed, q_err = _fixed_from_interval(q, prec)
-    with _iv_workprec(bits + GUARD_BITS):
-        def value(kind, scale=1):
-            return _interval_from_fixed(*_fixed_series(kind, fixed, q_err, im_tau, prec, scale),
-                                        prec)
+        step = -iv.pi / form.a
+        q = iv.exp(iv.mpc(step * iv.sqrt(-D), step * form.b))
+    q_ball = Ball.from_interval(q, prec)
+    fixed = (q_ball.re, q_ball.im)
+    # 1/q, of modulus about 2^lift, from q to prec + lift bits, so that it
+    # keeps the relative precision of the interval q
+    lift = math.ceil(2 * math.pi * im_tau / math.log(2))
+    qinv = Ball.from_interval(q, prec + lift).inverse().round_to(prec)
 
-        return hauptmodul(value, 1 / q)
+    def value(kind, scale=1):
+        return Ball(*_fixed_series(kind, fixed, q_ball.rad, im_tau, prec, scale), prec)
+
+    return hauptmodul(value, qinv).to_interval(bits + GUARD_BITS)
 
 
 def arc_point(p: int, re, bits: int):

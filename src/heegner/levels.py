@@ -86,8 +86,11 @@ def _theta_23(value, qinv):
 class Level:
     """What the pipeline needs to know about one level p.
 
-    ``hauptmodul(value, qinv)`` forms j_p from the series evaluator and 1/q,
-    in whatever arithmetic they carry (an ``EtaQuotient`` on genus-0 levels).
+    ``hauptmodul(value, qinv)`` forms j_p from the series evaluator and 1/q
+    (an ``EtaQuotient`` on genus-0 levels).  It uses only + - * / ** and
+    integer scalars, so it runs unchanged on mpc values (the floating-point
+    ``j_p``) and on the error-counting balls of ``hauptmodul.Ball``
+    (``jp_at_form``).
     The search multiplies the class polynomials of the discriminant
     ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l); modulo an admissible l
     each of them is a square, or (X - linear_root) times a square.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmath import is_prime, kronecker
-from .levels import T2Data, level
+from .levels import level
 
 __all__ = [
     "FPoly",
@@ -20,8 +20,6 @@ __all__ = [
     "is_square_times_linear",
     "mod_p_square_check",
     "epsilon_split",
-    "t2_degree_check",
-    "brandt_table",
     "supersingular_jp_residues",
 ]
 
@@ -221,23 +219,6 @@ def epsilon_split(D_prime: int) -> int:
     if D_prime % 4 != 1:
         raise ValueError(f"{D_prime} is not a discriminant")
     return 1 + kronecker(D_prime, 2)
-
-
-def t2_degree_check(p: int, ell: int) -> bool:
-    """deg P_{-4pl} = (3 - eps) deg P_{-pl}, i.e. h(-4pl) = (3-eps) h(-pl)."""
-    from .quadforms import class_number
-
-    if (p * ell) % 4 != 3:
-        raise ValueError("requires p*l = 3 mod 4")
-    eps = epsilon_split(-p * ell)
-    return class_number(-4 * p * ell) == (3 - eps) * class_number(-p * ell)
-
-
-def brandt_table(p: int) -> T2Data:
-    t2 = level(p).brandt
-    if t2 is None:
-        raise ValueError(f"no Brandt data for p = {p}")
-    return t2
 
 
 def supersingular_jp_residues(p: int) -> tuple[int, ...]:

@@ -7,9 +7,8 @@ question in O(log q) square roots.  Verification is bounded by an explicit
 limit, by default 2^64, where ``is_prime`` stops being deterministic; larger
 primes are reported as unverified rather than trusted.
 
-Also home to the norm computation showing that rational points of the level-3
-curve have N(j - 1728) a perfect square, and the exact h -> j lift that
-enables end-to-end verification for p = 3.
+Also home to the exact h -> j lift that enables end-to-end verification for
+p = 3.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import FactorBudget, is_prime, is_square, kronecker, squarefree_part
+from .intmath import FactorBudget, is_prime, kronecker, squarefree_part
 from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2, sqrt_mod
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "is_supersingular_j",
     "is_supersingular_mod",
     "verify_certificate",
-    "norm_square_check",
     "lift_j_from_h_level3",
 ]
 
@@ -221,7 +219,7 @@ def verify_certificate(selected, j: QuadSurd,
     return statuses
 
 
-# --- the level-3 lift and norm computation -----------------------------------
+# --- the level-3 lift ---------------------------------------------------------
 
 
 class _QuadExt:
@@ -260,28 +258,6 @@ class _QuadExt:
 
     def norm(self) -> Fraction:
         return self.x * self.x - self.delta * self.y * self.y
-
-
-def _j30_minpoly_norm(h: Fraction, poly_low: Fraction, poly_lin: Fraction) -> Fraction:
-    """Norm of lin*t + low over Q[t]/(t^2 - h t + 729)."""
-    return poly_lin * poly_lin * 729 + poly_lin * poly_low * h + poly_low * poly_low
-
-
-def norm_square_check(h) -> tuple[Fraction, bool]:
-    """N(j - 1728) for the curve pair with level-3 invariant h; perfect square?
-
-    Requires a non-real lift: the two values of the eta quotient are the
-    roots of t^2 - h t + 729, complex exactly when h^2 < 4*729.
-    """
-    h = Fraction(h)
-    if h * h >= 2916:
-        raise ValueError(
-            f"h = {h} has real eta-quotient values (h^2 >= 2916): real case not handled"
-        )
-    # reduce t^2 - 486 t - 19683 modulo t^2 - h t + 729: (h - 486) t - 20412
-    num_norm = _j30_minpoly_norm(h, Fraction(-20412), h - 486)
-    norm = num_norm * num_norm / Fraction(729) ** 3
-    return norm, is_square(norm.numerator) and is_square(norm.denominator)
 
 
 def lift_j_from_h_level3(h) -> QuadSurd:

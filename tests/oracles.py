@@ -6,7 +6,9 @@ recurrence for the Hasse coefficient, naive point counts for supersingularity, t
 over F_q for squarefree decomposition, the classical j-invariant from its
 Eisenstein and product series, class polynomials from the full h-class
 product of plain mpmath values, square-rooted over Z, real roots counted and
-isolated by Sturm sequences, and trial division one prime at a time.
+isolated by Sturm sequences, and trial division one prime at a time.  Also
+the checks of statements of the paper that the pipeline does not run: the
+T_2 degree relation, the Brandt table lookup and the level-3 norm N(j - 1728).
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import mpmath
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
 from heegner.hauptmodul import j_p, tau_from_form
-from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize
+from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize, is_square
+from heegner.levels import T2Data, level
+from heegner.modpoly import epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
+    class_number,
     enumerate_classes,
     heegner_rep,
     reduce_form,
@@ -387,6 +392,43 @@ def build_PD_via_square_root(D, p, bits=None, max_bits=1 << 17):
 
 
 # --- miscellaneous ----------------------------------------------------------
+
+
+def t2_degree_check(p: int, ell: int) -> bool:
+    """deg P_{-4pl} = (3 - eps) deg P_{-pl}, i.e. h(-4pl) = (3-eps) h(-pl)."""
+    if (p * ell) % 4 != 3:
+        raise ValueError("requires p*l = 3 mod 4")
+    eps = epsilon_split(-p * ell)
+    return class_number(-4 * p * ell) == (3 - eps) * class_number(-p * ell)
+
+
+def brandt_table(p: int) -> T2Data:
+    t2 = level(p).brandt
+    if t2 is None:
+        raise ValueError(f"no Brandt data for p = {p}")
+    return t2
+
+
+def _j30_minpoly_norm(h: Fraction, poly_low: Fraction, poly_lin: Fraction) -> Fraction:
+    """Norm of lin*t + low over Q[t]/(t^2 - h t + 729)."""
+    return poly_lin * poly_lin * 729 + poly_lin * poly_low * h + poly_low * poly_low
+
+
+def norm_square_check(h) -> tuple[Fraction, bool]:
+    """N(j - 1728) for the curve pair with level-3 invariant h; perfect square?
+
+    Requires a non-real lift: the two values of the eta quotient are the
+    roots of t^2 - h t + 729, complex exactly when h^2 < 4*729.
+    """
+    h = Fraction(h)
+    if h * h >= 2916:
+        raise ValueError(
+            f"h = {h} has real eta-quotient values (h^2 >= 2916): real case not handled"
+        )
+    # reduce t^2 - 486 t - 19683 modulo t^2 - h t + 729: (h - 486) t - 20412
+    num_norm = _j30_minpoly_norm(h, Fraction(-20412), h - 486)
+    norm = num_norm * num_norm / Fraction(729) ** 3
+    return norm, is_square(norm.numerator) and is_square(norm.denominator)
 
 
 def pell_fundamental_by_scan(p, dmax=1000):

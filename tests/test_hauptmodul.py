@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from heegner.hauptmodul import (
     MIN_IM,
+    Ball,
     arc_point,
     eta,
     j_p,
@@ -332,6 +335,173 @@ class TestJpAtForm:
         for kind in kinds:
             bound = _growth(kind)
             assert all(abs(c) <= bound * n for n, c in _terms(kind, 3000) if n)
+
+
+BALL_PREC = 64
+
+
+def ball_center(z):
+    return mpmath.mpc(mpmath.ldexp(z.re, -z.prec), mpmath.ldexp(z.im, -z.prec))
+
+
+def random_ball(rng, prec=BALL_PREC, spread_shifts=(1, 3, 12, 40)):
+    """A ball of modulus near 1 whose midpoint lies on an axis or anywhere,
+    with a radius from a large share of the modulus down to a few units."""
+    size = rng.randrange(prec - 6, prec + 6)
+    re, im = rng.randrange(1 << size), rng.randrange(1 << size)
+    axis = rng.choice(("real", "imag", "any"))
+    re, im = {"real": (re, 0), "imag": (0, im), "any": (re, im)}[axis]
+    re, im = re * rng.choice((1, -1)), im * rng.choice((1, -1))
+    rad = (abs(re) + abs(im)) >> rng.choice(spread_shifts)
+    return Ball(re, im, rad + rng.randrange(3), prec)
+
+
+def points_of(z, rng):
+    """Points of a ball: its centre, the two radial extremes and two at
+    random angles, each kept a hair inside the boundary."""
+    center = ball_center(z)
+    rad = mpmath.ldexp(z.rad, -z.prec) * (1 - mpmath.ldexp(1, -2 * z.prec))
+    unit = center / abs(center) if center else mpmath.mpc(1)
+    return [center, center + rad * unit, center - rad * unit] + [
+        center + rad * mpmath.expjpi(2 * mpmath.mpf(rng.random())) for _ in range(2)]
+
+
+def assert_encloses(z, value):
+    assert abs(value - ball_center(z)) <= mpmath.ldexp(z.rad, -z.prec), (z.re, z.im, z.rad)
+
+
+class TestBall:
+    """Each operation encloses its value at every point of its input balls,
+    computed with mpmath at four times the ball precision."""
+
+    def check(self, op, make_args, trials=150, seed=0):
+        rng = random.Random(seed)
+        with mpmath.workprec(4 * BALL_PREC):
+            for _ in range(trials):
+                args = make_args(rng)
+                result = op(*args)
+                assert result.prec == BALL_PREC
+                pointsets = [points_of(a, rng) if isinstance(a, Ball) else [a] for a in args]
+                for point in itertools.product(*pointsets):
+                    assert_encloses(result, op(*point))
+
+    def test_add_and_subtract(self):
+        self.check(lambda x, y: x + y, lambda rng: (random_ball(rng), random_ball(rng)))
+        self.check(lambda x, y: x - y, lambda rng: (random_ball(rng), random_ball(rng)))
+        self.check(lambda x, k: k + x - k * k,
+                   lambda rng: (random_ball(rng), rng.randrange(-99, 99)))
+
+    def test_integer_scale(self):
+        self.check(lambda x, k: k * x, lambda rng: (random_ball(rng), rng.randrange(-99, 99)))
+
+    def test_multiply(self):
+        self.check(lambda x, y: x * y, lambda rng: (random_ball(rng), random_ball(rng)))
+
+    def test_divide(self):
+        def args(rng):
+            return random_ball(rng), random_ball(rng, spread_shifts=(2, 3, 12, 40))
+
+        self.check(lambda x, y: x / y, args)
+        self.check(lambda k, y: k / y,
+                   lambda rng: (rng.randrange(1, 999) * rng.choice((1, -1)), args(rng)[1]))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 4, 6, 12])
+    def test_integer_power(self, exponent):
+        self.check(lambda x: x**exponent, lambda rng: (random_ball(rng),), seed=exponent)
+
+    def test_exact_inputs_round_into_the_radius(self):
+        # radius-0 inputs: the result radius must cover the floors of the midpoint
+        rng = random.Random(5)
+        with mpmath.workprec(4 * BALL_PREC):
+            for _ in range(300):
+                x, y = (Ball(rng.randrange(-1 << 70, 1 << 70), rng.randrange(-1 << 70, 1 << 70),
+                             0, BALL_PREC) for _ in range(2))
+                assert_encloses(x * y, ball_center(x) * ball_center(y))
+                assert_encloses(x / y, ball_center(x) / ball_center(y))
+
+    def test_division_by_a_ball_around_zero(self):
+        for re, im in ((5 << 60, 0), (3 << 60, -(4 << 60)), (0, 1), (0, 0)):
+            z = Ball(re, im, math.isqrt(re * re + im * im), BALL_PREC)
+            with pytest.raises(ArithmeticError):
+                Ball(1 << 64, 0, 0, BALL_PREC) / z
+            with pytest.raises(ArithmeticError):
+                1 / z
+
+    def test_interval_round_trip_encloses(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            z = random_ball(rng)
+            box = z.to_interval(40)
+            again = Ball.from_interval(box, BALL_PREC + 8)
+            with mpmath.workprec(4 * BALL_PREC):
+                for point in points_of(z, rng):
+                    assert_encloses(again, point)
+
+    def test_round_to_lower_precision(self):
+        rng = random.Random(13)
+        with mpmath.workprec(4 * BALL_PREC):
+            for _ in range(200):
+                z = random_ball(rng, BALL_PREC + 30, spread_shifts=(3, 40, 90))
+                if rng.random() < 0.5:
+                    z.rad = 0
+                low = z.round_to(BALL_PREC)
+                assert low.prec == BALL_PREC
+                for point in points_of(z, rng):
+                    assert_encloses(low, point)
+
+    def test_class_polynomial_product_encloses(self):
+        # the real-ball product of build_PD, at exact points of its factors:
+        # the ends of each coefficient's interval, or its midpoint
+        from heegner.classpoly import _product
+
+        rng = random.Random(17)
+        prec = BALL_PREC
+        for _ in range(60):
+            factors = []
+            for _ in range(rng.randrange(1, 5)):
+                factor = []
+                for _ in range(rng.choice((1, 2))):
+                    mid = rng.randrange(-1 << (prec + 9), 1 << (prec + 9))
+                    factor.append((mid, rng.choice((0, 0, rng.randrange(1 << 30)))))
+                factors.append(factor)
+            coeffs = _product(factors, prec)
+            for _ in range(4):
+                poly = [Fraction(1)]
+                for factor in factors:
+                    low = [Fraction(mid + rad * rng.choice((-1, 0, 1)), 1 << prec)
+                           for mid, rad in factor]
+                    monic = low + [Fraction(1)]
+                    out = [Fraction(0)] * (len(poly) + len(monic) - 1)
+                    for i, a in enumerate(poly):
+                        for j, b in enumerate(monic):
+                            out[i + j] += a * b
+                    poly = out
+                assert len(poly) == len(coeffs)
+                for (mid, rad), exact in zip(coeffs, poly):
+                    assert abs(exact * (1 << prec) - mid) <= rad
+
+    @pytest.mark.parametrize("D,p", [(-220, 11), (-1628, 11), (-29564, 19), (-215, 5), (-940, 5),
+                                     (-2132, 13), (-1524, 3)])
+    def test_build_residual_bounds_coefficient_balls(self, monkeypatch, D, p):
+        # every coefficient ball of the product contains its integer, and the
+        # reported residual is at least its largest distance from it
+        import heegner.classpoly as mod
+
+        seen = []
+        real = mod._round_proven
+
+        def spy(coeffs, prec):
+            seen.append((coeffs, prec))
+            return real(coeffs, prec)
+
+        monkeypatch.setattr(mod, "_round_proven", spy)
+        poly = mod.build_PD(D, p)
+        (coeffs, prec), = seen
+        assert len(coeffs) == len(poly.coefficients)
+        for (mid, rad), n in zip(coeffs, poly.coefficients):
+            assert abs(mid - (n << prec)) <= rad
+            distance = Fraction(abs(mid - (n << prec)) + rad, 1 << prec)
+            assert distance <= Fraction(poly.rounding_residual)
 
 
 class TestClassicalJ:

@@ -4,8 +4,10 @@ import pytest
 
 from heegner.classpoly import build_PD
 from heegner.levels import LEVELS, EtaQuotient, level
-from heegner.modpoly import FPoly, brandt_table, supersingular_jp_residues
+from heegner.modpoly import FPoly, supersingular_jp_residues
 from heegner.quadforms import Discriminant
+
+from oracles import brandt_table
 
 # l whose P_{-4pl} mod p reaches every supersingular j_p-invariant
 RESIDUE_ELLS = {3: (5,), 5: (3,), 7: (3,), 13: (3,), 23: (3, 13, 29)}

@@ -4,15 +4,13 @@ import pytest
 
 from heegner.modpoly import (
     FPoly,
-    brandt_table,
     epsilon_split,
     is_perfect_square,
     is_square_times_linear,
     squarefree_decomposition,
-    t2_degree_check,
 )
 
-from oracles import factor_fq_brute
+from oracles import brandt_table, factor_fq_brute, t2_degree_check
 
 
 def fp(coeffs, q):

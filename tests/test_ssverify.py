@@ -11,14 +11,13 @@ from heegner.ssverify import (
     QuadSurd,
     is_supersingular_j,
     lift_j_from_h_level3,
-    norm_square_check,
     reduce_mod,
     sqrt_mod,
     verify_certificate,
 )
 from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots
 
-from oracles import point_count, supersingular_mass
+from oracles import norm_square_check, point_count, supersingular_mass
 
 ABOVE_VERIFY_BOUND = 2**64 + 13  # the least prime above the bound
 
