@@ -29,9 +29,7 @@ from .modpoly import (
 from .quadforms import (
     Discriminant,
     FormClassGroup,
-    PellData,
     QuadForm,
-    bounded_root_form,
     class_number,
     compose,
     enumerate_classes,
@@ -40,15 +38,7 @@ from .quadforms import (
     p_ideal_class,
     reduce_form,
 )
-from .hauptmodul import (
-    eta,
-    j_p,
-    j_p0,
-    jp_arc_interval,
-    theta,
-    theta_star,
-    torsion_to_tau,
-)
+from .hauptmodul import jp_arc_interval
 from .sssearch import (
     RealJCaseError,
     SearchCertificate,

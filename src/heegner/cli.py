@@ -34,17 +34,18 @@ EXIT_REAL_J = 66
 
 @dataclass
 class Config:
-    """Runtime limits of a search, from its flags or their defaults; the
-    precision is never a setting, because each class polynomial sizes its
-    own."""
+    """The count and runtime limits of a search or a verification, from its
+    flags or their defaults; every one must be positive.  The precision is
+    never a setting, because each class polynomial sizes its own."""
 
+    count: int = 1
     ell_bound: int = 500
     factor_budget: int = FactorBudget.rho_iterations
     verify_bound: int = VERIFY_EFFORT_BOUND
 
     def __post_init__(self):
-        if self.ell_bound <= 0 or self.factor_budget <= 0 or self.verify_bound <= 0:
-            raise ValueError("bounds must be positive")
+        if min(self.count, self.ell_bound, self.factor_budget, self.verify_bound) <= 0:
+            raise ValueError("the count and the bounds must be positive")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,16 +69,16 @@ def _build_parser() -> _Parser:
     se.add_argument("--p", type=int, required=True)
     se.add_argument("--h", type=str, required=True, help='rational "n/d"')
     se.add_argument("--avoid", type=str, default="", help="comma-separated primes")
-    se.add_argument("--count", type=int, default=1)
-    se.add_argument("--ell-bound", type=int, default=500)
-    se.add_argument("--factor-budget", type=int)
-    se.add_argument("--verify-bound", type=int)
+    se.add_argument("--count", type=int, default=Config.count)
+    se.add_argument("--ell-bound", type=int, default=Config.ell_bound)
+    se.add_argument("--factor-budget", type=int, default=Config.factor_budget)
+    se.add_argument("--verify-bound", type=int, default=Config.verify_bound)
     se.add_argument("--format", choices=("json", "text"), default="json")
 
     ve = sub.add_parser("verify", help="test supersingularity of a j-invariant")
     ve.add_argument("--j", type=str, required=True, help='"(u+v*sqrt(m))/w"')
     ve.add_argument("--q", type=int, required=True)
-    ve.add_argument("--verify-bound", type=int)
+    ve.add_argument("--verify-bound", type=int, default=Config.verify_bound)
 
     ta = sub.add_parser("tables", help="print level data and derived constants")
     ta.add_argument("--p", type=int, required=True)
@@ -111,11 +112,8 @@ def _cmd_search(args) -> int:
         num, _, den = args.h.partition("/")
         h = Fraction(int(num), int(den) if den else 1)
         sigma = tuple(int(v) for v in args.avoid.split(",") if v)
-        cfg = Config(
-            ell_bound=args.ell_bound,
-            factor_budget=args.factor_budget or FactorBudget.rho_iterations,
-            verify_bound=args.verify_bound or VERIFY_EFFORT_BOUND,
-        )
+        cfg = Config(count=args.count, ell_bound=args.ell_bound,
+                     factor_budget=args.factor_budget, verify_bound=args.verify_bound)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -124,7 +122,7 @@ def _cmd_search(args) -> int:
             args.p,
             h,
             sigma=sigma,
-            count=args.count,
+            count=cfg.count,
             ell_bound=cfg.ell_bound,
             budget=FactorBudget(rho_iterations=cfg.factor_budget),
             effort_bound=cfg.verify_bound,
@@ -160,8 +158,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        cfg = Config(verify_bound=args.verify_bound)
         supersingular = is_supersingular_mod(QuadSurd.from_string(args.j), args.q,
-                                             args.verify_bound or VERIFY_EFFORT_BOUND)
+                                             cfg.verify_bound)
     except EffortBoundExceeded:
         print("unverified-large")
         return EXIT_UNVERIFIED

@@ -1,4 +1,4 @@
-"""High-precision evaluation of eta, theta series and the Hauptmoduls j_p.
+"""Proven enclosures of the Hauptmoduls j_p at Heegner points.
 
 Each Hauptmodul is q^-1 times a quotient of q-series with integer
 coefficients (for p = 23, a quotient of two theta series), and every series
@@ -11,18 +11,17 @@ radius in units of 2^-prec: the truncations of the fixed-point products,
 counted as they happen, plus an explicit bound on the dropped tail, which is
 geometric because no coefficient of q^n exceeds a constant times n.
 
-Two entry points share this engine.  ``eta``, ``theta``, ``theta_star``,
-``j_p0`` and ``j_p`` take an mpc tau, by default move it up its Gamma_0(p)+
-orbit in floating point (``reduce_tau``), and return mpc values with no
-error bound; ``jp_arc_interval`` reads the arc endpoints from them.
-``jp_at_form`` takes a Heegner form, reduces the form itself exactly
-(``reduce_heegner_form``), so that the point is exact before any
-floating-point work, and returns an ``mpmath.iv`` complex interval that
-provably contains j_p at its CM point.  q comes from an interval
-exponential; from there on the value is a ``Ball``, a Gaussian integer over
-2^prec with an integer error radius: the sums, 1/q and the few operations
-after them (quotient, power, the w_p term) each add their counted rounding
-to the radius, and only the final ball is turned back into an interval.
+``jp_at_form`` is the one evaluation of j_p.  It takes a Heegner form,
+reduces the form itself exactly (``reduce_heegner_form``), so that the point
+is exact before any floating-point work, and returns an ``mpmath.iv``
+complex interval that provably contains j_p at its CM point.  q comes from
+an interval exponential; from there on the value is a ``Ball``, a Gaussian
+integer over 2^prec with an integer error radius: the sums, 1/q and the few
+operations after them (quotient, power, the w_p term) each add their counted
+rounding to the radius, and only the final ball is turned back into an
+interval.  The class polynomials call it once per root or conjugate pair,
+and ``jp_arc_interval`` once per endpoint of the arc S, both of which are
+CM points too.
 
 The expression of each Hauptmodul in its series is an entry of the level
 table (``levels.LEVELS``): eta quotients on the genus-0 levels, theta
@@ -37,55 +36,17 @@ from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
 
-import mpmath
-from mpmath import iv, mpc, mpf
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_fixed
+from mpmath import iv
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_shift, round_ceiling, round_floor,
+                          round_nearest, to_fixed, to_float)
 
-from .levels import ETA, THETA_STAR, EtaQuotient, level
+from .levels import ETA, THETA_STAR, level
 from .quadforms import QuadForm, _xgcd, fundamental_unit
 
-__all__ = [
-    "GUARD_BITS",
-    "Ball",
-    "MIN_IM",
-    "eta",
-    "theta",
-    "theta_star",
-    "j_p0",
-    "j_p",
-    "torsion_to_tau",
-    "reduce_tau",
-    "reduce_heegner_form",
-    "tau_from_form",
-    "jp_at_form",
-    "arc_point",
-    "jp_arc_interval",
-]
+__all__ = ["GUARD_BITS", "Ball", "reduce_heegner_form", "jp_at_form", "jp_arc_interval"]
 
 GUARD_BITS = 32
-MIN_IM = 0.05
 ARC_BITS = 256  # precision of the endpoints of j_p(S)
-
-
-def _theta_kind(a: int, b: int, c: int):
-    if a <= 0 or 4 * a * c - b * b <= 0:
-        raise ValueError(f"theta exponent form ({a}, {b}, {c}) must be positive definite")
-    return ("theta", a, b, c)
-
-
-def _level_min_im(p: int) -> float:
-    # reduced points of Gamma_0(p)+ can sit as low as sqrt(3)/(2p); allow a
-    # margin below that for the internal reduced-evaluation path
-    return min(MIN_IM, 0.8 * math.sqrt(3) / (2 * p))
-
-
-def _require_upper(tau, min_im=MIN_IM):
-    if mpmath.im(tau) <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    if mpmath.im(tau) < min_im:
-        raise ValueError(
-            f"Im(tau) = {float(mpmath.im(tau)):.4g} below evaluation cutoff {min_im}"
-        )
 
 
 @contextmanager
@@ -263,14 +224,6 @@ def _fixed_series(kind, q, q_err: int, im_tau: float, prec: int, scale: int = 1)
     return re, im, err + tail
 
 
-def _fixed_from_mpc(z, prec: int):
-    return to_fixed(mpmath.re(z)._mpf_, prec), to_fixed(mpmath.im(z)._mpf_, prec)
-
-
-def _mpc_from_fixed(re: int, im: int, prec: int):
-    return mpc(mpf(from_man_exp(re, -prec)), mpf(from_man_exp(im, -prec)))
-
-
 class Ball:
     """The complex disc of radius ``rad`` about ``re + i im``, in units of 2^-prec.
 
@@ -376,95 +329,6 @@ class Ball:
             base = base * base
 
 
-def _mpc_values(tau, bits: int, min_im: float):
-    """(value, q) for an mpc tau: value(kind, scale) is a series at q^scale."""
-    _require_upper(tau, min_im)
-    prec = bits + GUARD_BITS
-    with mpmath.workprec(prec):
-        q = mpmath.expjpi(2 * mpc(tau))
-    fixed = _fixed_from_mpc(q, prec)
-    im_tau = float(mpmath.im(tau))
-
-    def value(kind, scale=1):
-        re, im, _ = _fixed_series(kind, fixed, 1, im_tau, prec, scale)
-        return _mpc_from_fixed(re, im, prec)
-
-    return value, q
-
-
-# --- the public mpc evaluations -----------------------------------------------
-
-
-def eta(tau, bits: int, min_im: float = MIN_IM):
-    """Dedekind eta via the sparse pentagonal-number series."""
-    with mpmath.workprec(bits + GUARD_BITS):
-        value, _ = _mpc_values(tau, bits, min_im)
-        return mpmath.expjpi(mpc(tau) / 12) * value(ETA)
-
-
-def theta(a: int, b: int, c: int, tau, bits: int, min_im: float = MIN_IM):
-    """Lattice sum of q^(a x^2 + b x y + c y^2) over x, y in Z."""
-    kind = _theta_kind(a, b, c)
-    with mpmath.workprec(bits + GUARD_BITS):
-        value, _ = _mpc_values(tau, bits, min_im)
-        return value(kind)
-
-
-def theta_star(tau, bits: int, min_im: float = MIN_IM):
-    """Signed sum of (-1)^m q^((m^2 + m n + 5 n^2)/2) over m + n odd."""
-    with mpmath.workprec(bits + GUARD_BITS):
-        value, _ = _mpc_values(tau, bits, min_im)
-        return mpmath.expjpi(mpc(tau)) * value(THETA_STAR)
-
-
-def j_p0(tau, p: int, bits: int, reduce: bool = True):
-    """Eta-quotient Hauptmodul of X_0(p) at the genus-0 levels."""
-    t0 = level(p).hauptmodul
-    if not isinstance(t0, EtaQuotient):
-        raise ValueError(f"j_p0 is defined at the genus-0 levels, not at p = {p}")
-    with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        parity = 0
-        floor = MIN_IM
-        if reduce:
-            tau, parity = reduce_tau(tau, p, bits)
-            floor = _level_min_im(p)
-        value, q = _mpc_values(tau, bits, floor)
-        u = t0.t(value, 1 / q)
-        return t0.w / u if parity else u
-
-
-def j_p(tau, p: int, bits: int, reduce: bool = True):
-    """Hauptmodul of X_0*(p), invariant under Gamma_0(p) and tau -> -1/(p tau)."""
-    hauptmodul = level(p).hauptmodul
-    with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        floor = MIN_IM
-        if reduce:
-            tau, _ = reduce_tau(tau, p, bits)
-            floor = _level_min_im(p)
-        value, q = _mpc_values(tau, bits, floor)
-        return hauptmodul(value, 1 / q)
-
-
-def torsion_to_tau(tau_E, k: int | None, p: int, bits: int | None = None):
-    """Modular coordinate of (C/<1, tau_E>, kernel) under z <-> (C/<1,z>, <1/p>).
-
-    ``k = None`` selects the kernel <1/p>, giving z = tau_E; an integer
-    0 <= k < p selects <(tau_E + k)/p>, giving z = -1/(tau_E + k).  The
-    division runs at ``bits`` precision when given, else at the ambient one.
-    """
-    with mpmath.workprec((bits + GUARD_BITS) if bits else mpmath.mp.prec):
-        tau_E = mpc(tau_E)
-        if mpmath.im(tau_E) <= 0:
-            raise ValueError("tau_E must lie in the upper half plane")
-        if k is None:
-            return tau_E
-        if not 0 <= k < p:
-            raise ValueError(f"torsion index k = {k} out of range for p = {p}")
-        return -1 / (tau_E + k)
-
-
 def _raising_candidates(p: int, al_limit: int, limit: int):
     """Lower-row entries c of the moves that can raise a point.
 
@@ -489,43 +353,12 @@ def _move_matrix(c: int, d: int, p: int):
     return p * s, -t, p * c, p * d
 
 
-def reduce_tau(tau, p: int, bits: int):
-    """Move tau to the highest point of its Gamma_0(p)+ orbit.
-
-    Every point of the orbit is one move away, and its height depends only
-    on the move's lower row, so one scan over the rows that can raise tau
-    (``_raising_candidates``, with d nearest to -c Re(tau)) finds the highest
-    point; a translation then brings Re(tau) into [-1/2, 1/2].  Returns
-    (tau', parity) where parity is 1 when the move is an Atkin-Lehner one
-    (Gamma_0(p) moves and translations leave any Gamma_0(p)-invariant
-    unchanged; odd parity composes one w_p).
-    """
-    with mpmath.workprec(bits + GUARD_BITS):
-        tau = mpc(tau)
-        if mpmath.im(tau) <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-        tau -= int(mpmath.nint(mpmath.re(tau)))
-        x, t = float(mpmath.re(tau)), float(mpmath.im(tau))
-        best, move = 1 - 2.0**-20, None
-        for c in _raising_candidates(p, int(1 / (t * math.sqrt(p))), int(1 / t)):
-            d = round(-c * x)
-            height = ((c * x + d) ** 2 + (c * t) ** 2) * (1 if c % p == 0 else p)
-            if height < best and math.gcd(c, d) == 1:
-                best, move = height, (c, d)
-        if move is None:
-            return tau, 0
-        A, B, C, E = _move_matrix(*move, p)
-        tau = (A * tau + B) / (C * tau + E)
-        return tau - int(mpmath.nint(mpmath.re(tau))), int(move[0] % p != 0)
-
-
 def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     """The form of the highest CM point in the Gamma_0(p)+ orbit of a form with p | a.
 
-    The exact counterpart of ``reduce_tau``: Im(tau) = sqrt|D| / (2a), and
-    the move with lower row (c, d) sends a to f(d, -c) when p | c and to
-    p f(d, -c) otherwise, so one scan for the smallest such value finds the
-    highest point.  The form is then moved by the matrix and translated so
+    Im(tau) = sqrt|D| / (2a), and the move with lower row (c, d) sends a to
+    f(d, -c) when p | c and to p f(d, -c) otherwise, so one scan for the
+    smallest such value finds the highest point.  The form is then moved by the matrix and translated so
     that b lies in (-a, a].  Every move keeps p | a; the Fricke involution
     [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move with row (1, 0).
     """
@@ -558,15 +391,6 @@ def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
-def tau_from_form(form: QuadForm, bits: int):
-    """CM point (-b + i sqrt(|D|)) / (2a) of a positive definite form."""
-    with mpmath.workprec(bits + GUARD_BITS):
-        D = form.discriminant()
-        if D >= 0:
-            raise ValueError("form must be positive definite")
-        return (mpf(-form.b) + mpmath.sqrt(mpf(-D)) * 1j) / (2 * form.a)
-
-
 def jp_at_form(form: QuadForm, p: int, bits: int):
     """An ``iv.mpc`` interval containing j_p at the CM point of a form with p | a.
 
@@ -582,7 +406,9 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     form = reduce_heegner_form(form, p)
     D = form.discriminant()
     im_tau = math.sqrt(-D) / (2 * form.a)
-    if im_tau < _level_min_im(p):
+    # the top of an orbit sits at Im(tau) >= sqrt(3) / (2p); the sums are
+    # sized for that, with a margin
+    if im_tau < min(0.05, 0.8 * math.sqrt(3) / (2 * p)):
         raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
     prec = bits + 2 * GUARD_BITS
     with _iv_workprec(prec):
@@ -601,27 +427,23 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     return hauptmodul(value, qinv).to_interval(bits + GUARD_BITS)
 
 
-def arc_point(p: int, re, bits: int):
-    """The point of the arc |tau| = 1/sqrt(p) with given real part."""
-    with mpmath.workprec(bits + GUARD_BITS):
-        re = mpf(re)
-        im2 = mpf(1) / p - re * re
-        if im2 <= 0:
-            raise ValueError("real part outside the circle of radius 1/sqrt(p)")
-        return re + mpmath.sqrt(im2) * 1j
-
-
 @lru_cache(maxsize=None)
 def jp_arc_interval(p: int) -> tuple[float, float]:
     """Endpoints of the real interval j_p(S) at a level with the real arc.
 
     S is the arc |tau| = 1/sqrt(p), -d/c < Re(tau) < 0; j_p increases
     clockwise along it, so the infimum sits at Re = -d/c and the supremum at
-    tau = i/sqrt(p).  Returned as floats (the interval test tolerance is
-    2^-16, far above float error).
+    tau = i/sqrt(p).  Both ends are CM points, so each is one ``jp_at_form``
+    enclosure at ARC_BITS: the left end (-d + i/sqrt(p))/c is the point of
+    the form [pc/2, pd, c/2] of discriminant -p (c^2 - p d^2 = 1), which
+    reduces to [p, p, (p + 1)/4], and the top is the point of [p, 0, 1] of
+    discriminant -4p.  Returned as the floats nearest to the midpoints of
+    the real parts (the interval test tolerance is 2^-16, far above float
+    error).
     """
     c, d = fundamental_unit(p)
-    with mpmath.workprec(ARC_BITS + GUARD_BITS):
-        top = j_p(mpmath.mpc(0, 1) / mpmath.sqrt(p), p, ARC_BITS)
-        left = j_p(arc_point(p, mpf(-d) / c, ARC_BITS), p, ARC_BITS)
-        return float(mpmath.re(left)), float(mpmath.re(top))
+    ends = (jp_at_form(QuadForm(p * c // 2, p * d, c // 2), p, ARC_BITS),
+            jp_at_form(QuadForm(p, 0, 1), p, ARC_BITS))
+    # the exact midpoint of each real part, then the nearest float
+    return tuple(to_float(mpf_shift(mpf_add(*end._mpci_[0]), -1), rnd=round_nearest)
+                 for end in ends)

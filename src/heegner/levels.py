@@ -88,9 +88,10 @@ class Level:
 
     ``hauptmodul(value, qinv)`` forms j_p from the series evaluator and 1/q
     (an ``EtaQuotient`` on genus-0 levels).  It uses only + - * / ** and
-    integer scalars, so it runs unchanged on mpc values (the floating-point
-    ``j_p``) and on the error-counting balls of ``hauptmodul.Ball``
-    (``jp_at_form``).
+    integer scalars, so it runs unchanged on the error-counting balls of
+    ``hauptmodul.Ball`` (``jp_at_form``, the library's one evaluation of
+    j_p) and on the mpc values of the floating-point ``j_p`` that the tests
+    check it against (``tests/oracles.py``).
     The search multiplies the class polynomials of the discriminant
     ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l); modulo an admissible l
     each of them is a square, or (X - linear_root) times a square.

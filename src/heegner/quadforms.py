@@ -2,8 +2,9 @@
 
 Forms (a, b, c) represent a x^2 + b x y + c y^2, always positive definite and
 primitive here.  Ideal classes are represented purely as reduced forms; the
-ramified class [p-ideal], Atkin-Lehner pairing, genus forms, Pell solutions
-and the circular arc S live here as well.
+ramified class [p-ideal], the Atkin-Lehner pairing, the Heegner
+representatives and the fundamental unit of Q(sqrt p), which bounds the
+circular arc S, live here as well.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "QuadForm",
     "Discriminant",
     "FormClassGroup",
-    "PellData",
     "ALFixedClassError",
     "reduce_form",
     "compose",
@@ -28,10 +28,7 @@ __all__ = [
     "p_ideal_class",
     "heegner_rep",
     "al_pair_classes",
-    "unbounded_root_forms",
     "fundamental_unit",
-    "bounded_root_form",
-    "diophantine_obstruction_check",
 ]
 
 class ALFixedClassError(ValueError):
@@ -147,19 +144,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     b3 = w * uw - (k * tw + l * sw)
     c3 = k * l - w * m
     return reduce_form(QuadForm(a3, b3, c3))
-
-
-def form_power(f: QuadForm, n: int) -> QuadForm:
-    """n-fold composition of f with itself (n >= 0)."""
-    D = f.discriminant()
-    result = principal_form(D)
-    base = reduce_form(f)
-    while n > 0:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
-    return result
 
 
 def principal_form(D: int) -> QuadForm:
@@ -338,18 +322,6 @@ def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadF
     return pairs
 
 
-def unbounded_root_forms(disc: Discriminant) -> tuple[QuadForm, QuadForm]:
-    """The two genus forms carrying the unbounded real root, an AL pair."""
-    p, ell = disc.p, disc.ell
-    if disc.shape == "-pl":
-        f1 = QuadForm(1, 1, (p * ell + 1) // 4)
-        f2 = reduce_form(QuadForm(p, p, (p + ell) // 4))
-    else:
-        f1 = QuadForm(1, 0, p * ell)
-        f2 = reduce_form(QuadForm(p, 0, ell))
-    return f1, f2
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(p: int) -> tuple[int, int]:
     """Fundamental unit c + d*sqrt(p) of Q(sqrt(p)) at a level with the real arc.
@@ -375,90 +347,3 @@ def fundamental_unit(p: int) -> tuple[int, int]:
     if h % 2 or k % 2 == 0:
         raise ArithmeticError(f"unit {h} + {k} sqrt({p}) does not have h even, k odd")
     return h, k
-
-
-@dataclass(frozen=True)
-class PellData:
-    """Fundamental unit c + d*sqrt(p) and norm-equation solutions A^2 - p*B^2 = l."""
-
-    p: int
-    c: int
-    d: int
-    ell: int | None = None
-    solutions: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.c * self.c - self.p * self.d * self.d not in (1, -1):
-            raise ValueError("(c, d) is not a unit")
-        if self.c % 2 or self.d % 2 == 0:
-            raise ValueError("expected c even and d odd")
-        for A, B in self.solutions:
-            if A % 2 == 0 or A * A - self.p * B * B != self.ell:
-                raise ValueError(f"({A}, {B}) is not an odd-A solution for l = {self.ell}")
-
-    @classmethod
-    def for_prime(cls, p: int, ell: int | None = None) -> "PellData":
-        c, d = fundamental_unit(p)
-        sols = tuple(norm_equation_solutions(p, ell)) if ell is not None else ()
-        return cls(p, c, d, ell, sols)
-
-
-def norm_equation_solutions(p: int, ell: int) -> list[tuple[int, int]]:
-    """All (A, B) with A^2 - p*B^2 = l, A odd, 0 <= B/A < d/c.
-
-    The window condition B/A < d/c is equivalent to B < d*sqrt(l), which
-    bounds the scan exactly.
-    """
-    c, d = fundamental_unit(p)
-    out = []
-    bmax = math.isqrt(d * d * ell - 1) if d * d * ell > 0 else 0
-    for B in range(bmax + 1):
-        A2 = ell + p * B * B
-        A = math.isqrt(A2)
-        if A * A == A2 and A % 2 == 1 and B * c < A * d:
-            out.append((A, B))
-    return out
-
-
-def bounded_root_form(p: int, ell: int) -> tuple[QuadForm, tuple[int, int]]:
-    """Form (pA, 2pB, A) whose CM root is the bounded real root of P_{-4pl}.
-
-    Takes the minimal-B solution of l = A^2 - p*B^2 with A odd and
-    0 <= B/A < d/c; the root t = (-B + i*sqrt(pl)/p... ) has |t| = 1/sqrt(p)
-    and real part -B/A inside the arc S.
-    """
-    if not level(p).real_arc:
-        raise ValueError(f"bounded root construction requires a real-arc level, not p = {p}")
-    sols = norm_equation_solutions(p, ell)
-    if not sols:
-        raise ArithmeticError(
-            f"no representation l = A^2 - {p}*B^2 for l = {ell}; "
-            "l does not satisfy the splitting precondition"
-        )
-    A, B = min(sols, key=lambda s: s[1])
-    form = QuadForm(p * A, 2 * p * B, A)
-    if form.discriminant() != -4 * p * ell:
-        raise ArithmeticError(f"{form} does not have discriminant {-4 * p * ell}")
-    return form, (A, B)
-
-
-def diophantine_obstruction_check(p: int, ell: int, bound: int = 200) -> bool:
-    """True iff p x^2 + l y^2 = z^2 and the odd-shape analogue have no
-    nonzero solutions with |x|, |y| <= bound (they never do for admissible
-    p = 1 mod 4, l = 3 mod 4 split)."""
-    mixed = (p + ell) % 4 == 0
-    for x in range(bound + 1):
-        for y in range(-bound, bound + 1):
-            if x == 0 and y == 0:
-                continue
-            v = p * x * x + ell * y * y
-            r = math.isqrt(v)
-            if r * r == v:
-                return False
-            if mixed:
-                v2 = p * x * x + p * x * y + ((p + ell) // 4) * y * y
-                if v2 >= 0:
-                    r2 = math.isqrt(v2)
-                    if r2 * r2 == v2:
-                        return False
-    return True

@@ -4,30 +4,38 @@ These deliberately avoid the library's own algorithms: ideal arithmetic on
 Z-module bases for form composition, sparse polynomial powering and an O(q)
 recurrence for the Hasse coefficient, naive point counts for supersingularity, trial factorization
 over F_q for squarefree decomposition, the classical j-invariant from its
-Eisenstein and product series, class polynomials from the full h-class
-product of plain mpmath values, square-rooted over Z, real roots counted and
+Eisenstein and product series, the Hauptmoduls in plain floating point at any
+tau (summed from the exact coefficient lists, with the orbit reduction done
+on tau rather than on a form), class polynomials from the full h-class
+product of those values, square-rooted over Z, real roots counted and
 isolated by Sturm sequences, and trial division one prime at a time.  Also
 the checks of statements of the paper that the pipeline does not run: the
-T_2 degree relation, the Brandt table lookup and the level-3 norm N(j - 1728).
+T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
+the Pell data and bounded roots on the arc S, the genus forms of the
+unbounded root and the Diophantine obstruction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
+from itertools import chain
 
 import mpmath
+from mpmath import mpc, mpf
+from mpmath.libmp import to_fixed
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
-from heegner.hauptmodul import j_p, tau_from_form
 from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize, is_square
-from heegner.levels import T2Data, level
+from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
 from heegner.modpoly import epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
     class_number,
     enumerate_classes,
+    fundamental_unit,
     heegner_rep,
     reduce_form,
 )
@@ -314,6 +322,213 @@ def hauptmodul_q_expansion(p, terms=16):
     raise ValueError(p)
 
 
+# --- the Hauptmoduls in plain floating point ----------------------------------
+#
+# mpc values of eta, theta, theta* and j_p at an mpc tau, with no error bound.
+# Each series is summed in fixed point from the exact coefficient lists
+# above, far past the precision asked for; j_p and j_p0 first move tau up its
+# Gamma_0(p)+ orbit in floating point (``reduce_tau``) unless told not to, and
+# form the Hauptmodul with the level table's expression.
+
+GUARD_BITS = 32
+MIN_IM = 0.05
+
+
+def _theta_kind(a: int, b: int, c: int):
+    if a <= 0 or 4 * a * c - b * b <= 0:
+        raise ValueError(f"theta exponent form ({a}, {b}, {c}) must be positive definite")
+    return ("theta", a, b, c)
+
+
+def _require_upper(tau, min_im=MIN_IM):
+    if mpmath.im(tau) <= 0:
+        raise ValueError("tau must lie in the upper half plane")
+    if mpmath.im(tau) < min_im:
+        raise ValueError(
+            f"Im(tau) = {float(mpmath.im(tau)):.4g} below evaluation cutoff {min_im}"
+        )
+
+
+def _reduced_min_im(p: int) -> float:
+    # reduced points of Gamma_0(p)+ sit at Im(tau) >= sqrt(3)/(2p); allow a
+    # margin below that
+    return min(MIN_IM, 0.8 * math.sqrt(3) / (2 * p))
+
+
+@functools.lru_cache(maxsize=None)
+def _series_terms(kind, size: int):
+    """The nonzero (n, c) of a series kind for n < size, n ascending: the
+    pentagonal sum E(q) for ETA, theta*(tau) q^(-1/2) for THETA_STAR, and the
+    theta series of a form otherwise."""
+    if kind == ETA:
+        _, coeffs = dedekind_product_series(1, size)
+    elif kind == THETA_STAR:
+        _, coeffs = theta_star_series(2 * size)
+        coeffs = coeffs[1::2]  # u^(2n + 1) = u q^n
+    else:
+        _, coeffs = theta_coeff_series(*kind[1:], size)
+    return tuple((n, int(c)) for n, c in enumerate(coeffs) if c)
+
+
+def _mpc_values(tau, bits: int, min_im: float):
+    """(value, q) for an mpc tau: value(kind, scale) is a series at q^scale."""
+    _require_upper(tau, min_im)
+    prec = bits + 2 * GUARD_BITS
+    with mpmath.workprec(prec):
+        q = mpmath.expjpi(2 * mpc(tau))
+    im_tau = float(mpmath.im(tau))
+
+    def value(kind, scale=1):
+        # |q|^(scale n) < 2^-(prec + 64) past nmax, and the coefficient of
+        # q^n is O(n), so the dropped tail is far below 2^-prec
+        nmax = math.ceil((prec + 64) * math.log(2) / (2 * math.pi * scale * im_tau))
+        with mpmath.workprec(prec):
+            x = q**scale
+        xr, xi = to_fixed(mpmath.re(x)._mpf_, prec), to_fixed(mpmath.im(x)._mpf_, prec)
+        re = im = last = 0
+        pr, pi = 1 << prec, 0
+        for n, c in _series_terms(kind, 1 << nmax.bit_length()):
+            if n > nmax:
+                break
+            for _ in range(n - last):
+                pr, pi = (pr * xr - pi * xi) >> prec, (pr * xi + pi * xr) >> prec
+            last = n
+            re, im = re + c * pr, im + c * pi
+        return mpc(mpmath.ldexp(re, -prec), mpmath.ldexp(im, -prec))
+
+    return value, q
+
+
+def eta(tau, bits: int, min_im: float = MIN_IM):
+    """Dedekind eta via the pentagonal-number series."""
+    with mpmath.workprec(bits + GUARD_BITS):
+        value, _ = _mpc_values(tau, bits, min_im)
+        return mpmath.expjpi(mpc(tau) / 12) * value(ETA)
+
+
+def theta(a: int, b: int, c: int, tau, bits: int, min_im: float = MIN_IM):
+    """Lattice sum of q^(a x^2 + b x y + c y^2) over x, y in Z."""
+    kind = _theta_kind(a, b, c)
+    with mpmath.workprec(bits + GUARD_BITS):
+        value, _ = _mpc_values(tau, bits, min_im)
+        return value(kind)
+
+
+def theta_star(tau, bits: int, min_im: float = MIN_IM):
+    """Signed sum of (-1)^m q^((m^2 + m n + 5 n^2)/2) over m + n odd."""
+    with mpmath.workprec(bits + GUARD_BITS):
+        value, _ = _mpc_values(tau, bits, min_im)
+        return mpmath.expjpi(mpc(tau)) * value(THETA_STAR)
+
+
+def j_p0(tau, p: int, bits: int, reduce: bool = True):
+    """Eta-quotient Hauptmodul of X_0(p) at the genus-0 levels."""
+    t0 = level(p).hauptmodul
+    if not isinstance(t0, EtaQuotient):
+        raise ValueError(f"j_p0 is defined at the genus-0 levels, not at p = {p}")
+    with mpmath.workprec(bits + GUARD_BITS):
+        tau = mpc(tau)
+        parity = 0
+        floor = MIN_IM
+        if reduce:
+            tau, parity = reduce_tau(tau, p, bits)
+            floor = _reduced_min_im(p)
+        value, q = _mpc_values(tau, bits, floor)
+        u = t0.t(value, 1 / q)
+        return t0.w / u if parity else u
+
+
+def j_p(tau, p: int, bits: int, reduce: bool = True):
+    """Hauptmodul of X_0*(p), invariant under Gamma_0(p) and tau -> -1/(p tau)."""
+    hauptmodul = level(p).hauptmodul
+    with mpmath.workprec(bits + GUARD_BITS):
+        tau = mpc(tau)
+        floor = MIN_IM
+        if reduce:
+            tau, _ = reduce_tau(tau, p, bits)
+            floor = _reduced_min_im(p)
+        value, q = _mpc_values(tau, bits, floor)
+        return hauptmodul(value, 1 / q)
+
+
+def torsion_to_tau(tau_E, k: int | None, p: int, bits: int | None = None):
+    """Modular coordinate of (C/<1, tau_E>, kernel) under z <-> (C/<1,z>, <1/p>).
+
+    ``k = None`` selects the kernel <1/p>, giving z = tau_E; an integer
+    0 <= k < p selects <(tau_E + k)/p>, giving z = -1/(tau_E + k).  The
+    division runs at ``bits`` precision when given, else at the ambient one.
+    """
+    with mpmath.workprec((bits + GUARD_BITS) if bits else mpmath.mp.prec):
+        tau_E = mpc(tau_E)
+        if mpmath.im(tau_E) <= 0:
+            raise ValueError("tau_E must lie in the upper half plane")
+        if k is None:
+            return tau_E
+        if not 0 <= k < p:
+            raise ValueError(f"torsion index k = {k} out of range for p = {p}")
+        return -1 / (tau_E + k)
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(s, t) with s x + t y = 1 for coprime x, y."""
+    g, s, t = _xgcd(x, y)
+    return (s, t) if g == 1 else (-s, -t)
+
+
+def reduce_tau(tau, p: int, bits: int):
+    """Move tau to the highest point of its Gamma_0(p)+ orbit: (tau', parity).
+
+    A move with lower row (c, d) (times p for an Atkin-Lehner move) sends
+    Im(tau) to Im(tau) / |c tau + d|^2 when p | c and to
+    Im(tau) / (p |c tau + d|^2) otherwise, and |c tau + d| >= c Im(tau), so a
+    scan over c, with d nearest to -c Re(tau), finds the highest point; a
+    translation then brings Re(tau) into [-1/2, 1/2].  parity is 1 when the
+    move is an Atkin-Lehner one.
+    """
+    with mpmath.workprec(bits + GUARD_BITS):
+        tau = mpc(tau)
+        if mpmath.im(tau) <= 0:
+            raise ValueError("tau must lie in the upper half plane")
+        tau -= int(mpmath.nint(mpmath.re(tau)))
+        x, t = float(mpmath.re(tau)), float(mpmath.im(tau))
+        best, move = 1 - 2.0**-20, None
+        for c in chain(range(1, int(1 / (t * math.sqrt(p))) + 1), range(p, int(1 / t) + 1, p)):
+            d = round(-c * x)
+            height = ((c * x + d) ** 2 + (c * t) ** 2) * (1 if c % p == 0 else p)
+            if height < best and math.gcd(c, d) == 1:
+                best, move = height, (c, d)
+        if move is None:
+            return tau, 0
+        c, d = move
+        if c % p == 0:
+            s, t = _bezout(c, d)
+            A, B, C, E = t, -s, c, d
+        else:
+            s, t = _bezout(p * d, c)  # the Atkin-Lehner matrix of determinant p
+            A, B, C, E = p * s, -t, p * c, p * d
+        tau = (A * tau + B) / (C * tau + E)
+        return tau - int(mpmath.nint(mpmath.re(tau))), int(c % p != 0)
+
+
+def tau_from_form(form: QuadForm, bits: int):
+    """CM point (-b + i sqrt(|D|)) / (2a) of a positive definite form."""
+    with mpmath.workprec(bits + GUARD_BITS):
+        D = form.discriminant()
+        if D >= 0:
+            raise ValueError("form must be positive definite")
+        return (mpf(-form.b) + mpmath.sqrt(mpf(-D)) * 1j) / (2 * form.a)
+
+
+def arc_point(p: int, re, bits: int):
+    """The point of the arc |tau| = 1/sqrt(p) with given real part."""
+    with mpmath.workprec(bits + GUARD_BITS):
+        re = mpf(re)
+        im2 = mpf(1) / p - re * re
+        if im2 <= 0:
+            raise ValueError("real part outside the circle of radius 1/sqrt(p)")
+        return re + mpmath.sqrt(im2) * 1j
+
+
 # --- class polynomials and j from plain floating point -----------------------
 
 
@@ -440,6 +655,108 @@ def pell_fundamental_by_scan(p, dmax=1000):
             if c * c == c2:
                 return c, d
     raise AssertionError("no unit found in scan range")
+
+
+# --- the Pell data, the arc S and the genus forms -----------------------------
+
+
+@dataclass(frozen=True)
+class PellData:
+    """Fundamental unit c + d*sqrt(p) and norm-equation solutions A^2 - p*B^2 = l."""
+
+    p: int
+    c: int
+    d: int
+    ell: int | None = None
+    solutions: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.c * self.c - self.p * self.d * self.d not in (1, -1):
+            raise ValueError("(c, d) is not a unit")
+        if self.c % 2 or self.d % 2 == 0:
+            raise ValueError("expected c even and d odd")
+        for A, B in self.solutions:
+            if A % 2 == 0 or A * A - self.p * B * B != self.ell:
+                raise ValueError(f"({A}, {B}) is not an odd-A solution for l = {self.ell}")
+
+    @classmethod
+    def for_prime(cls, p: int, ell: int | None = None) -> "PellData":
+        c, d = fundamental_unit(p)
+        sols = tuple(norm_equation_solutions(p, ell)) if ell is not None else ()
+        return cls(p, c, d, ell, sols)
+
+
+def norm_equation_solutions(p: int, ell: int) -> list[tuple[int, int]]:
+    """All (A, B) with A^2 - p*B^2 = l, A odd, 0 <= B/A < d/c.
+
+    The window condition B/A < d/c is equivalent to B < d*sqrt(l), which
+    bounds the scan exactly.
+    """
+    c, d = fundamental_unit(p)
+    out = []
+    bmax = math.isqrt(d * d * ell - 1) if d * d * ell > 0 else 0
+    for B in range(bmax + 1):
+        A2 = ell + p * B * B
+        A = math.isqrt(A2)
+        if A * A == A2 and A % 2 == 1 and B * c < A * d:
+            out.append((A, B))
+    return out
+
+
+def bounded_root_form(p: int, ell: int) -> tuple[QuadForm, tuple[int, int]]:
+    """Form (pA, 2pB, A) whose CM root is the bounded real root of P_{-4pl}.
+
+    Takes the minimal-B solution of l = A^2 - p*B^2 with A odd and
+    0 <= B/A < d/c; the root t = (-B + i*sqrt(pl)/p... ) has |t| = 1/sqrt(p)
+    and real part -B/A inside the arc S.
+    """
+    if not level(p).real_arc:
+        raise ValueError(f"bounded root construction requires a real-arc level, not p = {p}")
+    sols = norm_equation_solutions(p, ell)
+    if not sols:
+        raise ArithmeticError(
+            f"no representation l = A^2 - {p}*B^2 for l = {ell}; "
+            "l does not satisfy the splitting precondition"
+        )
+    A, B = min(sols, key=lambda s: s[1])
+    form = QuadForm(p * A, 2 * p * B, A)
+    if form.discriminant() != -4 * p * ell:
+        raise ArithmeticError(f"{form} does not have discriminant {-4 * p * ell}")
+    return form, (A, B)
+
+
+def unbounded_root_forms(disc: Discriminant) -> tuple[QuadForm, QuadForm]:
+    """The two genus forms carrying the unbounded real root, an AL pair."""
+    p, ell = disc.p, disc.ell
+    if disc.shape == "-pl":
+        f1 = QuadForm(1, 1, (p * ell + 1) // 4)
+        f2 = reduce_form(QuadForm(p, p, (p + ell) // 4))
+    else:
+        f1 = QuadForm(1, 0, p * ell)
+        f2 = reduce_form(QuadForm(p, 0, ell))
+    return f1, f2
+
+
+def diophantine_obstruction_check(p: int, ell: int, bound: int = 200) -> bool:
+    """True iff p x^2 + l y^2 = z^2 and the odd-shape analogue have no
+    nonzero solutions with |x|, |y| <= bound (they never do for admissible
+    p = 1 mod 4, l = 3 mod 4 split)."""
+    mixed = (p + ell) % 4 == 0
+    for x in range(bound + 1):
+        for y in range(-bound, bound + 1):
+            if x == 0 and y == 0:
+                continue
+            v = p * x * x + ell * y * y
+            r = math.isqrt(v)
+            if r * r == v:
+                return False
+            if mixed:
+                v2 = p * x * x + p * x * y + ((p + ell) // 4) * y * y
+                if v2 >= 0:
+                    r2 = math.isqrt(v2)
+                    if r2 * r2 == v2:
+                        return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)

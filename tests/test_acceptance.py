@@ -21,7 +21,7 @@ from heegner.classpoly import (
     build_Pl,
     evaluate,
 )
-from heegner.hauptmodul import arc_point, j_p, jp_arc_interval, torsion_to_tau
+from heegner.hauptmodul import jp_arc_interval
 from heegner.intmath import is_prime, kronecker
 from heegner.modpoly import (
     FPoly,
@@ -40,7 +40,15 @@ from heegner.quadforms import (
 from heegner.sssearch import ell_admissible, search
 from heegner.ssverify import is_supersingular_j, reduce_mod, QuadSurd
 
-from oracles import count_real_roots, count_roots_in, ideal_product_form, point_count
+from oracles import (
+    arc_point,
+    count_real_roots,
+    count_roots_in,
+    ideal_product_form,
+    j_p,
+    point_count,
+    torsion_to_tau,
+)
 
 P1628_COEFFS = (
     4253517961,

@@ -92,6 +92,15 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--p", "11", "--h", "x/y")
         assert code == 64
 
+    @pytest.mark.parametrize("flags", [
+        ("--count", "0"), ("--count", "-1"), ("--factor-budget", "0"),
+        ("--verify-bound", "0"), ("--factor-budget", "0", "--verify-bound", "0"),
+    ])
+    def test_nonpositive_count_or_bound_exit_64(self, capsys, flags):
+        # a zero is a value, not a request for the default
+        code, out, err = run(capsys, "search", "--p", "11", "--h", "21/2", *flags)
+        assert code == 64 and out == "" and "positive" in err
+
 
 class TestVerify:
     J = "(-489229980611-42355313*sqrt(-84567))/4096"
@@ -115,6 +124,11 @@ class TestVerify:
     def test_unverified_large_exit_4(self, capsys):
         code, out, _ = run(capsys, "verify", "--j", self.J, "--q", str(2**64 + 13))
         assert code == 4 and out == "unverified-large"
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_nonpositive_verify_bound_exit_64(self, capsys, bound):
+        code, out, err = run(capsys, "verify", "--j", "5", "--q", "7", "--verify-bound", bound)
+        assert code == 64 and out == "" and "positive" in err
 
     def test_composite_q_exit_64(self, capsys):
         code, _, _ = run(capsys, "verify", "--j", "0/1", "--q", "15")

@@ -9,9 +9,7 @@ evaluators must agree with the truncated series.
 import mpmath
 import pytest
 
-from heegner.hauptmodul import j_p
-
-from oracles import hauptmodul_q_expansion
+from oracles import hauptmodul_q_expansion, j_p
 
 LEVELS = (3, 5, 7, 11, 13, 19, 23)
 

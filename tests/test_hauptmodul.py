@@ -6,22 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heegner.hauptmodul import (
-    MIN_IM,
-    Ball,
-    arc_point,
-    eta,
-    j_p,
-    j_p0,
-    jp_arc_interval,
-    jp_at_form,
-    reduce_heegner_form,
-    reduce_tau,
-    tau_from_form,
-    theta,
-    theta_star,
-    torsion_to_tau,
-)
+from heegner.hauptmodul import Ball, jp_arc_interval, jp_at_form, reduce_heegner_form
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -31,7 +16,19 @@ from heegner.quadforms import (
     heegner_rep,
 )
 
-from oracles import classical_j
+from oracles import (
+    MIN_IM,
+    arc_point,
+    classical_j,
+    eta,
+    j_p,
+    j_p0,
+    reduce_tau,
+    tau_from_form,
+    theta,
+    theta_star,
+    torsion_to_tau,
+)
 
 BITS = 256
 
@@ -328,7 +325,8 @@ class TestJpAtForm:
 
     def test_coefficient_growth_bounds(self):
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
-        from heegner.hauptmodul import ETA, THETA_STAR, _growth, _terms, _theta_kind
+        from heegner.hauptmodul import ETA, THETA_STAR, _growth, _terms
+        from oracles import _theta_kind
 
         kinds = [ETA, THETA_STAR] + [_theta_kind(*f) for f in ((1, 1, 3), (1, 1, 5), (1, 1, 6),
                                                                  (2, 1, 3))]
@@ -557,3 +555,35 @@ def test_arc_interval_regression_values():
     assert abs(lo11) < 1e-12 and abs(hi11 - 16.8275008141) < 1e-8
     lo19, hi19 = jp_arc_interval(19)
     assert abs(lo19) < 1e-12 and abs(hi19 - 4 * 2.6672450358) < 1e-8
+
+
+def arc_forms(p):
+    """The forms of the two ends of S: [pc/2, pd, c/2] at Re(tau) = -d/c, of
+    discriminant -p, and [p, 0, 1] at tau = i/sqrt(p), of discriminant -4p."""
+    c, d = fundamental_unit(p)
+    return QuadForm(p * c // 2, p * d, c // 2), QuadForm(p, 0, 1)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19])
+def test_arc_left_end_reduces_to_the_discriminant_minus_p_form(p):
+    left, top = arc_forms(p)
+    assert left.discriminant() == -p and top.discriminant() == -4 * p
+    with mpmath.workprec(BITS):
+        c, d = fundamental_unit(p)
+        assert err(tau_from_form(left, BITS), arc_point(p, mpmath.mpf(-d) / c, BITS)) < tol(BITS)
+    assert reduce_heegner_form(left, p) == QuadForm(p, p, (p + 1) // 4)
+
+
+@pytest.mark.parametrize("p,exact", [(3, (-54, 54)), (7, (-14, 14)), (11, (0, None)),
+                                     (19, (0, None))])
+def test_arc_endpoint_enclosures(p, exact):
+    # the ends of j_p(S) are real, and the exact values are known where
+    # the end is an elliptic point or a zero of j_p
+    for form, value in zip(arc_forms(p), exact):
+        box = jp_at_form(form, p, 256)
+        (re_lo, re_hi), (im_lo, im_hi) = [(mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b))
+                                          for a, b in box._mpci_]
+        assert im_lo <= 0 <= im_hi
+        assert max(re_hi - re_lo, im_hi - im_lo) / 2 < mpmath.mpf(2) ** -200
+        if value is not None:
+            assert re_lo <= value <= re_hi

@@ -6,25 +6,27 @@ import pytest
 from heegner.intmath import is_prime, kronecker
 from heegner.quadforms import (
     Discriminant,
-    PellData,
     QuadForm,
     al_pair_classes,
-    bounded_root_form,
     class_number,
     compose,
-    diophantine_obstruction_check,
     enumerate_classes,
-    form_power,
     fundamental_unit,
     heegner_rep,
-    norm_equation_solutions,
     p_ideal_class,
     principal_form,
     reduce_form,
-    unbounded_root_forms,
 )
 
-from oracles import ideal_product_form, pell_fundamental_by_scan
+from oracles import (
+    PellData,
+    bounded_root_form,
+    diophantine_obstruction_check,
+    ideal_product_form,
+    norm_equation_solutions,
+    pell_fundamental_by_scan,
+    unbounded_root_forms,
+)
 
 
 class TestReduce:

@@ -172,3 +172,29 @@ def test_benchmark_library_names_exist():
         if target is None:
             missing.append(dotted)
     assert not missing, missing
+
+
+def unreferenced_definitions(sources, readers) -> list[str]:
+    """Module-level functions and classes of ``sources`` that no file of
+    ``sources`` or ``readers`` names.  A name counts where code reads it, as
+    a name or an attribute; an import, such as a re-export in
+    ``__init__.py``, or a string in ``__all__`` does not."""
+    defined = {}
+    for path in sources:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+    read = set()
+    for path in [*sources, *readers]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in read)
+
+
+def test_every_definition_has_a_caller():
+    # the library is the pipeline: what only the tests call belongs in tests/
+    readers = sorted((ROOT / "perfbench").glob("*.py"))
+    assert not unreferenced_definitions(SOURCES, readers)
