@@ -31,11 +31,9 @@ from .quadforms import (
     FormClassGroup,
     QuadForm,
     class_number,
-    compose,
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
-    p_ideal_class,
     reduce_form,
 )
 from .hauptmodul import jp_arc_interval

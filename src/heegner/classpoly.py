@@ -85,19 +85,6 @@ class ClassPolynomial:
             {"p": self.p, "D": D, "coefficients": [str(c) for c in self.coefficients]}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ClassPolynomial":
-        data = json.loads(text)
-        D = data["D"]
-        if isinstance(D, list):
-            D = tuple(D)
-        return cls(
-            p=data["p"],
-            D=D,
-            coefficients=tuple(int(c) for c in data["coefficients"]),
-            rounding_residual=0.0,
-        )
-
     def __str__(self) -> str:
         terms = []
         for i in range(self.degree, -1, -1):

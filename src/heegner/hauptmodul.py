@@ -358,9 +358,12 @@ def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
 
     Im(tau) = sqrt|D| / (2a), and the move with lower row (c, d) sends a to
     f(d, -c) when p | c and to p f(d, -c) otherwise, so one scan for the
-    smallest such value finds the highest point.  The form is then moved by the matrix and translated so
-    that b lies in (-a, a].  Every move keeps p | a; the Fricke involution
-    [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move with row (1, 0).
+    smallest such value finds the highest point.  Every point of the orbit
+    is one move away, so the scan reaches the top from any Heegner form, not
+    only from one near it.  The form is then moved by the matrix and
+    translated so that b lies in (-a, a].  Every move keeps p | a; the
+    Fricke involution [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move
+    with row (1, 0).
     """
     if not form.is_positive_definite():
         raise ValueError("form must be positive definite")

@@ -36,10 +36,6 @@ class T2Data:
     matrix: tuple[tuple[int, ...], ...]
     note: str = ""
 
-    def column_sums(self) -> tuple[int, ...]:
-        n = len(self.matrix[0])
-        return tuple(sum(row[j] for row in self.matrix) for j in range(n))
-
 
 class EtaQuotient(NamedTuple):
     """j_p = t + w / t on a genus-0 X_0(p), t = (eta(tau) / eta(p tau))^exponent.

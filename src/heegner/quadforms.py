@@ -1,10 +1,12 @@
 """Binary quadratic forms and class groups of discriminant -pl and -4pl.
 
 Forms (a, b, c) represent a x^2 + b x y + c y^2, always positive definite and
-primitive here.  Ideal classes are represented purely as reduced forms; the
-ramified class [p-ideal], the Atkin-Lehner pairing, the Heegner
-representatives and the fundamental unit of Q(sqrt p), which bounds the
-circular arc S, live here as well.
+primitive here.  Ideal classes are represented purely as reduced forms.  The
+Heegner representatives (p | a) and the Atkin-Lehner pairing are closed
+forms: one translation and swap gives a representative, and the Fricke
+involution [a, b, c] -> [pc, -b, a/p] of a representative gives the partner
+class.  The fundamental unit of Q(sqrt p), which bounds the circular arc S,
+lives here as well.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ __all__ = [
     "FormClassGroup",
     "ALFixedClassError",
     "reduce_form",
-    "compose",
     "enumerate_classes",
     "class_number",
-    "p_ideal_class",
     "heegner_rep",
     "al_pair_classes",
     "fundamental_unit",
@@ -49,14 +49,6 @@ class QuadForm:
 
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
 
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
@@ -92,18 +84,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
-    """Solve a*x = b (mod m); returns (x0, step) with x = x0 + t*step."""
-    if m == 1:
-        return 0, 1
-    g, u, _ = _xgcd(a, m)
-    if b % g:
-        raise ArithmeticError(f"no solution to {a}*x = {b} mod {m}")
-    step = m // g
-    x0 = (b // g) * u % m
-    return x0 % step, step
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -116,41 +96,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Reduced Gauss/Dirichlet composition of two primitive forms.
-
-    Congruence-based general composition; the class-group laws (identity,
-    inverses, associativity) are checked against an ideal-arithmetic oracle
-    in the test suite.
-    """
-    _check_form(f)
-    _check_form(g)
-    if f.discriminant() != g.discriminant():
-        raise ValueError("cannot compose forms of different discriminants")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
-    s = (b1 + b2) // 2
-    h = (b2 - b1) // 2
-    w = math.gcd(math.gcd(a1, a2), s)
-    sw, tw, uw = a1 // w, a2 // w, s // w
-    k0, step = _solve_linear_mod(tw * uw, h * uw + sw * c1, sw * tw)
-    n0, _ = _solve_linear_mod(tw * step, h - tw * k0, sw)
-    k = k0 + step * n0
-    m = (tw * uw * k - h * uw - sw * c1) // (sw * tw)
-    l = (tw * k - h) // sw
-    a3 = sw * tw
-    b3 = w * uw - (k * tw + l * sw)
-    c3 = k * l - w * m
-    return reduce_form(QuadForm(a3, b3, c3))
-
-
-def principal_form(D: int) -> QuadForm:
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError(f"invalid negative discriminant {D}")
-    k = D % 2
-    return QuadForm(1, k, (k * k - D) // 4)
 
 
 @dataclass(frozen=True)
@@ -204,10 +149,6 @@ class FormClassGroup:
     def h(self) -> int:
         return len(self.classes)
 
-    @property
-    def principal(self) -> QuadForm:
-        return principal_form(self.D)
-
 
 def enumerate_classes(D) -> FormClassGroup:
     """All reduced primitive forms of discriminant D by exhaustive scan."""
@@ -236,82 +177,43 @@ def class_number(D: int) -> int:
     return enumerate_classes(D).h
 
 
-def p_ideal_class(disc: Discriminant) -> QuadForm:
-    """Reduced form of the class of the ramified ideal (p, sqrt(D))."""
-    p, ell = disc.p, disc.ell
-    if disc.shape == "-pl":
-        return reduce_form(QuadForm(p, p, (p + ell) // 4))
-    return reduce_form(QuadForm(p, 0, ell))
-
-
 def heegner_rep(cls: QuadForm, p: int) -> QuadForm:
-    """A form (a, b, c) equivalent to cls with p | a and p | b, minimizing a.
+    """A form (a, b, c) equivalent to cls with p | a and p | b.
 
     Exists whenever p | D since p ramifies; p | b is automatic from p | a.
-    Among all equivalent p-divisible forms, the one with smallest a is
-    returned so that its CM point sits as high as possible in the upper half
-    plane.
+    The reduced form (a0, b0, c0) is returned when p | a0.  Otherwise the
+    translation by k = -b0 / (2 a0) mod p makes p divide
+    c = ((b0 + 2 a0 k)^2 - D) / (4 a0), since 4 a0 c is then a square
+    divisible by p, and swapping the outer coefficients puts it first.  The
+    point need not be the highest of its orbit; ``reduce_heegner_form``
+    finds that from any such form.
     """
     f = reduce_form(cls)
     D = f.discriminant()
     if D % p != 0:
         raise ValueError(f"p = {p} does not divide the discriminant {D}")
-    a0, b0, c0 = f.a, f.b, f.c
-    # closed-form candidate: the torsion-kernel construction always yields one
-    if a0 % p == 0:
-        bound = a0
-    else:
-        k = b0 * pow(2 * a0, -1, p) % p
-        b1 = (b0 - 2 * a0 * k) % (2 * a0 * p)
-        if b1 > a0 * p:
-            b1 -= 2 * a0 * p
-        bound = (b1 * b1 - D) // (4 * a0)
-    best = None
-    # scan primitive representations f(x, y) <= bound for multiples of p
-    ymax = math.isqrt(4 * a0 * bound // (-D))
-    for y in range(ymax + 1):
-        w2 = 4 * a0 * bound + D * y * y
-        if w2 < 0:
-            continue
-        w = math.isqrt(w2)
-        xlo = -((b0 * y + w) // (2 * a0))
-        xhi = (w - b0 * y) // (2 * a0)
-        for x in range(xlo, xhi + 1):
-            if y == 0 and x <= 0:
-                continue
-            if math.gcd(x, y) != 1:
-                continue
-            v = f.value(x, y)
-            if v % p == 0 and 0 < v <= bound and (best is None or v < best[0]):
-                best = (v, x, y)
-    if best is None:
-        raise ArithmeticError(f"no p-divisible representative found for {f}")
-    v, x, y = best
-    # complete (x, y) to a unimodular matrix and transform
-    _, s, t = _xgcd(x, y)
-    u, vv = -t, s  # x*vv - y*u = 1
-    a1 = v
-    b1 = 2 * (a0 * x * u + c0 * y * vv) + b0 * (x * vv + u * y)
-    b1 %= 2 * a1
-    if b1 > a1:
-        b1 -= 2 * a1
-    c1 = (b1 * b1 - D) // (4 * a1)
-    out = QuadForm(a1, b1, c1)
-    if out.a % p or out.b % p or out.discriminant() != D:
-        raise ArithmeticError(f"{out} is not a Heegner representative of {f} for p = {p}")
-    return out
+    if f.a % p == 0:
+        return f
+    b = f.b - 2 * f.a * (f.b * pow(2 * f.a, -1, p) % p)
+    return QuadForm((b * b - D) // (4 * f.a), -b, f.a)
 
 
 def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadForm]]:
-    """Partition the classes into h/2 Atkin-Lehner pairs {[a], [a*p-ideal]}."""
-    disc = Discriminant.from_D(group.D, p)
-    pform = p_ideal_class(disc)
+    """Partition the classes into h/2 Atkin-Lehner pairs {[a], [a*p-ideal]}.
+
+    On a Heegner form [a, b, c] the Fricke involution acts as
+    [a, b, c] -> [pc, -b, a/p], which is multiplication by the class of the
+    ramified prime above p; the partner of a class is the class of that
+    image (of the form [a/p, b, pc], properly equivalent to it).
+    """
+    Discriminant.from_D(group.D, p)  # ValueError for a D of neither shape
     remaining = set(group.classes)
     pairs = []
     for f in group.classes:
         if f not in remaining:
             continue
-        partner = compose(f, pform)
+        g = heegner_rep(f, p)
+        partner = reduce_form(QuadForm(g.a // p, g.b, p * g.c))
         if partner == f:
             raise ALFixedClassError(
                 f"class {f} is Atkin-Lehner fixed for D = {group.D}: |D| too small"

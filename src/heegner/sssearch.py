@@ -129,7 +129,9 @@ def sigma_condition(ell: int, p: int, sigma) -> bool:
 
 def _interior_check(p: int, h: Fraction) -> None:
     lo, hi = jp_arc_interval(p)
-    if not (lo + INTERIOR_MARGIN < float(h) < hi - INTERIOR_MARGIN):
+    # Fraction-float comparison is exact, so an h beyond the float range is
+    # compared without an overflow
+    if not (lo + INTERIOR_MARGIN < h < hi - INTERIOR_MARGIN):
         raise RealJCaseError(
             f"h = {h} is not interior to j_{p}(S) = ({lo:.6f}, {hi:.6f}): "
             "real-j case - covered by the real-field result, not searched"

@@ -1,23 +1,29 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own algorithms: ideal arithmetic on
-Z-module bases for form composition, sparse polynomial powering and an O(q)
-recurrence for the Hasse coefficient, naive point counts for supersingularity, trial factorization
-over F_q for squarefree decomposition, the classical j-invariant from its
-Eisenstein and product series, the Hauptmoduls in plain floating point at any
-tau (summed from the exact coefficient lists, with the orbit reduction done
-on tau rather than on a form), class polynomials from the full h-class
-product of those values, square-rooted over Z, real roots counted and
-isolated by Sturm sequences, and trial division one prime at a time.  Also
+Z-module bases for form composition, Gauss composition by congruences (the
+reference for the Fricke pairing of classes, with the ramified class and the
+principal form), sparse polynomial powering and an O(q) recurrence for the
+Hasse coefficient, naive point counts for supersingularity, trial
+factorization over F_q for squarefree decomposition, the classical
+j-invariant from its Eisenstein and product series, the Hauptmoduls in plain
+floating point at any tau (summed from the exact coefficient lists, with the
+orbit reduction done on tau rather than on a form), class polynomials from
+the full h-class product of those values, square-rooted over Z, real roots
+counted and isolated by Sturm sequences, and trial division one prime at a
+time.  Also
 the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
-unbounded root and the Diophantine obstruction.
+unbounded root and the Diophantine obstruction.  Last, small readers the
+library does not need: the reduced-form test, the Brandt column sums and
+class polynomials read back from JSON.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -33,6 +39,7 @@ from heegner.modpoly import epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
+    _check_form,
     class_number,
     enumerate_classes,
     fundamental_unit,
@@ -109,6 +116,73 @@ def ideal_product_form(f: QuadForm, g: QuadForm) -> QuadForm:
     assert num_c % norm == 0
     c = num_c // norm
     return reduce_form(QuadForm(a, b, c))
+
+
+# --- Gauss composition, the reference for the Fricke pairing ---------------
+
+
+def _solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
+    """Solve a*x = b (mod m); returns (x0, step) with x = x0 + t*step."""
+    if m == 1:
+        return 0, 1
+    g, u, _ = _xgcd(a, m)
+    if b % g:
+        raise ArithmeticError(f"no solution to {a}*x = {b} mod {m}")
+    step = m // g
+    x0 = (b // g) * u % m
+    return x0 % step, step
+
+
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """Reduced Gauss/Dirichlet composition of two primitive forms.
+
+    Congruence-based general composition; the class-group laws (identity,
+    inverses, associativity) are checked against an ideal-arithmetic oracle
+    in the test suite.
+    """
+    _check_form(f)
+    _check_form(g)
+    if f.discriminant() != g.discriminant():
+        raise ValueError("cannot compose forms of different discriminants")
+    a1, b1, c1 = f.a, f.b, f.c
+    a2, b2, c2 = g.a, g.b, g.c
+    s = (b1 + b2) // 2
+    h = (b2 - b1) // 2
+    w = math.gcd(math.gcd(a1, a2), s)
+    sw, tw, uw = a1 // w, a2 // w, s // w
+    k0, step = _solve_linear_mod(tw * uw, h * uw + sw * c1, sw * tw)
+    n0, _ = _solve_linear_mod(tw * step, h - tw * k0, sw)
+    k = k0 + step * n0
+    m = (tw * uw * k - h * uw - sw * c1) // (sw * tw)
+    l = (tw * k - h) // sw
+    a3 = sw * tw
+    b3 = w * uw - (k * tw + l * sw)
+    c3 = k * l - w * m
+    return reduce_form(QuadForm(a3, b3, c3))
+
+
+def principal_form(D: int) -> QuadForm:
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError(f"invalid negative discriminant {D}")
+    k = D % 2
+    return QuadForm(1, k, (k * k - D) // 4)
+
+
+def p_ideal_class(disc: Discriminant) -> QuadForm:
+    """Reduced form of the class of the ramified ideal (p, sqrt(D))."""
+    p, ell = disc.p, disc.ell
+    if disc.shape == "-pl":
+        return reduce_form(QuadForm(p, p, (p + ell) // 4))
+    return reduce_form(QuadForm(p, 0, ell))
+
+
+def is_reduced(form: QuadForm) -> bool:
+    a, b, c = form.a, form.b, form.c
+    if not (abs(b) <= a <= c):
+        return False
+    if (abs(b) == a or a == c) and b < 0:
+        return False
+    return True
 
 
 # --- naive factorization over F_q -------------------------------------------
@@ -551,6 +625,19 @@ def classical_j(tau, bits):
         return e4**3 / (q * product**24)
 
 
+def poly_from_json(text: str) -> ClassPolynomial:
+    data = json.loads(text)
+    D = data["D"]
+    if isinstance(D, list):
+        D = tuple(D)
+    return ClassPolynomial(
+        p=data["p"],
+        D=D,
+        coefficients=tuple(int(c) for c in data["coefficients"]),
+        rounding_residual=0.0,
+    )
+
+
 def int_poly_sqrt(coeffs):
     """G with G^2 = F for monic integer F of even degree, or None."""
     n = len(coeffs) - 1
@@ -622,6 +709,11 @@ def brandt_table(p: int) -> T2Data:
     if t2 is None:
         raise ValueError(f"no Brandt data for p = {p}")
     return t2
+
+
+def column_sums(t2: T2Data) -> tuple[int, ...]:
+    n = len(t2.matrix[0])
+    return tuple(sum(row[j] for row in t2.matrix) for j in range(n))
 
 
 def _j30_minpoly_norm(h: Fraction, poly_low: Fraction, poly_lin: Fraction) -> Fraction:

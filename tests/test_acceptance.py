@@ -33,7 +33,6 @@ from heegner.modpoly import (
 from heegner.quadforms import (
     Discriminant,
     class_number,
-    compose,
     enumerate_classes,
     fundamental_unit,
 )
@@ -42,6 +41,7 @@ from heegner.ssverify import is_supersingular_j, reduce_mod, QuadSurd
 
 from oracles import (
     arc_point,
+    compose,
     count_real_roots,
     count_roots_in,
     ideal_product_form,

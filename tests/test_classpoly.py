@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from heegner.classpoly import (
-    ClassPolynomial,
     build_PD,
     build_Pl,
     evaluate,
@@ -12,12 +11,19 @@ from heegner.classpoly import (
 from heegner.quadforms import (
     Discriminant,
     class_number,
-    compose,
     enumerate_classes,
-    p_ideal_class,
 )
 
-from oracles import build_PD_via_square_root, count_real_roots, int_poly_sqrt, real_roots
+from oracles import (
+    build_PD_via_square_root,
+    compose,
+    count_real_roots,
+    int_poly_sqrt,
+    p_ideal_class,
+    poly_from_json,
+    principal_form,
+    real_roots,
+)
 
 # SHA-256 of the 160 sweep polynomials as JSON lines, in admissible_pairs()
 # order with -pl before -4pl
@@ -154,7 +160,7 @@ def self_conjugate_pairs(D, p):
     """Atkin-Lehner pairs {f, f p} that inversion maps to themselves, those
     with f^2 principal or the p-ideal class: the pairs with a real root."""
     group = enumerate_classes(D)
-    squares = (group.principal, p_ideal_class(Discriminant.from_D(D, p)))
+    squares = (principal_form(group.D), p_ideal_class(Discriminant.from_D(D, p)))
     return sum(compose(f, f) in squares for f in group.classes) // 2
 
 
@@ -178,13 +184,13 @@ class TestIntPolySqrt:
 class TestSerialization:
     def test_round_trip(self):
         poly = build_PD(-1628, 11)
-        back = ClassPolynomial.from_json(poly.to_json())
+        back = poly_from_json(poly.to_json())
         assert back.coefficients == poly.coefficients
         assert back.p == poly.p and back.D == poly.D
 
     def test_product_round_trip(self):
         prod = build_Pl(3, 5)
-        back = ClassPolynomial.from_json(prod.to_json())
+        back = poly_from_json(prod.to_json())
         assert back.D == (-15, -60)
         assert back.coefficients == prod.coefficients
 

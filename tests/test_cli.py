@@ -3,7 +3,9 @@ import json
 import pytest
 
 from heegner.cli import main
-from heegner.classpoly import ClassPolynomial, build_PD
+from heegner.classpoly import build_PD
+
+from oracles import poly_from_json
 
 
 def run(capsys, *argv):
@@ -27,7 +29,7 @@ class TestClasspoly:
 
     def test_round_trip(self, capsys):
         code, out, _ = run(capsys, "classpoly", "--p", "11", "--D", "-220")
-        assert ClassPolynomial.from_json(out).coefficients == build_PD(-220, 11).coefficients
+        assert poly_from_json(out).coefficients == build_PD(-220, 11).coefficients
 
     def test_invalid_shape_exits_64(self, capsys):
         code, _, err = run(capsys, "classpoly", "--p", "11", "--D", "-3")
@@ -87,6 +89,12 @@ class TestSearch:
     def test_real_j_exit_66(self, capsys):
         code, _, err = run(capsys, "search", "--p", "11", "--h", "80")
         assert code == 66
+
+    @pytest.mark.parametrize("p,h", [("11", "1" + "0" * 400), ("3", "-1" + "0" * 400)])
+    def test_huge_h_exit_66(self, capsys, p, h):
+        # far outside j_p(S), and beyond the float range
+        code, _, err = run(capsys, "search", "--p", p, "--h", h)
+        assert code == 66 and "real-j" in err
 
     def test_bad_h_exit_64(self, capsys):
         code, _, _ = run(capsys, "search", "--p", "11", "--h", "x/y")

@@ -294,6 +294,25 @@ class TestReduceHeegnerForm:
         assert abs(float(mpmath.im(tau)) - math.sqrt(2540) / 190) < 1e-12
 
     @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_reaches_top_from_low_points(self, p, ell, shape):
+        # heegner_rep need not give the highest point: one scan must climb to
+        # the top from any Gamma_0(p) image [[A, B], [C, E]] of a form
+        rng = random.Random(1000 * p + ell)
+        for form in heegner_forms(p, ell, shape):
+            D, top = form.discriminant(), reduce_heegner_form(form, p).a
+            for _ in range(10):
+                C = p * rng.randint(1, 2)
+                E = rng.choice([e for e in range(-2 * p, 2 * p + 1) if math.gcd(C, e) == 1])
+                A = pow(E, -1, C) - C * rng.randint(0, 1)
+                B = (A * E - 1) // C
+                moved = QuadForm(form.value(A, C),
+                                 2 * form.a * A * B + form.b * (A * E + B * C) + 2 * form.c * C * E,
+                                 form.value(B, E))
+                reduced = reduce_heegner_form(moved, p)
+                assert reduced.discriminant() == D and reduced.a % p == 0
+                assert reduced.a == top, (form, moved, reduced)
+
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
     def test_pair_members_meet(self, p, ell, shape):
         # the two classes of an Atkin-Lehner pair lie in one Gamma_0(p)+ orbit
         for f, g in al_pair_classes(enumerate_classes(Discriminant(p, ell, shape).D), p):

@@ -1,32 +1,50 @@
+import functools
 import math
 from itertools import combinations_with_replacement
 
 import pytest
 
 from heegner.intmath import is_prime, kronecker
+from heegner.levels import LEVELS
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
     al_pair_classes,
     class_number,
-    compose,
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
-    p_ideal_class,
-    principal_form,
     reduce_form,
 )
 
 from oracles import (
     PellData,
     bounded_root_form,
+    compose,
     diophantine_obstruction_check,
     ideal_product_form,
+    is_reduced,
     norm_equation_solutions,
+    p_ideal_class,
     pell_fundamental_by_scan,
+    principal_form,
     unbounded_root_forms,
 )
+
+
+@functools.cache
+def heegner_groups():
+    """(p, class group) for every level p, prime l < 1000 and valid shape."""
+    out = []
+    for p in LEVELS:
+        for ell in range(2, 1000):
+            for shape in ("-pl", "-4pl"):
+                try:
+                    disc = Discriminant(p, ell, shape)
+                except ValueError:
+                    continue
+                out.append((p, enumerate_classes(disc.D)))
+    return tuple(out)
 
 
 class TestReduce:
@@ -38,7 +56,7 @@ class TestReduce:
         f = QuadForm(121, 66, 10)
         r = reduce_form(f)
         assert r.discriminant() == f.discriminant() == -484
-        assert r.is_reduced()
+        assert is_reduced(r)
         assert 3 * r.a * r.a <= 484
 
     def test_rejects_imprimitive(self):
@@ -62,7 +80,7 @@ class TestReduce:
             if f.discriminant() >= 0 or not f.is_primitive():
                 continue
             r = reduce_form(f)
-            assert r.is_reduced() and r.discriminant() == f.discriminant()
+            assert is_reduced(r) and r.discriminant() == f.discriminant()
 
 
 class TestEnumerate:
@@ -76,14 +94,14 @@ class TestEnumerate:
             grp = enumerate_classes(D)
             assert len(set(grp.classes)) == grp.h
             for f in grp.classes:
-                assert f.is_reduced() and f.discriminant() == D
-            assert grp.principal in grp.classes
+                assert is_reduced(f) and f.discriminant() == D
+            assert principal_form(grp.D) in grp.classes
 
 
 class TestCompose:
     def test_identity(self):
         grp = enumerate_classes(-220)
-        e = grp.principal
+        e = principal_form(grp.D)
         for f in grp.classes:
             assert compose(e, f) == f
 
@@ -144,11 +162,12 @@ class TestHeegnerRep:
         assert f == QuadForm(11, 0, 5)
 
     def test_equivalence_preserved(self):
-        for D, p in ((-220, 11), (-1628, 11), (-55, 11), (-15, 3), (-815, 5)):
-            for cls in enumerate_classes(D).classes:
+        # includes D = -220, -1628, -55 at p = 11, -15 at p = 3, -815 at p = 5
+        for p, grp in heegner_groups():
+            for cls in grp.classes:
                 f = heegner_rep(cls, p)
                 assert f.a % p == 0 and f.b % p == 0
-                assert f.discriminant() == D
+                assert f.discriminant() == grp.D
                 assert reduce_form(f) == cls
 
 
@@ -162,16 +181,20 @@ class TestALPairs:
         assert len(pairs) == 8
 
     def test_pairing_is_involution(self):
-        grp = enumerate_classes(-1628)
-        d = Discriminant.from_D(-1628, 11)
-        pform = p_ideal_class(d)
-        for f in grp.classes:
-            partner = compose(f, pform)
-            assert compose(partner, pform) == f
+        # the Fricke pairing is multiplication by the ramified class: it
+        # matches Gauss composition with the oracle's p-ideal class
+        for p, grp in heegner_groups():  # D = -1628 at p = 11 among them
+            pform = p_ideal_class(Discriminant.from_D(grp.D, p))
+            expected, seen = [], set()
+            for f in grp.classes:
+                partner = compose(f, pform)
+                assert compose(partner, pform) == f
+                if f not in seen:
+                    seen.update((f, partner))
+                    expected.append((min(f, partner), max(f, partner)))
+            assert al_pair_classes(grp, p) == expected, grp.D
 
     def test_pairs_partition_classes(self):
-        grp = enumerate_classes(-3740)  # 4*11*85? no: 3740 = 4*11*85 -> use from primes
-        # -4*11*85 is invalid (85 composite); use a real case instead
         grp = enumerate_classes(-4 * 11 * 89)
         pairs = al_pair_classes(grp, 11)
         seen = [f for pair in pairs for f in pair]

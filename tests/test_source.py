@@ -174,16 +174,31 @@ def test_benchmark_library_names_exist():
     assert not missing, missing
 
 
+def _overrides(path, cls_name: str, method: str) -> bool:
+    """Whether a method of a class of the module at ``path`` overrides a
+    method of a base class, whose callers reach it without naming it."""
+    cls = getattr(importlib.import_module(f"heegner.{path.stem}"), cls_name)
+    return any(hasattr(base, method) for base in cls.__mro__[1:])
+
+
 def unreferenced_definitions(sources, readers) -> list[str]:
-    """Module-level functions and classes of ``sources`` that no file of
-    ``sources`` or ``readers`` names.  A name counts where code reads it, as
-    a name or an attribute; an import, such as a re-export in
-    ``__init__.py``, or a string in ``__all__`` does not."""
+    """Module-level functions and classes of ``sources``, and the methods of
+    those classes, that no file of ``sources`` or ``readers`` names.  A name
+    counts where code reads it, as a name or an attribute; an import, such as
+    a re-export in ``__init__.py``, or a string in ``__all__`` does not.
+    Dunder methods, which Python calls, and methods that override a base
+    class's method are exempt.  ``sources`` are modules of the package."""
     defined = {}
     for path in sources:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))
+                            and not _overrides(path, node.name, item.name)):
+                        defined[f"{node.name}.{item.name}"] = path.name
     read = set()
     for path in [*sources, *readers]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -191,7 +206,8 @@ def unreferenced_definitions(sources, readers) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in read)
+    return sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name.rpartition(".")[2] not in read)
 
 
 def test_every_definition_has_a_caller():
