@@ -23,7 +23,6 @@ from .modpoly import (
     is_perfect_square,
     is_square_times_linear,
     mod_p_square_check,
-    squarefree_decomposition,
     supersingular_jp_residues,
 )
 from .quadforms import (

@@ -382,11 +382,11 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def squarefree_part(n: int, budget: FactorBudget | None = None) -> tuple[int, int]:
+def squarefree_part(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; returns (m, s)."""
     if n == 0:
         raise ValueError("squarefree_part expects n != 0")
-    fac = factorize(abs(n), budget)
+    fac = factorize(abs(n))
     if not fac.complete:
         raise ValueError(f"could not fully factor {n}")
     m, s = 1 if n > 0 else -1, 1

@@ -1,9 +1,9 @@
 """Polynomial arithmetic over prime fields and the mod-l / mod-p square tests.
 
 Polynomials are coefficient tuples in ascending degree with entries reduced
-into [0, q).  Squareness is decided through squarefree decomposition (gcd
-based, handling the char-q p-th power case), never through full irreducible
-factorization.
+into [0, q).  Squareness is decided by computing the monic square root
+coefficient by coefficient from the top and squaring it back, never through
+a factorization.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .levels import level
 
 __all__ = [
     "FPoly",
-    "squarefree_decomposition",
     "is_perfect_square",
     "is_square_times_linear",
     "mod_p_square_check",
@@ -46,9 +45,6 @@ class FPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -110,94 +106,26 @@ def _divmod(f, g, q):
     return _trim(quot), _trim(f)
 
 
-def _monic(f, q):
-    if not f:
-        return f
-    inv = pow(f[-1], -1, q)
-    return tuple(c * inv % q for c in f)
-
-
-def _gcd(f, g, q):
-    while g:
-        _, r = _divmod(f, g, q)
-        f, g = g, r
-    return _monic(f, q)
-
-
-def _diff(f, q):
-    return _trim(tuple(i * c % q for i, c in enumerate(f)))[1:] if f else ()
-
-
-def _qth_root(f, q):
-    """g with g(X)^q = f(X), valid when f = h(X^q) over F_q."""
-    out = []
-    for i, c in enumerate(f):
-        if i % q == 0:
-            out.append(c)
-        elif c:
-            raise ArithmeticError("polynomial is not a q-th power")
-    return _trim(out)
-
-
-def squarefree_decomposition(f: FPoly) -> list[tuple[FPoly, int]]:
-    """f = prod g_i^(e_i) with the g_i squarefree, monic, pairwise coprime.
-
-    Char-q variant of Yun's algorithm: the part of f whose multiplicities are
-    divisible by q has vanishing derivative and is peeled off through a q-th
-    root before recursing.
-    """
-    if f.is_zero():
-        raise ValueError("cannot decompose the zero polynomial")
-    q = f.q
-    out: dict[tuple[int, ...], int] = {}
-    _sqf_into(_monic(f.coeffs, q), q, 1, out)
-    factors = sorted(out.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
-    return [(FPoly(q, g), e) for g, e in factors]
-
-
-def _sqf_into(f, q, scale, out):
-    if len(f) == 1:
-        return
-    df = _diff(f, q)
-    if not df:
-        _sqf_into(_qth_root(f, q), q, scale * q, out)
-        return
-    g = _gcd(f, df, q)
-    w, _ = _divmod(f, g, q)
-    i = 1
-    while len(w) > 1:
-        y = _gcd(w, g, q)
-        z, _ = _divmod(w, y, q)
-        if len(z) > 1:
-            key = z
-            out[key] = out.get(key, 0) + i * scale
-        g, _ = _divmod(g, y, q)
-        w = y
-        i += 1
-    if len(g) > 1:
-        _sqf_into(_qth_root(g, q), q, scale * q, out)
-
-
 def is_perfect_square(f: FPoly) -> FPoly | None:
-    """The monic square root of f if every factor multiplicity is even."""
+    """The monic square root of f, or None when f is not a square.
+
+    For f of degree 2n the root g is monic of degree n, and matching the
+    coefficients of X^(2n-1), ..., X^n of g^2 with those of f fixes
+    g_(n-1), ..., g_0 one at a time (2 is invertible since q is odd); f is a
+    square iff that g squares back to f.
+    """
     if not f.is_monic():
         raise ValueError("square test expects a monic polynomial")
-    root = FPoly(f.q, (1,))
-    for g, e in squarefree_decomposition(f):
-        if e % 2:
-            return None
-        half = e // 2
-        acc = g
-        power = FPoly(f.q, (1,))
-        while half:
-            if half & 1:
-                power = power * acc
-            acc = acc * acc
-            half >>= 1
-        root = root * power
-    if (root * root).coeffs != f.coeffs:
-        raise ArithmeticError("square root does not square back to f")
-    return root
+    if f.degree % 2:
+        return None
+    q, n = f.q, f.degree // 2
+    half = pow(2, -1, q)
+    g = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = sum(g[i] * g[2 * n - k - i] for i in range(n - k + 1, n))
+        g[n - k] = (f.coeffs[2 * n - k] - acc) * half % q
+    root = tuple(g)
+    return FPoly(q, root) if _mul(root, root, q) == f.coeffs else None
 
 
 def is_square_times_linear(f: FPoly, r: int) -> FPoly | None:
@@ -230,23 +158,24 @@ def supersingular_jp_residues(p: int) -> tuple[int, ...]:
     return level(p).supersingular
 
 
-def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[bool, object]:
+def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
     """Perfect-square test of a class polynomial modulo its own p.
 
     ``poly`` is a ClassPolynomial for D = -4pl or the product P_l of the
-    level's search.  Returns (True, square root) on success and (False,
-    squarefree decomposition) on failure.  At a level with the T_2 check
-    (p = 11), when the companion P_{-pl} is supplied, additionally verifies
-    the Hecke exponent pattern predicted by the T_2 expansion: if the Brandt
-    basis invariants b_j have multiplicities m_j in P_{-pl} mod p, then b_i
-    has multiplicity sum_j m_j B_ji - eps m_i in P_{-4pl} mod p, with B the
-    Brandt matrix (at p = 11, X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
+    level's search.  Returns the monic square root mod p, or None when the
+    polynomial is not a square or fails the Hecke pattern below.  At a level
+    with the T_2 check (p = 11), when the companion P_{-pl} is supplied,
+    additionally verifies the Hecke exponent pattern predicted by the T_2
+    expansion: if the Brandt basis invariants b_j have multiplicities m_j in
+    P_{-pl} mod p, then b_i has multiplicity sum_j m_j B_ji - eps m_i in
+    P_{-4pl} mod p, with B the Brandt matrix (at p = 11,
+    X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
     """
     p = poly.p
     f = FPoly.from_coeffs(poly.coefficients, p)
     root = is_perfect_square(f)
     if root is None:
-        return False, squarefree_decomposition(f)
+        return None
     lev = level(p)
     if lev.t2_check and poly_minus_pl is not None:
         basis, matrix = lev.brandt.basis, lev.brandt.matrix
@@ -261,8 +190,8 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[bool, object]:
                     for i in range(len(basis))]
         if ([_root_multiplicity(f, b) for b in basis] != expected
                 or sum(expected) != f.degree):
-            return False, squarefree_decomposition(f)
-    return True, root
+            return None
+    return root
 
 
 def _odd_part_discriminant(poly) -> int:

@@ -178,8 +178,7 @@ def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts) -> None:
         elif is_square_times_linear(g, root) is None:
             raise ArithmeticError(f"P_D mod {ell} lacks the (X - ({root})) R^2 shape (p={p})")
     companion = build_PD(Discriminant(p, ell, "-pl")) if lev.t2_check else None
-    ok, _witness = mod_p_square_check(poly, companion)
-    if not ok:
+    if mod_p_square_check(poly, companion) is None:
         raise ArithmeticError(f"polynomial is not a perfect square mod {p}")
 
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import FactorBudget, is_prime, kronecker, squarefree_part
+from .intmath import is_prime, kronecker, squarefree_part
 from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2, sqrt_mod
 
 __all__ = [
@@ -62,9 +62,9 @@ class QuadSurd:
             raise ValueError("representation not in lowest terms")
 
     @classmethod
-    def make(cls, u: int, v: int, w: int, m: int,
-             budget: FactorBudget | None = None) -> "QuadSurd":
-        """Canonicalize: positive w, square part of m folded into v, gcd 1."""
+    def make(cls, u: int, v: int, w: int, m: int) -> "QuadSurd":
+        """Canonicalize: positive w, square part of m folded into v, a
+        rational surd (m = 1) folded into u, gcd 1."""
         if w == 0:
             raise ZeroDivisionError("denominator is zero")
         if w < 0:
@@ -74,10 +74,10 @@ class QuadSurd:
         elif m == 0:
             v, m = 0, 1
         else:
-            m, s = squarefree_part(m, budget)
+            m, s = squarefree_part(m)
             v *= s
-        if v == 0:
-            m = 1
+        if m == 1:
+            u, v = u + v, 0
         g = math.gcd(math.gcd(u, v), w)
         return cls(u // g, v // g, w // g, m)
 

@@ -5,7 +5,8 @@ Z-module bases for form composition, Gauss composition by congruences (the
 reference for the Fricke pairing of classes, with the ramified class and the
 principal form), sparse polynomial powering and an O(q) recurrence for the
 Hasse coefficient, naive point counts for supersingularity, trial
-factorization over F_q for squarefree decomposition, the classical
+factorization over F_q and Yun's squarefree decomposition in characteristic
+q, the references for the square test mod q, the classical
 j-invariant from its Eisenstein and product series, the Hauptmoduls in plain
 floating point at any tau (summed from the exact coefficient lists, with the
 orbit reduction done on tau rather than on a form), class polynomials from
@@ -35,7 +36,7 @@ from mpmath.libmp import to_fixed
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
 from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize, is_square
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
-from heegner.modpoly import epsilon_split
+from heegner.modpoly import FPoly, _divmod, _trim, epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -236,6 +237,80 @@ def factor_fq_brute(coeffs, q):
     if len(f) > 1:
         out[f] = out.get(f, 0) + 1
     return out
+
+
+# --- squarefree decomposition over F_q (Yun) ---------------------------------
+#
+# The reference for the library's square test, which takes a square root by
+# coefficient matching instead.
+
+
+def _monic(f, q):
+    if not f:
+        return f
+    inv = pow(f[-1], -1, q)
+    return tuple(c * inv % q for c in f)
+
+
+def _gcd(f, g, q):
+    while g:
+        _, r = _divmod(f, g, q)
+        f, g = g, r
+    return _monic(f, q)
+
+
+def _diff(f, q):
+    return _trim(tuple(i * c % q for i, c in enumerate(f)))[1:] if f else ()
+
+
+def _qth_root(f, q):
+    """g with g(X)^q = f(X), valid when f = h(X^q) over F_q."""
+    out = []
+    for i, c in enumerate(f):
+        if i % q == 0:
+            out.append(c)
+        elif c:
+            raise ArithmeticError("polynomial is not a q-th power")
+    return _trim(out)
+
+
+def squarefree_decomposition(f: FPoly) -> list[tuple[FPoly, int]]:
+    """f = prod g_i^(e_i) with the g_i squarefree, monic, pairwise coprime.
+
+    Char-q variant of Yun's algorithm: the part of f whose multiplicities are
+    divisible by q has vanishing derivative and is peeled off through a q-th
+    root before recursing.
+    """
+    if not f.coeffs:
+        raise ValueError("cannot decompose the zero polynomial")
+    q = f.q
+    out: dict[tuple[int, ...], int] = {}
+    _sqf_into(_monic(f.coeffs, q), q, 1, out)
+    factors = sorted(out.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
+    return [(FPoly(q, g), e) for g, e in factors]
+
+
+def _sqf_into(f, q, scale, out):
+    if len(f) == 1:
+        return
+    df = _diff(f, q)
+    if not df:
+        _sqf_into(_qth_root(f, q), q, scale * q, out)
+        return
+    g = _gcd(f, df, q)
+    w, _ = _divmod(f, g, q)
+    i = 1
+    while len(w) > 1:
+        y = _gcd(w, g, q)
+        z, _ = _divmod(w, y, q)
+        if len(z) > 1:
+            key = z
+            out[key] = out.get(key, 0) + i * scale
+        g, _ = _divmod(g, y, q)
+        w = y
+        i += 1
+    if len(g) > 1:
+        _sqf_into(_qth_root(g, q), q, scale * q, out)
 
 
 # --- exact Laurent q-expansions of the Hauptmoduls --------------------------
@@ -669,11 +744,15 @@ def int_poly_sqrt(coeffs):
 def build_PD_via_square_root(D, p, bits=None, max_bits=1 << 17):
     """P_D from the full h-class product of mpc values j_p(tau), then an exact
     integer square root; the precision doubles until the residual of the
-    rounding is below 2^-20 and the square root exists."""
+    rounding is below 2^-20 and the square root exists.  The starting
+    precision bounds the bits of the coefficients, C(n, k) prod max(1, |r|)
+    < 2^n prod max(1, |r|) for n roots r, with |r| ~ exp(2 pi Im tau) at the
+    top of the orbit, where ``reduce_tau`` moves tau."""
     disc = Discriminant.from_D(D, p)
     reps = [heegner_rep(f, disc.p) for f in enumerate_classes(disc.D).classes]
-    height = sum(math.pi * math.sqrt(-disc.D) / (rep.a * math.log(2)) for rep in reps)
-    work = bits if bits is not None else 64 + 2 * int(height)
+    taus = [reduce_tau(tau_from_form(rep, 53), disc.p, 53)[0] for rep in reps]
+    height = sum(2 * math.pi * float(mpmath.im(tau)) / math.log(2) for tau in taus)
+    work = bits if bits is not None else 64 + len(reps) + int(height)
     while work <= max_bits:
         with mpmath.workprec(work + 32):
             coeffs = [mpmath.mpc(1)]

@@ -125,6 +125,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--j", "0/1", "--q", "5")
         assert code == 0 and out == "supersingular"
 
+    def test_square_radicand_is_rational(self, capsys):
+        # 1 + 2 sqrt(4) = 5 = 0 mod 5, the supersingular j
+        code, out, _ = run(capsys, "verify", "--j", "(1+2*sqrt(4))", "--q", "5")
+        assert code == 0 and out == "supersingular"
+
     def test_ordinary_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--j", "1/1", "--q", "13")
         assert code == 1 and out == "ordinary"

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from heegner.modpoly import (
-    FPoly,
-    epsilon_split,
-    is_perfect_square,
-    is_square_times_linear,
-    squarefree_decomposition,
-)
+from heegner.classpoly import build_Pl
+from heegner.levels import level
+from heegner.modpoly import FPoly, epsilon_split, is_perfect_square, is_square_times_linear
 
-from oracles import brandt_table, column_sums, factor_fq_brute, t2_degree_check
+from oracles import (
+    _diff,
+    _gcd,
+    brandt_table,
+    column_sums,
+    factor_fq_brute,
+    squarefree_decomposition,
+    t2_degree_check,
+)
 
 
 def fp(coeffs, q):
@@ -58,8 +62,6 @@ class TestSquarefreeDecomposition:
                     acc = acc * part
             assert acc.coeffs == prod.coeffs
             # parts squarefree and pairwise coprime
-            from heegner.modpoly import _diff, _gcd
-
             for i, (part, _) in enumerate(dec):
                 assert _gcd(part.coeffs, _diff(part.coeffs, q), q) == (1,)
                 for part2, _ in dec[i + 1 :]:
@@ -85,15 +87,47 @@ class TestSquarefreeDecomposition:
         rng = random.Random(29)
         for q in (3, 5, 7, 11, 13, 37, 47):
             dmax = 8 if q <= 13 else 4
+            inputs = [_random_monic(rng, q, rng.randrange(2, dmax + 1)) for _ in range(20)]
             for _ in range(20):
-                f = _random_monic(rng, q, rng.randrange(2, dmax + 1))
+                g = _random_monic(rng, q, rng.randrange(1, (dmax - 2) // 2 + 1))
+                inputs.append(_random_monic(rng, q, rng.randrange(1, 3)) * g * g)
+            for c in range(min(q, 4)):
+                qth = fp([c] + [0] * (q - 1) + [1], q)  # (X + c)^q
+                inputs += [qth, qth * qth]
+            squares = 0
+            for f in inputs:
                 brute = factor_fq_brute(f.coeffs, q)
                 square_free_part = FPoly(q, (1,))
                 for g, e in brute.items():
                     if e % 2:
                         square_free_part = square_free_part * FPoly(q, g)
                 oracle_is_square = square_free_part.coeffs == (1,)
-                assert (is_perfect_square(f) is not None) == oracle_is_square
+                root = is_perfect_square(f)
+                assert (root is not None) == oracle_is_square, (q, f.coeffs)
+                if root is not None:
+                    squares += 1
+                    assert root.is_monic() and (root * root).coeffs == f.coeffs
+            assert squares >= min(q, 4)
+
+
+def test_sweep_square_test_against_decomposition(sweep_polys):
+    # mod l the 160 class polynomials, mod p each of them and the product
+    # P_l the search tests at the levels with two shapes
+    outcomes = []
+    for (p, ell), shapes in sweep_polys.items():
+        polys = [shapes["-pl"], shapes["-4pl"]]
+        cases = [(poly, ell) for poly in polys] + [(poly, p) for poly in polys]
+        if len(level(p).shapes) == 2:
+            cases.append((build_Pl(ell, p, parts=tuple(polys)), p))
+        for poly, q in cases:
+            f = FPoly.from_coeffs(poly.coefficients, q)
+            even = all(e % 2 == 0 for _, e in squarefree_decomposition(f))
+            root = is_perfect_square(f)
+            assert (root is not None) == even, (p, ell, poly.D, q)
+            if root is not None:
+                assert (root * root).coeffs == f.coeffs
+            outcomes.append(even)
+    assert len(outcomes) > 2 * 160 and len(set(outcomes)) == 2
 
 
 def _random_monic(rng, q, degree):

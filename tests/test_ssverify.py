@@ -50,6 +50,11 @@ class TestQuadSurd:
         s = QuadSurd.make(1, 1, 2, -12)  # sqrt(-12) = 2 sqrt(-3)
         assert (s.v, s.m) == (2, -3)
 
+    def test_square_radicand_folded_into_u(self):
+        # (1 + 2 sqrt(4)) / 1 is the rational 5: no conjugate to reduce
+        assert QuadSurd.make(1, 2, 1, 4) == QuadSurd.make(5, 0, 1, 1)
+        assert QuadSurd.make(3, -1, 2, 9) == QuadSurd(0, 0, 1, 1)
+
     def test_gcd_normalization(self):
         s = QuadSurd.make(6, 4, 10, 7)
         assert (s.u, s.v, s.w) == (3, 2, 5)
