@@ -10,9 +10,8 @@ is evaluated once for the two.  The working precision is sized once from
 the reduced Heegner forms [a_i, b_i, c_i], one per root: log2 prod
 max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it come log2 of
 the largest binomial coefficient of the degree, 20 bits for the rounding
-tolerance and a guard.  Each evaluation arrives as an ``mpmath.iv`` complex
-interval (``hauptmodul.jp_at_form``) and becomes a ``Ball`` over
-2^(work + guard), its endpoints rounded outward.  A real root gives the
+tolerance and a guard.  Each evaluation arrives as a ``Ball`` over
+2^(work + guard) (``hauptmodul.jp_at_form``).  A real root gives the
 factor X - r, a conjugate couple the real quadratic X^2 - 2 Re(r) X +
 |r|^2, and their product is formed in real balls, integer midpoints with
 integer radii, by integer multiplies.  A coefficient is accepted only when
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hauptmodul import GUARD_BITS, Ball, jp_at_form, reduce_heegner_form
+from .hauptmodul import GUARD_BITS, jp_at_form, reduce_heegner_form
 from .levels import level
 from .quadforms import (
     Discriminant,
@@ -115,19 +114,18 @@ def _sized_bits(D: int, reps) -> int:
     return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS + GUARD_BITS
 
 
-def _real_factors(roots, prec):
-    """The monic real factors of prod (X - r) as real balls (mid, rad) over
-    2^prec, ascending and without the leading 1: X - r for a real root,
-    X^2 - 2 Re(r) X + |r|^2 for a conjugate couple."""
+def _real_factors(roots):
+    """The monic real factors of prod (X - r) for root balls r, as real balls
+    (mid, rad) at the roots' precision, ascending and without the leading 1:
+    X - r for a real root, X^2 - 2 Re(r) X + |r|^2 for a conjugate couple."""
     for r, real in roots:
-        ball = Ball.from_interval(r, prec)
         if not real:
-            norm = ball * ball.conjugate()
-            yield [(norm.re, norm.rad), (-2 * ball.re, 2 * ball.rad)]
-        elif abs(ball.im) <= ball.rad:
-            yield [(-ball.re, ball.rad)]
+            norm = r * r.conjugate()
+            yield [(norm.re, norm.rad), (-2 * r.re, 2 * r.rad)]
+        elif abs(r.im) <= r.rad:
+            yield [(-r.re, r.rad)]
         else:
-            raise ArithmeticError(f"the enclosure {r} of a real root excludes the real line")
+            raise ArithmeticError("the enclosure of a real root excludes the real line")
 
 
 def _product(factors, prec):
@@ -201,7 +199,7 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     work = _sized_bits(disc.D, reps)
     roots = [(jp_at_form(rep, disc.p, work), real) for rep, real in evaluated]
     prec = work + GUARD_BITS
-    rounded = _round_proven(_product(_real_factors(roots, prec), prec), prec)
+    rounded = _round_proven(_product(_real_factors(roots), prec), prec)
     if rounded is None:
         raise PrecisionExhaustedError(
             f"could not prove the rounding of P_D for D = {disc.D} at {work} bits"

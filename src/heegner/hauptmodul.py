@@ -13,15 +13,15 @@ geometric because no coefficient of q^n exceeds a constant times n.
 
 ``jp_at_form`` is the one evaluation of j_p.  It takes a Heegner form,
 reduces the form itself exactly (``reduce_heegner_form``), so that the point
-is exact before any floating-point work, and returns an ``mpmath.iv``
-complex interval that provably contains j_p at its CM point.  q comes from
-an interval exponential; from there on the value is a ``Ball``, a Gaussian
-integer over 2^prec with an integer error radius: the sums, 1/q and the few
-operations after them (quotient, power, the w_p term) each add their counted
-rounding to the radius, and only the final ball is turned back into an
-interval.  The class polynomials call it once per root or conjugate pair,
-and ``jp_arc_interval`` once per endpoint of the arc S, both of which are
-CM points too.
+is exact before any rounding, and returns a ``Ball`` that provably contains
+j_p at its CM point.  Every value on the way is a ``Ball``, a Gaussian
+integer over 2^prec with an integer error radius, computed from integers
+alone: pi by Machin's formula, q by a Taylor sum and squarings, then the
+sums, 1/q and the few operations after them (quotient, power, the w_p
+term), each adding its counted rounding to the radius.  The class
+polynomials call it once per root or conjugate pair, and
+``jp_arc_interval`` once per endpoint of the arc S, both of which are CM
+points too.
 
 The expression of each Hauptmodul in its series is an entry of the level
 table (``levels.LEVELS``): eta quotients on the genus-0 levels, theta
@@ -32,13 +32,8 @@ theta series of discriminant -23.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
-
-from mpmath import iv
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_shift, round_ceiling, round_floor,
-                          round_nearest, to_fixed, to_float)
 
 from .levels import ETA, THETA_STAR, level
 from .quadforms import QuadForm, _xgcd, fundamental_unit
@@ -47,17 +42,6 @@ __all__ = ["GUARD_BITS", "Ball", "reduce_heegner_form", "jp_at_form", "jp_arc_in
 
 GUARD_BITS = 32
 ARC_BITS = 256  # precision of the endpoints of j_p(S)
-
-
-@contextmanager
-def _iv_workprec(bits: int):
-    """Run a block with ``mpmath.iv`` at ``bits`` of precision."""
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = saved
 
 
 # --- the fixed-point series engine --------------------------------------------
@@ -207,35 +191,26 @@ def _qsum(q, q_err: int, terms, prec: int):
     return re, im, err
 
 
-def _power(q, q_err: int, e: int, prec: int):
-    """q^e by repeated products, with its counted error."""
-    out, err = q, q_err
-    for _ in range(e - 1):
-        out, err = _mul(out, q, prec), err + q_err + 2
-    return out, err
-
-
-def _fixed_series(kind, q, q_err: int, im_tau: float, prec: int, scale: int = 1):
+def _fixed_series(kind, q: Ball, im_tau: float, scale: int = 1) -> Ball:
     """A series kind at q^scale, where q = exp(2 pi i tau), Im(tau) = im_tau."""
-    if scale > 1:
-        q, q_err = _power(q, q_err, scale, prec)
-    nmax, tail = _truncation(kind, 2 * math.pi * scale * im_tau / math.log(2), prec)
-    re, im, err = _qsum(q, q_err, _terms(kind, nmax), prec)
-    return re, im, err + tail
+    q = q**scale
+    nmax, tail = _truncation(kind, 2 * math.pi * scale * im_tau / math.log(2), q.prec)
+    re, im, err = _qsum((q.re, q.im), q.rad, _terms(kind, nmax), q.prec)
+    return Ball(re, im, err + tail, q.prec)
 
 
 class Ball:
     """The complex disc of radius ``rad`` about ``re + i im``, in units of 2^-prec.
 
-    The fixed-point format of the series sums, carried through the few
-    operations that form j_p from them (``jp_at_form``) and, as real
+    The one number format from pi and q through the series sums and the
+    few operations that form j_p from them (``jp_at_form``) and, as real
     (mid, rad) pairs over the same 2^prec, through the product of a class
-    polynomial's factors (``classpoly.build_PD``).  The
-    operations take balls at one precision and Python ints; each result
-    encloses every value the operation takes on its input discs, with the
-    rounding it costs counted in ``rad``.  Sums and integer multiples are
-    exact.  A product or a quotient floors its two coordinates, at most
-    sqrt(2) units, counted as 2; radius bounds are rounded up.  ``abs(re) +
+    polynomial's factors (``classpoly.build_PD``).  The operations take
+    balls at one precision and Python ints; each result encloses every
+    value the operation takes on its input discs, with the rounding it
+    costs counted in ``rad``.  Sums and integer multiples are exact.  A
+    product or a quotient floors its two coordinates, at most sqrt(2)
+    units, counted as 2; radius bounds are rounded up.  ``abs(re) +
     abs(im)`` stands for the modulus of a midpoint, which it bounds.
     """
 
@@ -243,25 +218,6 @@ class Ball:
 
     def __init__(self, re: int, im: int, rad: int, prec: int):
         self.re, self.im, self.rad, self.prec = re, im, rad, prec
-
-    @classmethod
-    def from_interval(cls, z, prec: int) -> "Ball":
-        """The ball about an ``iv.mpc`` box, its endpoints rounded outward."""
-        (a, b), (c, d) = z._mpci_
-        re_lo, re_hi = to_fixed(a, prec), to_fixed(b, prec) + 1
-        im_lo, im_hi = to_fixed(c, prec), to_fixed(d, prec) + 1
-        re, im = (re_lo + re_hi) >> 1, (im_lo + im_hi) >> 1
-        return cls(re, im, (re_hi - re) + (im_hi - im), prec)
-
-    def to_interval(self, wp: int):
-        """The ``iv.mpc`` box around the ball, its endpoints rounded outward to wp bits."""
-        prec, rad = self.prec, self.rad
-        return iv.make_mpc((
-            (from_man_exp(self.re - rad, -prec, wp, round_floor),
-             from_man_exp(self.re + rad, -prec, wp, round_ceiling)),
-            (from_man_exp(self.im - rad, -prec, wp, round_floor),
-             from_man_exp(self.im + rad, -prec, wp, round_ceiling)),
-        ))
 
     def round_to(self, prec: int) -> "Ball":
         """The ball at a precision no higher than its own."""
@@ -311,6 +267,9 @@ class Ball:
         return Ball((a * scale) // norm, (-b * scale) // norm, spread + 2, prec)
 
     def __truediv__(self, other) -> "Ball":
+        if isinstance(other, int):
+            return Ball(self.re // other, self.im // other, -(-self.rad // abs(other)) + 2,
+                        self.prec)
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Ball":
@@ -327,6 +286,51 @@ class Ball:
             if not e:
                 return out
             base = base * base
+
+
+@lru_cache(maxsize=None)
+def _pi(prec: int) -> Ball:
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin) as a real ball.
+
+    Each arctangent is summed over 2^wp, 16 bits above prec: its terms
+    floor(2^wp / (n x^n)), n odd, are each exact to under one unit, and the
+    alternating tail after the first zero power is below one unit.
+    """
+    wp = prec + 16
+    mid = rad = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        total, n, power = 0, 1, (1 << wp) // x  # power = floor(2^wp / x^n)
+        while power:
+            total += power // n if n % 4 == 1 else -(power // n)
+            n, power = n + 2, power // (x * x)
+        mid += weight * total
+        rad += abs(weight) * (n // 2 + 1)  # a unit per term and one for the tail
+    return Ball(mid, 0, rad, wp).round_to(prec)
+
+
+def _exp(z: Ball) -> Ball:
+    """exp(z) as a ball at the precision of z.
+
+    The ball is read at prec + k bits, which divides it by 2^k exactly; k is
+    the least that keeps |re| + |im| + rad below 2^(prec + k - 8), so every
+    point w of the ball has |w| < 2^-8.  The Taylor sum of the n terms with
+    2^(8n) n! >= 2^(prec + k + 1) then drops a tail below one unit, and k
+    squarings undo the division.
+    """
+    k = max(0, (abs(z.re) + abs(z.im) + z.rad).bit_length() + 8 - z.prec)
+    wp = z.prec + k
+    w = Ball(z.re, z.im, z.rad, wp)
+    n, factorial = 1, 1
+    while factorial << (8 * n) < 1 << (wp + 1):
+        n += 1
+        factorial *= n
+    total = Ball(1 << wp, 0, 0, wp)
+    for m in range(n - 1, 0, -1):  # Horner: 1 + w/1 (1 + w/2 (... (1 + w/(n - 1))))
+        total = w * total / m + 1
+    total.rad += 1  # the dropped tail
+    for _ in range(k):
+        total = total * total
+    return total.round_to(z.prec)
 
 
 def _raising_candidates(p: int, al_limit: int, limit: int):
@@ -394,16 +398,14 @@ def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
-def jp_at_form(form: QuadForm, p: int, bits: int):
-    """An ``iv.mpc`` interval containing j_p at the CM point of a form with p | a.
+def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
+    """A ``Ball`` at bits + GUARD_BITS containing j_p at the CM point of a form with p | a.
 
-    The form is reduced exactly; with tau = (-b + i sqrt|D|) / (2a),
-    q = exp(-pi (sqrt|D| + b i) / a) and 1/q come from an interval
-    exponential at bits + 2 * GUARD_BITS.  The series are summed in fixed
-    point at that precision with counted errors, and the level's expression
-    forms j_p from them and 1/q in ``Ball`` arithmetic, each operation
-    adding its rounding to the radius.  The ball is returned as an interval
-    at bits + GUARD_BITS, rounded outward; its radius is near 2^-bits |j_p|.
+    The form is reduced exactly; with tau = (-b + i sqrt|D|) / (2a), q =
+    exp(-pi (sqrt|D| + b i) / a) comes from ``_pi``, ``math.isqrt`` and
+    ``_exp``.  The series are summed at bits + 2 * GUARD_BITS, and the
+    level's expression forms j_p from them and 1/q, each operation adding
+    its rounding to the radius, which ends near 2^-bits |j_p|.
     """
     hauptmodul = level(p).hauptmodul
     form = reduce_heegner_form(form, p)
@@ -414,20 +416,17 @@ def jp_at_form(form: QuadForm, p: int, bits: int):
     if im_tau < min(0.05, 0.8 * math.sqrt(3) / (2 * p)):
         raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
     prec = bits + 2 * GUARD_BITS
-    with _iv_workprec(prec):
-        step = -iv.pi / form.a
-        q = iv.exp(iv.mpc(step * iv.sqrt(-D), step * form.b))
-    q_ball = Ball.from_interval(q, prec)
-    fixed = (q_ball.re, q_ball.im)
-    # 1/q, of modulus about 2^lift, from q to prec + lift bits, so that it
-    # keeps the relative precision of the interval q
-    lift = math.ceil(2 * math.pi * im_tau / math.log(2))
-    qinv = Ball.from_interval(q, prec + lift).inverse().round_to(prec)
+    # q to prec + lift bits, so that 1/q, of modulus about 2^lift, keeps
+    # the relative precision of q
+    wide = prec + math.ceil(2 * math.pi * im_tau / math.log(2))
+    root = Ball(math.isqrt(-D << (2 * wide)), form.b << wide, 1, wide)  # sqrt|D| + b i
+    q_wide = _exp(-(_pi(wide) * root) / form.a)
+    q, qinv = q_wide.round_to(prec), q_wide.inverse().round_to(prec)
 
     def value(kind, scale=1):
-        return Ball(*_fixed_series(kind, fixed, q_ball.rad, im_tau, prec, scale), prec)
+        return _fixed_series(kind, q, im_tau, scale)
 
-    return hauptmodul(value, qinv).to_interval(bits + GUARD_BITS)
+    return hauptmodul(value, qinv).round_to(bits + GUARD_BITS)
 
 
 @lru_cache(maxsize=None)
@@ -447,6 +446,5 @@ def jp_arc_interval(p: int) -> tuple[float, float]:
     c, d = fundamental_unit(p)
     ends = (jp_at_form(QuadForm(p * c // 2, p * d, c // 2), p, ARC_BITS),
             jp_at_form(QuadForm(p, 0, 1), p, ARC_BITS))
-    # the exact midpoint of each real part, then the nearest float
-    return tuple(to_float(mpf_shift(mpf_add(*end._mpci_[0]), -1), rnd=round_nearest)
-                 for end in ends)
+    # int / int is correctly rounded
+    return tuple(end.re / (1 << end.prec) for end in ends)

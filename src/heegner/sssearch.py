@@ -218,15 +218,19 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
 
     Iterates find_ell/extract_primes, augmenting the avoided set with each
     found prime, until ``count`` distinct primes are collected or the l bound
-    is exhausted (partial results are returned in that case).  Besides
-    ``sigma``, 2 and the denominator primes of h are always avoided.
+    is exhausted (partial results are returned in that case).  ``sigma``
+    holds primes (ValueError otherwise); besides them, 2 and the denominator
+    primes of h are always avoided.
     """
     lev = _searchable(p)
     h = Fraction(h)
     _check_not_supersingular(p, h)
+    avoided = {int(v) for v in sigma}
+    if not all(v > 0 and is_prime(v) for v in avoided):
+        raise ValueError(f"the avoided values {sorted(avoided)} must be primes")
     # primes of bad reduction are invisible from h alone; always avoid 2
     # and the denominator primes of h
-    avoided = set(int(v) for v in sigma) | {2}
+    avoided.add(2)
     if h.denominator > 1:
         avoided.update(factorize(h.denominator).primes())
     certificates: list[SearchCertificate] = []

@@ -8,6 +8,7 @@ from heegner.classpoly import (
     build_Pl,
     evaluate,
 )
+from heegner.hauptmodul import Ball
 from heegner.quadforms import (
     Discriminant,
     class_number,
@@ -253,15 +254,17 @@ def test_wide_root_enclosure_never_rounds(monkeypatch):
     # The widening is one-sided, so that one end of a coefficient interval
     # still sits on its integer.
     import heegner.classpoly as mod
-    from mpmath import iv
 
     real = mod.jp_at_form
 
     calls = []
 
     def widened(form, p, bits):
+        # the disc reaches 0.6 further down the real line: centre - 0.3, radius + 0.3
         calls.append(bits)
-        return real(form, p, 64) - iv.mpf(["0", "0.6"])
+        ball = real(form, p, bits)
+        shift = -(-(3 << ball.prec) // 10)
+        return Ball(ball.re - shift, ball.im, ball.rad + shift, ball.prec)
 
     monkeypatch.setattr(mod, "jp_at_form", widened)
     # one evaluation per root, then the error: no retry at a higher precision
@@ -278,12 +281,12 @@ def test_real_root_enclosure_off_the_real_line(monkeypatch):
     # a self-conjugate pair's root is real: an enclosure whose imaginary
     # part excludes 0 breaks an invariant, not the precision
     import heegner.classpoly as mod
-    from mpmath import iv
 
     real = mod.jp_at_form
 
     def shifted(form, p, bits):
-        return real(form, p, bits) + iv.mpc(0, 1)
+        ball = real(form, p, bits)
+        return Ball(ball.re, ball.im + (1 << ball.prec), ball.rad, ball.prec)
 
     monkeypatch.setattr(mod, "jp_at_form", shifted)
     with pytest.raises(ArithmeticError, match="real root") as error:

@@ -72,6 +72,13 @@ class TestSearch:
         cert = json.loads(out.splitlines()[0])
         assert cert["ell"] == 37 and set(cert["selected"]) == {"7", "151"}
 
+    @pytest.mark.parametrize("value", ["0", "-3", "4"])
+    def test_avoid_non_prime_exit_64(self, capsys, value):
+        # a value that is not a prime is refused before the l scan, and
+        # never reaches a certificate's sigma
+        code, out, err = run(capsys, "search", "--p", "5", "--h", "1", "--avoid", value)
+        assert code == 64 and out == "" and "prime" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "11", "--h", "21/2",
                            "--count", "1", "--format", "text")

@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heegner.hauptmodul import Ball, jp_arc_interval, jp_at_form, reduce_heegner_form
+from heegner.hauptmodul import (Ball, _exp, _pi, jp_arc_interval, jp_at_form,
+                                reduce_heegner_form)
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -330,17 +331,14 @@ class TestReduceHeegnerForm:
 class TestJpAtForm:
     @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
     def test_interval_contains_value(self, p, ell, shape):
-        bits = 96
-        for form in heegner_forms(p, ell, shape):
-            box = jp_at_form(form, p, bits)
-            (re_lo, re_hi), (im_lo, im_hi) = [(mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b))
-                                                  for a, b in box._mpci_]
-            with mpmath.workprec(4 * bits):
-                value = j_p(tau_from_form(form, 3 * bits), p, 3 * bits)
-                assert re_lo <= mpmath.re(value) <= re_hi
-                assert im_lo <= mpmath.im(value) <= im_hi
-                radius = max(re_hi - re_lo, im_hi - im_lo) / 2
-                assert radius < 2.0**-bits * max(1, abs(value))
+        for bits in (96, 300):
+            for form in heegner_forms(p, ell, shape):
+                ball = jp_at_form(form, p, bits)
+                with mpmath.workprec(4 * bits):
+                    value = j_p(tau_from_form(form, 3 * bits), p, 3 * bits)
+                    radius = mpmath.ldexp(ball.rad, -ball.prec)
+                    assert abs(value - ball_center(ball)) <= radius
+                    assert radius < 2.0**-bits * max(1, abs(value))
 
     def test_coefficient_growth_bounds(self):
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
@@ -418,9 +416,12 @@ class TestBall:
         def args(rng):
             return random_ball(rng), random_ball(rng, spread_shifts=(2, 3, 12, 40))
 
+        def integer(rng):
+            return rng.randrange(1, 999) * rng.choice((1, -1))
+
         self.check(lambda x, y: x / y, args)
-        self.check(lambda k, y: k / y,
-                   lambda rng: (rng.randrange(1, 999) * rng.choice((1, -1)), args(rng)[1]))
+        self.check(lambda k, y: k / y, lambda rng: (integer(rng), args(rng)[1]))
+        self.check(lambda x, k: x / k, lambda rng: (random_ball(rng), integer(rng)))
 
     @pytest.mark.parametrize("exponent", [1, 2, 3, 4, 6, 12])
     def test_integer_power(self, exponent):
@@ -435,6 +436,8 @@ class TestBall:
                              0, BALL_PREC) for _ in range(2))
                 assert_encloses(x * y, ball_center(x) * ball_center(y))
                 assert_encloses(x / y, ball_center(x) / ball_center(y))
+                k = rng.randrange(2, 999)
+                assert_encloses(x / k, ball_center(x) / k)
 
     def test_division_by_a_ball_around_zero(self):
         for re, im in ((5 << 60, 0), (3 << 60, -(4 << 60)), (0, 1), (0, 0)):
@@ -443,16 +446,6 @@ class TestBall:
                 Ball(1 << 64, 0, 0, BALL_PREC) / z
             with pytest.raises(ArithmeticError):
                 1 / z
-
-    def test_interval_round_trip_encloses(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            z = random_ball(rng)
-            box = z.to_interval(40)
-            again = Ball.from_interval(box, BALL_PREC + 8)
-            with mpmath.workprec(4 * BALL_PREC):
-                for point in points_of(z, rng):
-                    assert_encloses(again, point)
 
     def test_round_to_lower_precision(self):
         rng = random.Random(13)
@@ -519,6 +512,34 @@ class TestBall:
             assert abs(mid - (n << prec)) <= rad
             distance = Fraction(abs(mid - (n << prec)) + rad, 1 << prec)
             assert distance <= Fraction(poly.rounding_residual)
+
+
+class TestPiAndExp:
+    """pi and exp from integers alone, checked with mpmath at four times the
+    ball precision."""
+
+    @pytest.mark.parametrize("prec", [64, 200, 700])
+    def test_pi(self, prec):
+        ball = _pi(prec)
+        assert ball.prec == prec and ball.im == 0 and ball.rad <= 3
+        with mpmath.workprec(4 * prec):
+            assert_encloses(ball, mpmath.pi)
+
+    def test_exp_of_q_arguments(self):
+        # z = -pi (sqrt|D| + b i) / a, the argument of q at a point with
+        # Im(tau) = sqrt|D| / (2a) in [0.05, 3], as jp_at_form forms it;
+        # exp must enclose its value at every point of the ball of z
+        rng = random.Random(19)
+        for _ in range(200):
+            prec, D = rng.randrange(32, 400), -rng.randrange(3, 40000)
+            a = max(1, round(math.sqrt(-D) / (2 * rng.uniform(0.05, 3))))
+            b = rng.randrange(-a, a + 1)
+            z = -(_pi(prec) * Ball(math.isqrt(-D << (2 * prec)), b << prec, 1, prec)) / a
+            q = _exp(z)
+            assert q.prec == prec
+            with mpmath.workprec(4 * prec):
+                for point in points_of(z, rng):
+                    assert_encloses(q, mpmath.exp(point))
 
 
 class TestClassicalJ:
@@ -599,10 +620,8 @@ def test_arc_endpoint_enclosures(p, exact):
     # the ends of j_p(S) are real, and the exact values are known where
     # the end is an elliptic point or a zero of j_p
     for form, value in zip(arc_forms(p), exact):
-        box = jp_at_form(form, p, 256)
-        (re_lo, re_hi), (im_lo, im_hi) = [(mpmath.mp.make_mpf(a), mpmath.mp.make_mpf(b))
-                                          for a, b in box._mpci_]
-        assert im_lo <= 0 <= im_hi
-        assert max(re_hi - re_lo, im_hi - im_lo) / 2 < mpmath.mpf(2) ** -200
+        ball = jp_at_form(form, p, 256)
+        assert abs(ball.im) <= ball.rad
+        assert ball.rad < 2 ** (ball.prec - 200)
         if value is not None:
-            assert re_lo <= value <= re_hi
+            assert (ball.re - (value << ball.prec)) ** 2 + ball.im**2 <= ball.rad**2

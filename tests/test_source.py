@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import heegner
@@ -29,6 +32,36 @@ def test_pure_python_package():
     for name in ("pyproject.toml", "setup.py"):
         path = ROOT / name
         assert not path.exists() or "cython" not in path.read_text().lower(), name
+
+
+def test_library_imports_only_the_standard_library():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found, found
+
+
+def test_library_runs_with_mpmath_blocked():
+    # the tests' oracles use mpmath; the library must build and search without it
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction\n"
+        "from heegner import build_PD, search\n"
+        "print(build_PD(-220, 11))\n"
+        "print(*(q for cert in search(11, Fraction(21, 2), count=3) for q in cert.selected))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["X^2 - 77*X + 121", "2309 7 151"]
 
 
 def _is_level(node) -> bool:
