@@ -90,10 +90,10 @@ def _cmd_classpoly(args) -> int:
     try:
         if args.D is not None:
             poly = build_PD(Discriminant.from_D(args.D, args.p))
-        elif len(level(args.p).shapes) > 1:
+        elif len(shapes := level(args.p).shapes) > 1:
             poly = build_Pl(args.ell, args.p)
         else:
-            poly = build_PD(Discriminant(args.p, args.ell, "-4pl"))
+            poly = build_PD(Discriminant(args.p, args.ell, shapes[0]))
     except PrecisionExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

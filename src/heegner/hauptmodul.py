@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .levels import ETA, THETA_STAR, level
-from .quadforms import QuadForm, _xgcd, fundamental_unit
+from .quadforms import QuadForm, fundamental_unit
 
 __all__ = ["GUARD_BITS", "Ball", "reduce_heegner_form", "jp_at_form", "jp_arc_interval"]
 
@@ -351,10 +351,10 @@ def _move_matrix(c: int, d: int, p: int):
     [[p s, -t], [p c, p d]] of determinant p with s p d + t c = 1.
     """
     if c % p == 0:
-        _, s, t = _xgcd(c, d)  # s c + t d = 1
-        return t, -s, c, d
-    _, s, t = _xgcd(p * d, c)
-    return p * s, -t, p * c, p * d
+        t = pow(d, -1, c)  # [[t, -s], [c, d]] with s c + t d = 1
+        return t, (t * d - 1) // c, c, d
+    s = pow(p * d, -1, c)
+    return p * s, (s * p * d - 1) // c, p * c, p * d
 
 
 def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:

@@ -2,12 +2,15 @@
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always normalized, positive denominator).  Everything
-here is pure and deterministic: Miller-Rabin above 2^64, ECM and rho draw
-from PRNGs seeded with their input.
+here is pure and deterministic: Miller-Rabin above 2^64 and ECM draw from
+PRNGs seeded with their input.  Factoring is trial division below 10^6, then
+ECM on Montgomery curves within one effort budget.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -119,63 +122,57 @@ class Factorization:
 
 @dataclass
 class FactorBudget:
-    """Effort limits for ``factorize``.
+    """Effort limit for ``factorize``.
 
-    ``trial_bound`` bounds trial division and ECM's stage 2 primes, which
-    come from the same table.  ``rho_iterations`` is one budget that ECM and
-    rho spend together across all split attempts, in units of one iteration
-    of Brent's cycle walk; an ECM curve is charged the iterations that take
-    as long.  Hard composites surviving it are reported as an unfactored
-    cofactor so callers can skip rather than stall.  The default, about 7 s
-    of work, splits two 14-digit primes in under a second; raise it when
-    stalling is acceptable.
+    ``rho_iterations`` is one budget that ECM spends across all split
+    attempts.  Its unit is the time of one iteration of Brent's rho cycle
+    walk, five modular multiplications; an ECM curve is charged the
+    iterations that take as long.  Hard composites surviving it are reported
+    as an unfactored cofactor so callers can skip rather than stall.  The
+    default, about 7 s of work, splits two 14-digit primes in under a second;
+    raise it when stalling is acceptable.
     """
 
-    trial_bound: int = 10**6
     rho_iterations: int = 1 << 22
 
 
-_sieve_cache: dict[int, list[int]] = {}
-
-
-def _primes_below(bound: int) -> list[int]:
-    primes = _sieve_cache.get(bound)
-    if primes is None:
-        sieve = bytearray([1]) * bound
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(bound - 1) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        primes = [i for i in range(bound) if sieve[i]]
-        _sieve_cache[bound] = primes
-    return primes
-
-
+TRIAL_BOUND = 10**6  # trial division and ECM's stage 2 primes lie below it
 _CHUNK = 256  # primes per gcd in trial division
-_chunk_cache: dict[int, list[int | None]] = {}  # products per chunk, by len(primes)
 
 
-def _trial_divide(n: int, primes: list[int], found: dict[int, int]) -> int:
-    """Divide out of n the primes of ``primes`` that divide it, recording
-    them in ``found``; returns the rest, which is 1, a prime, or has all its
-    prime factors above the last prime.
+@functools.cache
+def _trial_primes() -> list[int]:
+    """The primes below ``TRIAL_BOUND``, sieved on first use."""
+    sieve = bytearray([1]) * TRIAL_BOUND
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(TRIAL_BOUND) if sieve[i]]
+
+
+@functools.cache
+def _chunk_product(start: int) -> int:
+    return math.prod(_trial_primes()[start:start + _CHUNK])
+
+
+def _trial_divide(n: int, found: dict[int, int]) -> int:
+    """Divide out of n the primes below ``TRIAL_BOUND`` that divide it,
+    recording them in ``found``; returns the rest, which is 1, a prime, or
+    has all its prime factors above the bound.
 
     One gcd of n with the product of a chunk of primes tells whether any of
     them divides n; only such a chunk is divided prime by prime.  A chunk's
     product is built on its first use and kept.
     """
-    # the primes below a bound are fixed by their number
-    products = _chunk_cache.setdefault(len(primes), [None] * -(-len(primes) // _CHUNK))
-    for k, start in enumerate(range(0, len(primes), _CHUNK)):
+    primes = _trial_primes()
+    for start in range(0, len(primes), _CHUNK):
         if primes[start] * primes[start] > n:
             break
-        chunk = primes[start:start + _CHUNK]
-        if products[k] is None:
-            products[k] = math.prod(chunk)
-        g = math.gcd(n, products[k])
+        g = math.gcd(n, _chunk_product(start))
         if g == 1:
             continue
-        for p in chunk:
+        for p in primes[start:start + _CHUNK]:
             if p * p > n:
                 break
             if g % p == 0:
@@ -185,53 +182,17 @@ def _trial_divide(n: int, primes: list[int], found: dict[int, int]) -> int:
     return n
 
 
-def _brent_rho(n: int, budget: list[int]) -> int | None:
-    """Brent's cycle variant of Pollard rho; returns a nontrivial factor."""
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while budget[0] > 0:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1 and budget[0] > 0:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                budget[0] -= min(m, r - k)
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-    return None
-
-
 # --- ECM on Montgomery curves (Montgomery, Math. Comp. 48, 1987) -------------
 
-# (B1, curves) per stage, B2 = 100 B1.  Chosen on the composites of the points
-# benchmark, whose smallest factors have 7-11 digits; B1 = 1000 splits the
-# 14-digit factors of search(7, 2) in about 20 curves.
-_ECM_SCHEDULE = ((300, 16), (1000, 48), (2000, 256))
+# (B1, curves) per stage, B2 = 100 B1; the last stage runs curves until the
+# budget is spent.  Chosen on the composites of the points benchmark, whose
+# smallest factors have 7-11 digits; B1 = 1000 splits the 14-digit factors of
+# search(7, 2) in about 20 curves.
+_ECM_SCHEDULE = ((300, 16), (1000, 48), (2000, None))
 _ECM_STRIDE = 210  # D, the giant step of stage 2
 # Modular multiplications that take as long as one rho iteration, measured
 # for 30-50 digit n (CPython 3.11, no gmpy2).
 _MULS_PER_RHO_ITERATION = 5
-_ecm_plans: dict[tuple[int, int], tuple] = {}
-
 
 def _xdbl(x, z, a24, n):
     """x-only doubling on B y^2 = x^3 + A x^2 + x, a24 = (A + 2) / 4."""
@@ -256,29 +217,28 @@ def _ladder(k, x, z, a24, n):
     return low
 
 
-def _ecm_plan(b1: int, b2: int, primes: list[int]) -> tuple:
-    """(k, giants, cost) for (B1, B2): k = the product of the largest powers
-    <= B1 of the primes <= B1; for each prime g D +- j in (B1, B2], j odd and
-    below D/2, ``giants`` holds g with the bytes j // 2; ``cost`` counts the
-    modular multiplications of one curve: 11 a ladder bit, 6 a baby or giant
-    step, 2 a prime."""
-    if (b1, b2) not in _ecm_plans:
-        k, d, giants = 1, _ECM_STRIDE, {}
-        for p in primes:
-            if p > b2:
-                break
-            if p > b1:
-                g = (p + d // 2) // d
-                giants.setdefault(g, set()).add(abs(p - g * d) // 2)
-                continue
-            power = p
-            while power * p <= b1:
-                power *= p
-            k *= power
-        giants = tuple((g, bytes(sorted(js))) for g, js in sorted(giants.items()))
-        cost = 11 * k.bit_length() + 6 * d // 4 + sum(6 + 2 * len(js) for _, js in giants)
-        _ecm_plans[b1, b2] = k, giants, cost
-    return _ecm_plans[b1, b2]
+@functools.cache
+def _ecm_plan(b1: int) -> tuple:
+    """(k, giants, cost) for B1 and B2 = 100 B1: k = the product of the
+    largest powers <= B1 of the primes <= B1; for each prime g D +- j in
+    (B1, B2], j odd and below D/2, ``giants`` holds g with the bytes j // 2;
+    ``cost`` counts the modular multiplications of one curve: 11 a ladder
+    bit, 6 a baby or giant step, 2 a prime."""
+    k, d, giants = 1, _ECM_STRIDE, {}
+    for p in _trial_primes():
+        if p > 100 * b1:
+            break
+        if p > b1:
+            g = (p + d // 2) // d
+            giants.setdefault(g, set()).add(abs(p - g * d) // 2)
+            continue
+        power = p
+        while power * p <= b1:
+            power *= p
+        k *= power
+    giants = tuple((g, bytes(sorted(js))) for g, js in sorted(giants.items()))
+    cost = 11 * k.bit_length() + 6 * d // 4 + sum(6 + 2 * len(js) for _, js in giants)
+    return k, giants, cost
 
 
 def _ecm_stage2(x, z, a24, n, giants) -> int:
@@ -307,12 +267,12 @@ def _ecm_stage2(x, z, a24, n, giants) -> int:
     return product
 
 
-def _ecm(n: int, primes: list[int], budget: list[int]) -> int | None:
+def _ecm(n: int, budget: list[int]) -> int | None:
     """Suyama curves along the schedule while the budget lasts: a factor or None."""
     rng = random.Random(n)
-    for b1, curves in _ECM_SCHEDULE if primes else ():
-        k, giants, cost = _ecm_plan(min(b1, primes[-1]), min(100 * b1, primes[-1]), primes)
-        for _ in range(curves):
+    for b1, curves in _ECM_SCHEDULE:
+        k, giants, cost = _ecm_plan(b1)
+        for _ in range(curves) if curves else itertools.count():
             if budget[0] < cost // _MULS_PER_RHO_ITERATION:
                 return None
             budget[0] -= cost // _MULS_PER_RHO_ITERATION
@@ -325,7 +285,7 @@ def _ecm(n: int, primes: list[int], budget: list[int]) -> int | None:
                 a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
                 x, z = _ladder(k, x, z, a24, n)  # stage 1
                 g = math.gcd(z, n)
-                if g == 1 and giants:
+                if g == 1:
                     g = math.gcd(_ecm_stage2(x, z, a24, n, giants), n)
             if 1 < g < n:
                 return g
@@ -335,22 +295,20 @@ def _ecm(n: int, primes: list[int], budget: list[int]) -> int | None:
 def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
     """Complete factorization of n != 0 within the effort budget.
 
-    Trial division up to ``budget.trial_bound`` (a gcd per chunk of
-    primes, then division by the primes of the chunks that share a factor
-    with n), then ECM on Montgomery
-    curves, then Brent rho with what is left of the budget; every reported
-    prime is certified by ``is_prime``.  A surviving composite is returned in
-    ``cofactor`` and must be treated as unusable by callers.
+    Trial division by the primes below ``TRIAL_BOUND`` = 10^6 (a gcd per
+    chunk of primes, then division by the primes of the chunks that share a
+    factor with n), then ECM on Montgomery curves, which alone spends the
+    whole budget; every reported prime is certified by ``is_prime``.  A
+    surviving composite is returned in ``cofactor`` and must be treated as
+    unusable by callers.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     if budget is None:
         budget = FactorBudget()
     sign = 1 if n > 0 else -1
-    n = abs(n)
     found: dict[int, int] = {}
-    primes = _primes_below(budget.trial_bound)
-    n = _trial_divide(n, primes, found)
+    n = _trial_divide(abs(n), found)
     pending = [n] if n > 1 else []
     cofactor = 1
     effort = [budget.rho_iterations]
@@ -365,7 +323,7 @@ def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
         if root * root == m:
             pending.extend([root, root])
             continue
-        d = _ecm(m, primes, effort) or _brent_rho(m, effort)
+        d = _ecm(m, effort)
         if d is None:
             cofactor *= m
         else:

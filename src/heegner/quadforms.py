@@ -84,20 +84,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class Discriminant:
     """Discriminant D = -p*l or -4*p*l for the Heegner constructions."""

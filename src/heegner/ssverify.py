@@ -222,61 +222,26 @@ def verify_certificate(selected, j: QuadSurd,
 # --- the level-3 lift ---------------------------------------------------------
 
 
-class _QuadExt:
-    """x + y*sqrt(delta) with Fraction components over a fixed delta."""
-
-    __slots__ = ("x", "y", "delta")
-
-    def __init__(self, x, y, delta):
-        self.x, self.y, self.delta = Fraction(x), Fraction(y), delta
-
-    def __add__(self, other):
-        if isinstance(other, _QuadExt):
-            return _QuadExt(self.x + other.x, self.y + other.y, self.delta)
-        return _QuadExt(self.x + other, self.y, self.delta)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, _QuadExt):
-            return _QuadExt(
-                self.x * other.x + self.delta * self.y * other.y,
-                self.x * other.y + self.y * other.x,
-                self.delta,
-            )
-        return _QuadExt(self.x * other, self.y * other, self.delta)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        n = other.norm()
-        conj = _QuadExt(other.x, -other.y, self.delta)
-        return (self * conj) * Fraction(1, 1) * Fraction(n.denominator, n.numerator)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.delta * self.y * self.y
-
-
 def lift_j_from_h_level3(h) -> QuadSurd:
     """The j-invariant of the curve pair with level-3 invariant h (non-real case).
 
     The eta-quotient value satisfies t^2 - h t + 729 = 0 and
-    j - 1728 = (t^2 - 486 t - 19683)^2 / t^3.
+    j - 1728 = (t^2 - 486 t - 19683)^2 / t^3.  With h = n/d, m0 = n^2 - 2916 d^2
+    and T = n + sqrt(m0), t = T / 2d and t tbar = 729, so
+    j = 1728 + G^2 Tbar^3 / (128 d^7 729^3) with G = T^2 - 972 d T - 78732 d^2,
+    computed in Z[sqrt(m0)] on pairs (a, b) = a + b sqrt(m0).
     """
     h = Fraction(h)
     if h * h >= 2916:
         raise ValueError("real case not handled (h^2 >= 2916)")
     n, d = h.numerator, h.denominator
     m0 = n * n - 2916 * d * d  # (sqrt of) discriminant of the lift, negative
-    delta = Fraction(m0, d * d)
-    t = _QuadExt(h / 2, Fraction(1, 2), delta)  # (h + sqrt(delta)) / 2
-    g = t * t - 486 * t - 19683
-    j = g * g / (t * t * t) + 1728
-    # express j = x + y*sqrt(delta) as (u + v*sqrt(m0)) / w with integer parts
-    x, y = j.x, j.y
-    y_scaled = y / d  # j = x + (y/d) sqrt(m0)
-    w = math.lcm(x.denominator, y_scaled.denominator)
-    return QuadSurd.make(int(x * w), int(y_scaled * w), w, m0)
+
+    def mul(x, y):
+        return x[0] * y[0] + m0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    g = (n * n + m0 - 972 * d * n - 78732 * d * d, 2 * n - 972 * d)
+    tbar = (n, -1)  # Tbar = n - sqrt(m0)
+    u, v = mul(mul(g, g), mul(mul(tbar, tbar), tbar))
+    w = 128 * d**7 * 729**3
+    return QuadSurd.make(u + 1728 * w, v, w, m0)

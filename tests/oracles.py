@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from dataclasses import dataclass
 from itertools import chain
 
@@ -34,7 +35,7 @@ from mpmath import mpc, mpf
 from mpmath.libmp import to_fixed
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
-from heegner.intmath import FactorBudget, Factorization, _primes_below, factorize, is_square
+from heegner.intmath import TRIAL_BOUND, Factorization, factorize, is_square
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
 from heegner.modpoly import FPoly, _divmod, _trim, epsilon_split
 from heegner.quadforms import (
@@ -1161,14 +1162,24 @@ def real_roots(P: ClassPolynomial, width: Fraction = Fraction(1, 1 << 32)):
 # --- trial division one prime at a time ------------------------------------
 
 
+@functools.cache
+def primes_below(bound):
+    """The primes below ``bound``, by a sieve of Eratosthenes."""
+    flags = bytearray([1]) * bound
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return [i for i in range(bound) if flags[i]]
+
+
 def factorize_by_trial_loop(n, budget=None):
-    """``factorize`` with trial division by every prime below the bound in
-    turn; the rest, whose prime factors all exceed the bound, goes to the
+    """``factorize`` with trial division by every prime below ``TRIAL_BOUND``
+    in turn; the rest, whose prime factors all exceed the bound, goes to the
     library."""
-    budget = budget or FactorBudget()
     found = {}
     m = abs(n)
-    for p in _primes_below(budget.trial_bound):
+    for p in primes_below(TRIAL_BOUND):
         if p * p > m:
             break
         while m % p == 0:
@@ -1178,3 +1189,43 @@ def factorize_by_trial_loop(n, budget=None):
     for p, e in rest.factors:
         found[p] = found.get(p, 0) + e
     return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())), rest.cofactor)
+
+
+# --- Brent rho: the unit of the factoring budget -----------------------------
+
+
+def brent_rho(n, budget):
+    """Brent's cycle variant of Pollard rho (BIT 20, 1980): a nontrivial
+    factor of n, or None once ``budget[0]`` iterations are spent.  One
+    iteration is the unit of ``FactorBudget.rho_iterations``."""
+    if n % 2 == 0:
+        return 2
+    rng = random.Random(n)
+    while budget[0] > 0:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and budget[0] > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                budget[0] -= min(m, r - k)
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return None

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
+from heegner import intmath
 from heegner.intmath import (
     FactorBudget,
-    _brent_rho,
     factorize,
     is_prime,
     is_square,
@@ -14,22 +14,13 @@ from heegner.intmath import (
     squarefree_part,
 )
 
-from oracles import factorize_by_trial_loop
+from oracles import brent_rho, factorize_by_trial_loop, primes_below
 
 
 def euler_criterion(a, q):
     """Legendre symbol by Euler's criterion; oracle for odd prime q."""
     r = pow(a % q, (q - 1) // 2, q)
     return -1 if r == q - 1 else r
-
-
-def sieve_primes(bound):
-    flags = bytearray([1]) * bound
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(bound) if flags[i]]
 
 
 class TestKronecker:
@@ -45,7 +36,7 @@ class TestKronecker:
         assert kronecker(2309, 55) == -1
 
     def test_agrees_with_euler_criterion(self):
-        for q in sieve_primes(1000):
+        for q in primes_below(1000):
             if q == 2:
                 continue
             for a in range(1, q):
@@ -84,11 +75,11 @@ class TestIsPrime:
     def test_large_factor_has_no_small_divisor(self):
         # cross-check of 452233314041 by trial division to 1e6
         n = 452233314041
-        for p in sieve_primes(10**6):
+        for p in primes_below(10**6):
             assert n % p != 0
 
     def test_matches_sieve_below_10000(self):
-        primes = set(sieve_primes(10**4))
+        primes = set(primes_below(10**4))
         for n in range(10**4):
             assert is_prime(n) == (n in primes), n
 
@@ -124,16 +115,16 @@ class TestFactorize:
             for p, e in f.factors:
                 assert e >= 1 and is_prime(p)
 
-    def test_semiprime_split_by_rho(self):
+    def test_semiprime_split_by_ecm(self):
         p, q = 1000003, 1000033
         f = factorize(p * q)
         assert f.factors == ((p, 1), (q, 1))
 
     def test_budget_exhaustion_reports_cofactor(self):
-        # two 20-digit primes: rho with a tiny budget must give up cleanly
+        # two 20-digit primes: a budget below one curve must give up cleanly
         p = 10000000000000000051
         q = 10000000000000000087
-        f = factorize(p * q, FactorBudget(trial_bound=10**4, rho_iterations=16))
+        f = factorize(p * q, FactorBudget(rho_iterations=16))
         assert not f.complete
         assert f.cofactor == p * q
         assert f.value() == p * q
@@ -145,7 +136,7 @@ class TestFactorize:
     def test_chunked_trial_division_matches_loop(self):
         # trial division by a gcd per chunk of 256 primes finds what dividing
         # by every prime in turn finds
-        primes = sieve_primes(10**6)
+        primes = primes_below(10**6)
         rng = random.Random(29)
         cases = list(range(-3, 10**4))
         edges = [0, 1, 255, 256, 257, 511, 512, 1000, 40000, len(primes) - 257,
@@ -176,7 +167,7 @@ class TestEcm:
         assert f.factors == ((8227830884240749, 1), (36426991284167748917, 1))
 
     def test_unsplittable_within_budget_time(self):
-        # ECM and rho spend one budget, in units of one rho iteration's time
+        # ECM spends the budget in units of one rho iteration's time
         n = math.prod(self.TWO_25_DIGIT_PRIMES)
         budget = FactorBudget(rho_iterations=1 << 16)
         factor_s, rho_s = [], []
@@ -185,10 +176,21 @@ class TestEcm:
             f = factorize(n, budget)
             factor_s.append(time.perf_counter() - start)
             start = time.perf_counter()
-            _brent_rho(n, [1 << 16])
+            brent_rho(n, [1 << 16])
             rho_s.append(time.perf_counter() - start)
             assert f.cofactor == n and f.factors == ()
         assert min(factor_s) < 2 * min(rho_s), (factor_s, rho_s)
+
+    def test_budget_beyond_schedule_buys_last_stage_curves(self, monkeypatch):
+        # the last stage runs curves until the budget no longer covers one
+        monkeypatch.setattr(intmath, "_ECM_SCHEDULE", ((300, 1), (1000, None)))
+        first, last = (intmath._ecm_plan(b1)[2] // intmath._MULS_PER_RHO_ITERATION
+                       for b1 in (300, 1000))
+        n = math.prod(self.TWO_25_DIGIT_PRIMES)
+        for curves in (0, 1, 3):
+            budget = [first + curves * last + last - 1]
+            assert intmath._ecm(n, budget) is None
+            assert budget == [last - 1], curves
 
     def test_deterministic(self):
         budget = FactorBudget(rho_iterations=1 << 16)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from heegner.intmath import is_prime, kronecker
@@ -225,6 +226,23 @@ class TestLift:
             u, v, w, m = j.u - 1728 * j.w, j.v, j.w, j.m
             lifted_norm = Fraction(u * u - m * v * v, w * w)
             assert lifted_norm == norm, h
+
+    def test_lift_matches_numerical_j(self):
+        # j = (t^2 - 486 t - 19683)^2 / t^3 + 1728 at a root t of
+        # t^2 - h t + 729, to 60 digits, is the lifted surd or its conjugate
+        rng = random.Random(11)
+        with mpmath.workdps(60):
+            for _ in range(25):
+                h = Fraction(rng.randrange(-300, 300), rng.randrange(1, 8))
+                if h * h >= 2916:
+                    continue
+                j = lift_j_from_h_level3(h)
+                x = mpmath.mpf(h.numerator) / h.denominator
+                t = (x + mpmath.sqrt(mpmath.mpc(x * x - 2916))) / 2
+                expected = (t * t - 486 * t - 19683) ** 2 / t**3 + 1728
+                root = mpmath.sqrt(mpmath.mpc(j.m))
+                error = min(abs(expected - (j.u + s * j.v * root) / j.w) for s in (1, -1))
+                assert error <= abs(expected) * mpmath.mpf(10) ** -50, h
 
     def test_lift_is_nonreal(self):
         j = lift_j_from_h_level3(Fraction(21, 2))
