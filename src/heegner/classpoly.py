@@ -72,12 +72,6 @@ class ClassPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, h: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * h + c
-        return acc
-
     def to_json(self) -> str:
         D = list(self.D) if isinstance(self.D, tuple) else self.D
         return json.dumps(
@@ -238,5 +232,8 @@ def _int_poly_mul(f, g):
 
 
 def evaluate(P: ClassPolynomial, h: Fraction) -> Fraction:
-    """Exact rational value P(h)."""
-    return P.evaluate(Fraction(h))
+    """Exact rational value P(h), by Horner's rule."""
+    h, acc = Fraction(h), Fraction(0)
+    for c in reversed(P.coefficients):
+        acc = acc * h + c
+    return acc

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classpoly import PrecisionExhaustedError, build_PD, build_Pl
-from .intmath import FactorBudget
+from .intmath import FactorBudget, is_prime
 from .levels import level
 from .quadforms import Discriminant, fundamental_unit
 from .hauptmodul import jp_arc_interval
 from .sssearch import RealJCaseError, SupersingularAtPError, search
-from .ssverify import VERIFY_EFFORT_BOUND, EffortBoundExceeded, QuadSurd, is_supersingular_mod
+from .ssverify import VERIFY_EFFORT_BOUND, QuadSurd, verify_certificate
 
 EXIT_OK = 0
 EXIT_ORDINARY = 1
@@ -30,6 +30,10 @@ EXIT_UNVERIFIED = 4
 EXIT_USAGE = 64
 EXIT_SUPERSINGULAR_AT_P = 65
 EXIT_REAL_J = 66
+
+# the statuses that answer ``heegner verify``; any other exits 64
+VERIFY_EXIT = {"supersingular": EXIT_OK, "ordinary": EXIT_ORDINARY,
+               "unverified-large": EXIT_UNVERIFIED}
 
 
 @dataclass
@@ -159,16 +163,17 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         cfg = Config(verify_bound=args.verify_bound)
-        supersingular = is_supersingular_mod(QuadSurd.from_string(args.j), args.q,
-                                             cfg.verify_bound)
-    except EffortBoundExceeded:
-        print("unverified-large")
-        return EXIT_UNVERIFIED
+        j = QuadSurd.from_string(args.j)
+        if not is_prime(args.q):  # else a composite q above the bound is unverified-large
+            raise ValueError(f"q = {args.q} is not prime")
+        status = verify_certificate((args.q,), j, cfg.verify_bound)[args.q]
+        if status not in VERIFY_EXIT:
+            raise ValueError(f"{status} at q = {args.q}")
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print("supersingular" if supersingular else "ordinary")
-    return EXIT_OK if supersingular else EXIT_ORDINARY
+    print(status)
+    return VERIFY_EXIT[status]
 
 
 def _cmd_tables(args) -> int:

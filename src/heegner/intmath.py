@@ -22,7 +22,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "is_square",
-    "squarefree_part",
 ]
 
 
@@ -112,12 +111,6 @@ class Factorization:
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
-
-    def value(self) -> int:
-        v = self.sign * self.cofactor
-        for p, e in self.factors:
-            v *= p**e
-        return v
 
 
 @dataclass
@@ -338,18 +331,3 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def squarefree_part(n: int) -> tuple[int, int]:
-    """Write n = s**2 * m with m squarefree; returns (m, s)."""
-    if n == 0:
-        raise ValueError("squarefree_part expects n != 0")
-    fac = factorize(abs(n))
-    if not fac.complete:
-        raise ValueError(f"could not fully factor {n}")
-    m, s = 1 if n > 0 else -1, 1
-    for p, e in fac.factors:
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    return m, s

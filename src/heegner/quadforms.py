@@ -53,9 +53,6 @@ class QuadForm:
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
 

@@ -1,11 +1,11 @@
 """Independent supersingularity verification.
 
-A quadratic-surd j-invariant is reduced modulo a prime q (into F_q or F_q^2
-according to the splitting of its radicand) and tested by walking its
-2-isogeny graph (``supersingular``), which answers the Hasse-invariant
-question in O(log q) square roots.  Verification is bounded by an explicit
-limit, by default 2^64, where ``is_prime`` stops being deterministic; larger
-primes are reported as unverified rather than trusted.
+A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
+nothing factored, and tested by walking its 2-isogeny graph
+(``supersingular``), which answers the Hasse-invariant question in O(log q)
+square roots.  Verification is bounded by an explicit limit, by default 2^64,
+where ``is_prime`` stops being deterministic; larger primes are reported as
+unverified rather than trusted.
 
 Also home to the exact h -> j lift that enables end-to-end verification for
 p = 3.
@@ -18,19 +18,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import is_prime, kronecker, squarefree_part
+from .intmath import is_prime, is_square, kronecker
 from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2, sqrt_mod
 
 __all__ = [
     "QuadSurd",
-    "Fq2",
     "BadReductionError",
-    "EffortBoundExceeded",
     "VERIFY_EFFORT_BOUND",
     "reduce_mod",
-    "sqrt_mod",
     "is_supersingular_j",
-    "is_supersingular_mod",
     "verify_certificate",
     "lift_j_from_h_level3",
 ]
@@ -42,13 +38,10 @@ class BadReductionError(ValueError):
     """q divides the denominator of the surd representation."""
 
 
-class EffortBoundExceeded(RuntimeError):
-    """q exceeds the verification effort bound."""
-
-
 @dataclass(frozen=True)
 class QuadSurd:
-    """(u + v*sqrt(m)) / w with w > 0, gcd(u, v, w) = 1 and m squarefree."""
+    """(u + v*sqrt(m)) / w with w > 0, gcd(u, v, w) = 1 and m not a square,
+    or m = 1 and v = 0 for a rational number.  m may have square factors."""
 
     u: int
     v: int
@@ -63,21 +56,16 @@ class QuadSurd:
 
     @classmethod
     def make(cls, u: int, v: int, w: int, m: int) -> "QuadSurd":
-        """Canonicalize: positive w, square part of m folded into v, a
-        rational surd (m = 1) folded into u, gcd 1."""
+        """Canonicalize: positive w, a square m (a rational surd) folded
+        into u, gcd 1.  Any other m is kept as given."""
         if w == 0:
             raise ZeroDivisionError("denominator is zero")
         if w < 0:
             u, v, w = -u, -v, -w
-        if v == 0:
-            m = 1
-        elif m == 0:
+        if v == 0 or m == 0:
             v, m = 0, 1
-        else:
-            m, s = squarefree_part(m)
-            v *= s
-        if m == 1:
-            u, v = u + v, 0
+        elif is_square(m):
+            u, v, m = u + v * math.isqrt(m), 0, 1
         g = math.gcd(math.gcd(u, v), w)
         return cls(u // g, v // g, w // g, m)
 
@@ -110,40 +98,41 @@ class QuadSurd:
         sign = "+" if self.v >= 0 else "-"
         return f"({self.u}{sign}{abs(self.v)}*sqrt({self.m}))/{self.w}"
 
-    def conjugate(self) -> "QuadSurd":
-        return QuadSurd(self.u, -self.v, self.w, self.m)
+
+def _local(j: QuadSurd, q: int) -> tuple[int, int, int, int]:
+    """(u, v, w, m) of j with sqrt(m) = q sqrt(m/q^2) while q^2 divides m,
+    then a q common to u, v and w cancelled; BadReductionError if q | w."""
+    u, v, w, m = j.u, j.v, j.w, j.m
+    while m and m % (q * q) == 0:
+        m, v = m // (q * q), v * q
+    g = math.gcd(u, v, w)  # a power of q, as gcd(j.u, j.v, j.w) = 1
+    if w // g % q == 0:
+        raise BadReductionError(f"{q} divides the denominator of {j}")
+    return u // g, v // g, w // g, m
 
 
-@dataclass(frozen=True)
-class Fq2:
-    """c0 + c1*t in F_q(t), t^2 = m (m a quadratic nonresidue mod q)."""
+def reduce_mod(j: QuadSurd, q: int) -> list[tuple[int, int]]:
+    """The residues of j modulo the odd prime q, as pairs (x0, x1) of the
+    standard ``Fq2Field(q)``, F_q(t) with t^2 = z for its non-residue z.
 
-    q: int
-    m: int
-    c0: int
-    c1: int
-
-
-def reduce_mod(j: QuadSurd, q: int) -> list[int] | Fq2:
-    """Reduction of j modulo q: residues in F_q, or an element of F_q^2.
-
-    Split m gives the two conjugate residues, ramified m a single one, inert
-    m an element of F_q(sqrt(m)).
+    After ``_local``, split m gives the two conjugate residues in F_q,
+    ramified m a single one, and inert m u/w + (v sqrt(m/z)/w) t, the
+    conjugate with the smaller x1.  So one number has one reduction however
+    m is written, the one its squarefree form gives.
     """
     if not is_prime(q) or q == 2:
         raise ValueError(f"q = {q} must be an odd prime")
-    if j.w % q == 0:
-        raise BadReductionError(f"{q} divides the denominator of {j}")
-    winv = pow(j.w, -1, q)
-    if j.v % q == 0:
-        return [j.u * winv % q]
-    symbol = kronecker(j.m, q)
-    if symbol == 0:
-        return [j.u * winv % q]
+    u, v, w, m = _local(j, q)
+    winv = pow(w, -1, q)
+    x0 = u * winv % q
+    symbol = kronecker(m, q)
+    if v % q == 0 or symbol == 0:
+        return [(x0, 0)]
     if symbol == 1:
-        s = sqrt_mod(j.m, q)
-        return sorted({(j.u + j.v * s) * winv % q, (j.u - j.v * s) * winv % q})
-    return Fq2(q, j.m % q, j.u * winv % q, j.v * winv % q)
+        s = v * sqrt_mod(m, q) * winv
+        return sorted({((x0 + s) % q, 0), ((x0 - s) % q, 0)})
+    x1 = v * sqrt_mod(m * pow(Fq2Field(q).m, -1, q), q) * winv % q
+    return [(x0, min(x1, q - x1))]
 
 
 def _curve_from_j(F: Fq2Field, j) -> tuple:
@@ -156,66 +145,51 @@ def _curve_from_j(F: Fq2Field, j) -> tuple:
     return F.scale(k, 3), F.scale(k, 2)
 
 
-def is_supersingular_j(j0: int | Fq2, q: int,
-                       effort_bound: int = VERIFY_EFFORT_BOUND) -> bool:
-    """Supersingularity of a j-invariant over F_q or F_q^2.
+def is_supersingular_j(j: tuple[int, int], q: int) -> bool:
+    """Supersingularity of a j-invariant (x0, x1) of the standard
+    ``Fq2Field(q)``, x1 = 0 for one in F_q.
 
     Twists share the same answer, so any curve with the given invariant may
     be passed to the Hasse-invariant test; we take y^2 = x^3 + 3k x + 2k with
     k = j/(1728 - j) and the standard special curves at j = 0 and 1728.
     """
-    if q in (2, 3):
-        raise ValueError("supersingularity test defined for q >= 5")
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
-    if q > effort_bound:
-        raise EffortBoundExceeded(f"q = {q} exceeds effort bound {effort_bound}")
-    if isinstance(j0, Fq2):
-        F, j = Fq2Field(q, j0.m), (j0.c0 % q, j0.c1 % q)
-    else:
-        F, j = Fq2Field(q), (j0 % q, 0)
-    (a0, a1), (b0, b1) = _curve_from_j(F, j)
+    if q in (2, 3) or not is_prime(q):
+        raise ValueError(f"q = {q}: the test is defined for primes q >= 5")
+    F = Fq2Field(q)
+    (a0, a1), (b0, b1) = _curve_from_j(F, (j[0] % q, j[1] % q))
     if a1 == b1 == 0:
         return not hasse_nonzero_fq(q, a0, b0)
     return not hasse_nonzero_fq2(q, F.m, a0, a1, b0, b1)
 
 
-def is_supersingular_mod(j: QuadSurd, q: int,
-                         effort_bound: int = VERIFY_EFFORT_BOUND) -> bool:
-    """Supersingularity of the reduction of j modulo the odd prime q.
-
-    Every residue of j mod q must give the same verdict (conjugate curves are
-    supersingular together); disagreement raises ArithmeticError.  A q that
-    divides the denominator of j raises BadReductionError, and a q above the
-    effort bound EffortBoundExceeded.
-    """
-    residues = reduce_mod(j, q)
-    if isinstance(residues, Fq2):
-        residues = [residues]
-    verdicts = {is_supersingular_j(r, q, effort_bound) for r in residues}
-    if len(verdicts) != 1:
-        raise ArithmeticError(f"conjugate residues disagree at q = {q}: internal error")
-    return verdicts.pop()
-
-
 def verify_certificate(selected, j: QuadSurd,
                        effort_bound: int = VERIFY_EFFORT_BOUND) -> dict[int, str]:
     """Per-prime verification statuses for the selected primes of a search
-    certificate, given the j-invariant corresponding to its h."""
+    certificate, given the j-invariant corresponding to its h.
+
+    q = 2 and 3 are ``unverified-small``, a q that divides the denominator
+    of j ``bad-reduction``, and a q above ``effort_bound``
+    ``unverified-large``.  Otherwise every residue of j mod q must give the
+    same verdict (conjugate curves are supersingular together),
+    ``supersingular`` or ``ordinary``; disagreement raises ArithmeticError.
+    Primes above the bound are taken as given, not tested.
+    """
     statuses: dict[int, str] = {}
     for q in selected:
-        if q in (2, 3):
-            statuses[q] = "unverified-small"
-            continue
-        if q > effort_bound:
-            statuses[q] = "unverified-large"
-            continue
         try:
-            supersingular = is_supersingular_mod(j, q, effort_bound)
+            if q in (2, 3):
+                status = "unverified-small"
+            elif q > effort_bound:
+                _local(j, q)  # bad reduction is reported whatever the bound
+                status = "unverified-large"
+            else:
+                verdicts = {is_supersingular_j(r, q) for r in reduce_mod(j, q)}
+                if len(verdicts) != 1:
+                    raise ArithmeticError(f"conjugate residues disagree at q = {q}")
+                status = "supersingular" if verdicts.pop() else "ordinary"
         except BadReductionError:
-            statuses[q] = "bad-reduction"
-            continue
-        statuses[q] = "supersingular" if supersingular else "ordinary"
+            status = "bad-reduction"
+        statuses[q] = status
     return statuses
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,31 @@ class TestVerify:
     def test_composite_q_exit_64(self, capsys):
         code, _, _ = run(capsys, "verify", "--j", "0/1", "--q", "15")
         assert code == 64
+
+    def test_composite_q_above_bound_exit_64(self, capsys):
+        # 2^64 + 1 = 274177 * 67280421310721 is not unverified-large
+        code, out, err = run(capsys, "verify", "--j", self.J, "--q", str(2**64 + 1))
+        assert code == 64 and out == "" and "prime" in err
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_small_q_exit_64(self, capsys, q):
+        code, out, err = run(capsys, "verify", "--j", "5", "--q", q)
+        assert code == 64 and out == "" and "unverified-small" in err
+
+    def test_bad_reduction_exit_64_whatever_the_bound(self, capsys):
+        for bound in ("100", "5"):
+            code, out, err = run(capsys, "verify", "--j", "(1+sqrt(-3))/7", "--q", "7",
+                                 "--verify-bound", bound)
+            assert code == 64 and out == "" and "bad-reduction" in err
+
+    def test_unfactorable_radicand(self, capsys):
+        # the radicand is a 49-digit integer the default budget cannot
+        # factor; reduction mod 7 needs only its residue
+        started = time.perf_counter()
+        m = "-1000000000000000000000808000000000000000000005607"
+        code, out, _ = run(capsys, "verify", "--j", f"sqrt({m})", "--q", "7")
+        assert code == 1 and out == "ordinary"
+        assert time.perf_counter() - started < 1
 
 
 class TestTables:

@@ -263,6 +263,10 @@ class TestReduceTau:
         assert float(mpmath.im(reduced)) > 0.03
 
 
+def form_value(form, x, y):
+    return form.a * x * x + form.b * x * y + form.c * y * y
+
+
 def heegner_forms(p, ell, shape, limit=6):
     disc = Discriminant(p, ell, shape)
     return [heegner_rep(f, p) for f in enumerate_classes(disc.D).classes[:limit]]
@@ -306,9 +310,9 @@ class TestReduceHeegnerForm:
                 E = rng.choice([e for e in range(-2 * p, 2 * p + 1) if math.gcd(C, e) == 1])
                 A = pow(E, -1, C) - C * rng.randint(0, 1)
                 B = (A * E - 1) // C
-                moved = QuadForm(form.value(A, C),
+                moved = QuadForm(form_value(form, A, C),
                                  2 * form.a * A * B + form.b * (A * E + B * C) + 2 * form.c * C * E,
-                                 form.value(B, E))
+                                 form_value(form, B, E))
                 reduced = reduce_heegner_form(moved, p)
                 assert reduced.discriminant() == D and reduced.a % p == 0
                 assert reduced.a == top, (form, moved, reduced)

@@ -11,10 +11,14 @@ from heegner.intmath import (
     is_prime,
     is_square,
     kronecker,
-    squarefree_part,
 )
 
 from oracles import brent_rho, factorize_by_trial_loop, primes_below
+
+
+def product(f):
+    """The integer a Factorization stands for."""
+    return f.sign * f.cofactor * math.prod(p**e for p, e in f.factors)
 
 
 def euler_criterion(a, q):
@@ -100,7 +104,7 @@ class TestFactorize:
         f = factorize(n)
         assert f.sign == -1
         assert f.factors == ((7, 2), (151, 1), (452233314041, 1))
-        assert f.value() == n
+        assert product(f) == n
 
     def test_unit(self):
         f = factorize(1)
@@ -111,7 +115,7 @@ class TestFactorize:
         for _ in range(200):
             n = rng.randrange(2, 10**12) * rng.choice([1, -1])
             f = factorize(n)
-            assert f.value() == n
+            assert product(f) == n
             for p, e in f.factors:
                 assert e >= 1 and is_prime(p)
 
@@ -127,7 +131,7 @@ class TestFactorize:
         f = factorize(p * q, FactorBudget(rho_iterations=16))
         assert not f.complete
         assert f.cofactor == p * q
-        assert f.value() == p * q
+        assert product(f) == p * q
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -204,7 +208,7 @@ class TestEcm:
                       if is_prime(p)][:3]
             n = math.prod(primes)
             f = factorize(n)
-            assert f.complete and f.value() == n
+            assert f.complete and product(f) == n
             assert all(is_prime(p) for p in f.primes())
             assert sorted(f.primes()) == sorted(set(primes))
 
@@ -212,9 +216,3 @@ class TestEcm:
 def test_is_square():
     assert is_square(0) and is_square(144)
     assert not is_square(2) and not is_square(-4)
-
-
-def test_squarefree_part():
-    assert squarefree_part(720) == (5, 12)
-    assert squarefree_part(-84567) == (-84567, 1)  # squarefree already
-    assert squarefree_part(1) == (1, 1)

@@ -243,6 +243,19 @@ def unreferenced_definitions(sources, readers) -> list[str]:
                   if name.rpartition(".")[2] not in read)
 
 
+def test_only_the_search_factors():
+    # factoring is budgeted, and only the search holds the budget: a call
+    # elsewhere, as verification once made, would spend the default budget
+    # whatever --factor-budget says
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id == "factorize") or (
+                    isinstance(node, ast.Attribute) and node.attr == "factorize"):
+                readers.add(path.name)
+    assert readers == {"sssearch.py"}
+
+
 def test_every_definition_has_a_caller():
     # the library is the pipeline: what only the tests call belongs in tests/
     readers = sorted((ROOT / "perfbench").glob("*.py"))

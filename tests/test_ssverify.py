@@ -4,25 +4,26 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from heegner import intmath
 from heegner.intmath import is_prime, kronecker
 from heegner.ssverify import (
     BadReductionError,
-    EffortBoundExceeded,
-    Fq2,
     QuadSurd,
     is_supersingular_j,
     lift_j_from_h_level3,
     reduce_mod,
-    sqrt_mod,
     verify_certificate,
 )
-from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots
+from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots, sqrt_mod
 
 from oracles import norm_square_check, point_count, supersingular_mass
 
 ABOVE_VERIFY_BOUND = 2**64 + 13  # the least prime above the bound
 
 J11_POINT = QuadSurd.from_string("(-489229980611-42355313*sqrt(-84567))/4096")
+
+# a 49-digit integer that the default factoring budget does not split
+UNFACTORED = 1000000000000000000000808000000000000000000005607
 
 
 class TestQuadSurd:
@@ -47,9 +48,11 @@ class TestQuadSurd:
         s = QuadSurd.from_string(text)
         assert (s.u, s.v, s.w, s.m) == expect
 
-    def test_square_part_folded_into_v(self):
-        s = QuadSurd.make(1, 1, 2, -12)  # sqrt(-12) = 2 sqrt(-3)
-        assert (s.v, s.m) == (2, -3)
+    def test_radicand_kept_as_given(self):
+        # nothing is factored: sqrt(-12) is not rewritten as 2 sqrt(-3)
+        s = QuadSurd.make(1, 1, 2, -12)
+        assert (s.u, s.v, s.w, s.m) == (1, 1, 2, -12)
+        assert QuadSurd.make(0, 1, 1, -UNFACTORED).m == -UNFACTORED
 
     def test_square_radicand_folded_into_u(self):
         # (1 + 2 sqrt(4)) / 1 is the rational 5: no conjugate to reduce
@@ -85,18 +88,51 @@ class TestSqrtMod:
 
 class TestReduceMod:
     def test_known_mod_7(self):
-        assert reduce_mod(J11_POINT, 7) == [6]  # -84567 = 0 mod 7
+        assert reduce_mod(J11_POINT, 7) == [(6, 0)]  # -84567 = 0 mod 7
 
     def test_known_mod_151(self):
-        assert reduce_mod(J11_POINT, 151) == [67, 101]
+        assert reduce_mod(J11_POINT, 151) == [(67, 0), (101, 0)]
 
     def test_zero_surd(self):
-        assert reduce_mod(QuadSurd.make(0, 0, 1, 5), 13) == [0]
+        assert reduce_mod(QuadSurd.make(0, 0, 1, 5), 13) == [(0, 0)]
 
     def test_inert_gives_fq2(self):
-        r = reduce_mod(J11_POINT, 2309)
-        assert isinstance(r, Fq2)
         assert kronecker(J11_POINT.m, 2309) == -1
+        [(x0, x1)] = reduce_mod(J11_POINT, 2309)
+        assert 0 < x1 <= 2309 - x1  # the conjugate with the smaller x1
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 151, 2309])
+    def test_one_number_one_reduction(self, q):
+        # sqrt(-12) = 2 sqrt(-3) and sqrt(50) = 5 sqrt(2), where 5 | w
+        pairs = [((1, 1, 2, -12), (1, 2, 2, -3)), ((5, 1, 5, 50), (1, 1, 1, 2))]
+        for one, other in pairs:
+            residues = reduce_mod(QuadSurd.make(*one), q)
+            assert residues == reduce_mod(QuadSurd.make(*other), q)
+            assert all(type(r) is tuple and len(r) == 2 for r in residues)
+
+    def test_residues_are_roots_of_the_minimal_polynomial(self):
+        # w^2 X^2 - 2uw X + u^2 - m v^2 vanishes at every residue, in the
+        # standard F_q^2, for radicands with and without square factors
+        rng = random.Random(29)
+        primes = [q for q in range(5, 400) if is_prime(q)]
+        for _ in range(200):
+            m = rng.choice([-1, 1]) * rng.randrange(2, 60) * rng.choice([1, 4, 9, 25, 49])
+            j = QuadSurd.make(rng.randrange(-99, 100), rng.randrange(1, 30),
+                              rng.randrange(1, 50), m)
+            q = rng.choice(primes)
+            if j.w % q == 0:
+                continue
+            F = Fq2Field(q)
+            for x in reduce_mod(j, q):
+                value = F.sub(F.scale(F.mul(x, x), j.w * j.w), F.scale(x, 2 * j.u * j.w))
+                assert F.add(value, ((j.u * j.u - j.m * j.v * j.v) % q, 0)) == (0, 0), (j, q)
+
+    def test_q_squared_in_radicand_cancels_from_w(self):
+        # (7 + sqrt(49 * 3)) / 7 = 1 + sqrt(3): good reduction at 7
+        expected = reduce_mod(QuadSurd.make(1, 1, 1, 3), 7)
+        assert reduce_mod(QuadSurd.make(7, 1, 7, 147), 7) == expected == [(1, 1)]
+        with pytest.raises(BadReductionError):
+            reduce_mod(QuadSurd.make(1, 1, 7, 147), 7)  # (1 + 7 sqrt(3)) / 7
 
     def test_bad_reduction(self):
         with pytest.raises(BadReductionError):
@@ -105,24 +141,24 @@ class TestReduceMod:
 
 class TestIsSupersingular:
     def test_known_values(self):
-        assert is_supersingular_j(6, 7)
-        assert is_supersingular_j(67, 151)
-        assert is_supersingular_j(101, 151)
+        assert is_supersingular_j((6, 0), 7)
+        assert is_supersingular_j((67, 0), 151)
+        assert is_supersingular_j((101, 0), 151)
 
     def test_at_2309_via_fq2(self):
-        r = reduce_mod(J11_POINT, 2309)
+        [r] = reduce_mod(J11_POINT, 2309)
         assert is_supersingular_j(r, 2309)
 
     def test_1728_mod_7_same_class_as_6(self):
         assert 1728 % 7 == 6
-        assert is_supersingular_j(1728 % 7, 7)
+        assert is_supersingular_j((1728 % 7, 0), 7)
         # cross-check with naive counting: #E(F_7) = 8 for y^2 = x^3 + x
         assert point_count(7, 1, 0) == 8
 
     def test_exhaustive_against_point_counting(self):
         for q in (5, 7, 11, 13, 17, 19, 23):
             for j0 in range(q):
-                by_hasse = is_supersingular_j(j0, q)
+                by_hasse = is_supersingular_j((j0, 0), q)
                 if j0 == 0:
                     a, b = 0, 1
                 elif (j0 - 1728) % q == 0:
@@ -143,15 +179,11 @@ class TestIsSupersingular:
             verdicts = {is_supersingular_j(r, q) for r in residues}
             assert verdicts == {True}
 
-    def test_effort_bound(self):
-        with pytest.raises(EffortBoundExceeded):
-            is_supersingular_j(5, ABOVE_VERIFY_BOUND)
-
     def test_rejects_2_3_and_composites(self):
         with pytest.raises(ValueError):
-            is_supersingular_j(0, 3)
+            is_supersingular_j((0, 0), 3)
         with pytest.raises(ValueError):
-            is_supersingular_j(0, 15)
+            is_supersingular_j((0, 0), 15)
 
 
 def test_supersingular_census_matches_mass_formula():
@@ -186,6 +218,13 @@ class TestVerifyCertificate:
     def test_bad_reduction_status(self):
         statuses = verify_certificate((5,), QuadSurd.make(1, 1, 5, -3))
         assert statuses == {5: "bad-reduction"}
+
+    def test_bad_reduction_above_the_bound(self):
+        # a q in the denominator is reported as such, whatever the bound
+        j = QuadSurd.make(1, 1, 7, -3)
+        assert verify_certificate((7,), j, effort_bound=5) == {7: "bad-reduction"}
+        assert verify_certificate((7,), QuadSurd.make(7, 1, 7, 147), effort_bound=5) == {
+            7: "unverified-large"}
 
 
 class TestNormSquareCheck:
@@ -243,6 +282,18 @@ class TestLift:
                 root = mpmath.sqrt(mpmath.mpc(j.m))
                 error = min(abs(expected - (j.u + s * j.v * root) / j.w) for s in (1, -1))
                 assert error <= abs(expected) * mpmath.mpf(10) ** -50, h
+
+    def test_lift_factors_nothing(self, monkeypatch):
+        # m0 = 1 - 2916 N^2 has no squarefree part within the budget, and the
+        # lift and its verification need none
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(intmath, "factorize", refuse)
+        j = lift_j_from_h_level3(Fraction(1, UNFACTORED))
+        assert j.m == 1 - 2916 * UNFACTORED**2
+        statuses = verify_certificate((17, 13850489), j)
+        assert statuses == {17: "supersingular", 13850489: "supersingular"}
 
     def test_lift_is_nonreal(self):
         j = lift_j_from_h_level3(Fraction(21, 2))
