@@ -119,11 +119,13 @@ class FactorBudget:
 
     ``rho_iterations`` is one budget that ECM spends across all split
     attempts.  Its unit is the time of one iteration of Brent's rho cycle
-    walk, five modular multiplications; an ECM curve is charged the
-    iterations that take as long.  Hard composites surviving it are reported
-    as an unfactored cofactor so callers can skip rather than stall.  The
-    default, about 7 s of work, splits two 14-digit primes in under a second;
-    raise it when stalling is acceptable.
+    walk, five modular multiplications; an ECM curve is charged a fixed
+    number of them, its stage's ``_ecm_plan`` cost, so a budget buys the
+    same curves however fast they run.  Hard composites surviving it are
+    reported as an unfactored cofactor so callers can skip rather than
+    stall.  The default is 7-10 s of work when spent whole (2-core Xeon,
+    CPython 3.11, two 25-digit primes); it splits two 14-digit primes in
+    about 0.1 s.  Raise it when stalling is acceptable.
     """
 
     rho_iterations: int = 1 << 22
@@ -180,7 +182,7 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
 # (B1, curves) per stage, B2 = 100 B1; the last stage runs curves until the
 # budget is spent.  Chosen on the composites of the points benchmark, whose
 # smallest factors have 7-11 digits; B1 = 1000 splits the 14-digit factors of
-# search(7, 2) in about 20 curves.
+# search(7, 2), on its third curve with the seeded sigmas.
 _ECM_SCHEDULE = ((300, 16), (1000, 48), (2000, None))
 _ECM_STRIDE = 210  # D, the giant step of stage 2
 # Modular multiplications that take as long as one rho iteration, measured
@@ -200,14 +202,21 @@ def _xadd(x1, z1, x2, z2, xd, zd, n):
 
 
 def _ladder(k, x, z, a24, n):
-    """Montgomery ladder: x-only [k](x : z), k >= 1."""
-    low, high = (x, z), _xdbl(x, z, a24, n)  # [m] P and [m + 1] P
+    """Montgomery ladder: x-only [k](x : z), k >= 1.  Each bit makes one
+    ``_xadd`` and one ``_xdbl``, written out here on local variables."""
+    s, d = (x + z) * (x + z) % n, (x - z) * (x - z) % n
+    x0, z0, x1, z1 = x, z, s * d % n, (s - d) * (d + a24 * (s - d)) % n  # [m] P, [m + 1] P
     for bit in bin(k)[3:]:
+        u, v = (x0 - z0) * (x1 + z1), (x0 + z0) * (x1 - z1)
         if bit == "1":
-            low, high = _xadd(*low, *high, x, z, n), _xdbl(*high, a24, n)
+            x0, z0 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+            s, d = (x1 + z1) * (x1 + z1) % n, (x1 - z1) * (x1 - z1) % n
+            x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
         else:
-            low, high = _xdbl(*low, a24, n), _xadd(*low, *high, x, z, n)
-    return low
+            x1, z1 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+            s, d = (x0 + z0) * (x0 + z0) % n, (x0 - z0) * (x0 - z0) % n
+            x0, z0 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+    return x0, z0
 
 
 @functools.cache
@@ -215,8 +224,11 @@ def _ecm_plan(b1: int) -> tuple:
     """(k, giants, cost) for B1 and B2 = 100 B1: k = the product of the
     largest powers <= B1 of the primes <= B1; for each prime g D +- j in
     (B1, B2], j odd and below D/2, ``giants`` holds g with the bytes j // 2;
-    ``cost`` counts the modular multiplications of one curve: 11 a ladder
-    bit, 6 a baby or giant step, 2 a prime."""
+    ``cost`` is the fixed charge of one curve in modular multiplications,
+    ``_MULS_PER_RHO_ITERATION`` times the budget's unit: 11 a ladder bit, 6 a
+    baby or giant step, 2 a prime.  It counts the arithmetic of
+    ``tests/oracles.ecm_reference``; ``_ecm_stage2`` makes one product a
+    prime, but the charge stays, so a budget buys the same curves."""
     k, d, giants = 1, _ECM_STRIDE, {}
     for p in _trial_primes():
         if p > 100 * b1:
@@ -234,29 +246,60 @@ def _ecm_plan(b1: int) -> tuple:
     return k, giants, cost
 
 
+def _normalize(points, n):
+    """x = X / Z mod n for each (X : Z) of ``points``, with one inversion
+    (Montgomery's simultaneous inversion); the product of the Z's mod n in
+    place of the list when it is not a unit mod n."""
+    prefix = [1]  # Z_0 ... Z_{i-1} at i
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    if math.gcd(prefix[-1], n) != 1:
+        return prefix[-1]
+    inverse = pow(prefix[-1], -1, n)  # 1 / (Z_0 ... Z_i) at step i, i downwards
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, z = points[i]
+        xs[i] = x * inverse * prefix[i] % n
+        inverse = inverse * z % n
+    return xs
+
+
 def _ecm_stage2(x, z, a24, n, giants) -> int:
     """The product of X_g - x_j Z_g, (X_g : Z_g) = [g D] Q and x_j = x([j] Q),
     over the primes g D +- j: q divides it if Q has such an order mod q.  A
-    Z_j that shares a factor with n is returned in its place."""
+    Z_j that shares a factor with n is returned in its place.
+
+    The x_j and the x_g = X_g / Z_g are normalized by ``_normalize``, so the
+    product taken is that of x_g - x_j, one modular product a prime: it
+    differs from the one above by the unit Z_g per factor, and so has the
+    same gcd with n.  Where a Z_g shares a factor with n, the product above
+    is taken as it stands."""
     d = _ECM_STRIDE
     twice = _xdbl(x, z, a24, n)
     babies = [(x, z), _xadd(*twice, x, z, x, z, n)]  # [j] Q for odd j < D/2
     while len(babies) < d // 4:
         babies.append(_xadd(*babies[-1], *twice, *babies[-2], n))
-    xs = []
-    for xj, zj in babies:
-        if math.gcd(zj, n) != 1:
-            return zj
-        xs.append(xj * pow(zj, -1, n) % n)
+    xs = _normalize(babies, n)
+    if isinstance(xs, int):
+        return next(zj for _, zj in babies if math.gcd(zj, n) != 1)
     step = _ladder(d, x, z, a24, n)
     at = giants[0][0]
     here, after = (_ladder(g * d, x, z, a24, n) for g in (at, at + 1))
-    product = 1
-    for g, js in giants:
+    points = []
+    for g, _ in giants:
         while at < g:
             here, after, at = after, _xadd(*after, *step, *here, n), at + 1
+        points.append(here)
+    product = 1
+    xg = _normalize(points, n)
+    if isinstance(xg, int):
+        for (x_g, z_g), (_, js) in zip(points, giants):
+            for j in js:
+                product = product * (x_g - xs[j] * z_g) % n
+        return product
+    for x_g, (_, js) in zip(xg, giants):
         for j in js:
-            product = product * (here[0] - xs[j] * here[1]) % n
+            product = product * (x_g - xs[j]) % n
     return product
 
 
@@ -265,10 +308,11 @@ def _ecm(n: int, budget: list[int]) -> int | None:
     rng = random.Random(n)
     for b1, curves in _ECM_SCHEDULE:
         k, giants, cost = _ecm_plan(b1)
+        charge = cost // _MULS_PER_RHO_ITERATION
         for _ in range(curves) if curves else itertools.count():
-            if budget[0] < cost // _MULS_PER_RHO_ITERATION:
+            if budget[0] < charge:
                 return None
-            budget[0] -= cost // _MULS_PER_RHO_ITERATION
+            budget[0] -= charge
             sigma = rng.randrange(6, n - 1)
             u, v = (sigma * sigma - 5) % n, 4 * sigma % n
             x, z = pow(u, 3, n), pow(v, 3, n)

@@ -220,7 +220,8 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     found prime, until ``count`` distinct primes are collected or the l bound
     is exhausted (partial results are returned in that case).  ``sigma``
     holds primes (ValueError otherwise); besides them, 2 and the denominator
-    primes of h are always avoided.
+    primes of h are always avoided.  The denominator is factored within
+    ``budget``, and a ValueError names a cofactor it leaves.
     """
     lev = _searchable(p)
     h = Fraction(h)
@@ -232,7 +233,13 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     # and the denominator primes of h
     avoided.add(2)
     if h.denominator > 1:
-        avoided.update(factorize(h.denominator).primes())
+        denominator = factorize(h.denominator, budget)
+        if not denominator.complete:
+            raise ValueError(
+                f"the denominator of h leaves {denominator.cofactor} unfactored within "
+                "the factoring budget, so its primes cannot be avoided"
+            )
+        avoided.update(denominator.primes())
     certificates: list[SearchCertificate] = []
     found: list[int] = []
     last_ell = 0

@@ -18,12 +18,15 @@ T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
 unbounded root and the Diophantine obstruction.  Last, small readers the
 library does not need: the reduced-form test, the Brandt column sums and
-class polynomials read back from JSON.
+class polynomials read back from JSON.  For the factoring budget, Brent's rho,
+whose iteration is its unit, and ECM with the unnormalized stage 2 whose
+multiplications ``_ecm_plan`` charges.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -35,7 +38,18 @@ from mpmath import mpc, mpf
 from mpmath.libmp import to_fixed
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
-from heegner.intmath import TRIAL_BOUND, Factorization, factorize, is_square
+from heegner.intmath import (
+    _ECM_SCHEDULE,
+    _ECM_STRIDE,
+    _MULS_PER_RHO_ITERATION,
+    TRIAL_BOUND,
+    Factorization,
+    _ecm_plan,
+    _xadd,
+    _xdbl,
+    factorize,
+    is_square,
+)
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
 from heegner.modpoly import FPoly, _divmod, _trim, epsilon_split
 from heegner.quadforms import (
@@ -1228,4 +1242,72 @@ def brent_rho(n, budget):
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
+    return None
+
+
+# --- ECM with two products a prime: the arithmetic _ecm_plan charges ---------
+
+
+def _reference_ladder(k, x, z, a24, n):
+    """Montgomery ladder: x-only [k](x : z), k >= 1."""
+    low, high = (x, z), _xdbl(x, z, a24, n)  # [m] P and [m + 1] P
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            low, high = _xadd(*low, *high, x, z, n), _xdbl(*high, a24, n)
+        else:
+            low, high = _xdbl(*low, a24, n), _xadd(*low, *high, x, z, n)
+    return low
+
+
+def _reference_stage2(x, z, a24, n, giants) -> int:
+    """The product of X_g - x_j Z_g, (X_g : Z_g) = [g D] Q and x_j = x([j] Q),
+    over the primes g D +- j: q divides it if Q has such an order mod q.  A
+    Z_j that shares a factor with n is returned in its place."""
+    d = _ECM_STRIDE
+    twice = _xdbl(x, z, a24, n)
+    babies = [(x, z), _xadd(*twice, x, z, x, z, n)]  # [j] Q for odd j < D/2
+    while len(babies) < d // 4:
+        babies.append(_xadd(*babies[-1], *twice, *babies[-2], n))
+    xs = []
+    for xj, zj in babies:
+        if math.gcd(zj, n) != 1:
+            return zj
+        xs.append(xj * pow(zj, -1, n) % n)
+    step = _reference_ladder(d, x, z, a24, n)
+    at = giants[0][0]
+    here, after = (_reference_ladder(g * d, x, z, a24, n) for g in (at, at + 1))
+    product = 1
+    for g, js in giants:
+        while at < g:
+            here, after, at = after, _xadd(*after, *step, *here, n), at + 1
+        for j in js:
+            product = product * (here[0] - xs[j] * here[1]) % n
+    return product
+
+
+def ecm_reference(n, budget):
+    """Suyama curves along the schedule while the budget lasts: a factor or
+    None.  ``intmath._ecm`` must return the same and leave the same budget:
+    it runs the same curves with its ladder written out and its stage 2
+    points normalized."""
+    rng = random.Random(n)
+    for b1, curves in _ECM_SCHEDULE:
+        k, giants, cost = _ecm_plan(b1)
+        for _ in range(curves) if curves else itertools.count():
+            if budget[0] < cost // _MULS_PER_RHO_ITERATION:
+                return None
+            budget[0] -= cost // _MULS_PER_RHO_ITERATION
+            sigma = rng.randrange(6, n - 1)
+            u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+            x, z = pow(u, 3, n), pow(v, 3, n)
+            den = 16 * x * v % n  # (A + 2) / 4 = (v - u)^3 (3u + v) / (16 u^3 v)
+            g = math.gcd(den, n)
+            if g == 1:
+                a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+                x, z = _reference_ladder(k, x, z, a24, n)  # stage 1
+                g = math.gcd(z, n)
+                if g == 1:
+                    g = math.gcd(_reference_stage2(x, z, a24, n, giants), n)
+            if 1 < g < n:
+                return g
     return None

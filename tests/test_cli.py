@@ -104,6 +104,12 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--p", p, "--h", h)
         assert code == 66 and "real-j" in err
 
+    def test_unfactored_denominator_exit_64(self, capsys):
+        n = "1000000000000000000000808000000000000000000005607"
+        code, out, err = run(capsys, "search", "--p", "3", "--h", f"1/{n}",
+                             "--factor-budget", "4096")
+        assert code == 64 and out == "" and n in err
+
     def test_bad_h_exit_64(self, capsys):
         code, _, _ = run(capsys, "search", "--p", "11", "--h", "x/y")
         assert code == 64

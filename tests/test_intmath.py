@@ -13,7 +13,14 @@ from heegner.intmath import (
     kronecker,
 )
 
-from oracles import brent_rho, factorize_by_trial_loop, primes_below
+from oracles import (
+    _reference_ladder,
+    _reference_stage2,
+    brent_rho,
+    ecm_reference,
+    factorize_by_trial_loop,
+    primes_below,
+)
 
 
 def product(f):
@@ -195,6 +202,65 @@ class TestEcm:
             budget = [first + curves * last + last - 1]
             assert intmath._ecm(n, budget) is None
             assert budget == [last - 1], curves
+
+    def test_matches_reference(self):
+        # the same curves, so the same factor or None and the same budget left
+        # as the arithmetic the charge counts
+        rng = random.Random(43)
+
+        def prime(digits):
+            while not is_prime(p := rng.randrange(10 ** (digits - 1), 10**digits)):
+                pass
+            return p
+
+        cases = [(math.prod(prime(rng.randint(7, 14)) for _ in range(rng.choice((2, 3)))),
+                  1 << 14) for _ in range(40)]
+        cases += [(math.prod(self.SEMIPRIME_P7), FactorBudget().rho_iterations),
+                  (math.prod(self.TWO_25_DIGIT_PRIMES), 1 << 16)]
+        results = []
+        for n, units in cases:
+            budget, reference = [units], [units]
+            results.append(intmath._ecm(n, budget))
+            assert results[-1] == ecm_reference(n, reference), n
+            assert budget == reference, n
+        assert None in results and results[-2] == self.SEMIPRIME_P7[0]
+
+    def test_ladder_matches_reference(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            n = rng.randrange(10**20, 10**40) | 1
+            k = rng.randrange(1, 1 << rng.randint(1, 200))
+            x, z, a24 = (rng.randrange(n) for _ in range(3))
+            assert intmath._ladder(k, x, z, a24, n) == _reference_ladder(k, x, z, a24, n)
+
+    def test_stage2_matches_reference_where_points_vanish(self):
+        # modulo small primes, baby and giant points reach the identity, whose
+        # Z cannot be inverted: the gcd with n stays the reference's
+        giants = intmath._ecm_plan(300)[1]
+        rng = random.Random(53)
+        for n in (101 * 103, 211 * 1000003, 1009 * 1013):
+            for _ in range(40):
+                x, a24 = rng.randrange(n), rng.randrange(n)
+                assert (math.gcd(intmath._ecm_stage2(x, 1, a24, n, giants), n)
+                        == math.gcd(_reference_stage2(x, 1, a24, n, giants), n)), (n, x, a24)
+
+    def test_charge_per_curve(self):
+        # a curve's charge is the budget's unit: changing it changes which
+        # curves a budget buys
+        assert [intmath._ecm_plan(b1)[2] for b1 in (300, 1000, 2000)] == [10771, 33787, 66041]
+
+    def test_normalize(self):
+        rng = random.Random(59)
+        for n in (10**12 + 39, 101 * 103, 2**89 - 1):
+            points = [(rng.randrange(n), rng.randrange(1, n)) for _ in range(30)]
+            points = [(x, z) for x, z in points if math.gcd(z, n) == 1]
+            assert intmath._normalize(points, n) == [x * pow(z, -1, n) % n for x, z in points]
+        assert intmath._normalize([], 91) == []
+
+    def test_normalize_returns_product_of_non_unit_zs(self):
+        points = [(3, 5), (4, 7 * 6), (10, 9)]
+        assert intmath._normalize(points, 91) == 5 * 42 * 9 % 91
+        assert math.gcd(intmath._normalize(points, 91), 91) == 7
 
     def test_deterministic(self):
         budget = FactorBudget(rho_iterations=1 << 16)

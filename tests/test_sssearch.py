@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from heegner.intmath import is_prime, kronecker
+from heegner.intmath import FactorBudget, is_prime, kronecker
 from heegner.sssearch import (
     RealJCaseError,
     SupersingularAtPError,
@@ -194,6 +195,18 @@ def test_cusp_denominator_h_allowed():
     certs = search(11, Fraction(21, 11), count=1, ell_bound=120)
     for c in certs:
         c.check()
+
+
+UNFACTORED = 1000000000000000000000808000000000000000000005607  # two 25-digit primes
+
+
+def test_denominator_factored_within_the_budget():
+    # the denominator primes are avoided, so a denominator the budget cannot
+    # factor stops the search instead of leaving its primes unavoided
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=str(UNFACTORED)):
+        search(3, Fraction(1, UNFACTORED), budget=FactorBudget(rho_iterations=1 << 12))
+    assert time.perf_counter() - started < 1
 
 
 def test_runtime_squareness_is_wired(monkeypatch):
