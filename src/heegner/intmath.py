@@ -3,8 +3,9 @@
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always normalized, positive denominator).  Everything
 here is pure and deterministic: Miller-Rabin above 2^64 and ECM draw from
-PRNGs seeded with their input.  Factoring is trial division below 10^6, then
-ECM on Montgomery curves within one effort budget.
+PRNGs seeded with their input.  Factoring is trial division by the primes
+below 10^6, sieved once over the odd numbers and kept as a 4-byte ``array``,
+then ECM on Montgomery curves within one effort budget.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 __all__ = [
@@ -136,14 +138,23 @@ _CHUNK = 256  # primes per gcd in trial division
 
 
 @functools.cache
-def _trial_primes() -> list[int]:
-    """The primes below ``TRIAL_BOUND``, sieved on first use."""
-    sieve = bytearray([1]) * TRIAL_BOUND
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+def _trial_primes() -> array:
+    """The primes below ``TRIAL_BOUND``, sieved on first use, 4 bytes each.
+
+    The sieve flags the odd numbers only, 2 i + 1 at index i, and the primes
+    are read off it by ``itertools.compress``, so no Python-level loop runs
+    over the integers below the bound.
+    """
+    sieve = bytearray([1]) * (TRIAL_BOUND // 2)
+    sieve[0] = 0  # 1
+    for i in range(1, (math.isqrt(TRIAL_BOUND - 1) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(TRIAL_BOUND) if sieve[i]]
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    primes = array("I", [2])
+    primes.extend(itertools.compress(range(1, TRIAL_BOUND, 2), sieve))
+    return primes
 
 
 @functools.cache

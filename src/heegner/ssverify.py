@@ -3,9 +3,9 @@
 A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
 nothing factored, and tested by walking its 2-isogeny graph
 (``supersingular``), which answers the Hasse-invariant question in O(log q)
-square roots.  Verification is bounded by an explicit limit, by default 2^64,
-where ``is_prime`` stops being deterministic; larger primes are reported as
-unverified rather than trusted.
+square roots; at q = 3 the answer is the closed form j = 0.  Verification is
+bounded by an explicit limit, by default 2^64, where ``is_prime`` stops being
+deterministic; larger primes are reported as unverified rather than trusted.
 
 Also home to the exact h -> j lift that enables end-to-end verification for
 p = 3.
@@ -149,12 +149,15 @@ def is_supersingular_j(j: tuple[int, int], q: int) -> bool:
     """Supersingularity of a j-invariant (x0, x1) of the standard
     ``Fq2Field(q)``, x1 = 0 for one in F_q.
 
-    Twists share the same answer, so any curve with the given invariant may
-    be passed to the Hasse-invariant test; we take y^2 = x^3 + 3k x + 2k with
+    In characteristic 3 the only supersingular j is 0.  Otherwise twists
+    share the same answer, so any curve with the given invariant may be
+    passed to the Hasse-invariant test; we take y^2 = x^3 + 3k x + 2k with
     k = j/(1728 - j) and the standard special curves at j = 0 and 1728.
     """
-    if q in (2, 3) or not is_prime(q):
-        raise ValueError(f"q = {q}: the test is defined for primes q >= 5")
+    if q == 2 or not is_prime(q):
+        raise ValueError(f"q = {q}: the test is defined for odd primes q")
+    if q == 3:
+        return (j[0] % 3, j[1] % 3) == (0, 0)
     F = Fq2Field(q)
     (a0, a1), (b0, b1) = _curve_from_j(F, (j[0] % q, j[1] % q))
     if a1 == b1 == 0:
@@ -167,17 +170,17 @@ def verify_certificate(selected, j: QuadSurd,
     """Per-prime verification statuses for the selected primes of a search
     certificate, given the j-invariant corresponding to its h.
 
-    q = 2 and 3 are ``unverified-small``, a q that divides the denominator
-    of j ``bad-reduction``, and a q above ``effort_bound``
-    ``unverified-large``.  Otherwise every residue of j mod q must give the
-    same verdict (conjugate curves are supersingular together),
-    ``supersingular`` or ``ordinary``; disagreement raises ArithmeticError.
-    Primes above the bound are taken as given, not tested.
+    q = 2 is ``unverified-small``, a q that divides the denominator of j
+    ``bad-reduction``, and a q above ``effort_bound`` ``unverified-large``.
+    Otherwise, q = 3 included, every residue of j mod q must give the same
+    verdict (conjugate curves are supersingular together), ``supersingular``
+    or ``ordinary``; disagreement raises ArithmeticError.  Primes above the
+    bound are taken as given, not tested.
     """
     statuses: dict[int, str] = {}
     for q in selected:
         try:
-            if q in (2, 3):
+            if q == 2:
                 status = "unverified-small"
             elif q > effort_bound:
                 _local(j, q)  # bad reduction is reported whatever the bound

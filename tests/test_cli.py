@@ -166,10 +166,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--j", self.J, "--q", str(2**64 + 1))
         assert code == 64 and out == "" and "prime" in err
 
-    @pytest.mark.parametrize("q", ["2", "3"])
+    @pytest.mark.parametrize("q", ["2"])
     def test_small_q_exit_64(self, capsys, q):
         code, out, err = run(capsys, "verify", "--j", "5", "--q", q)
         assert code == 64 and out == "" and "unverified-small" in err
+
+    @pytest.mark.parametrize("j,code,status", [("0", 0, "supersingular"), ("5", 1, "ordinary")])
+    def test_q3_closed_form(self, capsys, j, code, status):
+        # in characteristic 3 the only supersingular j is 0
+        assert run(capsys, "verify", "--j", j, "--q", "3")[:2] == (code, status)
 
     def test_bad_reduction_exit_64_whatever_the_bound(self, capsys):
         for bound in ("100", "5"):

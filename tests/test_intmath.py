@@ -161,6 +161,17 @@ class TestFactorize:
             assert factorize(n) == factorize_by_trial_loop(n), n
 
 
+class TestTrialPrimes:
+    def test_matches_reference_sieve(self):
+        primes = intmath._trial_primes()
+        assert list(primes) == primes_below(intmath.TRIAL_BOUND)
+        assert (len(primes), primes[0], primes[-1]) == (78498, 2, 999983)
+
+    def test_four_bytes_a_prime(self):
+        primes = intmath._trial_primes()
+        assert primes.itemsize * len(primes) <= 4 * len(primes)
+
+
 class TestEcm:
     SEMIPRIME_P7 = (19963943130517, 648155384310727)  # from search(7, 2)
     TWO_25_DIGIT_PRIMES = (1000000000000000000000007, 1000000000000000000000049)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -179,11 +180,33 @@ class TestIsSupersingular:
             verdicts = {is_supersingular_j(r, q) for r in residues}
             assert verdicts == {True}
 
-    def test_rejects_2_3_and_composites(self):
+    def test_rejects_2_and_composites(self):
         with pytest.raises(ValueError):
-            is_supersingular_j((0, 0), 3)
+            is_supersingular_j((0, 0), 2)
         with pytest.raises(ValueError):
             is_supersingular_j((0, 0), 15)
+
+    def test_characteristic_3_against_point_counting(self):
+        # every curve y^2 = x^3 + a2 x^2 + a4 x + a6 over F_3: supersingular
+        # iff its trace 4 - #E(F_3) is 0 mod 3, which the closed form j = 0
+        # must match
+        seen = set()
+        for a2, a4, a6 in itertools.product(range(3), repeat=3):
+            b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+            disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+            if disc % 3 == 0:
+                continue
+            j = (b2 * b2 - 24 * b4) ** 3 * pow(disc, -1, 3) % 3
+            count = 1 + sum((y * y - x**3 - a2 * x * x - a4 * x - a6) % 3 == 0
+                            for x in range(3) for y in range(3))
+            assert is_supersingular_j((j, 0), 3) == ((4 - count) % 3 == 0), (a2, a4, a6)
+            seen.add(j)
+        assert seen == {0, 1, 2}
+
+    def test_characteristic_3_in_fq2(self):
+        assert is_supersingular_j((0, 0), 3) and is_supersingular_j((3, -6), 3)
+        assert not is_supersingular_j((0, 1), 3)
+        assert not is_supersingular_j((1, 2), 3)
 
 
 def test_supersingular_census_matches_mass_formula():
@@ -218,6 +241,17 @@ class TestVerifyCertificate:
     def test_bad_reduction_status(self):
         statuses = verify_certificate((5,), QuadSurd.make(1, 1, 5, -3))
         assert statuses == {5: "bad-reduction"}
+
+    @pytest.mark.parametrize("text,status", [
+        ("0/1", "supersingular"),
+        ("(9+sqrt(-84567))/2", "supersingular"),  # 3 | m: ramified, j = 0 mod 3
+        ("1/1", "ordinary"),
+        ("(3+sqrt(-1))", "ordinary"),  # -1 inert mod 3: j = t in F_9, not 0
+        ("(3+3*sqrt(-1))", "supersingular"),  # inert, both parts 0 mod 3
+        ("(1+sqrt(-3))/3", "bad-reduction"),
+    ])
+    def test_q3_closed_form(self, text, status):
+        assert verify_certificate((3,), QuadSurd.from_string(text)) == {3: status}
 
     def test_bad_reduction_above_the_bound(self):
         # a q in the denominator is reported as such, whatever the bound
