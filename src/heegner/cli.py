@@ -4,6 +4,8 @@ JSON goes to stdout (big integers as decimal strings), diagnostics to stderr.
 Exit codes: 0 success, 1 ordinary (verify), 2 rounding not proven at the
 sized precision, 3 l-bound exhausted, 4 unverified-large (verify), 64 usage
 error, 65 supersingular-at-p precondition, 66 real-j case (h outside j_p(S)).
+Any other ValueError or ArithmeticError, such as an unparsable --h (which
+takes ``n`` or ``n/d``) or a non-positive count or bound, exits 64.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classpoly import PrecisionExhaustedError, build_PD, build_Pl
@@ -35,21 +36,19 @@ EXIT_REAL_J = 66
 VERIFY_EXIT = {"supersingular": EXIT_OK, "ordinary": EXIT_ORDINARY,
                "unverified-large": EXIT_UNVERIFIED}
 
+# how ``main`` reports a failure: the first row whose type matches wins, and
+# an exception of no listed type propagates
+FAILURE_EXIT = {
+    SupersingularAtPError: EXIT_SUPERSINGULAR_AT_P,
+    RealJCaseError: EXIT_REAL_J,
+    PrecisionExhaustedError: EXIT_PRECISION,
+    ValueError: EXIT_USAGE,
+    ArithmeticError: EXIT_USAGE,
+}
 
-@dataclass
-class Config:
-    """The count and runtime limits of a search or a verification, from its
-    flags or their defaults; every one must be positive.  The precision is
-    never a setting, because each class polynomial sizes its own."""
-
-    count: int = 1
-    ell_bound: int = 500
-    factor_budget: int = FactorBudget.rho_iterations
-    verify_bound: int = VERIFY_EFFORT_BOUND
-
-    def __post_init__(self):
-        if min(self.count, self.ell_bound, self.factor_budget, self.verify_bound) <= 0:
-            raise ValueError("the count and the bounds must be positive")
+# the count and runtime limits a command may take, each of which must be positive;
+# the precision is never a setting, because each class polynomial sizes its own
+LIMITS = ("count", "ell_bound", "factor_budget", "verify_bound")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +62,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cp = sub.add_parser("classpoly", help="construct a class polynomial")
+    cp.set_defaults(run=_cmd_classpoly)
     cp.add_argument("--p", type=int, required=True)
     group = cp.add_mutually_exclusive_group(required=True)
     group.add_argument("--D", type=int)
@@ -70,79 +70,47 @@ def _build_parser() -> _Parser:
     cp.add_argument("--format", choices=("json", "text"), default="json")
 
     se = sub.add_parser("search", help="find supersingular primes for a point")
+    se.set_defaults(run=_cmd_search)
     se.add_argument("--p", type=int, required=True)
     se.add_argument("--h", type=str, required=True, help='rational "n/d"')
     se.add_argument("--avoid", type=str, default="", help="comma-separated primes")
-    se.add_argument("--count", type=int, default=Config.count)
-    se.add_argument("--ell-bound", type=int, default=Config.ell_bound)
-    se.add_argument("--factor-budget", type=int, default=Config.factor_budget)
-    se.add_argument("--verify-bound", type=int, default=Config.verify_bound)
+    se.add_argument("--count", type=int, default=1)
+    se.add_argument("--ell-bound", type=int, default=500)
+    se.add_argument("--factor-budget", type=int, default=FactorBudget.rho_iterations)
+    se.add_argument("--verify-bound", type=int, default=VERIFY_EFFORT_BOUND)
     se.add_argument("--format", choices=("json", "text"), default="json")
 
     ve = sub.add_parser("verify", help="test supersingularity of a j-invariant")
+    ve.set_defaults(run=_cmd_verify)
     ve.add_argument("--j", type=str, required=True, help='"(u+v*sqrt(m))/w"')
     ve.add_argument("--q", type=int, required=True)
-    ve.add_argument("--verify-bound", type=int, default=Config.verify_bound)
+    ve.add_argument("--verify-bound", type=int, default=VERIFY_EFFORT_BOUND)
 
     ta = sub.add_parser("tables", help="print level data and derived constants")
+    ta.set_defaults(run=_cmd_tables)
     ta.add_argument("--p", type=int, required=True)
     ta.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
 def _cmd_classpoly(args) -> int:
-    try:
-        if args.D is not None:
-            poly = build_PD(Discriminant.from_D(args.D, args.p))
-        elif len(shapes := level(args.p).shapes) > 1:
-            poly = build_Pl(args.ell, args.p)
-        else:
-            poly = build_PD(Discriminant(args.p, args.ell, shapes[0]))
-    except PrecisionExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "text":
-        print(poly)
+    if args.D is not None:
+        poly = build_PD(Discriminant.from_D(args.D, args.p))
+    elif len(shapes := level(args.p).shapes) > 1:
+        poly = build_Pl(args.ell, args.p)
     else:
-        print(poly.to_json())
+        poly = build_PD(Discriminant(args.p, args.ell, shapes[0]))
+    print(poly if args.format == "text" else poly.to_json())
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    try:
-        num, _, den = args.h.partition("/")
-        h = Fraction(int(num), int(den) if den else 1)
-        sigma = tuple(int(v) for v in args.avoid.split(",") if v)
-        cfg = Config(count=args.count, ell_bound=args.ell_bound,
-                     factor_budget=args.factor_budget, verify_bound=args.verify_bound)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: invalid arguments: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        certs = search(
-            args.p,
-            h,
-            sigma=sigma,
-            count=cfg.count,
-            ell_bound=cfg.ell_bound,
-            budget=FactorBudget(rho_iterations=cfg.factor_budget),
-            effort_bound=cfg.verify_bound,
-        )
-    except SupersingularAtPError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUPERSINGULAR_AT_P
-    except RealJCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REAL_J
-    except PrecisionExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    num, slash, den = args.h.partition("/")
+    h = Fraction(int(num), int(den) if slash else 1)
+    certs = search(args.p, h, sigma=tuple(int(v) for v in args.avoid.split(",") if v),
+                   count=args.count, ell_bound=args.ell_bound,
+                   budget=FactorBudget(rho_iterations=args.factor_budget),
+                   effort_bound=args.verify_bound)
     found = 0
     for cert in certs:
         found += len(cert.selected)
@@ -152,47 +120,31 @@ def _cmd_search(args) -> int:
         else:
             print(cert.to_json())
     if found < args.count:
-        print(
-            f"l bound {args.ell_bound} exhausted after {found} of {args.count} primes",
-            file=sys.stderr,
-        )
+        print(f"l bound {args.ell_bound} exhausted after {found} of {args.count} primes",
+              file=sys.stderr)
         return EXIT_BOUND
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = Config(verify_bound=args.verify_bound)
-        j = QuadSurd.from_string(args.j)
-        if not is_prime(args.q):  # else a composite q above the bound is unverified-large
-            raise ValueError(f"q = {args.q} is not prime")
-        status = verify_certificate((args.q,), j, cfg.verify_bound)[args.q]
-        if status not in VERIFY_EXIT:
-            raise ValueError(f"{status} at q = {args.q}")
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    j = QuadSurd.from_string(args.j)
+    if not is_prime(args.q):  # else a composite q above the bound is unverified-large
+        raise ValueError(f"q = {args.q} is not prime")
+    status = verify_certificate((args.q,), j, args.verify_bound)[args.q]
+    if status not in VERIFY_EXIT:
+        raise ValueError(f"{status} at q = {args.q}")
     print(status)
     return VERIFY_EXIT[status]
 
 
 def _cmd_tables(args) -> int:
     p = args.p
-    try:
-        lev = level(p)
-    except ValueError:
-        print(f"error: no tables for p = {p}", file=sys.stderr)
-        return EXIT_USAGE
-    data: dict = {"p": p}
-    data["supersingular_jp"] = {"values": list(lev.supersingular), "provenance": "table"}
-    t2 = lev.brandt
-    if t2 is not None:
-        data["brandt"] = {
-            "basis": list(t2.basis),
-            "matrix": [list(row) for row in t2.matrix],
-            "note": t2.note,
-            "provenance": "table",
-        }
+    lev = level(p)
+    data: dict = {"p": p, "supersingular_jp": {"values": list(lev.supersingular),
+                                               "provenance": "table"}}
+    if (t2 := lev.brandt) is not None:
+        data["brandt"] = {"basis": list(t2.basis), "matrix": [list(row) for row in t2.matrix],
+                          "note": t2.note, "provenance": "table"}
     if lev.real_arc:
         c, d = fundamental_unit(p)
         lo, hi = jp_arc_interval(p)
@@ -210,13 +162,13 @@ def _cmd_tables(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "classpoly": _cmd_classpoly,
-        "search": _cmd_search,
-        "verify": _cmd_verify,
-        "tables": _cmd_tables,
-    }
-    return handlers[args.command](args)
+    try:
+        if min(getattr(args, name, 1) for name in LIMITS) <= 0:
+            raise ValueError("the count and the bounds must be positive")
+        return args.run(args)
+    except tuple(FAILURE_EXIT) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in FAILURE_EXIT.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -211,8 +211,9 @@ def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadF
 def fundamental_unit(p: int) -> tuple[int, int]:
     """Fundamental unit c + d*sqrt(p) of Q(sqrt(p)) at a level with the real arc.
 
-    Computed by the continued-fraction expansion of sqrt(p); for these p the
-    norm is +1 and c is even, d odd.
+    Computed by the continued-fraction expansion of sqrt(p).  These p are all
+    3 mod 4, where c^2 - p*d^2 = c^2 + d^2 (mod 4) is never -1, so the norm is
+    +1; c is even and d odd.
     """
     if not level(p).real_arc:
         raise ValueError(f"fundamental unit only supported at the real-arc levels, not p = {p}")
@@ -220,15 +221,12 @@ def fundamental_unit(p: int) -> tuple[int, int]:
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while h * h - p * k * k not in (1, -1):
+    while h * h - p * k * k != 1:
         m = d * a - m
         d = (p - m * m) // d
         a = (a0 + m) // d
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    if h * h - p * k * k == -1:
-        # norm -1 cannot occur for p = 3 mod 4; square the unit if it did
-        h, k = h * h + p * k * k, 2 * h * k
     if h % 2 or k % 2 == 0:
         raise ArithmeticError(f"unit {h} + {k} sqrt({p}) does not have h even, k odd")
     return h, k

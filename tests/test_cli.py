@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+from heegner import cli
 from heegner.cli import main
-from heegner.classpoly import build_PD
+from heegner.classpoly import PrecisionExhaustedError, build_PD
+from heegner.sssearch import RealJCaseError, SupersingularAtPError
 
 from oracles import poly_from_json
 
@@ -110,8 +112,10 @@ class TestSearch:
                              "--factor-budget", "4096")
         assert code == 64 and out == "" and n in err
 
-    def test_bad_h_exit_64(self, capsys):
-        code, _, _ = run(capsys, "search", "--p", "11", "--h", "x/y")
+    @pytest.mark.parametrize("h", ["x/y", "21/", "1/0"])
+    def test_bad_h_exit_64(self, capsys, h):
+        # "21/" is not h = 21, which is supersingular mod 11 and would exit 65
+        code, _, _ = run(capsys, "search", "--p", "11", "--h", h)
         assert code == 64
 
     @pytest.mark.parametrize("flags", [
@@ -122,6 +126,26 @@ class TestSearch:
         # a zero is a value, not a request for the default
         code, out, err = run(capsys, "search", "--p", "11", "--h", "21/2", *flags)
         assert code == 64 and out == "" and "positive" in err
+
+
+class TestFailureExit:
+    @pytest.mark.parametrize("kind,code", [
+        (SupersingularAtPError, 65), (RealJCaseError, 66), (PrecisionExhaustedError, 2),
+        (ValueError, 64), (ArithmeticError, 64),
+    ])
+    def test_exception_maps_to_exit_code(self, capsys, monkeypatch, kind, code):
+        def fail(*args, **kwargs):
+            raise kind("boom")
+        monkeypatch.setattr(cli, "search", fail)
+        result, out, err = run(capsys, "search", "--p", "11", "--h", "21/2")
+        assert result == code and out == "" and err == "error: boom"
+
+    def test_unlisted_exception_propagates(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("boom")
+        monkeypatch.setattr(cli, "search", fail)
+        with pytest.raises(KeyError):
+            run(capsys, "search", "--p", "11", "--h", "21/2")
 
 
 class TestVerify:

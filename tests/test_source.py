@@ -207,6 +207,16 @@ def test_benchmark_library_names_exist():
     assert not missing, missing
 
 
+def test_cli_catches_only_in_main():
+    # main maps every failure to its exit code through FAILURE_EXIT; a try
+    # in a handler would be a second mapping
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    catching = sorted({func.name for func in ast.walk(tree)
+                       if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and any(isinstance(node, ast.Try) for node in ast.walk(func))})
+    assert catching == ["main"]
+
+
 def _overrides(path, cls_name: str, method: str) -> bool:
     """Whether a method of a class of the module at ``path`` overrides a
     method of a base class, whose callers reach it without naming it."""
