@@ -160,8 +160,22 @@ def _cmd_tables(args) -> int:
     return EXIT_OK
 
 
+def _attach_negative_values(argv):
+    """``--h -1/2`` as ``--h=-1/2``: argparse takes a token that starts with
+    '-' and is not a plain number for an option, so a negative fraction is
+    attached to the flag before it."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         if min(getattr(args, name, 1) for name in LIMITS) <= 0:
             raise ValueError("the count and the bounds must be positive")

@@ -5,7 +5,8 @@ Integers are plain Python ints (arbitrary precision), rationals are
 here is pure and deterministic: Miller-Rabin above 2^64 and ECM draw from
 PRNGs seeded with their input.  Factoring is trial division by the primes
 below 10^6, sieved once over the odd numbers and kept as a 4-byte ``array``,
-then ECM on Montgomery curves within one effort budget.
+then ECM on Montgomery curves within one effort budget, until the caller's
+stop rule, if any, holds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import math
 import random
 from array import array
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 __all__ = [
@@ -101,7 +103,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Signed prime factorization; ``cofactor`` holds any unfactored composite."""
+    """Signed prime factorization; ``cofactor`` holds the composites left
+    unsplit, either beyond the effort budget or not needed by the caller."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
@@ -123,11 +126,12 @@ class FactorBudget:
     attempts.  Its unit is the time of one iteration of Brent's rho cycle
     walk, five modular multiplications; an ECM curve is charged a fixed
     number of them, its stage's ``_ecm_plan`` cost, so a budget buys the
-    same curves however fast they run.  Hard composites surviving it are
-    reported as an unfactored cofactor so callers can skip rather than
-    stall.  The default is 7-10 s of work when spent whole (2-core Xeon,
-    CPython 3.11, two 25-digit primes); it splits two 14-digit primes in
-    about 0.1 s.  Raise it when stalling is acceptable.
+    same curves however fast they run.  A composite that survives it is
+    returned unsplit in the ``cofactor``, and a search goes on with the
+    primes already found, or to the next l if they hold none.  The default
+    is 7-10 s of work when spent whole (2-core Xeon, CPython 3.11, two
+    25-digit primes); it splits two 14-digit primes in about 0.1 s.  Raise
+    it when stalling is acceptable.
     """
 
     rho_iterations: int = 1 << 22
@@ -192,8 +196,10 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
 
 # (B1, curves) per stage, B2 = 100 B1; the last stage runs curves until the
 # budget is spent.  Chosen on the composites of the points benchmark, whose
-# smallest factors have 7-11 digits; B1 = 1000 splits the 14-digit factors of
-# search(7, 2), on its third curve with the seeded sigmas.
+# smallest factors have 7-11 digits; B1 = 1000 splits the 29-digit product of
+# two 14-digit primes in the numerator at search(7, 2) on its third curve with
+# the seeded sigmas, though the search stops before it once trial division has
+# found its prime.
 _ECM_SCHEDULE = ((300, 16), (1000, 48), (2000, None))
 _ECM_STRIDE = 210  # D, the giant step of stage 2
 # Modular multiplications that take as long as one rho iteration, measured
@@ -340,15 +346,20 @@ def _ecm(n: int, budget: list[int]) -> int | None:
     return None
 
 
-def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
-    """Complete factorization of n != 0 within the effort budget.
+def factorize(n: int, budget: FactorBudget | None = None,
+              enough: Callable[[Collection[int]], bool] | None = None) -> Factorization:
+    """Factorization of n != 0 within the effort budget, or until ``enough``.
 
     Trial division by the primes below ``TRIAL_BOUND`` = 10^6 (a gcd per
     chunk of primes, then division by the primes of the chunks that share a
     factor with n), then ECM on Montgomery curves, which alone spends the
-    whole budget; every reported prime is certified by ``is_prime``.  A
-    surviving composite is returned in ``cofactor`` and must be treated as
-    unusable by callers.
+    whole budget; every reported prime is certified by ``is_prime``.
+
+    ``enough``, the caller's stop rule, is asked before every ECM call,
+    so first after trial division, with the primes found so far; once it
+    holds, each composite left goes unsplit into ``cofactor``, as one that
+    survives the budget does.  Without it the factorization runs to
+    completion or to the end of the budget.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -371,7 +382,7 @@ def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
         if root * root == m:
             pending.extend([root, root])
             continue
-        d = _ecm(m, effort)
+        d = None if enough is not None and enough(found.keys()) else _ecm(m, effort)
         if d is None:
             cofactor *= m
         else:

@@ -67,9 +67,13 @@ class SearchCertificate:
     D: int | tuple[int, int]
     value: Fraction
     factorization: Factorization
-    candidates: tuple[tuple[int, int], ...]
     selected: tuple[int, ...]
     verification: dict[int, str]
+
+    @property
+    def candidates(self) -> tuple[tuple[int, int], ...]:
+        """Each prime of the factorization with its symbol (q | pl)."""
+        return _symbols(self.factorization, self.p * self.ell)
 
     def check(self) -> None:
         """Machine-checkable invariants, independent of the search run."""
@@ -182,25 +186,35 @@ def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts) -> None:
         raise ArithmeticError(f"polynomial is not a perfect square mod {p}")
 
 
+def _symbols(fac: Factorization, pl: int) -> tuple[tuple[int, int], ...]:
+    return tuple((q, kronecker(q, pl)) for q in fac.primes())
+
+
 def extract_primes(value: Fraction, p: int, ell: int, sigma,
-                   budget: FactorBudget | None = None):
+                   budget: FactorBudget | None = None, needed: int = 1):
     """Numerator primes q with (q | pl) != 1, q != p, q outside sigma.
 
-    Returns (selected, candidates, factorization, skip) where ``skip`` is set
-    when an unfactored cofactor leaves no usable prime; an empty selection
-    from a complete factorization contradicts the square/negativity argument
-    and raises.
+    The numerator is factored until it yields ``needed`` such primes: ECM
+    splits no composite once the primes found include that many, and the
+    rest is left as the factorization's cofactor.  Returns (selected,
+    candidates, factorization, skip), where ``selected`` holds every such
+    prime found, ``candidates`` pairs every prime found with its symbol
+    (q | pl), and ``skip`` is set when a cofactor left by the budget hides
+    every such prime; an empty selection from a complete factorization
+    contradicts the square/negativity argument and raises.
     """
     if value >= 0:
         raise ValueError("extraction requires a negative value")
     if not is_square(value.denominator):
         raise ArithmeticError(f"denominator {value.denominator} is not a perfect square")
-    fac = factorize(value.numerator, budget)
     pl = p * ell
-    candidates = tuple((q, kronecker(q, pl)) for q in fac.primes())
-    selected = tuple(
-        q for q, s in candidates if s != 1 and q != p and q not in sigma
-    )
+
+    def usable(primes):
+        return [q for q in primes if kronecker(q, pl) != 1 and q != p and q not in sigma]
+
+    fac = factorize(value.numerator, budget, lambda found: len(usable(found)) >= needed)
+    candidates = _symbols(fac, pl)
+    selected = tuple(usable(fac.primes()))
     if not selected:
         if not fac.complete:
             return (), candidates, fac, True
@@ -218,7 +232,9 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
 
     Iterates find_ell/extract_primes, augmenting the avoided set with each
     found prime, until ``count`` distinct primes are collected or the l bound
-    is exhausted (partial results are returned in that case).  ``sigma``
+    is exhausted (partial results are returned in that case).  A value is
+    factored only until it yields the primes still needed, so a certificate
+    may leave part of its numerator unfactored.  ``sigma``
     holds primes (ValueError otherwise); besides them, 2 and the denominator
     primes of h are always avoided.  The denominator is factored within
     ``budget``, and a ValueError names a cofactor it leaves.
@@ -251,7 +267,8 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
         ell, D, poly, value, parts = result
         last_ell = ell
         _runtime_squareness(p, ell, poly, parts)
-        selected, candidates, fac, skip = extract_primes(value, p, ell, current, budget)
+        selected, _, fac, skip = extract_primes(value, p, ell, current, budget,
+                                                needed=count - len(found))
         if skip:
             continue
         if lev.j_lift:
@@ -266,7 +283,6 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
             D=D,
             value=value,
             factorization=fac,
-            candidates=candidates,
             selected=selected,
             verification=statuses,
         )

@@ -118,6 +118,14 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--p", "11", "--h", h)
         assert code == 64
 
+    def test_negative_fraction_h_either_spelling(self, capsys):
+        # a separate "-1/2" is the value of --h, not an unknown option
+        results = [run(capsys, "search", "--p", "5", *spelling)
+                   for spelling in (("--h", "-1/2"), ("--h=-1/2",))]
+        assert results[0] == results[1]
+        code, out, _ = results[0]
+        assert code == 0 and json.loads(out)["h"] == "-1/2"
+
     @pytest.mark.parametrize("flags", [
         ("--count", "0"), ("--count", "-1"), ("--factor-budget", "0"),
         ("--verify-bound", "0"), ("--factor-budget", "0", "--verify-bound", "0"),

@@ -161,6 +161,64 @@ class TestFactorize:
             assert factorize(n) == factorize_by_trial_loop(n), n
 
 
+@pytest.fixture
+def no_ecm(monkeypatch):
+    def refuse(n, budget):
+        raise AssertionError(f"ECM called on {n}")
+
+    monkeypatch.setattr(intmath, "_ecm", refuse)
+
+
+class TestStopRule:
+    SEMIPRIME = 19963943130517 * 648155384310727  # left after trial division
+
+    def test_rule_met_by_trial_division_skips_ecm(self, no_ecm):
+        seen = []
+
+        def enough(found):
+            seen.append(sorted(found))
+            return 1531 in found
+
+        f = factorize(-1531 * 42391**2 * self.SEMIPRIME, enough=enough)
+        assert f.sign == -1 and f.factors == ((1531, 1), (42391, 2))
+        assert f.cofactor == self.SEMIPRIME and not f.complete
+        assert seen == [[1531, 42391]]
+
+    def test_rule_not_met_splits_with_ecm(self):
+        f = factorize(1531 * self.SEMIPRIME, enough=lambda found: len(found) >= 2)
+        assert f.primes() == [1531, 19963943130517, 648155384310727] and f.complete
+
+    def test_rule_asked_again_after_each_split(self):
+        # three 9-digit primes: the first ECM split leaves a prime and a
+        # composite, and the rule then holds before the second split
+        primes = (100000007, 100000037, 100000039)
+        calls = []
+
+        def enough(found):
+            calls.append(len(found))
+            return len(found) >= 1
+
+        f = factorize(math.prod(primes), enough=enough)
+        assert calls == [0, 1]
+        assert len(f.factors) == 1 and f.cofactor * f.factors[0][0] == math.prod(primes)
+
+    def test_prime_and_square_rest_not_left_unfactored(self, no_ecm):
+        # no ECM is needed for a prime or a square of a prime, whatever the rule
+        p = 648155384310727
+        for n, factors in ((1531 * p, ((1531, 1), (p, 1))), (p * p, ((p, 2),)),
+                           (1531 * p**2, ((1531, 1), (p, 2)))):
+            f = factorize(n, enough=lambda found: True)
+            assert f.factors == factors and f.complete, n
+
+    def test_rule_that_never_holds_changes_nothing(self):
+        budget = FactorBudget(rho_iterations=1 << 16)
+        cases = [-(7**2) * 151 * 452233314041, 1000003 * 1000033, self.SEMIPRIME,
+                 299715123907843986500722254012018833,
+                 1000000000000000000000007 * 1000000000000000000000049]
+        for n in cases:
+            assert factorize(n, budget, lambda found: False) == factorize(n, budget), n
+
+
 class TestTrialPrimes:
     def test_matches_reference_sieve(self):
         primes = intmath._trial_primes()

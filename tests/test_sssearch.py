@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import math
 import time
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from heegner.sssearch import (
 )
 
 H11 = Fraction(21, 2)
+P7_LARGE = (19963943130517, 648155384310727)  # numerator primes at p = 7, h = 2, l = 113
 
 
 class TestAdmissibility:
@@ -113,6 +118,18 @@ class TestExtractPrimes:
     def test_rejects_positive(self):
         with pytest.raises(ValueError):
             extract_primes(Fraction(5, 4), 11, 5, ())
+
+    def test_stops_at_the_primes_needed(self):
+        # the l = 113 value at p = 7, h = 2: trial division finds 1531 and
+        # 42391, both usable, and ECM is left the product of two 14-digit primes
+        value = find_ell(7, Fraction(2), (2,), 300)[3]
+        for needed in (1, 2):
+            selected, candidates, fac, skip = extract_primes(value, 7, 113, (2,), needed=needed)
+            assert selected == (1531, 42391) and not skip
+            assert fac.cofactor == math.prod(P7_LARGE)
+            assert [q for q, _ in candidates] == fac.primes()
+        selected, _, fac, _ = extract_primes(value, 7, 113, (2,), needed=3)
+        assert selected == (1531, 42391, P7_LARGE[1]) and fac.complete
 
 
 class TestSearch:
@@ -219,6 +236,32 @@ def test_runtime_squareness_is_wired(monkeypatch):
         search(11, H11, count=1)
 
 
+def test_level7_stops_before_ecm():
+    # count = 1: the trial-division primes suffice, so the 29-digit product
+    # of two 14-digit primes is left unfactored in the certificate
+    [cert] = search(7, Fraction(2))
+    assert (cert.ell, cert.selected) == (113, (1531, 42391))
+    assert not cert.factorization.complete
+    assert cert.factorization.cofactor == math.prod(P7_LARGE)
+    assert json.loads(cert.to_json())["unfactored"] == str(math.prod(P7_LARGE))
+    cert.check()
+
+
+def test_count_aware_stop_harvests_whole_value():
+    # count = 3 needs a third prime from the same value, so ECM splits it
+    [cert] = search(7, Fraction(2), count=3)
+    assert cert.selected == (1531, 42391, P7_LARGE[1])
+    assert cert.factorization.complete
+
+
+def test_anchor_holds_and_candidates_are_derived():
+    certs = search(11, H11, count=3)
+    assert [c.selected for c in certs] == [(2309,), (7, 151)]
+    assert certs[1].candidates == tuple((q, kronecker(q, 11 * 37))
+                                        for q in (7, 151, 452233314041))
+    assert "candidates" not in {f.name for f in dataclasses.fields(certs[1])}
+
+
 def test_level7_and_level19_search():
     certs7 = search(7, Fraction(2), count=1, ell_bound=300)
     assert certs7[0].ell == 113
@@ -249,12 +292,46 @@ def test_unfactored_cofactor_skips_to_next_ell(monkeypatch):
     import heegner.sssearch as mod
     from heegner.intmath import Factorization, factorize as real_factorize
 
-    def flaky(n, budget=None):
+    def flaky(n, budget=None, enough=None):
         if abs(n) == 2309:  # pretend the l = 5 numerator resists factoring
             return Factorization(sign=-1 if n < 0 else 1, factors=(), cofactor=abs(n))
-        return real_factorize(n, budget)
+        return real_factorize(n, budget, enough)
 
     monkeypatch.setattr(mod, "factorize", flaky)
     certs = search(11, H11, count=1)
     # the l = 5 harvest was skipped, the search moved on to l = 37
     assert certs[0].ell == 37
+
+
+# SHA-256 of the to_json() lines of the worked example at each level, and of
+# the searches at every integer |h| <= 40 the theorem covers, with a tight
+# factoring budget
+LEVEL_SEARCHES = ((3, Fraction(-40), 1), (5, Fraction(1), 1), (7, Fraction(2), 1),
+                  (11, H11, 3), (13, Fraction(3), 1), (19, Fraction(2), 1))
+LEVELS_SHA256 = "959462f84623d2471971d95436351c5869812555672fa60ae9a0f49777f5014d"
+POINTS_SHA256 = "9056b01415a46eadc230ebc860eec8ba9d92a63c077fe582c02c4abace35a6b5"
+
+
+def sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_level_certificates_pinned():
+    lines = [c.to_json() for p, h, count in LEVEL_SEARCHES for c in search(p, h, count=count)]
+    assert len(lines) == 7
+    assert sha256_lines(lines) == LEVELS_SHA256
+
+
+def test_point_certificates_pinned():
+    lines, searched = [], 0
+    for p in (3, 5, 7, 11, 13, 19):
+        for n in range(-40, 41):
+            try:
+                certs = search(p, Fraction(n), count=1, ell_bound=300,
+                               budget=FactorBudget(rho_iterations=1 << 16), effort_bound=10**5)
+            except (RealJCaseError, SupersingularAtPError):
+                continue  # outside the theorem's hypotheses
+            searched += 1
+            lines.extend(c.to_json() for c in certs)
+    assert (searched, len(lines)) == (239, 239)
+    assert sha256_lines(lines) == POINTS_SHA256
