@@ -53,7 +53,7 @@ class PrecisionExhaustedError(ArithmeticError):
     """Rounding could not be proven at the sized precision."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassPolynomial:
     """Monic integer polynomial of degree h(D)/2 (or a product of two)."""
 

@@ -4,11 +4,14 @@ Each Hauptmodul is q^-1 times a quotient of q-series with integer
 coefficients (for p = 23, a quotient of two theta series), and every series
 is summed the same way: sparsely, over the exponents that occur (generalized
 pentagonal numbers for eta, values of a positive binary quadratic form for
-theta and theta*), in fixed point.  q is a Gaussian integer scaled by
-2^prec, and the powers a sum needs come from a table of q^g for the gaps g
-between consecutive exponents.  Each sum returns its value with an error
-radius in units of 2^-prec: the truncations of the fixed-point products,
-counted as they happen, plus an explicit bound on the dropped tail, which is
+theta and theta*), in fixed point.  The terms of each series kind live in
+one table, grown by doubling, and a sum reads the prefix up to its
+truncation.  q is a Gaussian integer scaled by 2^prec, and the powers a sum
+needs come from a table of q^g for the gaps g between consecutive
+exponents.  Each sum returns its value with an error radius in units of
+2^-prec: the truncations of the fixed-point products, whose count for q^n
+is n times a constant, so that the table carries the whole count as a
+running sum of |c| n, plus an explicit bound on the dropped tail, which is
 geometric because no coefficient of q^n exceeds a constant times n.
 
 ``jp_at_form`` is the one evaluation of j_p.  It takes a Heegner form,
@@ -16,9 +19,10 @@ reduces the form itself exactly (``reduce_heegner_form``), so that the point
 is exact before any rounding, and returns a ``Ball`` that provably contains
 j_p at its CM point.  Every value on the way is a ``Ball``, a Gaussian
 integer over 2^prec with an integer error radius, computed from integers
-alone: pi by Machin's formula, q by a Taylor sum and squarings, then the
-sums, 1/q and the few operations after them (quotient, power, the w_p
-term), each adding its counted rounding to the radius.  The class
+alone: pi by Machin's formula, q by a Taylor sum on Gaussian integers,
+whose floors are counted in closed form, and squarings on raw integers,
+then the sums, 1/q and the few operations after them (quotient, power, the
+w_p term), each adding its counted rounding to the radius.  The class
 polynomials call it once per root or conjugate pair, and
 ``jp_arc_interval`` once per endpoint of the arc S, both of which are CM
 points too.
@@ -32,8 +36,11 @@ theta series of discriminant -23.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
+from typing import NamedTuple
 
 from .levels import ETA, THETA_STAR, level
 from .quadforms import QuadForm, fundamental_unit
@@ -111,15 +118,53 @@ def _theta_star_counts(nmax: int) -> list[int]:
     return counts
 
 
-def _terms(kind, nmax: int):
-    """The nonzero terms (n, c) of a series kind up to q^nmax, n ascending."""
+def _table(kind, nmax: int):
+    """The term table of a series kind up to q^nmax: (nmax, terms, gaps, weights).
+
+    ``terms`` holds the nonzero (n, c), n ascending from 0; gaps[i] and
+    weights[i] are the largest gap between consecutive exponents (at least
+    1) and the sum of |c| n over terms[:i + 1].
+    """
     if kind == ETA:
-        return _pentagonal_terms(nmax)
-    if kind == THETA_STAR:
-        counts = _theta_star_counts(nmax)
+        terms = _pentagonal_terms(nmax)
     else:
-        counts = _theta_counts(*kind[1:], nmax)
-    return [(n, c) for n, c in enumerate(counts) if c]
+        counts = _theta_star_counts(nmax) if kind == THETA_STAR else _theta_counts(*kind[1:], nmax)
+        terms = [(n, c) for n, c in enumerate(counts) if c]
+    gaps, weights = [], []
+    gap = weight = last = 0
+    for n, c in terms:
+        gap, weight, last = max(gap, n - last, 1), weight + abs(c) * n, n
+        gaps.append(gap)
+        weights.append(weight)
+    return nmax, terms, gaps, weights
+
+
+_TABLES = {}  # series kind -> its _table, grown by doubling
+
+
+class _Prefix(NamedTuple):
+    """The terms of a series kind up to some q^nmax: terms[:count], with the
+    largest gap between consecutive exponents and the sum of |c| n."""
+
+    terms: list
+    count: int
+    max_gap: int
+    weight: int
+
+
+def _terms(kind, nmax: int) -> _Prefix:
+    """The nonzero terms (n, c) of a series kind up to q^nmax, n ascending.
+
+    Each kind keeps one table, of the terms up to the largest nmax asked so
+    far; a larger nmax rebuilds it at no less than twice its reach, and
+    every sum reads a prefix of it, found by bisection.
+    """
+    table = _TABLES.get(kind)
+    if table is None or table[0] < nmax:
+        table = _TABLES[kind] = _table(kind, max(nmax, 2 * table[0]) if table else nmax)
+    _, terms, gaps, weights = table
+    count = bisect_right(terms, nmax, key=itemgetter(0))
+    return _Prefix(terms, count, gaps[count - 1], weights[count - 1])
 
 
 def _growth(kind) -> int:
@@ -156,36 +201,34 @@ def _truncation(kind, rate: float, prec: int) -> tuple[int, int]:
     return nmax, max(1, math.ceil(2.0 ** (log_tail + prec) * (1 + 1e-9)))
 
 
-def _mul(x, y, prec: int):
-    (a, b), (c, d) = x, y
-    return (a * c - b * d) >> prec, (a * d + b * c) >> prec
-
-
-def _qsum(q, q_err: int, terms, prec: int):
-    """Sum of c q^n over ``terms`` in fixed point: (re, im, err).
+def _qsum(q, q_err: int, prefix: _Prefix, prec: int):
+    """Sum of c q^n over the terms of ``prefix`` in fixed point: (re, im, err).
 
     q is a Gaussian integer over 2^prec within q_err units of a value of
     modulus below 1.  A product of two such values with errors e, f is
     within e + f + 2 units (the two floor shifts cost under sqrt(2), and e f
     stays below a unit while both are under 2^(prec/2 - 1), checked at the
-    end), so each power carries the count of its chain of products.
+    end).  q^g in the table of gaps is g - 1 products from q, within
+    g (q_err + 2) - 2 units, and a power q^n one product per gap on the way
+    from q^0, so it is within n (q_err + 2) units: the error of the sum is
+    (q_err + 2) times the prefix's sum of |c| n, in closed form.
     """
     one = 1 << prec
-    max_gap = max((n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])), default=1)
-    table, errors = [(one, 0), q], [0, q_err]
-    for _ in range(2, max_gap + 1):
-        table.append(_mul(table[-1], q, prec))
-        errors.append(errors[-1] + q_err + 2)
-    re = im = err = 0
-    power, power_err, last = (one, 0), 0, 0
-    for n, c in terms:
+    qr, qi = q
+    table = [(one, 0), q]
+    for _ in range(2, prefix.max_gap + 1):
+        gr, gi = table[-1]
+        table.append(((gr * qr - gi * qi) >> prec, (gr * qi + gi * qr) >> prec))
+    re = im = last = 0
+    pr, pi = one, 0
+    for n, c in islice(prefix.terms, prefix.count):
         if n != last:
-            power = _mul(power, table[n - last], prec)
-            power_err += errors[n - last] + 2
+            gr, gi = table[n - last]
+            pr, pi = (pr * gr - pi * gi) >> prec, (pr * gi + pi * gr) >> prec
             last = n
-        re += c * power[0]
-        im += c * power[1]
-        err += abs(c) * power_err
+        re += c * pr
+        im += c * pi
+    err = (q_err + 2) * prefix.weight
     if err >= 1 << (prec // 2 - 1):
         raise ArithmeticError("fixed-point error count outgrew its bound")
     return re, im, err
@@ -288,49 +331,70 @@ class Ball:
             base = base * base
 
 
-@lru_cache(maxsize=None)
+_PI = []  # the one Machin ball, at the highest prec + 16 asked so far
+
+
 def _pi(prec: int) -> Ball:
     """pi = 16 atan(1/5) - 4 atan(1/239) (Machin) as a real ball.
 
-    Each arctangent is summed over 2^wp, 16 bits above prec: its terms
-    floor(2^wp / (n x^n)), n odd, are each exact to under one unit, and the
-    alternating tail after the first zero power is below one unit.
+    Each arctangent is summed over 2^wp, wp at least 16 bits above prec: its
+    terms floor(2^wp / (n x^n)), n odd, are each exact to under one unit,
+    and the alternating tail after the first zero power is below one unit.
+    One ball is kept, summed again only when a higher precision is asked.
+    Its radius, under 4 wp units, is below 2^16 for wp up to 2^14, so
+    rounding it to prec leaves at most 3 units.
     """
     wp = prec + 16
-    mid = rad = 0
-    for weight, x in ((16, 5), (-4, 239)):
-        total, n, power = 0, 1, (1 << wp) // x  # power = floor(2^wp / x^n)
-        while power:
-            total += power // n if n % 4 == 1 else -(power // n)
-            n, power = n + 2, power // (x * x)
-        mid += weight * total
-        rad += abs(weight) * (n // 2 + 1)  # a unit per term and one for the tail
-    return Ball(mid, 0, rad, wp).round_to(prec)
+    if not _PI or _PI[0].prec < wp:
+        mid = rad = 0
+        for weight, x in ((16, 5), (-4, 239)):
+            total, n, power = 0, 1, (1 << wp) // x  # power = floor(2^wp / x^n)
+            while power:
+                total += power // n if n % 4 == 1 else -(power // n)
+                n, power = n + 2, power // (x * x)
+            mid += weight * total
+            rad += abs(weight) * (n // 2 + 1)  # a unit per term and one for the tail
+        _PI[:] = [Ball(mid, 0, rad, wp)]
+    return _PI[0].round_to(prec)
 
 
 def _exp(z: Ball) -> Ball:
     """exp(z) as a ball at the precision of z.
 
-    The ball is read at prec + k bits, which divides it by 2^k exactly; k is
-    the least that keeps |re| + |im| + rad below 2^(prec + k - 8), so every
-    point w of the ball has |w| < 2^-8.  The Taylor sum of the n terms with
-    2^(8n) n! >= 2^(prec + k + 1) then drops a tail below one unit, and k
-    squarings undo the division.
+    The ball is read at wp = prec + k bits, which divides it by 2^k exactly;
+    k is the least that keeps |re| + |im| + rad below 2^(wp - 8), so every
+    point of the ball has modulus below 2^-8.  At its midpoint s the Taylor
+    sum runs on Gaussian integers over 2^wp: term m is term m - 1 times
+    s / m, each coordinate floored once, so its error is under sqrt(2) plus
+    2^-8 / m times the error of term m - 1, under 2 units in all.  The n
+    terms with 2^(8n) n! >= 2^(wp + 1) drop a tail below one unit, so the
+    sum is within 2n - 1 units of exp(s).  A point s + t with |t| <= r =
+    rad / 2^wp has |exp(s + t) - exp(s)| <= |exp(s)| (e^r - 1) <= |exp(s)|
+    r / (1 - r), which is added next.  k squarings undo the division, each
+    counting its error as ``Ball.__mul__`` does, and one ball is made at the
+    end.
     """
     k = max(0, (abs(z.re) + abs(z.im) + z.rad).bit_length() + 8 - z.prec)
     wp = z.prec + k
-    w = Ball(z.re, z.im, z.rad, wp)
     n, factorial = 1, 1
     while factorial << (8 * n) < 1 << (wp + 1):
         n += 1
         factorial *= n
-    total = Ball(1 << wp, 0, 0, wp)
-    for m in range(n - 1, 0, -1):  # Horner: 1 + w/1 (1 + w/2 (... (1 + w/(n - 1))))
-        total = w * total / m + 1
-    total.rad += 1  # the dropped tail
+    sr, si = z.re, z.im
+    re = tr = 1 << wp
+    im = ti = 0
+    for m in range(1, n):
+        unit = m << wp
+        tr, ti = (tr * sr - ti * si) // unit, (tr * si + ti * sr) // unit
+        re += tr
+        im += ti
+    err = 2 * n - 1
+    err += -(-(abs(re) + abs(im) + err) * z.rad // ((1 << wp) - z.rad))
     for _ in range(k):
-        total = total * total
-    return total.round_to(z.prec)
+        size = abs(re) + abs(im)
+        re, im, err = ((re * re - im * im) >> wp, (2 * re * im) >> wp,
+                       -(-(2 * size + err) * err >> wp) + 2)
+    return Ball(re, im, err, wp).round_to(z.prec)
 
 
 def _raising_candidates(p: int, al_limit: int, limit: int):

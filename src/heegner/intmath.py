@@ -101,7 +101,7 @@ def is_prime(n: int) -> bool:
     return all(_miller_rabin(n, a) for a in witnesses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Signed prime factorization; ``cofactor`` holds the composites left
     unsplit, either beyond the effort budget or not needed by the caller."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .intmath import is_prime
 from .levels import level
@@ -99,8 +99,10 @@ class Discriminant:
         elif self.shape != "-4pl":
             raise ValueError(f"unknown shape {self.shape!r}")
 
-    @property
+    @cached_property
     def D(self) -> int:
+        # computed once, so that the polynomials built from one
+        # discriminant share the int
         n = self.p * self.ell
         return -n if self.shape == "-pl" else -4 * n
 

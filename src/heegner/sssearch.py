@@ -5,7 +5,8 @@ character 1 at every avoided prime, build the class polynomial of the
 level's discriminant shapes (-4pl alone, or the product P_l of -pl and -4pl;
 see ``levels.LEVELS``), require a negative value at h, and harvest the
 numerator primes q with (q | pl) != 1.  Each accepted l also has its mod-l
-and mod-p squareness witnessed at runtime, not only in the test suite.
+and mod-p squareness witnessed at runtime, not only in the test suite, and
+the symbol (num | pl) in {0, 1} that they force on the numerator of the value.
 
 Verification of harvested primes runs through ssverify at levels with an
 exact h -> j lift; elsewhere primes are reported unverified.
@@ -56,7 +57,7 @@ class SupersingularAtPError(ValueError):
     """h reduces to a supersingular j_p-invariant mod p (theorem hypothesis)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchCertificate:
     """Full provenance of one supersingular-prime discovery."""
 
@@ -170,8 +171,24 @@ def find_ell(p: int, h: Fraction, sigma, ell_bound: int, start_after: int = 0):
             return ell, poly.D, poly, value, parts
 
 
-def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts) -> None:
-    """The mod-l and mod-p square statements, enforced on the search path."""
+def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts,
+                        value: Fraction) -> None:
+    """The mod-l and mod-p square statements, enforced on the search path,
+    and the symbol (num | pl) they force on the numerator of the value.
+
+    Modulo l each part is a square, or (X - r) R^2 with the level's linear
+    root r; such levels multiply two shapes, whose product (X - r)^2 R_1^2
+    R_2^2 is a square again.  Modulo p the polynomial is a square by
+    ``mod_p_square_check``.  So the polynomial P, monic of degree 2d, is S^2
+    modulo l and T^2 modulo p.  Write h = u / v in lowest terms.  The binary
+    form P(u, v) = v^(2d) P(u / v) is then S(u, v)^2 mod l and T(u, v)^2 mod
+    p, as forms, so for every u and v, also when p divides v.  It is the
+    numerator of the value: P is monic, so P(u, v) is u^(2d) modulo each
+    prime of v, hence prime to v, and the denominator is v^(2d).  Hence
+    (num | l) and (num | p) lie in {0, 1}, and so does (num | pl), their
+    product.  A value with symbol -1 means a check above, or the value, is
+    wrong.
+    """
     lev = level(p)
     root = lev.linear_root
     for part in parts:
@@ -184,6 +201,8 @@ def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts) -> None:
     companion = build_PD(Discriminant(p, ell, "-pl")) if lev.t2_check else None
     if mod_p_square_check(poly, companion) is None:
         raise ArithmeticError(f"polynomial is not a perfect square mod {p}")
+    if kronecker(value.numerator, p * ell) == -1:
+        raise ArithmeticError(f"the value {value} is a nonsquare modulo {p * ell}")
 
 
 def _symbols(fac: Factorization, pl: int) -> tuple[tuple[int, int], ...]:
@@ -266,7 +285,7 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
             break
         ell, D, poly, value, parts = result
         last_ell = ell
-        _runtime_squareness(p, ell, poly, parts)
+        _runtime_squareness(p, ell, poly, parts, value)
         selected, _, fac, skip = extract_primes(value, p, ell, current, budget,
                                                 needed=count - len(found))
         if skip:

@@ -11,8 +11,9 @@ j-invariant from its Eisenstein and product series, the Hauptmoduls in plain
 floating point at any tau (summed from the exact coefficient lists, with the
 orbit reduction done on tau rather than on a form), class polynomials from
 the full h-class product of those values, square-rooted over Z, real roots
-counted and isolated by Sturm sequences, and trial division one prime at a
-time.  Also
+counted and isolated by Sturm sequences, trial division one prime at a
+time, and the fixed-point series sum with its error counted term by term.
+Also
 the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
@@ -532,6 +533,40 @@ def _series_terms(kind, size: int):
     else:
         _, coeffs = theta_coeff_series(*kind[1:], size)
     return tuple((n, int(c)) for n, c in enumerate(coeffs) if c)
+
+
+def qsum_per_term(q, q_err: int, terms, prec: int):
+    """The library's series sum with its error counted term by term: the
+    reference for the closed-form count of ``hauptmodul._qsum``.
+
+    Sum of c q^n over ``terms`` in fixed point: (re, im, err).  A product of
+    two values with errors e, f is within e + f + 2 units; each power
+    carries the count of its chain of products, and each term adds |c|
+    times the error of its power.
+    """
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c - b * d) >> prec, (a * d + b * c) >> prec
+
+    one = 1 << prec
+    max_gap = max((n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])), default=1)
+    table, errors = [(one, 0), q], [0, q_err]
+    for _ in range(2, max_gap + 1):
+        table.append(mul(table[-1], q))
+        errors.append(errors[-1] + q_err + 2)
+    re = im = err = 0
+    power, power_err, last = (one, 0), 0, 0
+    for n, c in terms:
+        if n != last:
+            power = mul(power, table[n - last])
+            power_err += errors[n - last] + 2
+            last = n
+        re += c * power[0]
+        im += c * power[1]
+        err += abs(c) * power_err
+    if err >= 1 << (prec // 2 - 1):
+        raise ArithmeticError("fixed-point error count outgrew its bound")
+    return re, im, err
 
 
 def _mpc_values(tau, bits: int, min_im: float):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heegner.hauptmodul import (Ball, _exp, _pi, jp_arc_interval, jp_at_form,
-                                reduce_heegner_form)
+from heegner import hauptmodul
+from heegner.hauptmodul import (ETA, THETA_STAR, Ball, _exp, _growth, _pi, _qsum, _terms,
+                                _truncation, jp_arc_interval, jp_at_form, reduce_heegner_form)
+from heegner.levels import LEVELS, level
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -19,11 +21,14 @@ from heegner.quadforms import (
 
 from oracles import (
     MIN_IM,
+    _series_terms,
+    _theta_kind,
     arc_point,
     classical_j,
     eta,
     j_p,
     j_p0,
+    qsum_per_term,
     reduce_tau,
     tau_from_form,
     theta,
@@ -32,6 +37,8 @@ from oracles import (
 )
 
 BITS = 256
+SERIES_KINDS = [ETA, THETA_STAR] + [_theta_kind(*f) for f in ((1, 1, 3), (1, 1, 5), (1, 1, 6),
+                                                               (2, 1, 3))]
 
 
 def err(x, y):
@@ -346,14 +353,77 @@ class TestJpAtForm:
 
     def test_coefficient_growth_bounds(self):
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
-        from heegner.hauptmodul import ETA, THETA_STAR, _growth, _terms
-        from oracles import _theta_kind
-
-        kinds = [ETA, THETA_STAR] + [_theta_kind(*f) for f in ((1, 1, 3), (1, 1, 5), (1, 1, 6),
-                                                                 (2, 1, 3))]
-        for kind in kinds:
+        for kind in SERIES_KINDS:
             bound = _growth(kind)
-            assert all(abs(c) <= bound * n for n, c in _terms(kind, 3000) if n)
+            prefix = _terms(kind, 3000)
+            assert all(abs(c) <= bound * n for n, c in prefix.terms[:prefix.count] if n)
+
+
+def level_series(p):
+    """The (kind, scale) of every series the Hauptmodul of level p reads."""
+    asked = []
+
+    def value(kind, scale=1):
+        asked.append((kind, scale))
+        return len(asked) + 1.0
+
+    level(p).hauptmodul(value, 1.0)
+    return asked
+
+
+class TestSeriesEngine:
+    """The prefix term tables and the closed-form error count of the sums."""
+
+    @pytest.mark.parametrize("order", [(1, 7, 40, 41, 300, 600), (600, 300, 41, 40, 7, 1),
+                                       (40, 40, 7, 40, 300, 300, 41)])
+    def test_terms_match_fresh_computation(self, monkeypatch, order):
+        monkeypatch.setattr(hauptmodul, "_TABLES", {})
+        for kind in SERIES_KINDS:
+            for nmax in order:
+                prefix = _terms(kind, nmax)
+                terms = prefix.terms[:prefix.count]
+                assert terms == list(_series_terms(kind, nmax + 1)), (kind, nmax)
+                gaps = [n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])]
+                assert prefix.max_gap == max(gaps, default=1)
+                assert prefix.weight == sum(abs(c) * n for n, c in terms)
+
+    def test_tables_grow_by_doubling(self, monkeypatch):
+        monkeypatch.setattr(hauptmodul, "_TABLES", {})
+        builds = []
+        table = hauptmodul._table
+        monkeypatch.setattr(hauptmodul, "_table",
+                            lambda kind, nmax: builds.append(nmax) or table(kind, nmax))
+        for nmax in range(1, 1001):
+            _terms(ETA, nmax)
+        assert builds == [1 << k for k in range(11)]
+
+    @pytest.mark.parametrize("p", sorted(LEVELS))
+    def test_closed_form_error_matches_per_term_count(self, p):
+        rng = random.Random(p)
+        for kind, scale in level_series(p):
+            for _ in range(12):
+                rate = scale * rng.uniform(0.4, 27)  # -log2 |q| at Im(tau) in [0.05, 3]
+                prec = rng.randrange(64, 500) + math.ceil(rate)
+                bound = 1 << (prec - math.ceil(rate) - 1)  # |q| < 2^-rate
+                q = (rng.randrange(-bound, bound), rng.randrange(-bound, bound))
+                q_err = rng.randrange(0, 40)
+                nmax, _ = _truncation(kind, rate, prec)
+                assert _qsum(q, q_err, _terms(kind, nmax), prec) == qsum_per_term(
+                    q, q_err, list(_series_terms(kind, nmax + 1)), prec)
+
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_sums_of_jp_at_form_match_per_term_count(self, monkeypatch, p, ell, shape):
+        calls = []
+
+        def checked(q, q_err, prefix, prec):
+            out = _qsum(q, q_err, prefix, prec)
+            calls.append(out == qsum_per_term(q, q_err, prefix.terms[:prefix.count], prec))
+            return out
+
+        monkeypatch.setattr(hauptmodul, "_qsum", checked)
+        for form in heegner_forms(p, ell, shape):
+            jp_at_form(form, p, 96)
+        assert calls and all(calls)
 
 
 BALL_PREC = 64
@@ -541,6 +611,20 @@ class TestPiAndExp:
             z = -(_pi(prec) * Ball(math.isqrt(-D << (2 * prec)), b << prec, 1, prec)) / a
             q = _exp(z)
             assert q.prec == prec
+            with mpmath.workprec(4 * prec):
+                for point in points_of(z, rng):
+                    assert_encloses(q, mpmath.exp(point))
+
+    def test_exp_of_wide_balls(self):
+        # balls whose radius, up to 2^-8, outweighs every rounding: the
+        # enclosure then rests on carrying the radius through exp
+        rng = random.Random(23)
+        for _ in range(100):
+            prec = rng.randrange(32, 300)
+            z = Ball(rng.randrange(-(1 << (prec + 5)), 1 << (prec + 1)),
+                     rng.randrange(-(1 << (prec + 3)), 1 << (prec + 3)),
+                     rng.randrange(1 << (prec - 30), 1 << (prec - 8)), prec)
+            q = _exp(z)
             with mpmath.workprec(4 * prec):
                 for point in points_of(z, rng):
                     assert_encloses(q, mpmath.exp(point))

@@ -64,6 +64,20 @@ def test_library_runs_with_mpmath_blocked():
     assert done.stdout.splitlines() == ["X^2 - 77*X + 121", "2309 7 151"]
 
 
+def test_outputs_keep_no_instance_dict():
+    # a benchmark keeps every output of every round; slotted outputs keep
+    # that retention small, and a field added without slots would bring a
+    # per-instance dict back
+    from heegner.classpoly import ClassPolynomial
+    from heegner.intmath import Factorization
+    from heegner.sssearch import SearchCertificate
+
+    outputs = [heegner.build_PD(-220, 11), *heegner.search(5, 1)]
+    outputs.append(outputs[-1].factorization)
+    assert {type(out) for out in outputs} == {ClassPolynomial, SearchCertificate, Factorization}
+    assert not [type(out).__name__ for out in outputs if hasattr(out, "__dict__")]
+
+
 def _is_level(node) -> bool:
     """``p``, ``x.p`` or ``p % k``."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):

@@ -22,6 +22,10 @@ H11 = Fraction(21, 2)
 P7_LARGE = (19963943130517, 648155384310727)  # numerator primes at p = 7, h = 2, l = 113
 
 
+def numerator_symbols(certs):
+    return {kronecker(c.value.numerator, c.p * c.ell) for c in certs}
+
+
 class TestAdmissibility:
     def test_known_choices(self):
         assert ell_admissible(11, 5)
@@ -212,6 +216,8 @@ def test_cusp_denominator_h_allowed():
     certs = search(11, Fraction(21, 11), count=1, ell_bound=120)
     for c in certs:
         c.check()
+    # the forced symbol holds when p divides den(h) too
+    assert certs and numerator_symbols(certs) <= {0, 1}
 
 
 UNFACTORED = 1000000000000000000000808000000000000000000005607  # two 25-digit primes
@@ -236,6 +242,23 @@ def test_runtime_squareness_is_wired(monkeypatch):
         search(11, H11, count=1)
 
 
+def test_runtime_symbol_is_wired(monkeypatch):
+    # a value whose numerator is a nonsquare modulo pl contradicts the
+    # squareness checks that just passed, and aborts the search
+    import heegner.sssearch as mod
+
+    real_find_ell = mod.find_ell
+
+    def nonsquare_value(p, h, sigma, ell_bound, start_after=0):
+        ell, D, poly, value, parts = real_find_ell(p, h, sigma, ell_bound, start_after)
+        num = next(n for n in range(-1, -100, -1) if kronecker(n, p * ell) == -1)
+        return ell, D, poly, Fraction(num, value.denominator), parts
+
+    monkeypatch.setattr(mod, "find_ell", nonsquare_value)
+    with pytest.raises(ArithmeticError, match="nonsquare modulo 55"):
+        search(11, H11, count=1)
+
+
 def test_level7_stops_before_ecm():
     # count = 1: the trial-division primes suffice, so the 29-digit product
     # of two 14-digit primes is left unfactored in the certificate
@@ -257,6 +280,7 @@ def test_count_aware_stop_harvests_whole_value():
 def test_anchor_holds_and_candidates_are_derived():
     certs = search(11, H11, count=3)
     assert [c.selected for c in certs] == [(2309,), (7, 151)]
+    assert numerator_symbols(certs) <= {0, 1}
     assert certs[1].candidates == tuple((q, kronecker(q, 11 * 37))
                                         for q in (7, 151, 452233314041))
     assert "candidates" not in {f.name for f in dataclasses.fields(certs[1])}
@@ -323,7 +347,7 @@ def test_level_certificates_pinned():
 
 
 def test_point_certificates_pinned():
-    lines, searched = [], 0
+    lines, searched, symbols = [], 0, set()
     for p in (3, 5, 7, 11, 13, 19):
         for n in range(-40, 41):
             try:
@@ -333,5 +357,7 @@ def test_point_certificates_pinned():
                 continue  # outside the theorem's hypotheses
             searched += 1
             lines.extend(c.to_json() for c in certs)
+            symbols |= numerator_symbols(certs)
     assert (searched, len(lines)) == (239, 239)
+    assert symbols <= {0, 1}
     assert sha256_lines(lines) == POINTS_SHA256
