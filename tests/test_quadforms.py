@@ -1,5 +1,8 @@
 import functools
+import hashlib
+import json
 import math
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -17,6 +20,7 @@ from heegner.quadforms import (
     reduce_form,
 )
 
+from conftest import admissible_pairs
 from oracles import (
     PellData,
     bounded_root_form,
@@ -68,8 +72,6 @@ class TestReduce:
             reduce_form(QuadForm(1, 5, 1))
 
     def test_random_forms(self):
-        import random
-
         rng = random.Random(3)
         for _ in range(300):
             a = rng.randrange(1, 50)
@@ -96,6 +98,50 @@ class TestEnumerate:
             for f in grp.classes:
                 assert is_reduced(f) and f.discriminant() == D
             assert principal_form(grp.D) in grp.classes
+
+    def test_inverse_of_reduced_class(self):
+        # the rule build_PD pairs conjugate roots by: the inverse of a reduced
+        # [a, b, c] is [a, -b, c], or itself when b = 0, b = a or a = c
+        for _, grp in heegner_groups():
+            for a, b, c in grp.classes:
+                inverse = reduce_form(QuadForm(a, -b, c))
+                if b == 0 or b == a or a == c:
+                    assert inverse == (a, b, c)
+                else:
+                    assert inverse == (a, -b, c) and inverse in grp.classes
+
+
+# SHA-256 of the classes and Atkin-Lehner pairs of the 160 sweep
+# discriminants as JSON lines, in admissible_pairs() order with -pl before
+# -4pl; pinned when QuadForm was an ordered dataclass
+CLASSES_SHA256 = "01f2d823268a0a49546935d67b974434f988a91ea4caaab3ef19d33fd8bb2725"
+
+
+class TestQuadFormTuple:
+    def test_hash_is_the_tuple_hash(self):
+        for a, b, c in ((1, 0, 55), (5, -4, 12), (84, 70, 17), (3**40, -(2**70), 7**30)):
+            assert hash(QuadForm(a, b, c)) == hash((a, b, c))
+
+    def test_order_is_the_tuple_order(self):
+        rng = random.Random(5)
+        forms = [QuadForm(rng.randrange(1, 6), rng.randrange(-5, 6), rng.randrange(1, 6))
+                 for _ in range(300)]
+        rng.shuffle(forms)
+        assert [tuple(f) for f in sorted(forms)] == sorted(tuple(f) for f in forms)
+
+    def test_sweep_classes_and_pairs_pinned(self):
+        def triple(f):
+            return [f.a, f.b, f.c]
+
+        lines = []
+        for p, ell in admissible_pairs():
+            for shape in ("-pl", "-4pl"):
+                group = enumerate_classes(Discriminant(p, ell, shape).D)
+                pairs = al_pair_classes(group, p)
+                lines.append(json.dumps([group.D, [triple(f) for f in group.classes],
+                                         [[triple(f), triple(g)] for f, g in pairs]]))
+        assert len(lines) == 160
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLASSES_SHA256
 
 
 class TestCompose:

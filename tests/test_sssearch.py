@@ -259,6 +259,26 @@ def test_runtime_symbol_is_wired(monkeypatch):
         search(11, H11, count=1)
 
 
+def test_check_rejects_nonsquare_numerator():
+    # a value whose numerator has symbol -1 modulo pl, with the sign, the
+    # square denominator and every selected prime kept, fails check()
+    for cert in search(11, H11, count=3):
+        pl = cert.p * cert.ell
+        cert.check()
+        symbol = kronecker(cert.value.numerator, pl)
+        if symbol == 0:
+            continue  # no multiple of this numerator has symbol -1
+        r = next(r for r in range(3, 1000) if is_prime(r) and kronecker(r, pl) == -1
+                 and cert.value.denominator % r)
+        bad = dataclasses.replace(cert, value=cert.value * r)
+        assert kronecker(bad.value.numerator, pl) == -1
+        with pytest.raises(AssertionError, match=f"nonsquare modulo {pl}"):
+            bad.check()
+        break
+    else:
+        raise AssertionError("no certificate with numerator symbol 1")
+
+
 def test_level7_stops_before_ecm():
     # count = 1: the trial-division primes suffice, so the 29-digit product
     # of two 14-digit primes is left unfactored in the certificate
@@ -341,7 +361,10 @@ def sha256_lines(lines):
 
 
 def test_level_certificates_pinned():
-    lines = [c.to_json() for p, h, count in LEVEL_SEARCHES for c in search(p, h, count=count)]
+    certs = [c for p, h, count in LEVEL_SEARCHES for c in search(p, h, count=count)]
+    for c in certs:
+        c.check()
+    lines = [c.to_json() for c in certs]
     assert len(lines) == 7
     assert sha256_lines(lines) == LEVELS_SHA256
 
@@ -356,6 +379,8 @@ def test_point_certificates_pinned():
             except (RealJCaseError, SupersingularAtPError):
                 continue  # outside the theorem's hypotheses
             searched += 1
+            for c in certs:
+                c.check()
             lines.extend(c.to_json() for c in certs)
             symbols |= numerator_symbols(certs)
     assert (searched, len(lines)) == (239, 239)
