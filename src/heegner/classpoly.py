@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hauptmodul import GUARD_BITS, jp_at_form, reduce_heegner_form
+from .hauptmodul import GUARD_BITS, jp_at_form
 from .levels import level
 from .quadforms import (
     Discriminant,
@@ -35,6 +35,7 @@ from .quadforms import (
     al_pair_classes,
     enumerate_classes,
     heegner_rep,
+    reduce_heegner_form,
 )
 
 __all__ = [
@@ -188,8 +189,8 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     pairs = al_pair_classes(group, disc.p)
     # the two classes of a pair reach the same highest point, or (37 of the
     # 1 650 sweep pairs) mirror images [a, +-b, c] with the same a, so
-    # either sizes the pair; reduced here for the sizing, each form passes
-    # jp_at_form's own reduction unmoved.  The inverse of a reduced class
+    # either sizes the pair.  The form reduced here, once, is also the
+    # point jp_at_form evaluates.  The inverse of a reduced class
     # [a, b, c] is [a, -b, c], or the class itself when b = 0, b = a or
     # a = c.  The pair of the inverse classes has the conjugate root, and
     # its form [a, -b, c] has the same a, so it takes the evaluated form's

@@ -2,31 +2,31 @@
 
 Each Hauptmodul is q^-1 times a quotient of q-series with integer
 coefficients (for p = 23, a quotient of two theta series), and every series
-is summed the same way: sparsely, over the exponents that occur (generalized
-pentagonal numbers for eta, values of a positive binary quadratic form for
-theta and theta*), in fixed point.  The terms of each series kind live in
-one table, grown by doubling, and a sum reads the prefix up to its
-truncation.  q is a Gaussian integer scaled by 2^prec, and the powers a sum
-needs come from a table of q^g for the gaps g between consecutive
-exponents.  Each sum returns its value with an error radius in units of
-2^-prec: the truncations of the fixed-point products, whose count for q^n
-is n times a constant, so that the table carries the whole count as a
-running sum of |c| n, plus an explicit bound on the dropped tail, which is
-geometric because no coefficient of q^n exceeds a constant times n.
+is summed the same way: sparsely, over the exponents that occur
+(generalized pentagonal numbers for eta, values of a positive binary
+quadratic form for theta, of two such forms for theta*), in fixed point.
+The terms of each series kind live in one table, grown by doubling, and a
+sum reads the prefix up to its truncation.  q is a Gaussian integer scaled
+by 2^prec, and the powers a sum needs come from a table of q^g for the gaps
+g between consecutive exponents.  Each sum returns its value with an error
+radius in units of 2^-prec: the truncations of the fixed-point products,
+whose count for q^n is n times a constant, so that the table carries the
+whole count as a running sum of |c| n, plus an explicit bound on the
+dropped tail, which is geometric because no coefficient of q^n exceeds a
+constant times n.
 
-``jp_at_form`` is the one evaluation of j_p.  It takes a Heegner form,
-reduces the form itself exactly (``reduce_heegner_form``), so that the point
-is exact before any rounding, and returns a ``Ball`` that provably contains
-j_p at its CM point.  Every value on the way is a ``Ball``, a Gaussian
-integer over 2^prec with an integer error radius, computed from integers
-alone: pi by Machin's formula, q by a Taylor sum on Gaussian integers,
-whose length is looked up per working precision and whose floors are
-counted in closed form, and squarings on raw integers,
-then the sums, 1/q and the few operations after them (quotient, power, the
-w_p term), each adding its counted rounding to the radius.  The class
-polynomials call it once per root or conjugate pair, and
-``jp_arc_interval`` once per endpoint of the arc S, both of which are CM
-points too.
+``jp_at_form`` is the one evaluation of j_p.  It evaluates j_p at the
+point of a Heegner form as given, which its caller has reduced
+(``quadforms.reduce_heegner_form``, one Gamma_0(p)+ reduction per point),
+and returns a ``Ball`` that provably contains the value.  Every value on
+the way is a ``Ball``, a Gaussian integer over 2^prec with an integer error
+radius, computed from integers alone: pi by Machin's formula, q by a Taylor
+sum on Gaussian integers, whose length is looked up per working precision
+and whose floors are counted in closed form, and squarings on raw
+integers, then the sums, 1/q and the few operations after them (quotient,
+power, the w_p term), each adding its counted rounding to the radius.  The
+class polynomials call it once per root or conjugate pair, and
+``jp_arc_interval`` once per endpoint of the arc S, each at a reduced form.
 
 The expression of each Hauptmodul in its series is an entry of the level
 table (``levels.LEVELS``): eta quotients on the genus-0 levels, theta
@@ -39,14 +39,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .levels import ETA, THETA_STAR, level
-from .quadforms import QuadForm, fundamental_unit
+from .quadforms import QuadForm
 
-__all__ = ["GUARD_BITS", "Ball", "reduce_heegner_form", "jp_at_form", "jp_arc_interval"]
+__all__ = ["GUARD_BITS", "Ball", "jp_at_form", "jp_arc_interval"]
 
 GUARD_BITS = 32
 ARC_BITS = 256  # precision of the endpoints of j_p(S)
@@ -96,27 +96,14 @@ def _theta_star_counts(nmax: int) -> list[int]:
     """Coefficient of q^j in theta*(tau) q^(-1/2), j <= nmax.
 
     theta* sums (-1)^m u^k, k = m^2 + m n + 5 n^2, over m + n odd, with
-    u = q^(1/2); every such k is odd, and u^k = u q^((k - 1)/2).
+    u = q^(1/2).  For m = 2s, k = 4 s^2 + 2 s n + 5 n^2 is odd exactly when
+    n is; for n = 2t, k = x^2 + 19 t^2 with x = m + t is odd exactly when m
+    is.  So theta* = theta_[4,2,5](u) - theta_[1,0,19](u), whose even terms
+    cancel, and the coefficient of q^j = u^(2j + 1) / u is the difference of
+    the two representation numbers of 2j + 1.
     """
     kmax = 2 * nmax + 1
-    counts = [0] * (nmax + 1)
-    m = 1
-    while m * m <= kmax:  # n = 0 needs m odd
-        counts[(m * m - 1) // 2] -= 2
-        m += 2
-    ymax = math.isqrt(4 * kmax // 19)
-    for n in range(1, ymax + 1):
-        w2 = 4 * kmax - 19 * n * n
-        if w2 < 0:
-            break
-        w = math.isqrt(w2)
-        for m in range(-((n + w) // 2), (w - n) // 2 + 1):
-            if (m + n) % 2 == 0:
-                continue
-            k = m * m + m * n + 5 * n * n
-            if k <= kmax:
-                counts[(k - 1) // 2] += -2 if m % 2 else 2
-    return counts
+    return list(map(sub, _theta_counts(4, 2, 5, kmax)[1::2], _theta_counts(1, 0, 19, kmax)[1::2]))
 
 
 def _table(kind, nmax: int):
@@ -405,88 +392,25 @@ def _exp(z: Ball) -> Ball:
     return Ball(re, im, err, wp).round_to(z.prec)
 
 
-def _raising_candidates(p: int, al_limit: int, limit: int):
-    """Lower-row entries c of the moves that can raise a point.
-
-    A move of Gamma_0(p)+ with lower row (c, d) (times p for an Atkin-Lehner
-    move) sends Im(tau) to Im(tau) / |c tau + d|^2 when p | c, and to
-    Im(tau) / (p |c tau + d|^2) otherwise.  Since |c tau + d| >= c Im(tau),
-    only c <= al_limit (Atkin-Lehner) and multiples of p up to limit can raise.
-    """
-    return chain(range(1, al_limit + 1), range(p, limit + 1, p))
-
-
-def _move_matrix(c: int, d: int, p: int):
-    """(A, B, C, E) of the move with lower row (c, d), c > 0, gcd(c, d) = 1.
-
-    A matrix of Gamma_0(p) when p | c, else the Atkin-Lehner matrix
-    [[p s, -t], [p c, p d]] of determinant p with s p d + t c = 1.
-    """
-    if c % p == 0:
-        t = pow(d, -1, c)  # [[t, -s], [c, d]] with s c + t d = 1
-        return t, (t * d - 1) // c, c, d
-    s = pow(p * d, -1, c)
-    return p * s, (s * p * d - 1) // c, p * c, p * d
-
-
-def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
-    """The form of the highest CM point in the Gamma_0(p)+ orbit of a form with p | a.
-
-    Im(tau) = sqrt|D| / (2a), and the move with lower row (c, d) sends a to
-    f(d, -c) when p | c and to p f(d, -c) otherwise, so one scan for the
-    smallest such value finds the highest point.  Every point of the orbit
-    is one move away, so the scan reaches the top from any Heegner form, not
-    only from one near it.  The form is then moved by the matrix and
-    translated so that b lies in (-a, a].  Every move keeps p | a; the
-    Fricke involution [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move
-    with row (1, 0).
-    """
-    if not form.is_positive_definite():
-        raise ValueError("form must be positive definite")
-    if form.a % p:
-        raise ValueError(f"form {form} is not a Heegner representative for p = {p}")
-    a, b, c = form.a, form.b, form.c
-    D = form.discriminant()
-
-    def f(x, y):
-        return a * x * x + b * x * y + c * y * y
-
-    # |c' tau + d| >= c' Im(tau) = c' sqrt|D| / (2a), so a row can lower a
-    # only when c'^2 |D| < 4 a^2, an Atkin-Lehner row only when p c'^2 |D| < 4 a^2
-    best, move = a, None
-    for cp in _raising_candidates(p, math.isqrt((4 * a * a - 1) // (-p * D)),
-                                  math.isqrt((4 * a * a - 1) // -D)):
-        d = (cp * b + a) // (2 * a)  # nearest integer to -c' Re(tau)
-        a1 = f(d, -cp) * (1 if cp % p == 0 else p)
-        if a1 < best and math.gcd(cp, d) == 1:
-            best, move = a1, (cp, d)
-    if move is not None:
-        # the form of M tau is f(E X - B Y, -C X + A Y) / det M, whose
-        # leading coefficient f(E, -C) / det M is best
-        A, B, C, E = _move_matrix(*move, p)
-        det = A * E - B * C
-        a, b = best, (f(E - B, A - C) - f(-B, A)) // det - best
-    b = (b + a - 1) % (2 * a) - a + 1
-    return QuadForm(a, b, (b * b - D) // (4 * a))
-
-
 def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
     """A ``Ball`` at bits + GUARD_BITS containing j_p at the CM point of a form with p | a.
 
-    The form is reduced exactly; with tau = (-b + i sqrt|D|) / (2a), q =
-    exp(-pi (sqrt|D| + b i) / a) comes from ``_pi``, ``math.isqrt`` and
+    The point is that of the form as given, tau = (-b + i sqrt|D|) / (2a):
+    the caller reduces the form first (``quadforms.reduce_heegner_form``),
+    and a point below the evaluation cutoff raises ``ArithmeticError``.
+    q = exp(-pi (sqrt|D| + b i) / a) comes from ``_pi``, ``math.isqrt`` and
     ``_exp``.  The series are summed at bits + 2 * GUARD_BITS, and the
     level's expression forms j_p from them and 1/q, each operation adding
     its rounding to the radius, which ends near 2^-bits |j_p|.
     """
     hauptmodul = level(p).hauptmodul
-    form = reduce_heegner_form(form, p)
     D = form.discriminant()
     im_tau = math.sqrt(-D) / (2 * form.a)
     # the top of an orbit sits at Im(tau) >= sqrt(3) / (2p); the sums are
     # sized for that, with a margin
     if im_tau < min(0.05, 0.8 * math.sqrt(3) / (2 * p)):
-        raise ArithmeticError(f"reduced form {form} sits below the evaluation cutoff")
+        raise ArithmeticError(f"form {form} sits below the evaluation cutoff; "
+                              "pass it through reduce_heegner_form first")
     prec = bits + 2 * GUARD_BITS
     # q to prec + lift bits, so that 1/q, of modulus about 2^lift, keeps
     # the relative precision of q
@@ -505,18 +429,18 @@ def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
 def jp_arc_interval(p: int) -> tuple[float, float]:
     """Endpoints of the real interval j_p(S) at a level with the real arc.
 
-    S is the arc |tau| = 1/sqrt(p), -d/c < Re(tau) < 0; j_p increases
-    clockwise along it, so the infimum sits at Re = -d/c and the supremum at
-    tau = i/sqrt(p).  Both ends are CM points, so each is one ``jp_at_form``
-    enclosure at ARC_BITS: the left end (-d + i/sqrt(p))/c is the point of
-    the form [pc/2, pd, c/2] of discriminant -p (c^2 - p d^2 = 1), which
-    reduces to [p, p, (p + 1)/4], and the top is the point of [p, 0, 1] of
-    discriminant -4p.  Returned as the floats nearest to the midpoints of
-    the real parts (the interval test tolerance is 2^-16, far above float
-    error).
+    S is the arc |tau| = 1/sqrt(p), -d/c < Re(tau) < 0, for the fundamental
+    unit c + d sqrt(p); j_p increases clockwise along it, so the infimum
+    sits at Re = -d/c and the supremum at tau = i/sqrt(p).  Both ends are
+    CM points, so each is one ``jp_at_form`` enclosure at ARC_BITS of a
+    reduced form: the left end, the point of [pc/2, pd, c/2], reduces to
+    [p, p, (p + 1)/4], and the top is the point of [p, 0, 1].  Returned as
+    the floats nearest to the midpoints of the real parts (the interval
+    test tolerance is 2^-16, far above float error).
     """
-    c, d = fundamental_unit(p)
-    ends = (jp_at_form(QuadForm(p * c // 2, p * d, c // 2), p, ARC_BITS),
+    if not level(p).real_arc:
+        raise ValueError(f"the arc S is only defined at the real-arc levels, not p = {p}")
+    ends = (jp_at_form(QuadForm(p, p, (p + 1) // 4), p, ARC_BITS),
             jp_at_form(QuadForm(p, 0, 1), p, ARC_BITS))
     # int / int is correctly rounded
     return tuple(end.re / (1 << end.prec) for end in ends)

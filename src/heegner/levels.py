@@ -41,14 +41,20 @@ class EtaQuotient(NamedTuple):
     """j_p = t + w / t on a genus-0 X_0(p), t = (eta(tau) / eta(p tau))^exponent.
 
     t is the Hauptmodul of X_0(p), and the Fricke involution w_p sends t to
-    w / t; ``exponent`` is 24 / (p - 1) and ``w`` is p^(12 / (p - 1)).  A
-    named tuple, because it is created at import several times faster than
-    a dataclass.
+    w / t; ``exponent`` is 24 / (p - 1) and ``w`` is p^(12 / (p - 1)), both
+    derived from p.  A named tuple, because it is created at import several
+    times faster than a dataclass.
     """
 
     p: int
-    exponent: int
-    w: int
+
+    @property
+    def exponent(self) -> int:
+        return 24 // (self.p - 1)
+
+    @property
+    def w(self) -> int:
+        return self.p ** (12 // (self.p - 1))
 
     def t(self, value, qinv):
         # (eta(tau) / eta(p tau))^e = q^-1 (E(q) / E(q^p))^e
@@ -112,12 +118,12 @@ class Level:
 
 
 LEVELS = {lev.p: lev for lev in (
-    Level(3, EtaQuotient(3, 12, 729), ("-4pl",), (0,), real_arc=True, j_lift=True),
-    Level(5, EtaQuotient(5, 6, 125), ("-pl", "-4pl"), (0,), linear_root=-22),
-    Level(7, EtaQuotient(7, 4, 49), ("-4pl",), (0,), real_arc=True),
+    Level(3, EtaQuotient(3), ("-4pl",), (0,), real_arc=True, j_lift=True),
+    Level(5, EtaQuotient(5), ("-pl", "-4pl"), (0,), linear_root=-22),
+    Level(7, EtaQuotient(7), ("-4pl",), (0,), real_arc=True),
     Level(11, _theta_11, ("-4pl",), (0, 10), real_arc=True, t2_check=True,
           brandt=T2Data(11, (0, -1), ((1, 2), (3, 0)))),
-    Level(13, EtaQuotient(13, 2, 13), ("-pl", "-4pl"), (0,), linear_root=-6),
+    Level(13, EtaQuotient(13), ("-pl", "-4pl"), (0,), linear_root=-6),
     Level(19, _theta_19, ("-4pl",), (0, 8), real_arc=True,
           brandt=T2Data(19, (0, 8), ((1, 2), (1, 2)))),
     Level(23, _theta_23, ("-4pl",), (11, 15, 18), searchable=False,

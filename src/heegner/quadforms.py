@@ -5,8 +5,10 @@ primitive here.  Ideal classes are represented purely as reduced forms.  The
 Heegner representatives (p | a) and the Atkin-Lehner pairing are closed
 forms: one translation and swap gives a representative, and the Fricke
 involution [a, b, c] -> [pc, -b, a/p] of a representative gives the partner
-class.  The fundamental unit of Q(sqrt p), which bounds the circular arc S,
-lives here as well.
+class.  Every reduction of a form lives here: Gauss reduction of classes
+(``reduce_form``) and the exact Gamma_0(p)+ reduction of a Heegner form to
+the highest point of its orbit (``reduce_heegner_form``), where j_p is
+evaluated.  So does the fundamental unit of Q(sqrt p), which bounds the arc S.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .intmath import is_prime
@@ -28,6 +31,7 @@ __all__ = [
     "enumerate_classes",
     "class_number",
     "heegner_rep",
+    "reduce_heegner_form",
     "al_pair_classes",
     "fundamental_unit",
 ]
@@ -51,9 +55,6 @@ class QuadForm(NamedTuple):
 
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
-
-    def inverse(self) -> "QuadForm":
-        return QuadForm(self.a, -self.b, self.c)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -193,6 +194,71 @@ def _translated(a: int, b: int, c: int, D: int, p: int) -> tuple[int, int, int]:
         return a, b, c
     b -= 2 * a * (b * pow(2 * a, -1, p) % p)
     return (b * b - D) // (4 * a), -b, a
+
+
+def _raising_candidates(p: int, al_limit: int, limit: int):
+    """Lower-row entries c of the moves that can raise a point.
+
+    A move of Gamma_0(p)+ with lower row (c, d) (times p for an Atkin-Lehner
+    move) sends Im(tau) to Im(tau) / |c tau + d|^2 when p | c, and to
+    Im(tau) / (p |c tau + d|^2) otherwise.  Since |c tau + d| >= c Im(tau),
+    only c <= al_limit (Atkin-Lehner) and multiples of p up to limit can raise.
+    """
+    return chain(range(1, al_limit + 1), range(p, limit + 1, p))
+
+
+def _move_matrix(c: int, d: int, p: int):
+    """(A, B, C, E) of the move with lower row (c, d), c > 0, gcd(c, d) = 1.
+
+    A matrix of Gamma_0(p) when p | c, else the Atkin-Lehner matrix
+    [[p s, -t], [p c, p d]] of determinant p with s p d + t c = 1.
+    """
+    if c % p == 0:
+        t = pow(d, -1, c)  # [[t, -s], [c, d]] with s c + t d = 1
+        return t, (t * d - 1) // c, c, d
+    s = pow(p * d, -1, c)
+    return p * s, (s * p * d - 1) // c, p * c, p * d
+
+
+def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
+    """The form of the highest CM point in the Gamma_0(p)+ orbit of a form with p | a.
+
+    Im(tau) = sqrt|D| / (2a), and the move with lower row (c, d) sends a to
+    f(d, -c) when p | c and to p f(d, -c) otherwise, so one scan for the
+    smallest such value finds the highest point.  Every point of the orbit
+    is one move away, so the scan reaches the top from any Heegner form, not
+    only from one near it.  The form is then moved by the matrix and
+    translated so that b lies in (-a, a].  Every move keeps p | a; the
+    Fricke involution [a, b, c] -> [pc, -b, a/p] is the Atkin-Lehner move
+    with row (1, 0).
+    """
+    if not form.is_positive_definite():
+        raise ValueError("form must be positive definite")
+    if form.a % p:
+        raise ValueError(f"form {form} is not a Heegner representative for p = {p}")
+    a, b, c = form.a, form.b, form.c
+    D = form.discriminant()
+
+    def f(x, y):
+        return a * x * x + b * x * y + c * y * y
+
+    # |c' tau + d| >= c' Im(tau) = c' sqrt|D| / (2a), so a row can lower a
+    # only when c'^2 |D| < 4 a^2, an Atkin-Lehner row only when p c'^2 |D| < 4 a^2
+    best, move = a, None
+    for cp in _raising_candidates(p, math.isqrt((4 * a * a - 1) // (-p * D)),
+                                  math.isqrt((4 * a * a - 1) // -D)):
+        d = (cp * b + a) // (2 * a)  # nearest integer to -c' Re(tau)
+        a1 = f(d, -cp) * (1 if cp % p == 0 else p)
+        if a1 < best and math.gcd(cp, d) == 1:
+            best, move = a1, (cp, d)
+    if move is not None:
+        # the form of M tau is f(E X - B Y, -C X + A Y) / det M, whose
+        # leading coefficient f(E, -C) / det M is best
+        A, B, C, E = _move_matrix(*move, p)
+        det = A * E - B * C
+        a, b = best, (f(E - B, A - C) - f(-B, A)) // det - best
+    b = (b + a - 1) % (2 * a) - a + 1
+    return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
 def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadForm]]:

@@ -8,6 +8,7 @@ from heegner.classpoly import (
     build_Pl,
     evaluate,
 )
+from heegner import hauptmodul, quadforms
 from heegner.hauptmodul import Ball
 from heegner.quadforms import (
     Discriminant,
@@ -246,6 +247,36 @@ def test_sized_precision_needs_one_attempt(monkeypatch):
     assert poly.degree == 60
     real = self_conjugate_pairs(-29564, 19)
     assert len(precisions) == real + (60 - real) // 2 and len(set(precisions)) == 1
+
+
+@pytest.mark.parametrize("D,p", [(-220, 11), (-1628, 11), (-215, 5), (-940, 5), (-2132, 13),
+                                 (-1524, 3), (-812, 7), (-29564, 19)])
+def test_one_reduction_per_evaluation(monkeypatch, D, p):
+    # build_PD reduces each evaluated form once, for the sizing and the
+    # evaluation both; jp_at_form evaluates the form it is given, which no
+    # module reduces again
+    import heegner.classpoly as mod
+
+    reductions, evaluated = [], []
+    reduce_once = quadforms.reduce_heegner_form
+
+    def counted(form, p):
+        reductions.append(form)
+        return reduce_once(form, p)
+
+    for module in (mod, hauptmodul, quadforms):
+        if hasattr(module, "reduce_heegner_form"):
+            monkeypatch.setattr(module, "reduce_heegner_form", counted)
+    real = mod.jp_at_form
+
+    def recorded(form, p, bits):
+        evaluated.append(form)
+        return real(form, p, bits)
+
+    monkeypatch.setattr(mod, "jp_at_form", recorded)
+    build_PD(D, p)
+    assert evaluated and len(reductions) == len(evaluated)
+    assert all(reduce_once(form, p) == form for form in evaluated)
 
 
 def test_wide_root_enclosure_never_rounds(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from heegner import hauptmodul
 from heegner.hauptmodul import (ETA, THETA_STAR, Ball, _exp, _growth, _pi, _qsum, _terms,
-                                _truncation, jp_arc_interval, jp_at_form, reduce_heegner_form)
+                                _truncation, jp_arc_interval, jp_at_form)
 from heegner.levels import LEVELS, level
 from heegner.quadforms import (
     Discriminant,
@@ -17,6 +17,7 @@ from heegner.quadforms import (
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
+    reduce_heegner_form,
 )
 
 from conftest import admissible_pairs
@@ -366,12 +367,40 @@ class TestJpAtForm:
     def test_interval_contains_value(self, p, ell, shape):
         for bits in (96, 300):
             for form in heegner_forms(p, ell, shape):
-                ball = jp_at_form(form, p, bits)
+                ball = jp_at_form(reduce_heegner_form(form, p), p, bits)
                 with mpmath.workprec(4 * bits):
                     value = j_p(tau_from_form(form, 3 * bits), p, 3 * bits)
                     radius = mpmath.ldexp(ball.rad, -ball.prec)
                     assert abs(value - ball_center(ball)) <= radius
                     assert radius < 2.0**-bits * max(1, abs(value))
+
+    @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
+    def test_evaluates_the_point_it_is_given(self, monkeypatch, p, ell, shape):
+        # at the translate [a, b + 2a, a + b + c], the point tau - 1, q comes
+        # from that point's own argument, and the two balls of the one value
+        # j_p(tau) overlap
+        arguments = []
+
+        def recorded(z):
+            arguments.append(z)
+            return _exp(z)
+
+        monkeypatch.setattr(hauptmodul, "_exp", recorded)
+        for form in heegner_forms(p, ell, shape):
+            a, b, c = reduce_heegner_form(form, p)
+            x = jp_at_form(QuadForm(a, b, c), p, 96)
+            y = jp_at_form(QuadForm(a, b + 2 * a, a + b + c), p, 96)
+            at_x, at_y = arguments[-2:]
+            assert at_x.re == at_y.re and at_x.im != at_y.im
+            assert (x.re - y.re) ** 2 + (x.im - y.im) ** 2 <= (x.rad + y.rad) ** 2
+
+    def test_point_below_the_cutoff_raises(self):
+        # the left end of S at p = 19 sits at Im(tau) < 0.002; the caller
+        # must reduce it first
+        left, _ = arc_forms(19)
+        with pytest.raises(ArithmeticError, match="reduce_heegner_form"):
+            jp_at_form(left, 19, 96)
+        assert jp_at_form(reduce_heegner_form(left, 19), 19, 96).prec == 96 + 32
 
     def test_coefficient_growth_bounds(self):
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
@@ -444,7 +473,7 @@ class TestSeriesEngine:
 
         monkeypatch.setattr(hauptmodul, "_qsum", checked)
         for form in heegner_forms(p, ell, shape):
-            jp_at_form(form, p, 96)
+            jp_at_form(reduce_heegner_form(form, p), p, 96)
         assert calls and all(calls)
 
 
@@ -660,7 +689,7 @@ class TestPiAndExp:
         monkeypatch.setattr(hauptmodul, "_exp", recorded)
         for p, ell, shape in HEEGNER_CASES:
             for form in heegner_forms(p, ell, shape):
-                jp_at_form(form, p, 128)
+                jp_at_form(reduce_heegner_form(form, p), p, 128)
         assert len(arguments) == sum(len(heegner_forms(*case)) for case in HEEGNER_CASES)
         for z in arguments:
             out, ref = _exp(z), exp_reference(z)
@@ -736,6 +765,26 @@ def test_arc_interval_regression_values():
     assert abs(lo19) < 1e-12 and abs(hi19 - 4 * 2.6672450358) < 1e-8
 
 
+# float.hex of the ends of j_p(S), pinned bit for bit: the search's real-j
+# case compares h with them
+ARC_ENDS_HEX = {
+    3: ("-0x1.b000000000000p+5", "0x1.b000000000000p+5"),
+    7: ("-0x1.c000000000000p+3", "0x1.c000000000000p+3"),
+    11: ("0x0.0p+0", "0x1.0d3d717e62cc5p+4"),
+    19: ("0x0.0p+0", "0x1.5568490b9d141p+3"),
+}
+
+
+def test_arc_ends_pinned():
+    assert {p: tuple(map(float.hex, jp_arc_interval(p))) for p in ARC_ENDS_HEX} == ARC_ENDS_HEX
+
+
+@pytest.mark.parametrize("p", [5, 13, 23])
+def test_arc_interval_needs_the_real_arc(p):
+    with pytest.raises(ValueError, match="real-arc"):
+        jp_arc_interval(p)
+
+
 def arc_forms(p):
     """The forms of the two ends of S: [pc/2, pd, c/2] at Re(tau) = -d/c, of
     discriminant -p, and [p, 0, 1] at tau = i/sqrt(p), of discriminant -4p."""
@@ -759,7 +808,7 @@ def test_arc_endpoint_enclosures(p, exact):
     # the ends of j_p(S) are real, and the exact values are known where
     # the end is an elliptic point or a zero of j_p
     for form, value in zip(arc_forms(p), exact):
-        ball = jp_at_form(form, p, 256)
+        ball = jp_at_form(reduce_heegner_form(form, p), p, 256)
         assert abs(ball.im) <= ball.rad
         assert ball.rad < 2 ** (ball.prec - 200)
         if value is not None:

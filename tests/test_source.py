@@ -284,3 +284,40 @@ def test_every_definition_has_a_caller():
     # the library is the pipeline: what only the tests call belongs in tests/
     readers = sorted((ROOT / "perfbench").glob("*.py"))
     assert not unreferenced_definitions(SOURCES, readers)
+
+
+def unread_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Names a module imports but never reads, as a name or as the base of
+    an attribute; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source, filename=filename)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{filename}:{line}:{name}" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_import_is_read():
+    # an import kept after its last use, or kept only so that the
+    # benchmark's tracer can patch it, is dead code; __init__.py imports
+    # to re-export
+    found = []
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            found += unread_imports(path.read_text(), path.name)
+    assert not found, found
+
+
+def test_unread_import_matcher():
+    assert unread_imports("from .quadforms import QuadForm, fundamental_unit\nQuadForm(1, 0, 1)"
+                          ) == ["<source>:1:fundamental_unit"]
+    assert unread_imports("import os.path as osp\nimport math\nmath.pi") == ["<source>:1:osp"]
+    assert not unread_imports("from __future__ import annotations\nimport os.path\nos.path.sep")
+    assert not unread_imports("from typing import Callable\nx: Callable = print")
