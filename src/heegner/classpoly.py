@@ -6,18 +6,18 @@ q-coefficients of j_p are integers and the form [a, -b, c] represents the
 inverse class, so the pair of the inverse classes has the complex conjugate
 root.  A pair that inversion maps to itself (f^2 is 1 or the p-ideal class)
 has a real root; every other pair is matched with its inverse pair, and j_p
-is evaluated once for the two.  The working precision is sized once from
-the reduced Heegner forms [a_i, b_i, c_i], one per root: log2 prod
-max(1, |r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it come log2 of
-the largest binomial coefficient of the degree, 20 bits for the rounding
-tolerance and a guard.  Each evaluation arrives as a ``Ball`` over
-2^(work + guard) (``hauptmodul.jp_at_form``).  A real root gives the
-factor X - r, a conjugate couple the real quadratic X^2 - 2 Re(r) X +
-|r|^2, and their product is formed in real balls, integer midpoints with
-integer radii, by integer multiplies.  A coefficient is accepted only when
-its whole ball lies within 2^-20 of exactly one integer, so the rounding is
-proven rather than tested; a coefficient ball that fails the proof raises
-``PrecisionExhaustedError``.
+is evaluated once for the two.  A build has one precision, sized from the
+reduced Heegner forms [a_i, b_i, c_i], one per root: log2 prod max(1,
+|r_i|) is about sum pi sqrt|D| / (a_i ln 2), and to it come log2 of the
+largest binomial coefficient of the degree and 20 bits for the rounding
+tolerance.  ``hauptmodul.jp_at_form`` returns each root as a ``Ball`` with
+a radius below 2^-bits max(1, |r|), over 2^prec for a prec that adds its
+own guard bits.  A real root gives the factor X - r, a conjugate couple the
+real quadratic X^2 - 2 Re(r) X + |r|^2, and their product is formed at the
+roots' prec in real balls, integer midpoints with integer radii, by integer
+multiplies.  A coefficient is accepted only when its whole ball lies within
+2^-20 of exactly one integer, so the rounding is proven rather than tested;
+a coefficient ball that fails the proof raises ``PrecisionExhaustedError``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hauptmodul import GUARD_BITS, jp_at_form
+from .hauptmodul import jp_at_form
 from .levels import level
 from .quadforms import (
     Discriminant,
@@ -99,14 +99,14 @@ def _as_disc(D, p=None) -> Discriminant:
 
 
 def _sized_bits(D: int, reps) -> int:
-    """Precision for the roots at the reduced Heegner forms ``reps``.
+    """The bits to ask of the roots at the reduced Heegner forms ``reps``, with no guard.
 
     |j_p| is about |q|^-1 = exp(pi sqrt|D| / a) at the form's point, and a
     coefficient of prod (X - r_i) is at most C(n, k) prod max(1, |r_i|).
     """
     height = sum(math.pi * math.sqrt(-D) / (rep.a * math.log(2)) for rep in reps)
     n = len(reps)
-    return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS + GUARD_BITS
+    return math.ceil(height + math.log2(math.comb(n, n // 2))) + ROUNDING_BITS
 
 
 def _real_factors(roots):
@@ -181,9 +181,8 @@ def _ceil_float(units: int, prec: int) -> float:
 
 
 def build_PD(D, p: int | None = None) -> ClassPolynomial:
-    """The class polynomial P_D(X), one root per Atkin-Lehner class pair,
-    from one evaluation per real root or conjugate couple of roots at the
-    precision sized from the reduced forms."""
+    """The class polynomial P_D(X), one root per Atkin-Lehner class pair, from
+    one evaluation per real root or conjugate couple of roots, at one precision."""
     disc = _as_disc(D, p)
     group = enumerate_classes(disc.D)
     pairs = al_pair_classes(group, disc.p)
@@ -203,14 +202,13 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
             j = where[f if b == 0 or b == a or a == c else QuadForm(a, -b, c)]
             reps[i] = reps[j] = reduce_heegner_form(heegner_rep(f, disc.p), disc.p)
             evaluated.append((reps[i], i == j))
-    work = _sized_bits(disc.D, reps)
-    roots = [(jp_at_form(rep, disc.p, work), real) for rep, real in evaluated]
-    prec = work + GUARD_BITS
+    bits = _sized_bits(disc.D, reps)
+    roots = [(jp_at_form(rep, disc.p, bits), real) for rep, real in evaluated]
+    prec = roots[0][0].prec
     rounded = _round_proven(_product(_real_factors(roots), prec), prec)
     if rounded is None:
-        raise PrecisionExhaustedError(
-            f"could not prove the rounding of P_D for D = {disc.D} at {work} bits"
-        )
+        raise PrecisionExhaustedError(f"could not prove the rounding of P_D for D = {disc.D} "
+                                      f"at {bits} bits")
     return ClassPolynomial(disc.p, disc.D, *rounded)
 
 

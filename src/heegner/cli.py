@@ -106,6 +106,8 @@ def _cmd_classpoly(args) -> int:
 
 def _cmd_search(args) -> int:
     num, slash, den = args.h.partition("/")
+    if slash and not int(den):
+        raise ValueError(f"--h {args.h} has a zero denominator")
     h = Fraction(int(num), int(den) if slash else 1)
     certs = search(args.p, h, sigma=tuple(int(v) for v in args.avoid.split(",") if v),
                    count=args.count, ell_bound=args.ell_bound,

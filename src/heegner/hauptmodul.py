@@ -15,17 +15,17 @@ whole count as a running sum of |c| n, plus an explicit bound on the
 dropped tail, which is geometric because no coefficient of q^n exceeds a
 constant times n.
 
-``jp_at_form`` is the one evaluation of j_p.  It evaluates j_p at the
-point of a Heegner form as given, which its caller has reduced
-(``quadforms.reduce_heegner_form``, one Gamma_0(p)+ reduction per point),
-and returns a ``Ball`` that provably contains the value.  Every value on
-the way is a ``Ball``, a Gaussian integer over 2^prec with an integer error
-radius, computed from integers alone: pi by Machin's formula, q by a Taylor
-sum on Gaussian integers, whose length is looked up per working precision
-and whose floors are counted in closed form, and squarings on raw
-integers, then the sums, 1/q and the few operations after them (quotient,
-power, the w_p term), each adding its counted rounding to the radius.  The
-class polynomials call it once per root or conjugate pair, and
+``jp_at_form`` is the one evaluation of j_p.  It evaluates j_p at the point
+of a Heegner form as given, which its caller has reduced
+(``quadforms.reduce_heegner_form``, one Gamma_0(p)+ reduction per point), and
+returns a ``Ball`` that provably contains the value, GUARD_BITS finer than
+asked.  Every value on the way is a ``Ball``, a Gaussian integer over 2^prec
+with an integer error radius, computed from integers alone: pi by Machin's
+formula, q by a Taylor sum on Gaussian integers, whose length is looked up
+per working precision and whose floors are counted in closed form, and
+squarings on raw integers, then the sums, 1/q and the few operations after
+them (quotient, power, the w_p term), each adding its counted rounding to the
+radius.  The class polynomials call it once per root or conjugate pair, and
 ``jp_arc_interval`` once per endpoint of the arc S, each at a reduced form.
 
 The expression of each Hauptmodul in its series is an entry of the level
@@ -48,7 +48,10 @@ from .quadforms import QuadForm
 
 __all__ = ["GUARD_BITS", "Ball", "jp_at_form", "jp_arc_interval"]
 
-GUARD_BITS = 32
+# jp_at_form's guard, the one of a build.  Builds with l < 1000 spend at most
+# 30.3 bits (p = 19), up to 25.6 on the largest _qsum error, which grows as
+# 2 log2 nmax.  A shortfall fails the rounding proof, never giving a wrong value.
+GUARD_BITS = 40
 ARC_BITS = 256  # precision of the endpoints of j_p(S)
 
 
@@ -393,15 +396,15 @@ def _exp(z: Ball) -> Ball:
 
 
 def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
-    """A ``Ball`` at bits + GUARD_BITS containing j_p at the CM point of a form with p | a.
+    """A ``Ball`` containing j_p at the CM point of a form with p | a.
 
     The point is that of the form as given, tau = (-b + i sqrt|D|) / (2a):
     the caller reduces the form first (``quadforms.reduce_heegner_form``),
     and a point below the evaluation cutoff raises ``ArithmeticError``.
     q = exp(-pi (sqrt|D| + b i) / a) comes from ``_pi``, ``math.isqrt`` and
-    ``_exp``.  The series are summed at bits + 2 * GUARD_BITS, and the
-    level's expression forms j_p from them and 1/q, each operation adding
-    its rounding to the radius, which ends near 2^-bits |j_p|.
+    ``_exp``.  The series are summed at bits + GUARD_BITS, and the level's
+    expression forms j_p from them and 1/q, each operation adding its
+    rounding to the radius, which the guard keeps below 2^-bits max(1, |j_p|).
     """
     hauptmodul = level(p).hauptmodul
     D = form.discriminant()
@@ -411,18 +414,14 @@ def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
     if im_tau < min(0.05, 0.8 * math.sqrt(3) / (2 * p)):
         raise ArithmeticError(f"form {form} sits below the evaluation cutoff; "
                               "pass it through reduce_heegner_form first")
-    prec = bits + 2 * GUARD_BITS
+    prec = bits + GUARD_BITS
     # q to prec + lift bits, so that 1/q, of modulus about 2^lift, keeps
     # the relative precision of q
     wide = prec + math.ceil(2 * math.pi * im_tau / math.log(2))
     root = Ball(math.isqrt(-D << (2 * wide)), form.b << wide, 1, wide)  # sqrt|D| + b i
     q_wide = _exp(-(_pi(wide) * root) / form.a)
     q, qinv = q_wide.round_to(prec), q_wide.inverse().round_to(prec)
-
-    def value(kind, scale=1):
-        return _fixed_series(kind, q, im_tau, scale)
-
-    return hauptmodul(value, qinv).round_to(bits + GUARD_BITS)
+    return hauptmodul(lambda kind, scale=1: _fixed_series(kind, q, im_tau, scale), qinv)
 
 
 @lru_cache(maxsize=None)

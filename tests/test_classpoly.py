@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,16 @@ from heegner.classpoly import (
     build_Pl,
     evaluate,
 )
-from heegner import hauptmodul, quadforms
+from heegner import classpoly, hauptmodul, quadforms
 from heegner.hauptmodul import Ball
+from heegner.levels import level
 from heegner.quadforms import (
     Discriminant,
     class_number,
     enumerate_classes,
 )
 
+from conftest import admissible_pairs
 from oracles import (
     build_PD_via_square_root,
     compose,
@@ -30,6 +33,11 @@ from oracles import (
 # SHA-256 of the 160 sweep polynomials as JSON lines, in admissible_pairs()
 # order with -pl before -4pl
 SWEEP_SHA256 = "6529952278c0a45b738e669271f9bea8e1641c478072507a15fc0cead974ed7e"
+
+# SHA-256 of the 133 polynomials of admissible l in [300, 1000) at p = 3, 5,
+# 11 and 19 over each level's shapes, as JSON lines in admissible_pairs()
+# order (beyond_sweep_discriminants)
+BEYOND_SWEEP_SHA256 = "d447595f5fc637726f76832a4206746788008712bce4cb58e5b0e0c5398fdc24"
 
 P1628_COEFFS = (
     4253517961,
@@ -323,3 +331,65 @@ def test_real_root_enclosure_off_the_real_line(monkeypatch):
     with pytest.raises(ArithmeticError, match="real root") as error:
         build_PD(-220, 11)
     assert not isinstance(error.value, mod.PrecisionExhaustedError)
+
+
+def beyond_sweep_discriminants():
+    """The discriminants of every admissible l in [300, 1000) at p = 3, 5, 11
+    and 19, over each level's shapes: one level of each shape and both theta
+    levels, up to degree 84."""
+    return [Discriminant(p, ell, shape) for p, ell in admissible_pairs(1000)
+            if ell >= 300 and p in (3, 5, 11, 19) for shape in level(p).shapes]
+
+
+def traced_builds(discriminants):
+    """The class polynomials of ``discriminants``, with the (bits, ball) of
+    every evaluation their builds made."""
+    evaluations = []
+    real = classpoly.jp_at_form
+
+    def recorded(form, p, bits):
+        ball = real(form, p, bits)
+        evaluations.append((bits, ball))
+        return ball
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classpoly, "jp_at_form", recorded)
+        polys = [build_PD(disc) for disc in discriminants]
+    return polys, evaluations
+
+
+@pytest.fixture(scope="module")
+def beyond_sweep():
+    return traced_builds(beyond_sweep_discriminants())
+
+
+def test_rounding_beyond_the_sweep(beyond_sweep):
+    # the precision is sized without a guard of its own, and no build past
+    # the sweep raises; each proves its rounding with 10 bits to spare
+    polys, _ = beyond_sweep
+    assert len(polys) == 133 and max(poly.degree for poly in polys) == 84
+    assert max(poly.rounding_residual for poly in polys) < 2.0**-30
+    lines = [poly.to_json() for poly in polys]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BEYOND_SWEEP_SHA256
+
+
+def test_sweep_residuals_below_2_to_the_minus_30(sweep_polys):
+    residuals = [poly.rounding_residual for shapes in sweep_polys.values()
+                 for poly in shapes.values()]
+    assert len(residuals) == 160 and max(residuals) < 2.0**-30
+
+
+def test_guard_leaves_eight_bits(beyond_sweep):
+    # jp_at_form's guard covers what its evaluations spend with at least 8
+    # bits left: rad 2^-prec <= 2^-(bits + 8) max(1, |mid|) at every
+    # evaluation of the sweep and of the builds beyond it.  isqrt bounds
+    # |mid| from below, so the check errs on the safe side
+    sweep = [Discriminant(p, ell, shape) for p, ell in admissible_pairs()
+             for shape in ("-pl", "-4pl")]
+    _, evaluations = traced_builds(sweep)
+    evaluations += beyond_sweep[1]
+    assert len(evaluations) > 2000
+    short = [(bits, ball.prec) for bits, ball in evaluations
+             if ball.rad << (bits + 8) > max(1 << ball.prec,
+                                             math.isqrt(ball.re ** 2 + ball.im ** 2))]
+    assert not short, short[:5]

@@ -118,6 +118,12 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--p", "11", "--h", h)
         assert code == 64
 
+    def test_zero_denominator_named(self, capsys):
+        # the message names --h and its zero denominator, not Fraction(1, 0)
+        code, out, err = run(capsys, "search", "--p", "3", "--h", "1/0")
+        assert code == 64 and out == ""
+        assert err == "error: --h 1/0 has a zero denominator"
+
     def test_negative_fraction_h_either_spelling(self, capsys):
         # a separate "-1/2" is the value of --h, not an unknown option
         results = [run(capsys, "search", "--p", "5", *spelling)

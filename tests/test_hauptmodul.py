@@ -400,7 +400,7 @@ class TestJpAtForm:
         left, _ = arc_forms(19)
         with pytest.raises(ArithmeticError, match="reduce_heegner_form"):
             jp_at_form(left, 19, 96)
-        assert jp_at_form(reduce_heegner_form(left, 19), 19, 96).prec == 96 + 32
+        assert jp_at_form(reduce_heegner_form(left, 19), 19, 96).prec == 96 + hauptmodul.GUARD_BITS
 
     def test_coefficient_growth_bounds(self):
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1

@@ -280,6 +280,19 @@ def test_only_the_search_factors():
     assert readers == {"sssearch.py"}
 
 
+def test_only_hauptmodul_reads_the_guard():
+    # a build has one precision and one guard, added by jp_at_form: a module
+    # that reads GUARD_BITS pads the precision again
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id == "GUARD_BITS") or (
+                    isinstance(node, ast.Attribute) and node.attr == "GUARD_BITS") or (
+                    isinstance(node, ast.alias) and node.name == "GUARD_BITS"):
+                readers.add(path.name)
+    assert readers == {"hauptmodul.py"}
+
+
 def test_every_definition_has_a_caller():
     # the library is the pipeline: what only the tests call belongs in tests/
     readers = sorted((ROOT / "perfbench").glob("*.py"))
