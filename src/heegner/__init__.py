@@ -33,7 +33,6 @@ from .quadforms import (
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
-    reduce_form,
 )
 from .hauptmodul import jp_arc_interval
 from .sssearch import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -49,6 +50,10 @@ FAILURE_EXIT = {
 # the count and runtime limits a command may take, each of which must be positive;
 # the precision is never a setting, because each class polynomial sizes its own
 LIMITS = ("count", "ell_bound", "factor_budget", "verify_bound")
+
+# --h is n or n/d, each an integer as int() reads it (its white space is \s but \x1c-\x1f)
+_INTEGER = r"[^\S\x1c-\x1f]*([+-]?\d+(?:_\d+)*)[^\S\x1c-\x1f]*"
+H_FORM = re.compile(f"{_INTEGER}(?:/{_INTEGER})?")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,10 +110,12 @@ def _cmd_classpoly(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    num, slash, den = args.h.partition("/")
-    if slash and not int(den):
+    if (form := H_FORM.fullmatch(args.h)) is None:
+        raise ValueError(f"--h {args.h} is not an integer n or a fraction n/d")
+    num, den = map(int, form.groups(default="1"))
+    if not den:
         raise ValueError(f"--h {args.h} has a zero denominator")
-    h = Fraction(int(num), int(den) if slash else 1)
+    h = Fraction(num, den)
     certs = search(args.p, h, sigma=tuple(int(v) for v in args.avoid.split(",") if v),
                    count=args.count, ell_bound=args.ell_bound,
                    budget=FactorBudget(rho_iterations=args.factor_budget),

@@ -164,20 +164,23 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
     ``poly`` is a ClassPolynomial for D = -4pl or the product P_l of the
     level's search.  Returns the monic square root mod p, or None when the
     polynomial is not a square or fails the Hecke pattern below.  At a level
-    with the T_2 check (p = 11), when the companion P_{-pl} is supplied,
-    additionally verifies the Hecke exponent pattern predicted by the T_2
-    expansion: if the Brandt basis invariants b_j have multiplicities m_j in
-    P_{-pl} mod p, then b_i has multiplicity sum_j m_j B_ji - eps m_i in
-    P_{-4pl} mod p, with B the Brandt matrix (at p = 11,
-    X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
+    with the T_2 check (p = 11) the companion P_{-pl}, of discriminant
+    D / 4, is required (ValueError when it is missing or of another D), and
+    the Hecke exponent pattern predicted by the T_2 expansion is verified:
+    if the Brandt basis invariants b_j have multiplicities m_j in P_{-pl}
+    mod p, then b_i has multiplicity sum_j m_j B_ji - eps m_i in P_{-4pl}
+    mod p, with B the Brandt matrix and eps read off the companion's
+    discriminant (at p = 11, X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
     """
     p = poly.p
+    lev = level(p)
+    if lev.t2_check and (poly_minus_pl is None or 4 * poly_minus_pl.D != poly.D):
+        raise ValueError(f"the T_2 check at p = {p} needs the companion P_(D/4) of D = {poly.D}")
     f = FPoly.from_coeffs(poly.coefficients, p)
     root = is_perfect_square(f)
     if root is None:
         return None
-    lev = level(p)
-    if lev.t2_check and poly_minus_pl is not None:
+    if lev.t2_check:
         basis, matrix = lev.brandt.basis, lev.brandt.matrix
         g = FPoly.from_coeffs(poly_minus_pl.coefficients, p)
         m = [_root_multiplicity(g, b) for b in basis]
@@ -185,22 +188,13 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
             raise ArithmeticError(
                 f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g}"
             )
-        eps = epsilon_split(_odd_part_discriminant(poly))
+        eps = epsilon_split(poly_minus_pl.D)
         expected = [sum(mj * row[i] for mj, row in zip(m, matrix)) - eps * m[i]
                     for i in range(len(basis))]
         if ([_root_multiplicity(f, b) for b in basis] != expected
                 or sum(expected) != f.degree):
             return None
     return root
-
-
-def _odd_part_discriminant(poly) -> int:
-    D = poly.D
-    if isinstance(D, tuple):
-        D = max(D)  # the odd discriminant -pl is the larger of the pair
-    if D % 2 == 0:
-        D //= 4
-    return D
 
 
 def _root_multiplicity(f: FPoly, r: int) -> int:

@@ -5,9 +5,9 @@ primitive here.  Ideal classes are represented purely as reduced forms.  The
 Heegner representatives (p | a) and the Atkin-Lehner pairing are closed
 forms: one translation and swap gives a representative, and the Fricke
 involution [a, b, c] -> [pc, -b, a/p] of a representative gives the partner
-class.  Every reduction of a form lives here: Gauss reduction of classes
-(``reduce_form``) and the exact Gamma_0(p)+ reduction of a Heegner form to
-the highest point of its orbit (``reduce_heegner_form``), where j_p is
+class.  Every reduction of a form lives here: Gauss reduction of Fricke
+images (``_reduced``) and the exact Gamma_0(p)+ reduction of a Heegner form
+to the highest point of its orbit (``reduce_heegner_form``), where j_p is
 evaluated.  So does the fundamental unit of Q(sqrt p), which bounds the arc S.
 """
 
@@ -27,7 +27,6 @@ __all__ = [
     "Discriminant",
     "FormClassGroup",
     "ALFixedClassError",
-    "reduce_form",
     "enumerate_classes",
     "class_number",
     "heegner_rep",
@@ -65,12 +64,6 @@ def _check_form(f: QuadForm) -> None:
         raise ValueError(f"form {f} is not positive definite")
     if not f.is_primitive():
         raise ValueError(f"form {f} is not primitive")
-
-
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The unique reduced form properly equivalent to f (Gauss reduction)."""
-    _check_form(f)
-    return _reduced(*f)
 
 
 def _reduced(a: int, b: int, c: int) -> QuadForm:
@@ -170,26 +163,26 @@ def class_number(D: int) -> int:
 
 
 def heegner_rep(cls: QuadForm, p: int) -> QuadForm:
-    """A form (a, b, c) equivalent to cls with p | a and p | b.
+    """A form (a, b, c) properly equivalent to cls with p | a and p | b.
 
     Exists whenever p | D since p ramifies; p | b is automatic from p | a.
-    The reduced form (a0, b0, c0) is returned when p | a0.  Otherwise the
-    translation by k = -b0 / (2 a0) mod p makes p divide
-    c = ((b0 + 2 a0 k)^2 - D) / (4 a0), since 4 a0 c is then a square
-    divisible by p, and swapping the outer coefficients puts it first.  The
-    point need not be the highest of its orbit; ``reduce_heegner_form``
-    finds that from any such form.
+    The form (a0, b0, c0) is translated as given, reduced or not: it is
+    returned when p | a0.  Otherwise the translation by
+    k = -b0 / (2 a0) mod p makes p divide c = ((b0 + 2 a0 k)^2 - D) / (4 a0),
+    since 4 a0 c is then a square divisible by p, and swapping the outer
+    coefficients puts it first.  The point need not be the highest of its
+    orbit; ``reduce_heegner_form`` finds that from any such form.
     """
-    f = reduce_form(cls)
-    D = f.discriminant()
+    _check_form(cls)
+    D = cls.discriminant()
     if D % p != 0:
         raise ValueError(f"p = {p} does not divide the discriminant {D}")
-    return QuadForm(*_translated(*f, D, p))
+    return QuadForm(*_translated(*cls, D, p))
 
 
 def _translated(a: int, b: int, c: int, D: int, p: int) -> tuple[int, int, int]:
-    """``heegner_rep`` of a reduced form [a, b, c] of discriminant D, p | D,
-    as a triple."""
+    """``heegner_rep`` of a positive definite form [a, b, c] of
+    discriminant D, p | D, as a triple."""
     if a % p == 0:
         return a, b, c
     b -= 2 * a * (b * pow(2 * a, -1, p) % p)
@@ -270,9 +263,14 @@ def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadF
     image (of the form [a/p, b, pc], properly equivalent to it).  The
     classes of ``enumerate_classes`` are reduced and primitive already, so
     each is translated and its image reduced once, on integer triples.
+    p must be a level dividing D exactly once, else ValueError (D / p need
+    not be l or 4l); when p^2 | D, p divides the conductor and no
+    invertible ideal lies above it.
     """
     D = group.D
-    Discriminant.from_D(D, p)  # ValueError for a D of neither shape
+    level(p)  # ValueError for an unsupported p
+    if D % p or D % (p * p) == 0:
+        raise ValueError(f"p = {p} must divide D = {D} exactly once")
     paired = set()
     pairs = []
     for f in group.classes:

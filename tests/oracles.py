@@ -19,8 +19,9 @@ the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
 unbounded root and the Diophantine obstruction.  Last, small readers the
-library does not need: the reduced-form test, the Brandt column sums and
-class polynomials read back from JSON.  For the factoring budget, Brent's rho,
+library does not need: the checked Gauss reduction of any form, the
+reduced-form test, the Brandt column sums and class polynomials read back
+from JSON.  For the factoring budget, Brent's rho,
 whose iteration is its unit, and ECM with the unnormalized stage 2 whose
 multiplications ``_ecm_plan`` charges.
 """
@@ -59,11 +60,11 @@ from heegner.quadforms import (
     Discriminant,
     QuadForm,
     _check_form,
+    _reduced,
     class_number,
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
-    reduce_form,
 )
 
 
@@ -193,6 +194,12 @@ def p_ideal_class(disc: Discriminant) -> QuadForm:
     if disc.shape == "-pl":
         return reduce_form(QuadForm(p, p, (p + ell) // 4))
     return reduce_form(QuadForm(p, 0, ell))
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    """The unique reduced form properly equivalent to f (Gauss reduction)."""
+    _check_form(f)
+    return _reduced(*f)
 
 
 def is_reduced(form: QuadForm) -> bool:

@@ -287,6 +287,23 @@ def test_one_reduction_per_evaluation(monkeypatch, D, p):
     assert all(reduce_once(form, p) == form for form in evaluated)
 
 
+@pytest.mark.parametrize("D,p", [(-220, 11), (-1628, 11), (-215, 5), (-940, 5), (-2132, 13),
+                                 (-1524, 3), (-812, 7), (-29564, 19)])
+def test_one_gauss_reduction_per_pair(monkeypatch, D, p):
+    # enumerate_classes returns the classes reduced: a build Gauss-reduces
+    # only the Fricke image of each pair's first class, never a class again
+    calls = []
+    reduce_once = quadforms._reduced
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return reduce_once(a, b, c)
+
+    monkeypatch.setattr(quadforms, "_reduced", counted)
+    build_PD(D, p)
+    assert len(calls) == class_number(D) // 2
+
+
 def test_wide_root_enclosure_never_rounds(monkeypatch):
     # an enclosure wider than 1/2 contains more than one candidate integer
     # coefficient; no precision can prove a rounding, so the build must fail.

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,24 @@ class TestSearch:
         # "21/" is not h = 21, which is supersingular mod 11 and would exit 65
         code, _, _ = run(capsys, "search", "--p", "11", "--h", h)
         assert code == 64
+
+    @pytest.mark.parametrize("h", ["x/y", "21/", "1.5", "1/2/3", "", "1__0", "2 3"])
+    def test_bad_h_names_the_flag_and_its_forms(self, capsys, h):
+        code, out, err = run(capsys, "search", "--p", "11", "--h", h)
+        assert code == 64 and out == ""
+        assert err == f"error: --h {h} is not an integer n or a fraction n/d"
+
+    @pytest.mark.parametrize("h,value", [
+        ("21/2", Fraction(21, 2)), ("-1/2", Fraction(-1, 2)), ("+3", Fraction(3)),
+        (" 3 / 4 ", Fraction(3, 4)), ("3/-4", Fraction(-3, 4)), ("1_000/3", Fraction(1000, 3)),
+        ("007/014", Fraction(1, 2)), ("\u0663/\uff14", Fraction(3, 4)), ("\t5\n", Fraction(5)),
+    ])
+    def test_h_read_as_int_reads_each_part(self, capsys, monkeypatch, h, value):
+        # every spelling int() takes for n and d keeps its value
+        seen = []
+        monkeypatch.setattr(cli, "search", lambda p, h, **kwargs: seen.append(h) or [])
+        code, _, _ = run(capsys, "search", "--p", "11", "--h", h)
+        assert code == 3 and seen == [value]
 
     def test_zero_denominator_named(self, capsys):
         # the message names --h and its zero denominator, not Fraction(1, 0)

@@ -1,10 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
-from heegner.classpoly import build_Pl
-from heegner.levels import level
-from heegner.modpoly import FPoly, epsilon_split, is_perfect_square, is_square_times_linear
+from heegner.classpoly import build_PD, build_Pl
+from heegner.levels import LEVELS, level
+from heegner.modpoly import (
+    FPoly,
+    epsilon_split,
+    is_perfect_square,
+    is_square_times_linear,
+    mod_p_square_check,
+)
 
 from oracles import (
     _diff,
@@ -237,3 +244,25 @@ class TestBrandtTable:
     def test_rejects_other_p(self):
         with pytest.raises(ValueError):
             brandt_table(7)
+
+
+class TestModPSquareCheck:
+    def test_t2_level_requires_its_companion(self):
+        # at p = 11 the T_2 check has one path: eps comes from the companion
+        # P_(-pl), so a missing or mismatched companion raises
+        poly = build_PD(-220, 11)
+        assert mod_p_square_check(poly, build_PD(-55, 11)) is not None
+        for companion in (None, build_PD(-407, 11), poly):
+            with pytest.raises(ValueError, match="companion"):
+                mod_p_square_check(poly, companion)
+
+    def test_t2_pattern_holds_at_19(self, monkeypatch, sweep_polys):
+        # the Brandt data of p = 19 predicts its exponent pattern too, so the
+        # t2_check flag could follow from the table's brandt entry
+        monkeypatch.setitem(LEVELS, 19, dataclasses.replace(LEVELS[19], t2_check=True))
+        shapes = [shapes for (p, _), shapes in sweep_polys.items() if p == 19]
+        assert len(shapes) == 12
+        for pair in shapes:
+            with pytest.raises(ValueError, match="companion"):
+                mod_p_square_check(pair["-4pl"])
+            assert mod_p_square_check(pair["-4pl"], pair["-pl"]) is not None, pair["-pl"].D

@@ -17,7 +17,6 @@ from heegner.quadforms import (
     enumerate_classes,
     fundamental_unit,
     heegner_rep,
-    reduce_form,
 )
 
 from conftest import admissible_pairs
@@ -32,6 +31,7 @@ from oracles import (
     p_ideal_class,
     pell_fundamental_by_scan,
     principal_form,
+    reduce_form,
     unbounded_root_forms,
 )
 
@@ -216,6 +216,21 @@ class TestHeegnerRep:
                 assert f.discriminant() == grp.D
                 assert reduce_form(f) == cls
 
+    def test_any_form_of_the_class(self):
+        # the form is translated as given, reduced or not: a unimodular
+        # change of variables leaves the class, and so the Heegner form's
+        rng = random.Random(7)
+        for p, grp in heegner_groups()[::25]:
+            for cls in grp.classes:
+                a, b, c = cls
+                for _ in range(3):
+                    k = rng.randrange(-9, 10)  # x -> x + k y, then x <-> y
+                    a, b, c = a * k * k + b * k + c, -(2 * a * k + b), a
+                form = QuadForm(a, b, c)
+                f = heegner_rep(form, p)
+                assert f.a % p == 0 and f.b % p == 0 and f.discriminant() == grp.D
+                assert reduce_form(form) == reduce_form(f) == cls
+
 
 class TestALPairs:
     def test_minus_220(self):
@@ -239,6 +254,30 @@ class TestALPairs:
                     seen.update((f, partner))
                     expected.append((min(f, partner), max(f, partner)))
             assert al_pair_classes(grp, p) == expected, grp.D
+
+    @pytest.mark.parametrize("D,p", [(-924, 11), (-1540, 11), (-1140, 19), (-924, 7),
+                                     (-420, 3)])
+    def test_pairing_with_a_composite_cofactor(self, D, p):
+        # the pairing needs p to divide D exactly once, not D = -4pl: the
+        # partner of a class is its composition with the ramified class [p, 0, m]
+        grp = enumerate_classes(D)
+        pform = reduce_form(QuadForm(p, 0, -D // (4 * p)))
+        expected, seen = [], set()
+        for f in grp.classes:
+            partner = compose(f, pform)
+            if f not in seen:
+                seen.update((f, partner))
+                expected.append((min(f, partner), max(f, partner)))
+        assert al_pair_classes(grp, p) == expected
+
+    @pytest.mark.parametrize("D,p,message", [
+        (-12, 11, "exactly once"),     # p does not divide D
+        (-484, 11, "exactly once"),    # p^2 divides D
+        (-4 * 17 * 5, 17, "unsupported p"),
+    ])
+    def test_pairing_precondition(self, D, p, message):
+        with pytest.raises(ValueError, match=message):
+            al_pair_classes(enumerate_classes(D), p)
 
     def test_pairs_partition_classes(self):
         grp = enumerate_classes(-4 * 11 * 89)

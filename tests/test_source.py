@@ -293,6 +293,17 @@ def test_only_hauptmodul_reads_the_guard():
     assert readers == {"hauptmodul.py"}
 
 
+def test_only_the_entry_points_read_from_D():
+    # a Discriminant is validated once, where an integer D enters: the CLI
+    # and build_PD.  Below them, the pairing trusts the D it is given
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "from_D":
+                readers.add(path.name)
+    assert readers == {"cli.py", "classpoly.py"}
+
+
 def test_every_definition_has_a_caller():
     # the library is the pipeline: what only the tests call belongs in tests/
     readers = sorted((ROOT / "perfbench").glob("*.py"))
