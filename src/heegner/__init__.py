@@ -41,8 +41,8 @@ from .sssearch import (
     SupersingularAtPError,
     ell_admissible,
     extract_primes,
-    find_ell,
     search,
+    search_polynomial,
     sigma_condition,
 )
 from .ssverify import (

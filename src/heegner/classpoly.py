@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hauptmodul import jp_at_form
-from .levels import level
 from .quadforms import (
     Discriminant,
     QuadForm,
@@ -212,25 +211,17 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     return ClassPolynomial(disc.p, disc.D, *rounded)
 
 
-def build_Pl(ell: int, p: int,
-             parts: tuple[ClassPolynomial, ClassPolynomial] | None = None) -> ClassPolynomial:
-    """Product polynomial P_l = P_{-pl} * P_{-4pl} at a level whose search
-    multiplies both shapes (p = 5 and 13).
-
-    Pass already-built factors through ``parts`` to avoid rebuilding them.
-    """
-    shapes = level(p).shapes
-    if shapes != ("-pl", "-4pl"):
-        raise ValueError(f"p = {p} searches with P_D for shapes {shapes}, not a product")
-    if parts is None:
-        odd, even = (build_PD(Discriminant(p, ell, shape)) for shape in shapes)
-    else:
-        odd, even = parts
-        if odd.D != -p * ell or even.D != -4 * p * ell:
-            raise ValueError("parts do not match the requested discriminants")
+def build_Pl(parts: tuple[ClassPolynomial, ClassPolynomial]) -> ClassPolynomial:
+    """The product P_l = P_{-pl} * P_{-4pl} of the two built parts, the
+    polynomial a level that multiplies both shapes (p = 5 and 13) searches
+    with; ValueError unless the parts are P_{-pl} and P_{-4pl} of one p and l."""
+    odd, even = parts
+    if odd.p != even.p or even.D != 4 * odd.D:
+        raise ValueError(f"the parts P_{odd.D} (p = {odd.p}) and P_{even.D} (p = {even.p}) "
+                         "are not P_-pl and P_-4pl of one p and l")
     coeffs = _int_poly_mul(odd.coefficients, even.coefficients)
     residual = max(odd.rounding_residual, even.rounding_residual)
-    return ClassPolynomial(p, (odd.D, even.D), tuple(coeffs), residual)
+    return ClassPolynomial(odd.p, (odd.D, even.D), tuple(coeffs), residual)
 
 
 def _int_poly_mul(f, g):

@@ -16,12 +16,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .classpoly import PrecisionExhaustedError, build_PD, build_Pl
+from .classpoly import PrecisionExhaustedError, build_PD
 from .intmath import FactorBudget, is_prime
 from .levels import level
 from .quadforms import Discriminant, fundamental_unit
 from .hauptmodul import jp_arc_interval
-from .sssearch import RealJCaseError, SupersingularAtPError, search
+from .sssearch import RealJCaseError, SupersingularAtPError, search, search_polynomial
 from .ssverify import VERIFY_EFFORT_BOUND, QuadSurd, verify_certificate
 
 EXIT_OK = 0
@@ -101,10 +101,8 @@ def _build_parser() -> _Parser:
 def _cmd_classpoly(args) -> int:
     if args.D is not None:
         poly = build_PD(Discriminant.from_D(args.D, args.p))
-    elif len(shapes := level(args.p).shapes) > 1:
-        poly = build_Pl(args.ell, args.p)
     else:
-        poly = build_PD(Discriminant(args.p, args.ell, shapes[0]))
+        poly, _ = search_polynomial(args.p, args.ell)
     print(poly if args.format == "text" else poly.to_json())
     return EXIT_OK
 

@@ -95,8 +95,9 @@ class Level:
     j_p) and on the mpc values of the floating-point ``j_p`` that the tests
     check it against (``tests/oracles.py``).
     The search multiplies the class polynomials of the discriminant
-    ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l); modulo an admissible l
-    each of them is a square, or (X - linear_root) times a square.
+    ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l), which only
+    ``sssearch.search_polynomial`` reads; modulo an admissible l each of
+    them is a square, or (X - linear_root) times a square.
     ``supersingular`` lists the supersingular j_p-invariants mod p.
     ``real_arc`` marks the levels with a fundamental unit of Q(sqrt p) and
     the arc S of bounded real roots; ``t2_check`` runs the T_2 exponent

@@ -1,12 +1,14 @@
 """Supersingular prime search for rational points on X_0*(p).
 
-The procedure: sieve primes l that are admissible for p, demand quadratic
-character 1 at every avoided prime, build the class polynomial of the
-level's discriminant shapes (-4pl alone, or the product P_l of -pl and -4pl;
-see ``levels.LEVELS``), require a negative value at h, and harvest the
-numerator primes q with (q | pl) != 1.  Each accepted l also has its mod-l
-and mod-p squareness witnessed at runtime, not only in the test suite, and
-the symbol (num | pl) in {0, 1} that they force on the numerator of the value.
+The procedure is one walk over l: ``search`` checks the hypotheses on p
+and h once, then sieves primes l that are admissible for p, demands
+quadratic character 1 at every avoided prime, builds the level's search
+polynomial (``search_polynomial``: P_-4pl alone, or the product P_l of
+P_-pl and P_-4pl; see ``levels.LEVELS``), requires a negative value at h,
+and harvests the numerator primes q with (q | pl) != 1, which join the
+avoided primes.  Each accepted l also has its mod-l and mod-p squareness
+witnessed at runtime, not only in the test suite, and the symbol
+(num | pl) in {0, 1} that they force on the numerator of the value.
 
 Verification of harvested primes runs through ssverify at levels with an
 exact h -> j lift; elsewhere primes are reported unverified.
@@ -41,7 +43,7 @@ __all__ = [
     "SupersingularAtPError",
     "ell_admissible",
     "sigma_condition",
-    "find_ell",
+    "search_polynomial",
     "extract_primes",
     "search",
 ]
@@ -134,43 +136,11 @@ def sigma_condition(ell: int, p: int, sigma) -> bool:
     return all(kronecker(v, pl) == 1 for v in sigma if v != p)
 
 
-def _interior_check(p: int, h: Fraction) -> None:
-    lo, hi = jp_arc_interval(p)
-    # Fraction-float comparison is exact, so an h beyond the float range is
-    # compared without an overflow
-    if not (lo + INTERIOR_MARGIN < h < hi - INTERIOR_MARGIN):
-        raise RealJCaseError(
-            f"h = {h} is not interior to j_{p}(S) = ({lo:.6f}, {hi:.6f}): "
-            "real-j case - covered by the real-field result, not searched"
-        )
-
-
-def find_ell(p: int, h: Fraction, sigma, ell_bound: int, start_after: int = 0):
-    """Smallest admissible l <= ell_bound with the sigma condition and a
-    negative polynomial value at h.
-
-    Returns (ell, D, polynomial, value, parts) where parts holds the P_D of
-    the level's shapes, whose product is the polynomial; None when the bound
-    is exhausted.
-    """
-    lev = _searchable(p)
-    h = Fraction(h)
-    if lev.real_arc:
-        _interior_check(p, h)
-    ell = max(start_after, 2)
-    while True:
-        ell += 1
-        if ell > ell_bound:
-            return None
-        if not ell_admissible(p, ell):
-            continue
-        if not sigma_condition(ell, p, sigma):
-            continue
-        parts = tuple(build_PD(Discriminant(p, ell, shape)) for shape in lev.shapes)
-        poly = parts[0] if len(parts) == 1 else build_Pl(ell, p, parts=parts)
-        value = evaluate(poly, h)
-        if value < 0:
-            return ell, poly.D, poly, value, parts
+def search_polynomial(p: int, ell: int) -> tuple[ClassPolynomial, tuple[ClassPolynomial, ...]]:
+    """(polynomial, parts): the polynomial the search evaluates at level p
+    and prime l, and the P_D of the level's shapes whose product it is."""
+    parts = tuple(build_PD(Discriminant(p, ell, shape)) for shape in level(p).shapes)
+    return (parts[0] if len(parts) == 1 else build_Pl(parts)), parts
 
 
 def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts,
@@ -251,18 +221,17 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
            effort_bound: int = VERIFY_EFFORT_BOUND) -> list[SearchCertificate]:
     """Certified supersingular primes for the point h on X_0*(p).
 
-    Iterates find_ell/extract_primes, augmenting the avoided set with each
-    found prime, until ``count`` distinct primes are collected or the l bound
-    is exhausted (partial results are returned in that case).  A value is
+    Checks the theorem's hypotheses on p and h, then walks l = 3 ...
+    ``ell_bound`` once, adding each certificate's primes to the avoided set,
+    until ``count`` distinct primes are collected or the l bound is
+    exhausted (partial results are returned in that case).  A value is
     factored only until it yields the primes still needed, so a certificate
-    may leave part of its numerator unfactored.  ``sigma``
-    holds primes (ValueError otherwise); besides them, 2 and the denominator
-    primes of h are always avoided.  The denominator is factored within
-    ``budget``, and a ValueError names a cofactor it leaves.
+    may leave part of its numerator unfactored.  ``sigma`` holds primes
+    (ValueError otherwise); besides them, 2 and the denominator primes of h
+    are always avoided.  The denominator is factored within ``budget``, and
+    a ValueError names a cofactor it leaves.
     """
-    lev = _searchable(p)
-    h = Fraction(h)
-    _check_not_supersingular(p, h)
+    lev, h = _check_point(p, h)
     avoided = {int(v) for v in sigma}
     if not all(v > 0 and is_prime(v) for v in avoided):
         raise ValueError(f"the avoided values {sorted(avoided)} must be primes")
@@ -278,56 +247,59 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
             )
         avoided.update(denominator.primes())
     certificates: list[SearchCertificate] = []
-    found: list[int] = []
-    last_ell = 0
-    while len(found) < count:
-        current = tuple(sorted(avoided | set(found)))
-        result = find_ell(p, h, current, ell_bound, start_after=last_ell)
-        if result is None:
+    found = 0
+    for ell in range(3, ell_bound + 1):
+        if found >= count:
             break
-        ell, D, poly, value, parts = result
-        last_ell = ell
+        if not (ell_admissible(p, ell) and sigma_condition(ell, p, avoided)):
+            continue
+        poly, parts = search_polynomial(p, ell)
+        value = evaluate(poly, h)
+        if value >= 0:
+            continue
         _runtime_squareness(p, ell, poly, parts, value)
+        current = tuple(sorted(avoided))
         selected, _, fac, skip = extract_primes(value, p, ell, current, budget,
-                                                needed=count - len(found))
+                                                needed=count - found)
         if skip:
             continue
         if lev.j_lift:
             statuses = verify_certificate(selected, lift_j_from_h_level3(h), effort_bound)
         else:
             statuses = {q: "unverified-no-invariant" for q in selected}
-        cert = SearchCertificate(
-            p=p,
-            h=h,
-            sigma=current,
-            ell=ell,
-            D=D,
-            value=value,
-            factorization=fac,
-            selected=selected,
-            verification=statuses,
-        )
+        cert = SearchCertificate(p=p, h=h, sigma=current, ell=ell, D=poly.D, value=value,
+                                 factorization=fac, selected=selected, verification=statuses)
         cert.check()
         certificates.append(cert)
-        found.extend(selected)
+        avoided.update(selected)
+        found += len(selected)
     return certificates
 
 
-def _searchable(p: int):
-    """The level entry of p, which must be one the theorem covers."""
+def _check_point(p: int, h):
+    """(level entry of p, h as a Fraction), once p is a level the theorem
+    covers, h is not supersingular mod p and, where the level has the real
+    arc, h lies inside j_p(S); the hypotheses are checked in that order."""
     lev = LEVELS.get(p)
     if lev is None or not lev.searchable:
         searchable = tuple(q for q, entry in LEVELS.items() if entry.searchable)
         raise ValueError(f"search supports p in {searchable}")
-    return lev
-
-
-def _check_not_supersingular(p: int, h: Fraction) -> None:
-    if h.denominator % p == 0:
-        return  # h reduces to the cusp mod p, not a supersingular invariant
-    residue = h.numerator * pow(h.denominator, -1, p) % p
-    if residue in level(p).supersingular:
-        raise SupersingularAtPError(
-            f"h = {h} = {residue} mod {p} is a supersingular j_{p}-invariant: "
-            "the theorem hypothesis excludes this point"
-        )
+    h = Fraction(h)
+    # a denominator divisible by p reduces to the cusp, not a supersingular invariant
+    if h.denominator % p:
+        residue = h.numerator * pow(h.denominator, -1, p) % p
+        if residue in lev.supersingular:
+            raise SupersingularAtPError(
+                f"h = {h} = {residue} mod {p} is a supersingular j_{p}-invariant: "
+                "the theorem hypothesis excludes this point"
+            )
+    if lev.real_arc:
+        lo, hi = jp_arc_interval(p)
+        # Fraction-float comparison is exact, so an h beyond the float range is
+        # compared without an overflow
+        if not (lo + INTERIOR_MARGIN < h < hi - INTERIOR_MARGIN):
+            raise RealJCaseError(
+                f"h = {h} is not interior to j_{p}(S) = ({lo:.6f}, {hi:.6f}): "
+                "real-j case - covered by the real-field result, not searched"
+            )
+    return lev, h

@@ -158,7 +158,7 @@ def test_criterion_5_squareness_suite(sweep_polys):
                 companion = shapes["-pl"] if p == 11 else None
                 ok = mod_p_square_check(shapes["-4pl"], companion) is not None
             else:
-                ok = mod_p_square_check(build_Pl(ell, p)) is not None
+                ok = mod_p_square_check(build_Pl((shapes["-pl"], shapes["-4pl"]))) is not None
             assert ok, (p, ell)
         assert instances == 160 >= 100
         assert time.time() - started < 1200

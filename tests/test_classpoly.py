@@ -17,6 +17,7 @@ from heegner.quadforms import (
     class_number,
     enumerate_classes,
 )
+from heegner.sssearch import search_polynomial
 
 from conftest import admissible_pairs
 from oracles import (
@@ -114,13 +115,13 @@ class TestBuildPl:
         for p, ell in ((5, 3), (5, 7), (13, 7), (13, 11)):
             odd = build_PD(Discriminant(p, ell, "-pl"))
             even = build_PD(Discriminant(p, ell, "-4pl"))
-            prod = build_Pl(ell, p)
+            prod = build_Pl((odd, even))
             assert odd.degree % 2 == 1 and even.degree % 2 == 1
             assert prod.degree == odd.degree + even.degree
             assert prod.degree % 2 == 0
 
     def test_product_is_exact(self):
-        prod = build_Pl(3, 5)
+        prod, _ = search_polynomial(5, 3)
         odd = build_PD(Discriminant(5, 3, "-pl"))
         even = build_PD(Discriminant(5, 3, "-4pl"))
         check = [0] * (prod.degree + 1)
@@ -134,12 +135,22 @@ class TestBuildPl:
         # the two real roots diverge in opposite directions, so P_l(h) < 0
         # already at small admissible l for moderate h
         for ell in (3, 7, 23, 43):
-            prod = build_Pl(ell, 5)
+            prod, _ = search_polynomial(5, ell)
             assert evaluate(prod, Fraction(1)) < 0
 
     def test_rejects_wrong_p(self):
-        with pytest.raises(ValueError):
-            build_Pl(5, 11)
+        # the parts must be P_-pl and P_-4pl of one p and l
+        odd = build_PD(Discriminant(5, 3, "-pl"))  # P_-15
+        for parts in ((build_PD(-220, 11), build_PD(-60, 5)),  # not P_-pl, P_-4pl
+                      (odd, build_PD(-60, 3)),  # -60 = -4 * 3 * 5: two levels
+                      (build_PD(-60, 5), odd)):  # the shapes swapped
+            with pytest.raises(ValueError):
+                build_Pl(parts)
+
+    def test_single_shape_level_searches_with_its_P_D(self):
+        poly, parts = search_polynomial(11, 5)
+        assert poly.D == -220 and parts == (poly,)
+        assert poly.coefficients == build_PD(-220, 11).coefficients
 
 
 class TestRealRoots:
@@ -199,7 +210,7 @@ class TestSerialization:
         assert back.p == poly.p and back.D == poly.D
 
     def test_product_round_trip(self):
-        prod = build_Pl(3, 5)
+        prod, _ = search_polynomial(5, 3)
         back = poly_from_json(prod.to_json())
         assert back.D == (-15, -60)
         assert back.coefficients == prod.coefficients

@@ -125,7 +125,7 @@ def test_sweep_square_test_against_decomposition(sweep_polys):
         polys = [shapes["-pl"], shapes["-4pl"]]
         cases = [(poly, ell) for poly in polys] + [(poly, p) for poly in polys]
         if len(level(p).shapes) == 2:
-            cases.append((build_Pl(ell, p, parts=tuple(polys)), p))
+            cases.append((build_Pl(tuple(polys)), p))
         for poly, q in cases:
             f = FPoly.from_coeffs(poly.coefficients, q)
             even = all(e % 2 == 0 for _, e in squarefree_decomposition(f))

@@ -304,6 +304,18 @@ def test_only_the_entry_points_read_from_D():
     assert readers == {"cli.py", "classpoly.py"}
 
 
+def test_only_the_search_reads_the_shapes():
+    # a level's search polynomial is formed in one place,
+    # sssearch.search_polynomial; a second reader of Level.shapes would be a
+    # second statement of which polynomial a level searches with
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "shapes":
+                readers.add(path.name)
+    assert readers == {"sssearch.py"}
+
+
 def test_every_definition_has_a_caller():
     # the library is the pipeline: what only the tests call belongs in tests/
     readers = sorted((ROOT / "perfbench").glob("*.py"))

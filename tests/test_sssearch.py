@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from heegner.classpoly import evaluate
 from heegner.intmath import FactorBudget, is_prime, kronecker
 from heegner.sssearch import (
     RealJCaseError,
     SupersingularAtPError,
     ell_admissible,
     extract_primes,
-    find_ell,
     search,
+    search_polynomial,
     sigma_condition,
 )
 
@@ -75,30 +76,60 @@ class TestSigmaCondition:
         assert sigma_condition(5, 11, (11,))
 
 
-class TestFindEll:
+class TestWalk:
     def test_first_leg_at_h_21_over_2(self):
-        ell, D, poly, value, _ = find_ell(11, H11, (2,), 500)
-        assert (ell, D) == (5, -220)
-        assert value == Fraction(-2309, 4)
+        cert, = search(11, H11, count=1)
+        assert (cert.ell, cert.D) == (5, -220)
+        assert cert.value == Fraction(-2309, 4)
 
     def test_second_leg_avoiding_2309(self):
-        ell, D, poly, value, _ = find_ell(11, H11, (2, 2309), 500)
-        assert (ell, D) == (37, -1628)
-        assert value == Fraction(-(7**2) * 151 * 452233314041, 256)
+        cert, = search(11, H11, sigma=(2309,), count=1)
+        assert (cert.ell, cert.D) == (37, -1628)
+        assert cert.value == Fraction(-(7**2) * 151 * 452233314041, 256)
 
     def test_negativity_skip(self):
-        # h = 13/10 lies left of the bounded root 1.6049 of P_-220, so l = 5
-        # fails the sign condition and the search moves on
-        ell, _, _, value, _ = find_ell(11, Fraction(13, 10), (2,), 200)
-        assert ell == 53 and value < 0
+        # h = 1 and h = 13/10 lie left of the bounded root 1.6049 of P_-220,
+        # so l = 5 and 37 fail the sign condition and the walk moves on to
+        # 53.  A search at 13/10 avoids 5, and (5 | 11 l) = -1 at all three,
+        # so there the values are read directly
+        for h in (Fraction(1), Fraction(13, 10)):
+            signs = [evaluate(search_polynomial(11, ell)[0], h) < 0 for ell in (5, 37, 53)]
+            assert signs == [False, False, True], h
+        cert, = search(11, Fraction(1), count=1, ell_bound=200)
+        assert cert.ell == 53 and cert.value < 0
 
     def test_bound_exhaustion(self):
-        assert find_ell(11, H11, (2,), 3) is None
+        assert search(11, H11, count=1, ell_bound=3) == []
 
     def test_real_j_case_rejected(self):
         # 80 is right of every root of P_-220 and outside j_11(S)
         with pytest.raises(RealJCaseError):
-            find_ell(11, Fraction(80), (), 100)
+            search(11, Fraction(80), ell_bound=100)
+
+    def test_real_j_case_rejected_for_any_count(self):
+        # the hypotheses are checked before the walk, also when it takes no l
+        with pytest.raises(RealJCaseError):
+            search(11, Fraction(80), count=0)
+
+    def test_arc_is_read_once_per_search(self, monkeypatch):
+        import heegner.sssearch as mod
+
+        calls = []
+        real = mod.jp_arc_interval
+        monkeypatch.setattr(mod, "jp_arc_interval", lambda p: calls.append(p) or real(p))
+        certs = search(11, H11, count=3)
+        assert len(certs) == 2 and calls == [11]
+
+    def test_the_arc_is_checked_before_sigma_and_denominator(self):
+        # a point outside j_p(S) is refused as such, whatever else is wrong
+        # with the call: a composite avoided value, or a denominator the
+        # budget cannot factor
+        budget = FactorBudget(rho_iterations=1)
+        for h, sigma in ((Fraction(80), (4,)), (Fraction(80 * UNFACTORED + 1, UNFACTORED), ())):
+            with pytest.raises(RealJCaseError):
+                search(11, h, sigma=sigma, budget=budget)
+        with pytest.raises(SupersingularAtPError):
+            search(11, Fraction(11 * 80 + 10), sigma=(4,))
 
 
 class TestExtractPrimes:
@@ -126,7 +157,7 @@ class TestExtractPrimes:
     def test_stops_at_the_primes_needed(self):
         # the l = 113 value at p = 7, h = 2: trial division finds 1531 and
         # 42391, both usable, and ECM is left the product of two 14-digit primes
-        value = find_ell(7, Fraction(2), (2,), 300)[3]
+        value = evaluate(search_polynomial(7, 113)[0], Fraction(2))
         for needed in (1, 2):
             selected, candidates, fac, skip = extract_primes(value, 7, 113, (2,), needed=needed)
             assert selected == (1531, 42391) and not skip
@@ -247,14 +278,15 @@ def test_runtime_symbol_is_wired(monkeypatch):
     # squareness checks that just passed, and aborts the search
     import heegner.sssearch as mod
 
-    real_find_ell = mod.find_ell
+    real_evaluate = mod.evaluate
 
-    def nonsquare_value(p, h, sigma, ell_bound, start_after=0):
-        ell, D, poly, value, parts = real_find_ell(p, h, sigma, ell_bound, start_after)
-        num = next(n for n in range(-1, -100, -1) if kronecker(n, p * ell) == -1)
-        return ell, D, poly, Fraction(num, value.denominator), parts
+    def nonsquare_value(poly, h):
+        value = real_evaluate(poly, h)
+        pl = -poly.D // 4  # p = 11 searches with P_-4pl alone
+        num = next(n for n in range(-1, -100, -1) if kronecker(n, pl) == -1)
+        return Fraction(num, value.denominator)
 
-    monkeypatch.setattr(mod, "find_ell", nonsquare_value)
+    monkeypatch.setattr(mod, "evaluate", nonsquare_value)
     with pytest.raises(ArithmeticError, match="nonsquare modulo 55"):
         search(11, H11, count=1)
 
