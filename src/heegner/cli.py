@@ -1,6 +1,7 @@
 """Command-line front end: classpoly / search / verify / tables.
 
-JSON goes to stdout (big integers as decimal strings), diagnostics to stderr.
+classpoly, search and tables print JSON to stdout (big integers as decimal
+strings) and verify its status word; diagnostics go to stderr.
 Exit codes: 0 success, 1 ordinary (verify), 2 rounding not proven at the
 sized precision, 3 l-bound exhausted, 4 unverified-large (verify), 64 usage
 error, 65 supersingular-at-p precondition, 66 real-j case (h outside j_p(S)).
@@ -72,7 +73,6 @@ def _build_parser() -> _Parser:
     group = cp.add_mutually_exclusive_group(required=True)
     group.add_argument("--D", type=int)
     group.add_argument("--ell", type=int)
-    cp.add_argument("--format", choices=("json", "text"), default="json")
 
     se = sub.add_parser("search", help="find supersingular primes for a point")
     se.set_defaults(run=_cmd_search)
@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     se.add_argument("--ell-bound", type=int, default=500)
     se.add_argument("--factor-budget", type=int, default=FactorBudget.rho_iterations)
     se.add_argument("--verify-bound", type=int, default=VERIFY_EFFORT_BOUND)
-    se.add_argument("--format", choices=("json", "text"), default="json")
 
     ve = sub.add_parser("verify", help="test supersingularity of a j-invariant")
     ve.set_defaults(run=_cmd_verify)
@@ -94,7 +93,6 @@ def _build_parser() -> _Parser:
     ta = sub.add_parser("tables", help="print level data and derived constants")
     ta.set_defaults(run=_cmd_tables)
     ta.add_argument("--p", type=int, required=True)
-    ta.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
@@ -103,7 +101,7 @@ def _cmd_classpoly(args) -> int:
         poly = build_PD(Discriminant.from_D(args.D, args.p))
     else:
         poly, _ = search_polynomial(args.p, args.ell)
-    print(poly if args.format == "text" else poly.to_json())
+    print(poly.to_json())
     return EXIT_OK
 
 
@@ -121,11 +119,7 @@ def _cmd_search(args) -> int:
     found = 0
     for cert in certs:
         found += len(cert.selected)
-        if args.format == "text":
-            primes = ", ".join(str(q) for q in cert.selected)
-            print(f"l = {cert.ell}, D = {cert.D}, P(h) = {cert.value}: primes {primes}")
-        else:
-            print(cert.to_json())
+        print(cert.to_json())
     if found < args.count:
         print(f"l bound {args.ell_bound} exhausted after {found} of {args.count} primes",
               file=sys.stderr)
@@ -159,11 +153,7 @@ def _cmd_tables(args) -> int:
         data["arc_interval"] = {"inf": lo, "sup": hi, "provenance": "derived"}
     if not lev.searchable:
         data["note"] = f"theorem not proven for p={p}"
-    if args.format == "text":
-        for key, value in data.items():
-            print(f"{key}: {value}")
-    else:
-        print(json.dumps(data))
+    print(json.dumps(data))
     return EXIT_OK
 
 

@@ -118,7 +118,7 @@ class Factorization:
         return [p for p, _ in self.factors]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorBudget:
     """Effort limit for ``factorize``.
 

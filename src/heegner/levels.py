@@ -31,7 +31,6 @@ class T2Data:
     provides the matrix.
     """
 
-    p: int
     basis: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
     note: str = ""
@@ -123,12 +122,12 @@ LEVELS = {lev.p: lev for lev in (
     Level(5, EtaQuotient(5), ("-pl", "-4pl"), (0,), linear_root=-22),
     Level(7, EtaQuotient(7), ("-4pl",), (0,), real_arc=True),
     Level(11, _theta_11, ("-4pl",), (0, 10), real_arc=True, t2_check=True,
-          brandt=T2Data(11, (0, -1), ((1, 2), (3, 0)))),
+          brandt=T2Data((0, -1), ((1, 2), (3, 0)))),
     Level(13, EtaQuotient(13), ("-pl", "-4pl"), (0,), linear_root=-6),
     Level(19, _theta_19, ("-4pl",), (0, 8), real_arc=True,
-          brandt=T2Data(19, (0, 8), ((1, 2), (1, 2)))),
+          brandt=T2Data((0, 8), ((1, 2), (1, 2)))),
     Level(23, _theta_23, ("-4pl",), (11, 15, 18), searchable=False,
-          brandt=T2Data(23, (), ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
+          brandt=T2Data((), ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
                         note="not all column sums even: theorem not proven for p=23")),
 )}
 

@@ -49,17 +49,6 @@ class FPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.q
-        return acc
-
-    def __mul__(self, other: "FPoly") -> "FPoly":
-        if self.q != other.q:
-            raise ValueError("mixed moduli")
-        return FPoly(self.q, _mul(self.coeffs, other.coeffs, self.q))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -88,22 +77,15 @@ def _mul(f, g, q):
     return _trim(out)
 
 
-def _divmod(f, g, q):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], -1, q)
-    quot = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        factor = f[-1] * lead_inv % q
-        quot[shift] = factor
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * b) % q
-        while f and f[-1] == 0:
-            f.pop()
-    return _trim(quot), _trim(f)
+def _divide_linear(f, r, q):
+    """(quotient, remainder) of f by X - r over F_q, by synthetic division;
+    the remainder is f(r)."""
+    acc, quot = 0, []
+    for c in reversed(f):
+        acc = (acc * r + c) % q
+        quot.append(acc)
+    rem = quot.pop() if quot else 0
+    return tuple(reversed(quot)), rem
 
 
 def is_perfect_square(f: FPoly) -> FPoly | None:
@@ -133,8 +115,7 @@ def is_square_times_linear(f: FPoly, r: int) -> FPoly | None:
     if not f.is_monic() or f.degree % 2 == 0:
         raise ValueError("expected a monic polynomial of odd degree")
     q = f.q
-    linear = (-r % q, 1)
-    quot, rem = _divmod(f.coeffs, linear, q)
+    quot, rem = _divide_linear(f.coeffs, r, q)
     if rem:
         raise ArithmeticError(f"(X - {r % q}) does not divide the polynomial mod {q}")
     return is_perfect_square(FPoly(q, quot))
@@ -198,13 +179,8 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
 
 
 def _root_multiplicity(f: FPoly, r: int) -> int:
-    q = f.q
-    lin = ((-r) % q, 1)
-    count = 0
-    coeffs = f.coeffs
-    while True:
-        quot, rem = _divmod(coeffs, lin, q)
-        if rem:
-            return count
-        coeffs = quot
+    count, (quot, rem) = 0, _divide_linear(f.coeffs, r, f.q)
+    while not rem:
         count += 1
+        quot, rem = _divide_linear(quot, r, f.q)
+    return count

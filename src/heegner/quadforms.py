@@ -106,9 +106,6 @@ class Discriminant:
         n = self.p * self.ell
         return -n if self.shape == "-pl" else -4 * n
 
-    def __int__(self) -> int:
-        return self.D
-
     @classmethod
     def from_D(cls, D: int, p: int) -> "Discriminant":
         if D >= 0 or D % p != 0:
@@ -135,9 +132,8 @@ class FormClassGroup:
         return len(self.classes)
 
 
-def enumerate_classes(D) -> FormClassGroup:
+def enumerate_classes(D: int) -> FormClassGroup:
     """All reduced primitive forms of discriminant D by exhaustive scan."""
-    D = int(D)
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"invalid negative discriminant {D}")
     forms = []

@@ -79,22 +79,23 @@ class SearchCertificate:
         return _symbols(self.factorization, self.p * self.ell)
 
     def check(self) -> None:
-        """Machine-checkable invariants, independent of the search run."""
+        """Machine-checkable invariants, independent of the search run;
+        ArithmeticError names the first that fails."""
         if self.value >= 0:
-            raise AssertionError("certificate value is not negative")
+            raise ArithmeticError("certificate value is not negative")
         if not is_square(self.value.denominator):
-            raise AssertionError("value denominator is not a perfect square")
+            raise ArithmeticError("value denominator is not a perfect square")
         pl = self.p * self.ell
         num = self.value.numerator
         if kronecker(num, pl) == -1:
-            raise AssertionError(f"value numerator is a nonsquare modulo {pl}")
+            raise ArithmeticError(f"value numerator is a nonsquare modulo {pl}")
         for q in self.selected:
             if kronecker(q, pl) == 1:
-                raise AssertionError(f"selected prime {q} is a square mod {pl}")
+                raise ArithmeticError(f"selected prime {q} is a square mod {pl}")
             if q in self.sigma or q == self.p:
-                raise AssertionError(f"selected prime {q} is excluded")
+                raise ArithmeticError(f"selected prime {q} is excluded")
             if num % q != 0:
-                raise AssertionError(f"selected prime {q} does not divide the numerator")
+                raise ArithmeticError(f"selected prime {q} does not divide the numerator")
 
     def to_json(self) -> str:
         data = {

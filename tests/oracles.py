@@ -55,7 +55,7 @@ from heegner.intmath import (
     is_square,
 )
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
-from heegner.modpoly import FPoly, _divmod, _trim, epsilon_split
+from heegner.modpoly import FPoly, _trim, epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -232,6 +232,29 @@ def _fq_divmod(f, g, q):
     return tuple(quot), tuple(f)
 
 
+def fq_mul(*factors: FPoly) -> FPoly:
+    """The product of polynomials over one F_q, by schoolbook multiplication."""
+    q = factors[0].q
+    out = [1]
+    for f in factors:
+        if f.q != q:
+            raise ValueError("mixed moduli")
+        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f.coeffs):
+                prod[i + j] = (prod[i + j] + a * b) % q
+        out = prod
+    return FPoly.from_coeffs(out, q)
+
+
+def fq_eval(f: FPoly, x: int) -> int:
+    """f(x) in F_q, by Horner's rule."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc * x + c) % f.q
+    return acc
+
+
 def _monic_polys_of_degree(d, q):
     from itertools import product
 
@@ -279,7 +302,7 @@ def _monic(f, q):
 
 def _gcd(f, g, q):
     while g:
-        _, r = _divmod(f, g, q)
+        _, r = _fq_divmod(f, g, q)
         f, g = g, r
     return _monic(f, q)
 
@@ -323,15 +346,15 @@ def _sqf_into(f, q, scale, out):
         _sqf_into(_qth_root(f, q), q, scale * q, out)
         return
     g = _gcd(f, df, q)
-    w, _ = _divmod(f, g, q)
+    w, _ = _fq_divmod(f, g, q)
     i = 1
     while len(w) > 1:
         y = _gcd(w, g, q)
-        z, _ = _divmod(w, y, q)
+        z, _ = _fq_divmod(w, y, q)
         if len(z) > 1:
             key = z
             out[key] = out.get(key, 0) + i * scale
-        g, _ = _divmod(g, y, q)
+        g, _ = _fq_divmod(g, y, q)
         w = y
         i += 1
     if len(g) > 1:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from heegner import cli
+from heegner import cli, sssearch
 from heegner.cli import main
 from heegner.classpoly import PrecisionExhaustedError, build_PD
+from heegner.intmath import is_prime, kronecker
 from heegner.sssearch import RealJCaseError, SupersingularAtPError
 
 from oracles import poly_from_json
@@ -50,11 +51,6 @@ class TestClasspoly:
         data = json.loads(out)
         assert data["D"] == -220 and data["coefficients"] == ["121", "-77", "1"]
 
-    def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "classpoly", "--p", "11", "--D", "-220",
-                           "--format", "text")
-        assert code == 0 and "X^2" in out
-
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "classpoly", "--p", "11")
@@ -82,11 +78,6 @@ class TestSearch:
         # never reaches a certificate's sigma
         code, out, err = run(capsys, "search", "--p", "5", "--h", "1", "--avoid", value)
         assert code == 64 and out == "" and "prime" in err
-
-    def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "search", "--p", "11", "--h", "21/2",
-                           "--count", "1", "--format", "text")
-        assert code == 0 and "2309" in out and "l = 5" in out
 
     def test_bound_exhaustion_exit_3(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "11", "--h", "21/2",
@@ -172,6 +163,22 @@ class TestFailureExit:
         monkeypatch.setattr(cli, "search", fail)
         result, out, err = run(capsys, "search", "--p", "11", "--h", "21/2")
         assert result == code and out == "" and err == "error: boom"
+
+    def test_inconsistent_certificate_exit_64(self, capsys, monkeypatch):
+        # a selected prime that is a square modulo pl fails the certificate's
+        # own check, which is reported like any other runtime invariant
+        real = sssearch.extract_primes
+
+        def square_prime(value, p, ell, *args, **kwargs):
+            _, candidates, fac, skip = real(value, p, ell, *args, **kwargs)
+            q = next(q for q in range(3, 1000) if is_prime(q) and kronecker(q, p * ell) == 1)
+            return (q,), candidates, fac, skip
+
+        monkeypatch.setattr(sssearch, "extract_primes", square_prime)
+        code, out, err = run(capsys, "search", "--p", "11", "--h", "21/2")
+        assert code == 64 and out == ""
+        assert err.splitlines() == [err] and err.startswith("error: selected prime ")
+        assert "is a square mod 55" in err
 
     def test_unlisted_exception_propagates(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -7,6 +7,8 @@ from heegner.classpoly import build_PD, build_Pl
 from heegner.levels import LEVELS, level
 from heegner.modpoly import (
     FPoly,
+    _divide_linear,
+    _root_multiplicity,
     epsilon_split,
     is_perfect_square,
     is_square_times_linear,
@@ -15,10 +17,12 @@ from heegner.modpoly import (
 
 from oracles import (
     _diff,
+    _fq_divmod,
     _gcd,
     brandt_table,
     column_sums,
     factor_fq_brute,
+    fq_mul,
     squarefree_decomposition,
     t2_degree_check,
 )
@@ -48,9 +52,7 @@ class TestSquarefreeDecomposition:
         q = 7
         f = fp([3, 1], q)  # X + 3
         g = fp([1, 1], q)  # X + 1
-        prod = f
-        for _ in range(6):
-            prod = prod * g  # (X+3)(X+1)^6
+        prod = fq_mul(f, *[g] * 6)  # (X+3)(X+1)^6
         dec = dict((tuple(p.coeffs), e) for p, e in squarefree_decomposition(prod))
         assert dec == {(3, 1): 1, (1, 1): 6}
 
@@ -60,13 +62,13 @@ class TestSquarefreeDecomposition:
             q = rng.choice([3, 5, 7, 11, 13, 23, 41, 59, 83, 97])
             f = _random_monic(rng, q, rng.randrange(1, 4))
             g = _random_monic(rng, q, rng.randrange(1, 4))
-            prod = f * g * g
+            prod = fq_mul(f, g, g)
             dec = squarefree_decomposition(prod)
             acc = FPoly(q, (1,))
             for part, e in dec:
                 assert part.is_monic()
                 for _ in range(e):
-                    acc = acc * part
+                    acc = fq_mul(acc, part)
             assert acc.coeffs == prod.coeffs
             # parts squarefree and pairwise coprime
             for i, (part, _) in enumerate(dec):
@@ -85,7 +87,7 @@ class TestSquarefreeDecomposition:
             by_mult = {}
             for g, e in brute.items():
                 acc = by_mult.get(e, FPoly(q, (1,)))
-                by_mult[e] = acc * FPoly(q, g)
+                by_mult[e] = fq_mul(acc, FPoly(q, g))
             got = {e: p.coeffs for p, e in dec}
             want = {e: p.coeffs for e, p in by_mult.items()}
             assert got == want, (q, f.coeffs)
@@ -97,23 +99,23 @@ class TestSquarefreeDecomposition:
             inputs = [_random_monic(rng, q, rng.randrange(2, dmax + 1)) for _ in range(20)]
             for _ in range(20):
                 g = _random_monic(rng, q, rng.randrange(1, (dmax - 2) // 2 + 1))
-                inputs.append(_random_monic(rng, q, rng.randrange(1, 3)) * g * g)
+                inputs.append(fq_mul(_random_monic(rng, q, rng.randrange(1, 3)), g, g))
             for c in range(min(q, 4)):
                 qth = fp([c] + [0] * (q - 1) + [1], q)  # (X + c)^q
-                inputs += [qth, qth * qth]
+                inputs += [qth, fq_mul(qth, qth)]
             squares = 0
             for f in inputs:
                 brute = factor_fq_brute(f.coeffs, q)
                 square_free_part = FPoly(q, (1,))
                 for g, e in brute.items():
                     if e % 2:
-                        square_free_part = square_free_part * FPoly(q, g)
+                        square_free_part = fq_mul(square_free_part, FPoly(q, g))
                 oracle_is_square = square_free_part.coeffs == (1,)
                 root = is_perfect_square(f)
                 assert (root is not None) == oracle_is_square, (q, f.coeffs)
                 if root is not None:
                     squares += 1
-                    assert root.is_monic() and (root * root).coeffs == f.coeffs
+                    assert root.is_monic() and fq_mul(root, root).coeffs == f.coeffs
             assert squares >= min(q, 4)
 
 
@@ -132,7 +134,7 @@ def test_sweep_square_test_against_decomposition(sweep_polys):
             root = is_perfect_square(f)
             assert (root is not None) == even, (p, ell, poly.D, q)
             if root is not None:
-                assert (root * root).coeffs == f.coeffs
+                assert fq_mul(root, root).coeffs == f.coeffs
             outcomes.append(even)
     assert len(outcomes) > 2 * 160 and len(set(outcomes)) == 2
 
@@ -179,13 +181,41 @@ class TestSquareTimesLinear:
     def test_shifted_square(self):
         q = 31
         g = fp([5, 2, 1], q)
-        f = fp([22, 1], q) * g * g
+        f = fq_mul(fp([22, 1], q), g, g)
         root = is_square_times_linear(f, -22)
         assert root == g
 
     def test_nondivisible_raises(self):
         with pytest.raises(ArithmeticError):
             is_square_times_linear(fp([1, 1, 0, 1], 7), -6)
+
+
+class TestLinearDivision:
+    # random monic f with planted repeated roots, divided by X - r for every
+    # residue r, roots and non-roots, written in [0, q) and below it
+    def cases(self):
+        rng = random.Random(41)
+        for q in (3, 5, 7, 11, 13, 31):
+            for _ in range(25):
+                planted = [fp([-rng.randrange(q), 1], q) for _ in range(rng.randrange(0, 4))]
+                f = fq_mul(_random_monic(rng, q, rng.randrange(0, 5)), *planted, *planted)
+                for r in range(-q, q):
+                    yield f, r
+
+    def test_against_oracle_division(self):
+        for f, r in self.cases():
+            quot, rem = _divide_linear(f.coeffs, r, f.q)
+            assert (quot, (rem,) if rem else ()) == _fq_divmod(f.coeffs, (-r % f.q, 1), f.q)
+
+    def test_root_multiplicity_against_repeated_oracle_division(self):
+        repeated = 0
+        for f, r in self.cases():
+            count, coeffs = 0, f.coeffs
+            while not (step := _fq_divmod(coeffs, (-r % f.q, 1), f.q))[1]:
+                count, coeffs = count + 1, step[0]
+            assert _root_multiplicity(f, r) == count, (f.coeffs, r)
+            repeated += count > 1
+        assert repeated
 
 
 class TestEpsilonSplit:

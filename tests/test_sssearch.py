@@ -304,11 +304,24 @@ def test_check_rejects_nonsquare_numerator():
                  and cert.value.denominator % r)
         bad = dataclasses.replace(cert, value=cert.value * r)
         assert kronecker(bad.value.numerator, pl) == -1
-        with pytest.raises(AssertionError, match=f"nonsquare modulo {pl}"):
+        with pytest.raises(ArithmeticError, match=f"nonsquare modulo {pl}"):
             bad.check()
         break
     else:
         raise AssertionError("no certificate with numerator symbol 1")
+
+
+def test_shared_budget_is_frozen_and_unchanged():
+    # one budget object serves many searches: it cannot be assigned to, and
+    # a search that spends its effort at l = 113 and 137 before taking
+    # l = 193 leaves it as it was
+    budget = FactorBudget(rho_iterations=1 << 12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        budget.rho_iterations = 1
+    first, second = ([cert.to_json() for cert in search(7, Fraction(9), budget=budget)]
+                     for _ in range(2))
+    assert first == second and json.loads(first[0])["ell"] == 193
+    assert budget == FactorBudget(rho_iterations=1 << 12)
 
 
 def test_level7_stops_before_ecm():
