@@ -57,6 +57,12 @@ _INTEGER = r"[^\S\x1c-\x1f]*([+-]?\d+(?:_\d+)*)[^\S\x1c-\x1f]*"
 H_FORM = re.compile(f"{_INTEGER}(?:/{_INTEGER})?")
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; argparse names the option whose
+    value this fails on."""
+    return tuple(int(v) for v in text.split(",") if v)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -78,7 +84,7 @@ def _build_parser() -> _Parser:
     se.set_defaults(run=_cmd_search)
     se.add_argument("--p", type=int, required=True)
     se.add_argument("--h", type=str, required=True, help='rational "n/d"')
-    se.add_argument("--avoid", type=str, default="", help="comma-separated primes")
+    se.add_argument("--avoid", type=int_list, default="", help="comma-separated primes")
     se.add_argument("--count", type=int, default=1)
     se.add_argument("--ell-bound", type=int, default=500)
     se.add_argument("--factor-budget", type=int, default=FactorBudget.rho_iterations)
@@ -112,7 +118,7 @@ def _cmd_search(args) -> int:
     if not den:
         raise ValueError(f"--h {args.h} has a zero denominator")
     h = Fraction(num, den)
-    certs = search(args.p, h, sigma=tuple(int(v) for v in args.avoid.split(",") if v),
+    certs = search(args.p, h, sigma=args.avoid,
                    count=args.count, ell_bound=args.ell_bound,
                    budget=FactorBudget(rho_iterations=args.factor_budget),
                    effort_bound=args.verify_bound)

@@ -233,9 +233,10 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     a ValueError names a cofactor it leaves.
     """
     lev, h = _check_point(p, h)
-    avoided = {int(v) for v in sigma}
-    if not all(v > 0 and is_prime(v) for v in avoided):
-        raise ValueError(f"the avoided values {sorted(avoided)} must be primes")
+    given = set(sigma)
+    avoided = {int(v) for v in given}
+    if avoided != given or not all(v > 0 and is_prime(v) for v in avoided):
+        raise ValueError(f"the avoided values {sorted(given)} must be primes")
     # primes of bad reduction are invisible from h alone; always avoid 2
     # and the denominator primes of h
     avoided.add(2)

@@ -1,11 +1,12 @@
 """Independent supersingularity verification.
 
 A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
-nothing factored, and tested by walking its 2-isogeny graph
-(``supersingular``), which answers the Hasse-invariant question in O(log q)
-square roots; at q = 3 the answer is the closed form j = 0.  Verification is
-bounded by an explicit limit, by default 2^64, where ``is_prime`` stops being
-deterministic; larger primes are reported as unverified rather than trusted.
+nothing factored, and the residue itself is tested by walking its 2-isogeny
+graph (``supersingular``), which answers the Hasse-invariant question in
+O(log q) square roots; at q = 3 the answer is the closed form j = 0.
+Verification is bounded by an explicit limit, by default 2^64, where
+``is_prime`` stops being deterministic; larger primes are reported as
+unverified rather than trusted.
 
 Also home to the exact h -> j lift that enables end-to-end verification for
 p = 3.
@@ -135,34 +136,22 @@ def reduce_mod(j: QuadSurd, q: int) -> list[tuple[int, int]]:
     return [(x0, min(x1, q - x1))]
 
 
-def _curve_from_j(F: Fq2Field, j) -> tuple:
-    """(a, b) of a curve y^2 = x^3 + a x + b with invariant j."""
-    if j == (0, 0):
-        return (0, 0), (1, 0)
-    if j == (1728 % F.q, 0):
-        return (1, 0), (0, 0)
-    k = F.mul(j, F.inv(F.sub((1728, 0), j)))
-    return F.scale(k, 3), F.scale(k, 2)
-
-
 def is_supersingular_j(j: tuple[int, int], q: int) -> bool:
     """Supersingularity of a j-invariant (x0, x1) of the standard
     ``Fq2Field(q)``, x1 = 0 for one in F_q.
 
-    In characteristic 3 the only supersingular j is 0.  Otherwise twists
-    share the same answer, so any curve with the given invariant may be
-    passed to the Hasse-invariant test; we take y^2 = x^3 + 3k x + 2k with
-    k = j/(1728 - j) and the standard special curves at j = 0 and 1728.
+    In characteristic 3 the only supersingular j is 0.  Otherwise j itself
+    goes to the 2-isogeny walk, through ``hasse_nonzero_fq`` for j in F_q and
+    ``hasse_nonzero_fq2`` for j outside it: a curve is supersingular iff its
+    Hasse invariant vanishes, and twists share the answer, so j decides it.
     """
     if q == 2 or not is_prime(q):
         raise ValueError(f"q = {q}: the test is defined for odd primes q")
     if q == 3:
         return (j[0] % 3, j[1] % 3) == (0, 0)
-    F = Fq2Field(q)
-    (a0, a1), (b0, b1) = _curve_from_j(F, (j[0] % q, j[1] % q))
-    if a1 == b1 == 0:
-        return not hasse_nonzero_fq(q, a0, b0)
-    return not hasse_nonzero_fq2(q, F.m, a0, a1, b0, b1)
+    if j[1] % q == 0:
+        return not hasse_nonzero_fq(q, j[0])
+    return not hasse_nonzero_fq2(q, j[0], j[1])
 
 
 def verify_certificate(selected, j: QuadSurd,

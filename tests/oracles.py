@@ -1130,6 +1130,20 @@ def curve_from_j(q, m2, j0, j1):
     return 3 * k0 % q, 3 * k1 % q, 2 * k0 % q, 2 * k1 % q
 
 
+def j_of_curve(q, m2, a0, a1, b0, b1):
+    """(j0, j1) of y^2 = x^3 + a x + b over F_q(t), t^2 = m2, with a = a0 + a1 t
+    and b = b0 + b1 t: j = 1728 * 4a^3 / (4a^3 + 27b^2), the inverse of
+    ``curve_from_j``.  ValueError for a singular curve."""
+    aa = _mul2(a0 % q, a1 % q, a0 % q, a1 % q, q, m2)
+    a3 = _mul2(*aa, a0 % q, a1 % q, q, m2)
+    b2 = _mul2(b0 % q, b1 % q, b0 % q, b1 % q, q, m2)
+    d0, d1 = (4 * a3[0] + 27 * b2[0]) % q, (4 * a3[1] + 27 * b2[1]) % q
+    if (d0, d1) == (0, 0):
+        raise ValueError("singular curve")
+    ninv = pow((d0 * d0 - m2 * d1 * d1) % q, -1, q)
+    return _mul2(4 * 1728 * a3[0], 4 * 1728 * a3[1], d0 * ninv, -d1 * ninv, q, m2)
+
+
 def nonresidue(q):
     return next(m for m in range(2, q) if pow(m, (q - 1) // 2, q) == q - 1)
 

@@ -79,6 +79,16 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--p", "5", "--h", "1", "--avoid", value)
         assert code == 64 and out == "" and "prime" in err
 
+    @pytest.mark.parametrize("value", ["x", "2309.5", "7,,x"])
+    def test_avoid_unparsable_exit_64(self, capsys, value):
+        # argparse reads the list and names the option, as for --count x
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "search", "--p", "11", "--h", "21/2", "--avoid", value)
+        captured = capsys.readouterr()
+        assert exc.value.code == 64 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: argument --avoid: invalid int_list value: {value!r}"]
+
     def test_bound_exhaustion_exit_3(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "11", "--h", "21/2",
                            "--ell-bound", "3")

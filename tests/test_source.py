@@ -6,9 +6,11 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import heegner
+from heegner import classpoly, sssearch, ssverify
 
 PACKAGE = Path(heegner.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -185,6 +187,35 @@ def test_traced_boundaries_exist():
         if not callable(getattr(importlib.import_module(f"heegner.{module}"), name, None)):
             missing.append(f"{module}.{name}")
     assert not missing, missing
+
+
+def test_tracer_reads_what_the_library_passes():
+    # the tracer's notes read arguments and results by position (jp_at_form's
+    # precision, the verification adapters' q, extract_primes's skip flag);
+    # a change there breaks only perfbench --trace 1, so its counts are
+    # pinned here on three searches
+    spans = _perfbench_spans()
+    modules = {"classpoly": classpoly, "sssearch": sssearch, "ssverify": ssverify}
+    originals = {(mod, attr): getattr(modules[mod], attr)
+                 for mod, attr, *_ in spans.BOUNDARIES + spans.COUNTED}
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        results = [heegner.search(3, -40), heegner.search(11, Fraction(21, 2), count=3),
+                   heegner.search(5, 1)]
+    finally:
+        tracer.remove()
+    assert all(getattr(modules[mod], attr) is fn for (mod, attr), fn in originals.items())
+    metrics = tracer.layer_metrics(1, results, lambda start, end: (end - start, 1.0))
+    assert {name: metrics[name] for name in (
+        "kernels.hasse_len", "ssverify.primes_verified", "ssverify.primes_unverified",
+        "classpoly.builds", "classpoly.max_bits", "modpoly.checks",
+        "intmath.factorize_calls", "sssearch.ells_sieved", "sssearch.skipped",
+        "hauptmodul.jp_calls")} == {
+        "kernels.hasse_len": 6175217, "ssverify.primes_verified": 1,
+        "ssverify.primes_unverified": 4, "classpoly.builds": 7, "classpoly.max_bits": 63,
+        "modpoly.checks": 9, "intmath.factorize_calls": 5, "sssearch.ells_sieved": 47,
+        "sssearch.skipped": 0, "hauptmodul.jp_calls": 18}
 
 
 def _lib_attributes(tree) -> set[str]:

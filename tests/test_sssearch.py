@@ -87,6 +87,17 @@ class TestWalk:
         assert (cert.ell, cert.D) == (37, -1628)
         assert cert.value == Fraction(-(7**2) * 151 * 452233314041, 256)
 
+    @pytest.mark.parametrize("value", [2309.5, Fraction(4619, 2)])
+    def test_non_integral_avoided_value_rejected(self, value):
+        # int() would truncate it to the prime 2309 and search on
+        with pytest.raises(ValueError, match="must be primes"):
+            search(11, H11, sigma=(value,), count=1)
+
+    def test_integral_avoided_value_kept(self):
+        for value in (2309, 2309.0, Fraction(2309)):
+            cert, = search(11, H11, sigma=(value,), count=1)
+            assert cert.sigma == (2, 2309) and cert.selected == (7, 151)
+
     def test_negativity_skip(self):
         # h = 1 and h = 13/10 lie left of the bounded root 1.6049 of P_-220,
         # so l = 5 and 37 fail the sign condition and the walk moves on to

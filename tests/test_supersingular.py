@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from heegner.intmath import is_prime
 from heegner.supersingular import (
     PHI2,
@@ -16,6 +14,9 @@ from heegner.supersingular import (
 from oracles import (
     curve_from_j,
     hasse_coefficient_by_power,
+    hasse_nonzero_by_sweep,
+    j_of_curve,
+    nonresidue,
     point_count,
     supersingular_js,
     supersingular_mass,
@@ -65,37 +66,50 @@ class TestHasseFq:
     def test_against_literal_power(self):
         rng = random.Random(2)
         for q in (5, 7, 11, 37, 101, 151):
+            m2 = nonresidue(q)
             for _ in range(12):
                 a, b = rng.randrange(q), rng.randrange(q)
                 if (4 * a**3 + 27 * b**2) % q == 0:
                     continue
                 expected = hasse_coefficient_by_power(q, a, b) != 0
-                assert hasse_nonzero_fq(q, a, b) == expected, (q, a, b)
+                j0, j1 = j_of_curve(q, m2, a, 0, b, 0)
+                assert j1 == 0 and hasse_nonzero_fq(q, j0) == expected, (q, a, b)
 
     def test_special_curves(self):
         # j = 1728 (b = 0): supersingular iff q = 3 mod 4
         # j = 0 (a = 0): supersingular iff q = 2 mod 3
         for q in (5, 7, 11, 13, 17, 19, 23, 2309):
-            assert (not hasse_nonzero_fq(q, 1, 0)) == (q % 4 == 3)
-            assert (not hasse_nonzero_fq(q, 0, 1)) == (q % 3 == 2)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            hasse_nonzero_fq(7, 0, 0)
-        with pytest.raises(ValueError):
-            hasse_nonzero_fq(7, -3, 2)  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+            m2 = nonresidue(q)
+            assert j_of_curve(q, m2, 1, 0, 0, 0) == (1728 % q, 0)
+            assert j_of_curve(q, m2, 0, 0, 1, 0) == (0, 0)
+            assert (not hasse_nonzero_fq(q, 1728)) == (q % 4 == 3)
+            assert (not hasse_nonzero_fq(q, 0)) == (q % 3 == 2)
 
 
 class TestHasseFq2:
     def test_rational_inputs_match_fq(self):
         rng = random.Random(3)
         for q in (13, 37, 151):
-            m2 = next(m for m in range(2, q) if pow(m, (q - 1) // 2, q) == q - 1)
             for _ in range(10):
-                a, b = rng.randrange(q), rng.randrange(q)
-                if (4 * a**3 + 27 * b**2) % q == 0:
-                    continue
-                assert hasse_nonzero_fq2(q, m2, a, 0, b, 0) == hasse_nonzero_fq(q, a, b)
+                j = rng.randrange(q)
+                assert hasse_nonzero_fq2(q, j, 0) == hasse_nonzero_fq(q, j)
+
+    def test_against_sweep(self):
+        # y^2 = x^3 + (1 + t) x + b for every b in the standard F_q(t),
+        # against the O(q) Hasse sweep there; both verdicts occur
+        for q in (13, 37):
+            m2 = Fq2Field(q).m
+            verdicts = set()
+            for b0 in range(q):
+                for b1 in range(q):
+                    try:
+                        j = j_of_curve(q, m2, 1, 1, b0, b1)
+                    except ValueError:  # singular
+                        continue
+                    expected = hasse_nonzero_by_sweep(q, m2, 1, 1, b0, b1)
+                    assert hasse_nonzero_fq2(q, *j) == expected, (q, b0, b1)
+                    verdicts.add(expected)
+            assert verdicts == {False, True}, q
 
 
 def _has_repeated_root(F, j):
