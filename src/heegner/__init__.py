@@ -27,7 +27,6 @@ from .modpoly import (
 )
 from .quadforms import (
     Discriminant,
-    FormClassGroup,
     QuadForm,
     class_number,
     enumerate_classes,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hauptmodul import jp_at_form
+from .modpoly import poly_mul
 from .quadforms import (
     Discriminant,
     QuadForm,
@@ -91,6 +92,8 @@ class ClassPolynomial:
 
 def _as_disc(D, p=None) -> Discriminant:
     if isinstance(D, Discriminant):
+        if p is not None and p != D.p:
+            raise ValueError(f"p = {p} differs from p = {D.p} of the discriminant {D.D}")
         return D
     if p is None:
         raise ValueError("p is required when D is given as an integer")
@@ -183,8 +186,7 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     """The class polynomial P_D(X), one root per Atkin-Lehner class pair, from
     one evaluation per real root or conjugate couple of roots, at one precision."""
     disc = _as_disc(D, p)
-    group = enumerate_classes(disc.D)
-    pairs = al_pair_classes(group, disc.p)
+    pairs = al_pair_classes(enumerate_classes(disc.D), disc.p)
     # the two classes of a pair reach the same highest point, or (37 of the
     # 1 650 sweep pairs) mirror images [a, +-b, c] with the same a, so
     # either sizes the pair.  The form reduced here, once, is also the
@@ -219,18 +221,9 @@ def build_Pl(parts: tuple[ClassPolynomial, ClassPolynomial]) -> ClassPolynomial:
     if odd.p != even.p or even.D != 4 * odd.D:
         raise ValueError(f"the parts P_{odd.D} (p = {odd.p}) and P_{even.D} (p = {even.p}) "
                          "are not P_-pl and P_-4pl of one p and l")
-    coeffs = _int_poly_mul(odd.coefficients, even.coefficients)
+    coeffs = poly_mul(odd.coefficients, even.coefficients)
     residual = max(odd.rounding_residual, even.rounding_residual)
-    return ClassPolynomial(odd.p, (odd.D, even.D), tuple(coeffs), residual)
-
-
-def _int_poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
+    return ClassPolynomial(odd.p, (odd.D, even.D), coeffs, residual)
 
 
 def evaluate(P: ClassPolynomial, h: Fraction) -> Fraction:

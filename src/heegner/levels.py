@@ -93,10 +93,11 @@ class Level:
     ``hauptmodul.Ball`` (``jp_at_form``, the library's one evaluation of
     j_p) and on the mpc values of the floating-point ``j_p`` that the tests
     check it against (``tests/oracles.py``).
-    The search multiplies the class polynomials of the discriminant
-    ``shapes`` ("-pl" is -p l, "-4pl" is -4 p l), which only
-    ``sssearch.search_polynomial`` reads; modulo an admissible l each of
-    them is a square, or (X - linear_root) times a square.
+    Modulo an admissible l the class polynomial of each discriminant shape
+    ("-pl" is -p l, "-4pl" is -4 p l) is a square, or (X - linear_root)
+    times a square.  ``shapes``, derived from ``linear_root``, lists the
+    shapes whose class polynomials the search multiplies; only
+    ``sssearch.search_polynomial`` reads it.
     ``supersingular`` lists the supersingular j_p-invariants mod p.
     ``real_arc`` marks the levels with a fundamental unit of Q(sqrt p) and
     the arc S of bounded real roots; ``t2_check`` runs the T_2 exponent
@@ -107,7 +108,6 @@ class Level:
 
     p: int
     hauptmodul: Callable
-    shapes: tuple[str, ...]
     supersingular: tuple[int, ...]
     linear_root: int | None = None
     brandt: T2Data | None = None
@@ -116,17 +116,23 @@ class Level:
     t2_check: bool = False
     j_lift: bool = False
 
+    @property
+    def shapes(self) -> tuple[str, ...]:
+        # each part's linear factor X - linear_root mod l is squared only
+        # by multiplying both shapes
+        return ("-4pl",) if self.linear_root is None else ("-pl", "-4pl")
+
 
 LEVELS = {lev.p: lev for lev in (
-    Level(3, EtaQuotient(3), ("-4pl",), (0,), real_arc=True, j_lift=True),
-    Level(5, EtaQuotient(5), ("-pl", "-4pl"), (0,), linear_root=-22),
-    Level(7, EtaQuotient(7), ("-4pl",), (0,), real_arc=True),
-    Level(11, _theta_11, ("-4pl",), (0, 10), real_arc=True, t2_check=True,
+    Level(3, EtaQuotient(3), (0,), real_arc=True, j_lift=True),
+    Level(5, EtaQuotient(5), (0,), linear_root=-22),
+    Level(7, EtaQuotient(7), (0,), real_arc=True),
+    Level(11, _theta_11, (0, 10), real_arc=True, t2_check=True,
           brandt=T2Data((0, -1), ((1, 2), (3, 0)))),
-    Level(13, EtaQuotient(13), ("-pl", "-4pl"), (0,), linear_root=-6),
-    Level(19, _theta_19, ("-4pl",), (0, 8), real_arc=True,
+    Level(13, EtaQuotient(13), (0,), linear_root=-6),
+    Level(19, _theta_19, (0, 8), real_arc=True,
           brandt=T2Data((0, 8), ((1, 2), (1, 2)))),
-    Level(23, _theta_23, ("-4pl",), (11, 15, 18), searchable=False,
+    Level(23, _theta_23, (11, 15, 18), searchable=False,
           brandt=T2Data((), ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
                         note="not all column sums even: theorem not proven for p=23")),
 )}

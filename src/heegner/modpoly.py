@@ -1,9 +1,10 @@
 """Polynomial arithmetic over prime fields and the mod-l / mod-p square tests.
 
-Polynomials are coefficient tuples in ascending degree with entries reduced
-into [0, q).  Squareness is decided by computing the monic square root
-coefficient by coefficient from the top and squaring it back, never through
-a factorization.
+Polynomials are coefficient tuples in ascending degree.  ``poly_mul`` is the
+package's one polynomial product, on integer coefficients; an ``FPoly``
+holds its entries reduced into [0, q).  Squareness is decided by computing
+the monic square root coefficient by coefficient from the top and squaring
+it back with ``poly_mul`` mod q, never through a factorization.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .levels import level
 
 __all__ = [
     "FPoly",
+    "poly_mul",
     "is_perfect_square",
     "is_square_times_linear",
     "mod_p_square_check",
@@ -49,15 +51,6 @@ class FPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}" if i == 0 else (f"{c}*X^{i}" if i > 1 else f"{c}*X"))
-        return " + ".join(reversed(terms)) + f"  (mod {self.q})"
-
 
 def _trim(f):
     f = list(f)
@@ -66,15 +59,14 @@ def _trim(f):
     return tuple(f)
 
 
-def _mul(f, g, q):
-    if not f or not g:
-        return ()
+def poly_mul(f, g) -> tuple[int, ...]:
+    """The product of two integer polynomials, ascending coefficients, unreduced."""
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return _trim(out)
+                out[i + j] += a * b
+    return tuple(out)
 
 
 def _divide_linear(f, r, q):
@@ -107,7 +99,8 @@ def is_perfect_square(f: FPoly) -> FPoly | None:
         acc = sum(g[i] * g[2 * n - k - i] for i in range(n - k + 1, n))
         g[n - k] = (f.coeffs[2 * n - k] - acc) * half % q
     root = tuple(g)
-    return FPoly(q, root) if _mul(root, root, q) == f.coeffs else None
+    square = tuple(c % q for c in poly_mul(root, root))
+    return FPoly(q, root) if square == f.coeffs else None
 
 
 def is_square_times_linear(f: FPoly, r: int) -> FPoly | None:
@@ -167,7 +160,7 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
         m = [_root_multiplicity(g, b) for b in basis]
         if sum(m) != g.degree:
             raise ArithmeticError(
-                f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g}"
+                f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g.coeffs}"
             )
         eps = epsilon_split(poly_minus_pl.D)
         expected = [sum(mj * row[i] for mj, row in zip(m, matrix)) - eps * m[i]

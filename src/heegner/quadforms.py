@@ -1,13 +1,14 @@
 """Binary quadratic forms and class groups of discriminant -pl and -4pl.
 
 Forms (a, b, c) represent a x^2 + b x y + c y^2, always positive definite and
-primitive here.  Ideal classes are represented purely as reduced forms.  The
-Heegner representatives (p | a) and the Atkin-Lehner pairing are closed
-forms: one translation and swap gives a representative, and the Fricke
-involution [a, b, c] -> [pc, -b, a/p] of a representative gives the partner
-class.  Every reduction of a form lives here: Gauss reduction of Fricke
-images (``_reduced``) and the exact Gamma_0(p)+ reduction of a Heegner form
-to the highest point of its orbit (``reduce_heegner_form``), where j_p is
+primitive here.  Ideal classes are represented purely as reduced forms, and a
+class group as the sorted tuple of them.  The Heegner representatives
+(p | a) and the Atkin-Lehner pairing are closed forms: one translation and
+swap gives a representative, and the Fricke involution
+[a, b, c] -> [pc, -b, a/p] of a representative gives the partner class.
+Every reduction of a form lives here: Gauss reduction of Fricke images
+(``_reduced``) and the exact Gamma_0(p)+ reduction of a Heegner form to the
+highest point of its orbit (``reduce_heegner_form``), where j_p is
 evaluated.  So does the fundamental unit of Q(sqrt p), which bounds the arc S.
 """
 
@@ -25,7 +26,6 @@ from .levels import level
 __all__ = [
     "QuadForm",
     "Discriminant",
-    "FormClassGroup",
     "ALFixedClassError",
     "enumerate_classes",
     "class_number",
@@ -122,18 +122,9 @@ class Discriminant:
         raise ValueError(f"D = {D} has neither shape -p*l nor -4*p*l for p = {p}")
 
 
-@dataclass(frozen=True)
-class FormClassGroup:
-    D: int
-    classes: tuple[QuadForm, ...]
-
-    @property
-    def h(self) -> int:
-        return len(self.classes)
-
-
-def enumerate_classes(D: int) -> FormClassGroup:
-    """All reduced primitive forms of discriminant D by exhaustive scan."""
+def enumerate_classes(D: int) -> tuple[QuadForm, ...]:
+    """The class group of D as its reduced primitive forms, sorted, by
+    exhaustive scan; the principal form is always among them."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"invalid negative discriminant {D}")
     forms = []
@@ -150,12 +141,12 @@ def enumerate_classes(D: int) -> FormClassGroup:
                         forms.append(QuadForm(a, -b, c))
             a += 1
         b += 2
-    return FormClassGroup(D, tuple(sorted(forms)))
+    return tuple(sorted(forms))
 
 
 @lru_cache(maxsize=None)
 def class_number(D: int) -> int:
-    return enumerate_classes(D).h
+    return len(enumerate_classes(D))
 
 
 def heegner_rep(cls: QuadForm, p: int) -> QuadForm:
@@ -250,7 +241,7 @@ def reduce_heegner_form(form: QuadForm, p: int) -> QuadForm:
     return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
-def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadForm]]:
+def al_pair_classes(classes: tuple[QuadForm, ...], p: int) -> list[tuple[QuadForm, QuadForm]]:
     """Partition the classes into h/2 Atkin-Lehner pairs {[a], [a*p-ideal]}.
 
     On a Heegner form [a, b, c] the Fricke involution acts as
@@ -259,17 +250,19 @@ def al_pair_classes(group: FormClassGroup, p: int) -> list[tuple[QuadForm, QuadF
     image (of the form [a/p, b, pc], properly equivalent to it).  The
     classes of ``enumerate_classes`` are reduced and primitive already, so
     each is translated and its image reduced once, on integer triples.
+    D is read off the first class; the tuple is never empty, since it holds
+    the principal form.
     p must be a level dividing D exactly once, else ValueError (D / p need
     not be l or 4l); when p^2 | D, p divides the conductor and no
     invertible ideal lies above it.
     """
-    D = group.D
+    D = classes[0].discriminant()
     level(p)  # ValueError for an unsupported p
     if D % p or D % (p * p) == 0:
         raise ValueError(f"p = {p} must divide D = {D} exactly once")
     paired = set()
     pairs = []
-    for f in group.classes:
+    for f in classes:
         if f in paired:
             continue
         a, b, c = _translated(*f, D, p)

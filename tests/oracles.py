@@ -860,7 +860,7 @@ def build_PD_via_square_root(D, p, bits=None, max_bits=1 << 17):
     < 2^n prod max(1, |r|) for n roots r, with |r| ~ exp(2 pi Im tau) at the
     top of the orbit, where ``reduce_tau`` moves tau."""
     disc = Discriminant.from_D(D, p)
-    reps = [heegner_rep(f, disc.p) for f in enumerate_classes(disc.D).classes]
+    reps = [heegner_rep(f, disc.p) for f in enumerate_classes(disc.D)]
     taus = [reduce_tau(tau_from_form(rep, 53), disc.p, 53)[0] for rep in reps]
     height = sum(2 * math.pi * float(mpmath.im(tau)) / math.log(2) for tau in taus)
     work = bits if bits is not None else 64 + len(reps) + int(height)

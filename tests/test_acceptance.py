@@ -235,7 +235,7 @@ def test_criterion_7_structural_oracles():
         # class-group law against ideal multiplication, |D| < 4000
         checked = 0
         for D, _p in _valid_discriminants(4000):
-            classes = enumerate_classes(D).classes
+            classes = enumerate_classes(D)
             for f, g in combinations_with_replacement(classes, 2):
                 assert compose(f, g) == ideal_product_form(f, g), (D, f, g)
                 checked += 1

@@ -75,6 +75,12 @@ class TestBuildPD:
             poly = build_PD(disc)
             assert poly.degree == class_number(disc.D) // 2, disc
 
+    def test_p_must_match_a_given_discriminant(self):
+        disc = Discriminant(11, 5, "-4pl")
+        with pytest.raises(ValueError, match="differs"):
+            build_PD(disc, 7)
+        assert build_PD(disc, 11).coefficients == (121, -77, 1)
+
     def test_monic_and_residual(self):
         poly = build_PD(-220, 11)
         assert poly.coefficients[-1] == 1
@@ -180,9 +186,8 @@ class TestRealRoots:
 def self_conjugate_pairs(D, p):
     """Atkin-Lehner pairs {f, f p} that inversion maps to themselves, those
     with f^2 principal or the p-ideal class: the pairs with a real root."""
-    group = enumerate_classes(D)
-    squares = (principal_form(group.D), p_ideal_class(Discriminant.from_D(D, p)))
-    return sum(compose(f, f) in squares for f in group.classes) // 2
+    squares = (principal_form(D), p_ideal_class(Discriminant.from_D(D, p)))
+    return sum(compose(f, f) in squares for f in enumerate_classes(D)) // 2
 
 
 def test_real_roots_are_self_conjugate_pairs(sweep_polys):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +297,19 @@ class TestTables:
         code, _, _ = run(capsys, "tables", "--p", "17")
         assert code == 64
 
+
+def test_module_entry_point_exit_status():
+    # python -m heegner.cli hands main()'s code to sys.exit, so the process
+    # exits with it: the README's example prints its JSON line and exits 0,
+    # a supersingular h exits 65
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-m", "heegner.cli", *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+    done = cli_process("classpoly", "--p", "11", "--D", "-220")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"p": 11, "D": -220, "coefficients": ["121", "-77", "1"]}\n'
+    done = cli_process("search", "--p", "3", "--h", "0")
+    assert done.returncode == 65 and done.stdout == ""
+    assert done.stderr.startswith("error: ")

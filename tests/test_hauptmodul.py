@@ -279,7 +279,7 @@ def form_value(form, x, y):
 
 def heegner_forms(p, ell, shape, limit=6):
     disc = Discriminant(p, ell, shape)
-    return [heegner_rep(f, p) for f in enumerate_classes(disc.D).classes[:limit]]
+    return [heegner_rep(f, p) for f in enumerate_classes(disc.D)[:limit]]
 
 
 HEEGNER_CASES = [(3, 13, "-4pl"), (5, 7, "-pl"), (7, 5, "-4pl"), (11, 37, "-4pl"),

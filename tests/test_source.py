@@ -193,7 +193,8 @@ def test_tracer_reads_what_the_library_passes():
     # the tracer's notes read arguments and results by position (jp_at_form's
     # precision, the verification adapters' q, extract_primes's skip flag);
     # a change there breaks only perfbench --trace 1, so its counts are
-    # pinned here on three searches
+    # pinned here on four searches; search(3, -52) verifies q = 29, whose
+    # two residues of j lie in F_q, so it reaches the F_q adapter
     spans = _perfbench_spans()
     modules = {"classpoly": classpoly, "sssearch": sssearch, "ssverify": ssverify}
     originals = {(mod, attr): getattr(modules[mod], attr)
@@ -202,7 +203,7 @@ def test_tracer_reads_what_the_library_passes():
     tracer.install(modules)
     try:
         results = [heegner.search(3, -40), heegner.search(11, Fraction(21, 2), count=3),
-                   heegner.search(5, 1)]
+                   heegner.search(5, 1), heegner.search(3, -52)]
     finally:
         tracer.remove()
     assert all(getattr(modules[mod], attr) is fn for (mod, attr), fn in originals.items())
@@ -212,10 +213,10 @@ def test_tracer_reads_what_the_library_passes():
         "classpoly.builds", "classpoly.max_bits", "modpoly.checks",
         "intmath.factorize_calls", "sssearch.ells_sieved", "sssearch.skipped",
         "hauptmodul.jp_calls")} == {
-        "kernels.hasse_len": 6175217, "ssverify.primes_verified": 1,
-        "ssverify.primes_unverified": 4, "classpoly.builds": 7, "classpoly.max_bits": 63,
-        "modpoly.checks": 9, "intmath.factorize_calls": 5, "sssearch.ells_sieved": 47,
-        "sssearch.skipped": 0, "hauptmodul.jp_calls": 18}
+        "kernels.hasse_len": 6175275, "ssverify.primes_verified": 2,
+        "ssverify.primes_unverified": 4, "classpoly.builds": 8, "classpoly.max_bits": 63,
+        "modpoly.checks": 11, "intmath.factorize_calls": 6, "sssearch.ells_sieved": 58,
+        "sssearch.skipped": 0, "hauptmodul.jp_calls": 20}
 
 
 def _lib_attributes(tree) -> set[str]:
