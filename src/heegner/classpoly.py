@@ -74,9 +74,8 @@ class ClassPolynomial:
         return len(self.coefficients) - 1
 
     def to_json(self) -> str:
-        D = list(self.D) if isinstance(self.D, tuple) else self.D
         return json.dumps(
-            {"p": self.p, "D": D, "coefficients": [str(c) for c in self.coefficients]}
+            {"p": self.p, "D": self.D, "coefficients": [str(c) for c in self.coefficients]}
         )
 
     def __str__(self) -> str:

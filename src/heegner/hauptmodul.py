@@ -82,10 +82,7 @@ def _theta_counts(a: int, b: int, c: int, nmax: int) -> list[int]:
         x += 1
     ymax = math.isqrt(4 * a * nmax // disc)
     for y in range(1, ymax + 1):
-        w2 = 4 * a * nmax - disc * y * y
-        if w2 < 0:
-            break
-        w = math.isqrt(w2)
+        w = math.isqrt(4 * a * nmax - disc * y * y)
         xlo = -((b * y + w) // (2 * a))
         xhi = (w - b * y) // (2 * a)
         for x in range(xlo, xhi + 1):

@@ -343,7 +343,6 @@ def _ecm(n: int, budget: list[int]) -> int | None:
                     g = math.gcd(_ecm_stage2(x, z, a24, n, giants), n)
             if 1 < g < n:
                 return g
-    return None
 
 
 def factorize(n: int, budget: FactorBudget | None = None,
@@ -373,8 +372,6 @@ def factorize(n: int, budget: FactorBudget | None = None,
     effort = [budget.rho_iterations]
     while pending:
         m = pending.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

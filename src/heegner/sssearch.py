@@ -103,7 +103,7 @@ class SearchCertificate:
             "h": f"{self.h.numerator}/{self.h.denominator}",
             "sigma": [str(v) for v in self.sigma],
             "ell": self.ell,
-            "D": list(self.D) if isinstance(self.D, tuple) else self.D,
+            "D": self.D,
             "value": {
                 "num": str(self.value.numerator),
                 "den": str(self.value.denominator),

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import is_prime, is_square, kronecker
-from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2, sqrt_mod
+from .intmath import is_prime, is_square
+from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2
 
 __all__ = [
     "QuadSurd",
@@ -116,24 +116,22 @@ def reduce_mod(j: QuadSurd, q: int) -> list[tuple[int, int]]:
     """The residues of j modulo the odd prime q, as pairs (x0, x1) of the
     standard ``Fq2Field(q)``, F_q(t) with t^2 = z for its non-residue z.
 
-    After ``_local``, split m gives the two conjugate residues in F_q,
-    ramified m a single one, and inert m u/w + (v sqrt(m/z)/w) t, the
-    conjugate with the smaller x1.  So one number has one reduction however
-    m is written, the one its squarefree form gives.
+    After ``_local``, j = (u + v sqrt(m)) / w reduces to (u + v s) / w for
+    the field's square root s of m.  A root in F_q^* means m splits: two
+    conjugate residues in F_q.  A root on t F_q means m is inert: one
+    residue, the conjugate with the smaller x1.  A zero root means m is
+    ramified or q divides v: one residue in F_q.  So one number has one
+    reduction however m is written, the one its squarefree form gives.
     """
     if not is_prime(q) or q == 2:
         raise ValueError(f"q = {q} must be an odd prime")
     u, v, w, m = _local(j, q)
     winv = pow(w, -1, q)
     x0 = u * winv % q
-    symbol = kronecker(m, q)
-    if v % q == 0 or symbol == 0:
-        return [(x0, 0)]
-    if symbol == 1:
-        s = v * sqrt_mod(m, q) * winv
-        return sorted({((x0 + s) % q, 0), ((x0 - s) % q, 0)})
-    x1 = v * sqrt_mod(m * pow(Fq2Field(q).m, -1, q), q) * winv % q
-    return [(x0, min(x1, q - x1))]
+    s0, s1 = (v * r * winv % q for r in Fq2Field(q).sqrt((m, 0)))
+    if s0:
+        return sorted([((x0 + s0) % q, 0), ((x0 - s0) % q, 0)])
+    return [(x0, min(s1, q - s1))]
 
 
 def is_supersingular_j(j: tuple[int, int], q: int) -> bool:

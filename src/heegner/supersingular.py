@@ -7,8 +7,9 @@ lies on a 2-volcano of depth at most log2 q + 1, and of three non-backtracking
 paths from a vertex one descends and meets the floor, where only one
 neighbour lies in F_q^2, within ceil(log2 q) + 1 steps.  So j is supersingular
 iff the roots of Phi_2(j, Y) lie in F_q^2 and three such paths from them never
-leave it: O(log q) square roots, where the Hasse invariant costs O(q).  This
-module imports nothing from the package.
+leave it: O(log q) square roots, where the Hasse invariant costs O(q).  They
+are all the field's: ``Fq2Field`` finds its non-residue once, in its
+constructor, for Tonelli-Shanks.  This module imports nothing from the package.
 
 Hasse-invariant contract: ``hasse_nonzero_fq(q, j)`` and
 ``hasse_nonzero_fq2(q, j0, j1)`` take the invariant itself and answer
@@ -20,8 +21,8 @@ call; they stay as names only because the benchmark's tracer
 
 from __future__ import annotations
 
-__all__ = ["PHI2", "Fq2Field", "sqrt_mod", "phi2_roots", "is_supersingular",
-           "hasse_nonzero_fq", "hasse_nonzero_fq2"]
+__all__ = ["PHI2", "Fq2Field", "phi2_roots", "is_supersingular", "hasse_nonzero_fq",
+           "hasse_nonzero_fq2"]
 
 # Phi_2(X, Y) = sum of PHI2[k][i] X^i Y^k; the polynomial is symmetric.
 PHI2 = (
@@ -37,33 +38,6 @@ def _is_square(a: int, q: int) -> bool:
     return pow(a, (q - 1) // 2, q) != q - 1
 
 
-def _nonresidue(q: int) -> int:
-    return next(z for z in range(2, q) if not _is_square(z, q))
-
-
-def sqrt_mod(a: int, q: int) -> int:
-    """A square root of a modulo an odd prime q (Tonelli-Shanks)."""
-    a %= q
-    if a == 0:
-        return 0
-    if not _is_square(a, q):
-        raise ValueError(f"{a} is not a square mod {q}")
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s d, d odd
-    d = (q - 1) >> s
-    m, c, t, r = s, pow(_nonresidue(q), d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
-    while t != 1:
-        t2, i = t * t % q, 1
-        while t2 != 1:
-            t2 = t2 * t2 % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        m, c = i, b * b % q
-        t, r = t * c % q, r * b % q
-    return r
-
-
 class Fq2Field:
     """F_q^2 = F_q(t), t^2 = m for the least non-residue m, with elements
     x0 + x1 t as pairs (x0, x1), 0 <= xi < q."""
@@ -72,7 +46,7 @@ class Fq2Field:
 
     def __init__(self, q: int):
         self.q = q
-        self.m = _nonresidue(q)
+        self.m = next(z for z in range(2, q) if not _is_square(z, q))
 
     def mul(self, x, y):
         q = self.q
@@ -93,24 +67,45 @@ class Fq2Field:
         return x[0] * n % q, -x[1] * n % q
 
     def sqrt(self, x):
-        """A square root of x, or None.  For x1 != 0 a root y0 + y1 t has
-        y0^2 = (x0 +- sqrt(norm x)) / 2, one sign giving a square in F_q, and
-        y1 = x1 / (2 y0)."""
+        """A square root of x, or None: in F_q or on t F_q for x in F_q.  For
+        x1 != 0 a root y0 + y1 t has y0^2 = (x0 +- sqrt(norm x)) / 2, one sign
+        giving a square in F_q, and y1 = x1 / (2 y0)."""
         q = self.q
-        x0, x1 = x
+        x0, x1 = x[0] % q, x[1] % q
         if x1 == 0:
             if _is_square(x0, q):
-                return sqrt_mod(x0, q), 0
-            return 0, sqrt_mod(x0 * pow(self.m, -1, q), q)
+                return self._sqrt_fq(x0), 0
+            return 0, self._sqrt_fq(x0 * pow(self.m, -1, q) % q)
         norm = (x0 * x0 - self.m * x1 * x1) % q
         if not _is_square(norm, q):
             return None
-        n = sqrt_mod(norm, q)
+        n = self._sqrt_fq(norm)
         y2 = (x0 + n) * (q + 1) // 2 % q
         if not _is_square(y2, q):
             y2 = (x0 - n) * (q + 1) // 2 % q
-        y0 = sqrt_mod(y2, q)
+        y0 = self._sqrt_fq(y2)
         return y0, x1 * pow(2 * y0, -1, q) % q
+
+    def _sqrt_fq(self, a: int) -> int:
+        """A square root of a square 0 <= a < q of F_q: Tonelli-Shanks (Cohen,
+        GTM 138, Algorithm 1.5.1) with the field's non-residue m."""
+        q = self.q
+        if a == 0:
+            return 0
+        if q % 4 == 3:
+            return pow(a, (q + 1) // 4, q)
+        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s d, d odd
+        d = (q - 1) >> s
+        e, c, t, r = s, pow(self.m, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
+        while t != 1:
+            t2, i = t * t % q, 1
+            while t2 != 1:
+                t2 = t2 * t2 % q
+                i += 1
+            b = pow(c, 1 << (e - i - 1), q)
+            e, c = i, b * b % q
+            t, r = t * c % q, r * b % q
+        return r
 
 
 # --- polynomials over F_q^2 modulo a monic cubic --------------------------------

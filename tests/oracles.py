@@ -18,7 +18,11 @@ Also
 the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
-unbounded root and the Diophantine obstruction.  Last, small readers the
+unbounded root and the Diophantine obstruction, and the algebra that checks
+every class polynomial: it splits completely modulo q exactly when the
+ideals above q lie in the principal or the p-ideal class.  The
+Kronecker-symbol reduction of a quadratic surd is the reference for the one
+the library decides by a square root.  Last, small readers the
 library does not need: the checked Gauss reduction of any form, the
 reduced-form test, the Brandt column sums and class polynomials read back
 from JSON.  For the factoring budget, Brent's rho,
@@ -52,7 +56,9 @@ from heegner.intmath import (
     _xadd,
     _xdbl,
     factorize,
+    is_prime,
     is_square,
+    kronecker,
 )
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
 from heegner.modpoly import FPoly, _trim, epsilon_split
@@ -66,6 +72,7 @@ from heegner.quadforms import (
     fundamental_unit,
     heegner_rep,
 )
+from heegner.ssverify import _local
 
 
 # --- ideal arithmetic in O_D with basis (1, w), w = (D + sqrt(D))/2 ---------
@@ -209,6 +216,92 @@ def is_reduced(form: QuadForm) -> bool:
     if (abs(b) == a or a == c) and b < 0:
         return False
     return True
+
+
+# --- class polynomials modulo primes that split in K ------------------------
+# The roots of P_D generate the subfield of the ring class field of O_D fixed
+# by the class of the ramified p-ideal.  So for a prime q = N(Q) prime to D,
+# P_D mod q splits into distinct linear factors iff the class of Q is 1 or
+# that class (Sutherland, Math. Comp. 80, 2011; Enge and Sutherland, ANTS IX,
+# 2010).
+
+
+def _principal_primes(D: int, count: int, above: int) -> list[int]:
+    """The first ``count`` primes q > above of the form (t^2 - v^2 D) / 4,
+    t = v D mod 2, v = 1 or 2: norms of (t + v sqrt(D)) / 2 in O_D, so the
+    principal form of D represents them."""
+    primes = []
+    for t in itertools.count():
+        for v in (1, 2):
+            q = (t * t - v * v * D) // 4
+            if (t - v * D) % 2 == 0 and q > above and q not in primes and is_prime(q):
+                primes.append(q)
+                if len(primes) == count:
+                    return primes
+
+
+def _nonsplit_primes(disc: Discriminant, count: int, above: int) -> list[int]:
+    """The first ``count`` primes q > above, prime to D, that a form of
+    discriminant D outside the principal class and the p-ideal class
+    represents: b^2 = D mod 4q, found by scanning, gives (q, b, c)."""
+    D = disc.D
+    split = {principal_form(D), p_ideal_class(disc)}
+    primes, q = [], above
+    while len(primes) < count:
+        q += 1
+        if not is_prime(q) or D % q == 0:
+            continue
+        b = next((b for b in range(2 * q) if (b * b - D) % (4 * q) == 0), None)
+        if b is not None and reduce_form(QuadForm(q, b, (b * b - D) // (4 * q))) not in split:
+            primes.append(q)
+    return primes
+
+
+def splits_by_class(coeffs, disc: Discriminant, count: int) -> bool:
+    """Whether the monic f of discriminant ``disc`` splits completely modulo
+    the first ``count`` primes q > 2p of the principal class, and modulo none
+    of the first ``count`` of the classes outside the principal and the
+    p-ideal class, as P_D does."""
+    above = 2 * disc.p
+    return (all(splits_completely(coeffs, q) for q in _principal_primes(disc.D, count, above))
+            and not any(splits_completely(coeffs, q)
+                        for q in _nonsplit_primes(disc, count, above)))
+
+
+def splits_completely(coeffs, q: int) -> bool:
+    """Whether the monic integer polynomial f splits into distinct linear
+    factors modulo q, that is, whether X^q = X modulo (f, q).
+
+    Each product is one integer multiplication (Kronecker substitution,
+    ``slot`` bits a coefficient), reduced modulo f by the packed rows
+    X^k mod f, d <= k < 2d.
+    """
+    f = [c % q for c in coeffs]
+    d = len(f) - 1
+    slot = 2 * q.bit_length() + d.bit_length() + 2
+    mask, low = (1 << slot) - 1, (1 << slot * d) - 1
+
+    def pack(a):
+        return sum(c << slot * i for i, c in enumerate(a))
+
+    def unpack(n):
+        return [(n >> slot * i & mask) % q for i in range(d)]
+
+    row, rows = [-c % q for c in f[:d]], []  # X^d mod f
+    for _ in range(d):
+        rows.append(pack(row))
+        row = [(lo - row[-1] * c) % q for lo, c in zip([0] + row[:-1], f)]
+
+    def reduce(n):
+        tops = unpack(n >> slot * d)
+        return pack(unpack((n & low) + sum(c * r for c, r in zip(tops, rows))))
+
+    x = power = reduce(1 << slot)
+    for bit in bin(q)[3:]:
+        power = reduce(power * power)
+        if bit == "1":
+            power = reduce(power << slot)
+    return power == x
 
 
 # --- naive factorization over F_q -------------------------------------------
@@ -1159,6 +1252,32 @@ def supersingular_js(q, m2):
     by the sweep; their number is the census of F_(q^2)."""
     return {(j0, j1) for j1 in range(q) for j0 in range(q)
             if not hasse_nonzero_by_sweep(q, m2, *curve_from_j(q, m2, j0, j1))}
+
+
+# --- reduction of a quadratic surd, decided by the Kronecker symbol ----------
+
+
+def reduce_mod_by_kronecker(j, q: int) -> list[tuple[int, int]]:
+    """The residues of ``ssverify.reduce_mod``, with split, inert and
+    ramified m told apart by the symbol (m | q): two residues in F_q for
+    split m, one for ramified m or q | v, and for inert m one on t F_q, with
+    sqrt(m) = sqrt(m / z) t for the non-residue z of the standard F_q^2.
+    Square roots by scanning F_q, so only for small q."""
+    u, v, w, m = _local(j, q)
+    winv = pow(w, -1, q)
+    x0 = u * winv % q
+    symbol = kronecker(m, q)
+    if v % q == 0 or symbol == 0:
+        return [(x0, 0)]
+    if symbol == 1:
+        s = v * _sqrt_by_scan(m, q) * winv
+        return sorted({((x0 + s) % q, 0), ((x0 - s) % q, 0)})
+    x1 = v * _sqrt_by_scan(m * pow(nonresidue(q), -1, q), q) * winv % q
+    return [(x0, min(x1, q - x1))]
+
+
+def _sqrt_by_scan(a: int, q: int) -> int:
+    return next(r for r in range(q) if (r * r - a) % q == 0)
 
 
 # --- real roots of integer polynomials by Sturm sequences over Z ------------

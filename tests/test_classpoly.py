@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from heegner.classpoly import (
+    ClassPolynomial,
     build_PD,
     build_Pl,
     evaluate,
@@ -29,6 +30,7 @@ from oracles import (
     poly_from_json,
     principal_form,
     real_roots,
+    splits_by_class,
 )
 
 # SHA-256 of the 160 sweep polynomials as JSON lines, in admissible_pairs()
@@ -54,6 +56,13 @@ P1628_COEFFS = (
 
 
 class TestBuildPD:
+    def test_refuses_non_monic_or_unproven(self):
+        with pytest.raises(ValueError, match="monic"):
+            ClassPolynomial(11, -220, (121, -77, 2), 0.0)
+        with pytest.raises(ValueError, match="residual"):
+            ClassPolynomial(11, -220, (121, -77, 1), classpoly.ROUNDING_TOLERANCE)
+        ClassPolynomial(11, -220, (121, -77, 1), classpoly.ROUNDING_TOLERANCE / 2)
+
     def test_minus_220(self):
         poly = build_PD(-220, 11)
         assert poly.coefficients == (121, -77, 1)
@@ -232,6 +241,27 @@ def test_cross_construction_sweep(sweep_polys):
             assert alt.coefficients == poly.coefficients, (p, ell, poly.D)
             checked += 1
     assert checked >= 100
+
+
+def test_sweep_polynomials_split_by_the_class_of_q(sweep_polys):
+    # algebra, not q-series: every sweep P_D of degree >= 2 splits completely
+    # modulo 4 primes of the principal class and modulo none of 4 primes of
+    # the other classes, and its constant term off by one fails that in every
+    # case; with 3 primes of each kind, P_-763 with c_0 - 1 passes, and no
+    # number of principal primes alone refuses P_-55 = X^2 + X - 11 with
+    # c_0 - 1, which is (X + 4)(X - 3)
+    checked = 0
+    for (p, ell), shapes in sweep_polys.items():
+        for shape, poly in shapes.items():
+            if poly.degree < 2:
+                continue
+            disc, coeffs = Discriminant(p, ell, shape), poly.coefficients
+            assert splits_by_class(coeffs, disc, 4), poly.D
+            for delta in (1, -1):
+                assert not splits_by_class((coeffs[0] + delta,) + coeffs[1:], disc, 4), (
+                    poly.D, delta)
+            checked += 1
+    assert checked == 153
 
 
 def test_sweep_polynomials_pinned(sweep_polys):

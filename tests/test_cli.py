@@ -226,6 +226,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--j", "1/1", "--q", "13")
         assert code == 1 and out == "ordinary"
 
+    def test_conjugate_residues_disagree_exit_64(self, capsys):
+        # 3 + sqrt(2) is no CM j-invariant: mod 7 its residues are 3 +- 3, the
+        # ordinary 0 and the supersingular 6 = 1728
+        code, out, err = run(capsys, "verify", "--j", "3+sqrt(2)", "--q", "7")
+        assert code == 64 and out == "" and "conjugate residues disagree at q = 7" in err
+
     def test_unverified_large_exit_4(self, capsys):
         code, out, _ = run(capsys, "verify", "--j", self.J, "--q", str(2**64 + 13))
         assert code == 4 and out == "unverified-large"

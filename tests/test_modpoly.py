@@ -286,6 +286,21 @@ class TestModPSquareCheck:
             with pytest.raises(ValueError, match="companion"):
                 mod_p_square_check(poly, companion)
 
+    def test_t2_pattern_mismatch_is_no_square(self):
+        # P_-220 = X^2 mod 11 is the pattern of the companion P_-55 = X (X + 1)
+        # mod 11; a companion X^2 of the same D predicts another one
+        poly, companion = build_PD(-220, 11), build_PD(-55, 11)
+        assert mod_p_square_check(poly, companion) is not None
+        other = dataclasses.replace(companion, coefficients=(0, 0, 1))
+        assert mod_p_square_check(poly, other) is None
+
+    def test_companion_roots_outside_the_brandt_basis_raise(self):
+        # X^2 + 1 has no root mod 11, so neither 0 nor -1 counts its roots
+        poly, companion = build_PD(-220, 11), build_PD(-55, 11)
+        other = dataclasses.replace(companion, coefficients=(1, 0, 1))
+        with pytest.raises(ArithmeticError, match="outside the Brandt basis"):
+            mod_p_square_check(poly, other)
+
     def test_t2_pattern_holds_at_19(self, monkeypatch, sweep_polys):
         # the Brandt data of p = 19 predicts its exponent pattern too, so the
         # t2_check flag could follow from the table's brandt entry

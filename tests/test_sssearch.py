@@ -9,9 +9,11 @@ import pytest
 
 from heegner.classpoly import evaluate
 from heegner.intmath import FactorBudget, is_prime, kronecker
+from heegner.levels import level
 from heegner.sssearch import (
     RealJCaseError,
     SupersingularAtPError,
+    _runtime_squareness,
     ell_admissible,
     extract_primes,
     search,
@@ -300,6 +302,52 @@ def test_runtime_symbol_is_wired(monkeypatch):
     monkeypatch.setattr(mod, "evaluate", nonsquare_value)
     with pytest.raises(ArithmeticError, match="nonsquare modulo 55"):
         search(11, H11, count=1)
+
+
+def test_runtime_squareness_refuses_a_part_without_the_linear_shape():
+    # P_D + (X - r) keeps the root r of the level's linear factor mod l, but
+    # its cofactor R^2 + 1 is no square once R is not constant
+    poly, parts = search_polynomial(5, 7)
+    r = level(5).linear_root
+    part = parts[1]
+    assert part.degree == 3
+    c = part.coefficients
+    bad = dataclasses.replace(part, coefficients=(c[0] - r, c[1] + 1) + c[2:])
+    value = evaluate(poly, Fraction(2))
+    _runtime_squareness(5, 7, poly, parts, value)
+    with pytest.raises(ArithmeticError, match=r"lacks the \(X - \(-22\)\) R\^2 shape"):
+        _runtime_squareness(5, 7, poly, (parts[0], bad), value)
+
+
+def test_runtime_squareness_refuses_a_nonsquare_mod_p():
+    # P_-220 = X^2 - 77 X + 121 is X^2 mod 11; one more in its constant term
+    # makes it X^2 + 1, no square mod 11
+    poly, parts = search_polynomial(11, 5)
+    assert poly.coefficients == (121, -77, 1)
+    value = evaluate(poly, H11)
+    _runtime_squareness(11, 5, poly, parts, value)
+    bad = dataclasses.replace(poly, coefficients=(122, -77, 1))
+    with pytest.raises(ArithmeticError, match="not a perfect square mod 11"):
+        _runtime_squareness(11, 5, bad, parts, value)
+
+
+def test_check_names_each_broken_invariant():
+    # one field of a good certificate corrupted at a time: check() raises,
+    # naming that invariant
+    cert = search(11, H11, count=1)[0]
+    cert.check()
+    pl, num = cert.p * cert.ell, cert.value.numerator
+    stranger = next(r for r in range(3, 1000) if is_prime(r) and kronecker(r, pl) == -1
+                    and num % r and r not in cert.sigma and r != cert.p)
+    cases = [
+        ({"value": -cert.value}, "not negative"),
+        ({"value": Fraction(-1, 2)}, "denominator is not a perfect square"),
+        ({"sigma": cert.sigma + cert.selected[:1]}, f"{cert.selected[0]} is excluded"),
+        ({"selected": cert.selected + (stranger,)}, f"{stranger} does not divide"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ArithmeticError, match=message):
+            dataclasses.replace(cert, **change).check()
 
 
 def test_check_rejects_nonsquare_numerator():

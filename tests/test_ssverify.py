@@ -15,9 +15,9 @@ from heegner.ssverify import (
     reduce_mod,
     verify_certificate,
 )
-from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots, sqrt_mod
+from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots
 
-from oracles import norm_square_check, point_count, supersingular_mass
+from oracles import norm_square_check, point_count, reduce_mod_by_kronecker, supersingular_mass
 
 ABOVE_VERIFY_BOUND = 2**64 + 13  # the least prime above the bound
 
@@ -73,20 +73,6 @@ class TestQuadSurd:
             QuadSurd.from_string("garbage+")
 
 
-class TestSqrtMod:
-    def test_random_squares(self):
-        rng = random.Random(5)
-        for q in (5, 13, 17, 101, 151, 2309, 10007):
-            for _ in range(20):
-                x = rng.randrange(1, q)
-                r = sqrt_mod(x * x % q, q)
-                assert r * r % q == x * x % q
-
-    def test_nonresidue_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_mod(2, 5)
-
-
 class TestReduceMod:
     def test_known_mod_7(self):
         assert reduce_mod(J11_POINT, 7) == [(6, 0)]  # -84567 = 0 mod 7
@@ -138,6 +124,32 @@ class TestReduceMod:
     def test_bad_reduction(self):
         with pytest.raises(BadReductionError):
             reduce_mod(QuadSurd.make(1, 2, 35, -3), 7)  # 7 | w
+
+    def test_agrees_with_the_kronecker_reference(self):
+        # the field's square root of m decides split, inert and ramified m as
+        # the symbol (m | q) does, also where q | v or q^2 | m
+        rng = random.Random(41)
+        primes = [q for q in range(3, 400) if is_prime(q)]
+        kinds = set()
+        for _ in range(1500):
+            q = rng.choice(primes)
+            m = rng.choice([-1, 1]) * rng.randrange(2, 300) * rng.choice([1, q, q * q])
+            j = QuadSurd.make(rng.randrange(-500, 500), rng.randrange(1, 30) * rng.choice([1, q]),
+                              rng.randrange(1, 40) * rng.choice([1, 1, q]), m)
+            try:
+                expected = reduce_mod_by_kronecker(j, q)
+            except BadReductionError:
+                with pytest.raises(BadReductionError):
+                    reduce_mod(j, q)
+                continue
+            assert reduce_mod(j, q) == expected, (j, q)
+            if j.v % q == 0:
+                kinds.add("q | v")
+            elif j.m % (q * q) == 0:
+                kinds.add("q^2 | m")
+            else:
+                kinds.add({1: "split", -1: "inert", 0: "ramified"}[kronecker(j.m, q)])
+        assert kinds == {"split", "inert", "ramified", "q | v", "q^2 | m"}
 
 
 class TestIsSupersingular:

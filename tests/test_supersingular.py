@@ -56,6 +56,30 @@ class TestFq2Field:
                 if norm:
                     assert (F.sqrt(x) is None) == (pow(norm, (q - 1) // 2, q) != 1), (q, x)
 
+    def test_sqrt_of_fq_squares(self):
+        # a square of F_q has its root in F_q; 17 and 65537 = 2^16 + 1 run
+        # the Tonelli-Shanks loop with q - 1 = 2^s d for s = 4 and 16
+        rng = random.Random(5)
+        for q in (5, 13, 17, 101, 151, 2309, 10007, 65537):
+            F = Fq2Field(q)
+            for _ in range(20):
+                x = rng.randrange(1, q)
+                r0, r1 = F.sqrt((x * x % q, 0))
+                assert r1 == 0 and r0 * r0 % q == x * x % q, (q, x)
+
+    def test_sqrt_of_fq_nonsquare_on_t_fq(self):
+        # 2 is not a square mod 5: its root is y1 t with y1^2 = 2 / m, on t F_q
+        F = Fq2Field(5)
+        root = F.sqrt((2, 0))
+        assert root[0] == 0 and root[1] != 0 and F.mul(root, root) == (2, 0)
+        rng = random.Random(6)
+        for q in (13, 17, 2309, 65537):
+            F = Fq2Field(q)
+            for _ in range(20):
+                x = F.m * pow(rng.randrange(1, q), 2, q) % q  # a non-square
+                root = F.sqrt((x, 0))
+                assert root[0] == 0 and F.mul(root, root) == (x, 0), (q, x)
+
     def test_inverse(self):
         F = Fq2Field(101)
         for x in ((1, 0), (0, 1), (37, 64)):
