@@ -18,7 +18,6 @@ from .classpoly import (
 from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
 from .levels import LEVELS, Level, T2Data, level
 from .modpoly import (
-    FPoly,
     epsilon_split,
     is_perfect_square,
     is_square_times_linear,

@@ -1,21 +1,19 @@
 """Polynomial arithmetic over prime fields and the mod-l / mod-p square tests.
 
-Polynomials are coefficient tuples in ascending degree.  ``poly_mul`` is the
-package's one polynomial product, on integer coefficients; an ``FPoly``
-holds its entries reduced into [0, q).  Squareness is decided by computing
-the monic square root coefficient by coefficient from the top and squaring
-it back with ``poly_mul`` mod q, never through a factorization.
+Polynomials are integer coefficient tuples in ascending degree, reduced into
+[0, q) modulo q; ``poly_mul`` is the package's one polynomial product.  The
+square tests check once that the modulus is an odd prime and the polynomial
+monic, reduce it, and decide squareness by computing the monic square root
+coefficient by coefficient from the top and squaring it back with
+``poly_mul`` mod q, never through a factorization.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .intmath import is_prime, kronecker
 from .levels import level
 
 __all__ = [
-    "FPoly",
     "poly_mul",
     "is_perfect_square",
     "is_square_times_linear",
@@ -23,40 +21,6 @@ __all__ = [
     "epsilon_split",
     "supersingular_jp_residues",
 ]
-
-
-@dataclass(frozen=True)
-class FPoly:
-    """Dense polynomial over F_q, ascending coefficients, trimmed."""
-
-    q: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.q) or self.q == 2:
-            raise ValueError(f"modulus {self.q} must be an odd prime")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be trimmed")
-        if any(not 0 <= c < self.q for c in self.coeffs):
-            raise ValueError("coefficients must lie in [0, q)")
-
-    @classmethod
-    def from_coeffs(cls, coeffs, q: int) -> "FPoly":
-        return cls(q, _trim(tuple(c % q for c in coeffs)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-
-def _trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
 
 
 def poly_mul(f, g) -> tuple[int, ...]:
@@ -80,42 +44,58 @@ def _divide_linear(f, r, q):
     return tuple(reversed(quot)), rem
 
 
-def is_perfect_square(f: FPoly) -> FPoly | None:
-    """The monic square root of f, or None when f is not a square.
+def _monic_mod(coeffs, q):
+    """coeffs reduced into [0, q), once q is known to be an odd prime and
+    the polynomial to be monic modulo q."""
+    if q == 2 or not is_prime(q):
+        raise ValueError(f"modulus {q} must be an odd prime")
+    f = tuple(c % q for c in coeffs)
+    if not f or f[-1] != 1:
+        raise ValueError(f"square test expects a monic polynomial mod {q}")
+    return f
+
+
+def _square_root(f, q):
+    """The monic square root of the reduced monic f over F_q, or None.
 
     For f of degree 2n the root g is monic of degree n, and matching the
     coefficients of X^(2n-1), ..., X^n of g^2 with those of f fixes
     g_(n-1), ..., g_0 one at a time (2 is invertible since q is odd); f is a
     square iff that g squares back to f.
     """
-    if not f.is_monic():
-        raise ValueError("square test expects a monic polynomial")
-    if f.degree % 2:
+    if len(f) % 2 == 0:  # odd degree
         return None
-    q, n = f.q, f.degree // 2
+    n = len(f) // 2
     half = pow(2, -1, q)
     g = [0] * n + [1]
     for k in range(1, n + 1):
         acc = sum(g[i] * g[2 * n - k - i] for i in range(n - k + 1, n))
-        g[n - k] = (f.coeffs[2 * n - k] - acc) * half % q
+        g[n - k] = (f[2 * n - k] - acc) * half % q
     root = tuple(g)
-    square = tuple(c % q for c in poly_mul(root, root))
-    return FPoly(q, root) if square == f.coeffs else None
+    return root if tuple(c % q for c in poly_mul(root, root)) == f else None
 
 
-def is_square_times_linear(f: FPoly, r: int) -> FPoly | None:
-    """Square root of f/(X - r) when f has that shape; r is the root."""
-    if not f.is_monic() or f.degree % 2 == 0:
+def is_perfect_square(coeffs, q: int) -> tuple[int, ...] | None:
+    """The monic square root mod q of the integer polynomial ``coeffs``,
+    monic modulo the odd prime q, or None when it is not a square there."""
+    return _square_root(_monic_mod(coeffs, q), q)
+
+
+def is_square_times_linear(coeffs, q: int, r: int) -> tuple[int, ...] | None:
+    """The monic square root mod q of coeffs / (X - r), or None when the
+    quotient is not a square; coeffs is monic of odd degree with root r."""
+    f = _monic_mod(coeffs, q)
+    if len(f) % 2:
         raise ValueError("expected a monic polynomial of odd degree")
-    q = f.q
-    quot, rem = _divide_linear(f.coeffs, r, q)
+    quot, rem = _divide_linear(f, r, q)
     if rem:
         raise ArithmeticError(f"(X - {r % q}) does not divide the polynomial mod {q}")
-    return is_perfect_square(FPoly(q, quot))
+    return _square_root(quot, q)
 
 
 def epsilon_split(D_prime: int) -> int:
-    """0, 1 or 2 as 2 is inert, ramified or split in the order of odd disc D'."""
+    """0 or 2 as 2 is inert or split in the order of odd discriminant D';
+    2 never ramifies there, since D' = 1 mod 4."""
     if D_prime % 2 == 0:
         raise ValueError("epsilon_split expects an odd discriminant")
     if D_prime % 4 != 1:
@@ -132,7 +112,7 @@ def supersingular_jp_residues(p: int) -> tuple[int, ...]:
     return level(p).supersingular
 
 
-def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
+def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[int, ...] | None:
     """Perfect-square test of a class polynomial modulo its own p.
 
     ``poly`` is a ClassPolynomial for D = -4pl or the product P_l of the
@@ -150,30 +130,31 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> FPoly | None:
     lev = level(p)
     if lev.t2_check and (poly_minus_pl is None or 4 * poly_minus_pl.D != poly.D):
         raise ValueError(f"the T_2 check at p = {p} needs the companion P_(D/4) of D = {poly.D}")
-    f = FPoly.from_coeffs(poly.coefficients, p)
-    root = is_perfect_square(f)
+    f = _monic_mod(poly.coefficients, p)
+    root = _square_root(f, p)
     if root is None:
         return None
     if lev.t2_check:
         basis, matrix = lev.brandt.basis, lev.brandt.matrix
-        g = FPoly.from_coeffs(poly_minus_pl.coefficients, p)
-        m = [_root_multiplicity(g, b) for b in basis]
-        if sum(m) != g.degree:
+        g = tuple(c % p for c in poly_minus_pl.coefficients)
+        m = [_root_multiplicity(g, b, p) for b in basis]
+        if sum(m) != len(g) - 1:
             raise ArithmeticError(
-                f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g.coeffs}"
+                f"P_(-pl) mod {p} has roots outside the Brandt basis {basis}: {g}"
             )
         eps = epsilon_split(poly_minus_pl.D)
         expected = [sum(mj * row[i] for mj, row in zip(m, matrix)) - eps * m[i]
                     for i in range(len(basis))]
-        if ([_root_multiplicity(f, b) for b in basis] != expected
-                or sum(expected) != f.degree):
+        if ([_root_multiplicity(f, b, p) for b in basis] != expected
+                or sum(expected) != len(f) - 1):
             return None
     return root
 
 
-def _root_multiplicity(f: FPoly, r: int) -> int:
-    count, (quot, rem) = 0, _divide_linear(f.coeffs, r, f.q)
+def _root_multiplicity(f, r: int, q: int) -> int:
+    """The multiplicity of r as a root of the reduced, nonzero f over F_q."""
+    count, (quot, rem) = 0, _divide_linear(f, r, q)
     while not rem:
         count += 1
-        quot, rem = _divide_linear(quot, r, f.q)
+        quot, rem = _divide_linear(quot, r, q)
     return count

@@ -23,12 +23,7 @@ from fractions import Fraction
 from .classpoly import ClassPolynomial, build_PD, build_Pl, evaluate
 from .intmath import FactorBudget, Factorization, factorize, is_prime, is_square, kronecker
 from .levels import LEVELS, level
-from .modpoly import (
-    FPoly,
-    is_perfect_square,
-    is_square_times_linear,
-    mod_p_square_check,
-)
+from .modpoly import is_perfect_square, is_square_times_linear, mod_p_square_check
 from .quadforms import Discriminant
 from .hauptmodul import jp_arc_interval
 from .ssverify import (
@@ -165,11 +160,10 @@ def _runtime_squareness(p: int, ell: int, poly: ClassPolynomial, parts,
     lev = level(p)
     root = lev.linear_root
     for part in parts:
-        g = FPoly.from_coeffs(part.coefficients, ell)
         if root is None:
-            if is_perfect_square(g) is None:
+            if is_perfect_square(part.coefficients, ell) is None:
                 raise ArithmeticError(f"P_D mod {ell} is not a perfect square (p={p})")
-        elif is_square_times_linear(g, root) is None:
+        elif is_square_times_linear(part.coefficients, ell, root) is None:
             raise ArithmeticError(f"P_D mod {ell} lacks the (X - ({root})) R^2 shape (p={p})")
     companion = build_PD(Discriminant(p, ell, "-pl")) if lev.t2_check else None
     if mod_p_square_check(poly, companion) is None:

@@ -46,7 +46,9 @@ class Fq2Field:
 
     def __init__(self, q: int):
         self.q = q
-        self.m = next(z for z in range(2, q) if not _is_square(z, q))
+        self.m = next((z for z in range(2, q) if not _is_square(z, q)), None)
+        if self.m is None:
+            raise ValueError(f"F_{q} has no non-residue to adjoin a square root of")
 
     def mul(self, x, y):
         q = self.q

@@ -61,7 +61,7 @@ from heegner.intmath import (
     kronecker,
 )
 from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
-from heegner.modpoly import FPoly, _trim, epsilon_split
+from heegner.modpoly import epsilon_split
 from heegner.quadforms import (
     Discriminant,
     QuadForm,
@@ -325,26 +325,32 @@ def _fq_divmod(f, g, q):
     return tuple(quot), tuple(f)
 
 
-def fq_mul(*factors: FPoly) -> FPoly:
-    """The product of polynomials over one F_q, by schoolbook multiplication."""
-    q = factors[0].q
+def _trim(f):
+    """f without its zero leading coefficients, as a tuple."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
+
+
+def fq_mul(factors, q: int) -> tuple[int, ...]:
+    """The product over F_q of coefficient tuples, by schoolbook
+    multiplication, reduced into [0, q) and trimmed."""
     out = [1]
     for f in factors:
-        if f.q != q:
-            raise ValueError("mixed moduli")
-        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        prod = [0] * (len(out) + len(f) - 1)
         for i, a in enumerate(out):
-            for j, b in enumerate(f.coeffs):
+            for j, b in enumerate(f):
                 prod[i + j] = (prod[i + j] + a * b) % q
         out = prod
-    return FPoly.from_coeffs(out, q)
+    return _trim(out)
 
 
-def fq_eval(f: FPoly, x: int) -> int:
+def fq_eval(coeffs, q: int, x: int) -> int:
     """f(x) in F_q, by Horner's rule."""
     acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % f.q
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
     return acc
 
 
@@ -415,20 +421,20 @@ def _qth_root(f, q):
     return _trim(out)
 
 
-def squarefree_decomposition(f: FPoly) -> list[tuple[FPoly, int]]:
-    """f = prod g_i^(e_i) with the g_i squarefree, monic, pairwise coprime.
+def squarefree_decomposition(coeffs, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """f = prod g_i^(e_i) over F_q with the g_i squarefree, monic, pairwise
+    coprime, as (g_i, e_i) with g_i a coefficient tuple.
 
     Char-q variant of Yun's algorithm: the part of f whose multiplicities are
     divisible by q has vanishing derivative and is peeled off through a q-th
     root before recursing.
     """
-    if not f.coeffs:
+    f = _trim(c % q for c in coeffs)
+    if not f:
         raise ValueError("cannot decompose the zero polynomial")
-    q = f.q
     out: dict[tuple[int, ...], int] = {}
-    _sqf_into(_monic(f.coeffs, q), q, 1, out)
-    factors = sorted(out.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
-    return [(FPoly(q, g), e) for g, e in factors]
+    _sqf_into(_monic(f, q), q, 1, out)
+    return sorted(out.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
 
 
 def _sqf_into(f, q, scale, out):

@@ -24,7 +24,6 @@ from heegner.classpoly import (
 from heegner.hauptmodul import jp_arc_interval
 from heegner.intmath import is_prime, kronecker
 from heegner.modpoly import (
-    FPoly,
     epsilon_split,
     is_perfect_square,
     is_square_times_linear,
@@ -148,12 +147,12 @@ def test_criterion_5_squareness_suite(sweep_polys):
         for (p, ell), shapes in polys.items():
             for poly in shapes.values():
                 instances += 1
-                f = FPoly.from_coeffs(poly.coefficients, ell)
+                f = poly.coefficients
                 if p % 4 == 3:
-                    assert is_perfect_square(f) is not None, (p, ell, poly.D)
+                    assert is_perfect_square(f, ell) is not None, (p, ell, poly.D)
                 else:
                     root = -22 if p == 5 else -6
-                    assert is_square_times_linear(f, root) is not None, (p, ell, poly.D)
+                    assert is_square_times_linear(f, ell, root) is not None, (p, ell, poly.D)
             if p % 4 == 3:
                 companion = shapes["-pl"] if p == 11 else None
                 ok = mod_p_square_check(shapes["-4pl"], companion) is not None
@@ -268,9 +267,7 @@ def test_criterion_8_level_23_empirical():
     with criterion(8, "P_D mod 23 is a perfect square exactly at l in {101, 173, 317}"):
         for ell in (101, 173, 317):
             poly = build_PD(Discriminant(23, ell, "-4pl"))
-            f = FPoly.from_coeffs(poly.coefficients, 23)
-            assert is_perfect_square(f) is not None, ell
+            assert is_perfect_square(poly.coefficients, 23) is not None, ell
         # negative control: the smallest admissible l is not a square case
         control = build_PD(Discriminant(23, 13, "-4pl"))
-        f = FPoly.from_coeffs(control.coefficients, 23)
-        assert is_perfect_square(f) is None
+        assert is_perfect_square(control.coefficients, 23) is None

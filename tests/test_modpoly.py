@@ -6,7 +6,6 @@ import pytest
 from heegner.classpoly import build_PD, build_Pl
 from heegner.levels import LEVELS, level
 from heegner.modpoly import (
-    FPoly,
     _divide_linear,
     _root_multiplicity,
     epsilon_split,
@@ -28,32 +27,27 @@ from oracles import (
 )
 
 
-def fp(coeffs, q):
-    return FPoly.from_coeffs(coeffs, q)
-
-
 class TestSquarefreeDecomposition:
     def test_simple_square(self):
         # X^2 + 2X + 1 = (X+1)^2 mod 5
-        dec = squarefree_decomposition(fp([1, 2, 1], 5))
-        assert dec == [(fp([1, 1], 5), 2)]
+        dec = squarefree_decomposition((1, 2, 1), 5)
+        assert dec == [((1, 1), 2)]
 
     def test_P220_mod_5(self):
         # X^2 - 77X + 121 = (X+4)^2 mod 5
-        dec = squarefree_decomposition(fp([121, -77, 1], 5))
-        assert dec == [(fp([4, 1], 5), 2)]
+        dec = squarefree_decomposition((121, -77, 1), 5)
+        assert dec == [((4, 1), 2)]
 
     def test_qth_power(self):
         # (X+1)^5 mod 5 = X^5 + 1 has zero derivative
-        f = fp([1, 0, 0, 0, 0, 1], 5)
-        assert squarefree_decomposition(f) == [(fp([1, 1], 5), 5)]
+        assert squarefree_decomposition((1, 0, 0, 0, 0, 1), 5) == [((1, 1), 5)]
 
     def test_mixed_multiplicities(self):
         q = 7
-        f = fp([3, 1], q)  # X + 3
-        g = fp([1, 1], q)  # X + 1
-        prod = fq_mul(f, *[g] * 6)  # (X+3)(X+1)^6
-        dec = dict((tuple(p.coeffs), e) for p, e in squarefree_decomposition(prod))
+        f = (3, 1)  # X + 3
+        g = (1, 1)  # X + 1
+        prod = fq_mul([f] + [g] * 6, q)  # (X+3)(X+1)^6
+        dec = dict(squarefree_decomposition(prod, q))
         assert dec == {(3, 1): 1, (1, 1): 6}
 
     def test_reconstruction_random(self):
@@ -62,35 +56,33 @@ class TestSquarefreeDecomposition:
             q = rng.choice([3, 5, 7, 11, 13, 23, 41, 59, 83, 97])
             f = _random_monic(rng, q, rng.randrange(1, 4))
             g = _random_monic(rng, q, rng.randrange(1, 4))
-            prod = fq_mul(f, g, g)
-            dec = squarefree_decomposition(prod)
-            acc = FPoly(q, (1,))
+            prod = fq_mul([f, g, g], q)
+            dec = squarefree_decomposition(prod, q)
+            acc = (1,)
             for part, e in dec:
-                assert part.is_monic()
+                assert part[-1] == 1
                 for _ in range(e):
-                    acc = fq_mul(acc, part)
-            assert acc.coeffs == prod.coeffs
+                    acc = fq_mul([acc, part], q)
+            assert acc == prod
             # parts squarefree and pairwise coprime
             for i, (part, _) in enumerate(dec):
-                assert _gcd(part.coeffs, _diff(part.coeffs, q), q) == (1,)
+                assert _gcd(part, _diff(part, q), q) == (1,)
                 for part2, _ in dec[i + 1 :]:
-                    assert _gcd(part.coeffs, part2.coeffs, q) == (1,)
+                    assert _gcd(part, part2, q) == (1,)
 
     def test_against_brute_factorization(self):
         rng = random.Random(23)
         for _ in range(120):
             q = rng.choice([3, 5, 7, 11, 13])
             f = _random_monic(rng, q, rng.randrange(2, 9))
-            brute = factor_fq_brute(f.coeffs, q)
-            dec = squarefree_decomposition(f)
+            brute = factor_fq_brute(f, q)
+            dec = squarefree_decomposition(f, q)
             # group brute factors by multiplicity and compare products
             by_mult = {}
             for g, e in brute.items():
-                acc = by_mult.get(e, FPoly(q, (1,)))
-                by_mult[e] = fq_mul(acc, FPoly(q, g))
-            got = {e: p.coeffs for p, e in dec}
-            want = {e: p.coeffs for e, p in by_mult.items()}
-            assert got == want, (q, f.coeffs)
+                by_mult[e] = fq_mul([by_mult.get(e, (1,)), g], q)
+            got = {e: p for p, e in dec}
+            assert got == by_mult, (q, f)
 
     def test_small_q_degree8_exhaustive_oracle(self):
         rng = random.Random(29)
@@ -99,23 +91,20 @@ class TestSquarefreeDecomposition:
             inputs = [_random_monic(rng, q, rng.randrange(2, dmax + 1)) for _ in range(20)]
             for _ in range(20):
                 g = _random_monic(rng, q, rng.randrange(1, (dmax - 2) // 2 + 1))
-                inputs.append(fq_mul(_random_monic(rng, q, rng.randrange(1, 3)), g, g))
+                inputs.append(fq_mul([_random_monic(rng, q, rng.randrange(1, 3)), g, g], q))
             for c in range(min(q, 4)):
-                qth = fp([c] + [0] * (q - 1) + [1], q)  # (X + c)^q
-                inputs += [qth, fq_mul(qth, qth)]
+                qth = (c,) + (0,) * (q - 1) + (1,)  # (X + c)^q
+                inputs += [qth, fq_mul([qth, qth], q)]
             squares = 0
             for f in inputs:
-                brute = factor_fq_brute(f.coeffs, q)
-                square_free_part = FPoly(q, (1,))
-                for g, e in brute.items():
-                    if e % 2:
-                        square_free_part = fq_mul(square_free_part, FPoly(q, g))
-                oracle_is_square = square_free_part.coeffs == (1,)
-                root = is_perfect_square(f)
-                assert (root is not None) == oracle_is_square, (q, f.coeffs)
+                brute = factor_fq_brute(f, q)
+                square_free_part = fq_mul([g for g, e in brute.items() if e % 2], q)
+                oracle_is_square = square_free_part == (1,)
+                root = is_perfect_square(f, q)
+                assert (root is not None) == oracle_is_square, (q, f)
                 if root is not None:
                     squares += 1
-                    assert root.is_monic() and fq_mul(root, root).coeffs == f.coeffs
+                    assert root[-1] == 1 and fq_mul([root, root], q) == f
             assert squares >= min(q, 4)
 
 
@@ -129,28 +118,27 @@ def test_sweep_square_test_against_decomposition(sweep_polys):
         if len(level(p).shapes) == 2:
             cases.append((build_Pl(tuple(polys)), p))
         for poly, q in cases:
-            f = FPoly.from_coeffs(poly.coefficients, q)
-            even = all(e % 2 == 0 for _, e in squarefree_decomposition(f))
-            root = is_perfect_square(f)
+            f = poly.coefficients
+            even = all(e % 2 == 0 for _, e in squarefree_decomposition(f, q))
+            root = is_perfect_square(f, q)
             assert (root is not None) == even, (p, ell, poly.D, q)
             if root is not None:
-                assert fq_mul(root, root).coeffs == f.coeffs
+                assert fq_mul([root, root], q) == tuple(c % q for c in f)
             outcomes.append(even)
     assert len(outcomes) > 2 * 160 and len(set(outcomes)) == 2
 
 
 def _random_monic(rng, q, degree):
-    coeffs = [rng.randrange(q) for _ in range(degree)] + [1]
-    return FPoly.from_coeffs(coeffs, q)
+    return tuple(rng.randrange(q) for _ in range(degree)) + (1,)
 
 
 class TestPerfectSquare:
     def test_P220_mod_5(self):
-        root = is_perfect_square(fp([121, -77, 1], 5))
-        assert root == fp([4, 1], 5)
+        root = is_perfect_square((121, -77, 1), 5)
+        assert root == (4, 1)
 
     def test_odd_exponent(self):
-        assert is_perfect_square(fp([0, 0, 0, 1], 7)) is None  # X^3
+        assert is_perfect_square((0, 0, 0, 1), 7) is None  # X^3
 
     def test_P1628_mod_37(self):
         coeffs = [
@@ -164,30 +152,79 @@ class TestPerfectSquare:
             -101042,
             1,
         ]
-        root = is_perfect_square(fp(coeffs, 37))
-        assert root is not None and root.degree == 4
+        root = is_perfect_square(coeffs, 37)
+        assert root is not None and len(root) - 1 == 4
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
-            is_perfect_square(fp([1, 0, 2], 5))
+            is_perfect_square((1, 0, 2), 5)
 
 
 class TestSquareTimesLinear:
     def test_exact_linear(self):
         q = 101
-        root = is_square_times_linear(fp([22, 1], q), -22)
-        assert root == FPoly(q, (1,))
+        root = is_square_times_linear((22, 1), q, -22)
+        assert root == (1,)
 
     def test_shifted_square(self):
         q = 31
-        g = fp([5, 2, 1], q)
-        f = fq_mul(fp([22, 1], q), g, g)
-        root = is_square_times_linear(f, -22)
+        g = (5, 2, 1)
+        f = fq_mul([(22, 1), g, g], q)
+        root = is_square_times_linear(f, q, -22)
         assert root == g
 
     def test_nondivisible_raises(self):
         with pytest.raises(ArithmeticError):
-            is_square_times_linear(fp([1, 1, 0, 1], 7), -6)
+            is_square_times_linear((1, 1, 0, 1), 7, -6)
+
+
+class TestInputChecks:
+    # the square tests take integer coefficients and the modulus, and check
+    # both themselves
+    @pytest.mark.parametrize("q", [2, 4, 9, 15, 1, 0])
+    def test_modulus_must_be_an_odd_prime(self, q):
+        with pytest.raises(ValueError, match="odd prime"):
+            is_perfect_square((1, 2, 1), q)
+        with pytest.raises(ValueError, match="odd prime"):
+            is_square_times_linear((1, 1), q, -1)
+
+    @pytest.mark.parametrize("f", [(1, 0, 2), (1, 2, 1, 5), (5,), ()])
+    def test_non_monic_raises(self, f):
+        # modulo 5: leading coefficient 2, a leading 5 = 0, and the zero
+        # polynomial in two spellings
+        with pytest.raises(ValueError, match="monic"):
+            is_perfect_square(f, 5)
+        with pytest.raises(ValueError, match="monic"):
+            is_square_times_linear(f, 5, 1)
+
+    def test_unreduced_coefficients_give_the_root_of_their_reduction(self):
+        rng = random.Random(43)
+        squares = linear_squares = 0
+        for q in (3, 5, 7, 11, 13, 31):
+            for _ in range(40):
+                g = _random_monic(rng, q, rng.randrange(0, 4))
+                f = fq_mul([g, g], q) if rng.randrange(2) else _random_monic(rng, q, 2 * len(g))
+                r = rng.randrange(q)
+                h = fq_mul([(-r % q, 1), f], q)
+                root, linear_root = is_perfect_square(f, q), is_square_times_linear(h, q, r)
+                lifted_f, lifted_h = (tuple(c + q * rng.randrange(-99, 99) for c in poly)
+                                      for poly in (f, h))
+                lifted_r = r + q * rng.randrange(-99, 99)
+                assert is_perfect_square(lifted_f, q) == root, (q, lifted_f)
+                assert is_square_times_linear(lifted_h, q, lifted_r) == linear_root, (q, lifted_h)
+                squares += root is not None
+                linear_squares += linear_root is not None
+        assert squares > 100 and linear_squares > 100
+
+    def test_modulus_checked_once_per_call(self, monkeypatch):
+        import heegner.modpoly as mod
+
+        real, seen = mod.is_prime, []
+        monkeypatch.setattr(mod, "is_prime", lambda n: seen.append(n) or real(n))
+        assert is_perfect_square((121, -77, 1), 5) == (4, 1)
+        assert is_square_times_linear((22, 1), 101, -22) == (1,)
+        assert mod_p_square_check(build_PD(-220, 11), build_PD(-55, 11)) is not None
+        assert seen == [5, 101, 11]
 
 
 class TestLinearDivision:
@@ -197,23 +234,23 @@ class TestLinearDivision:
         rng = random.Random(41)
         for q in (3, 5, 7, 11, 13, 31):
             for _ in range(25):
-                planted = [fp([-rng.randrange(q), 1], q) for _ in range(rng.randrange(0, 4))]
-                f = fq_mul(_random_monic(rng, q, rng.randrange(0, 5)), *planted, *planted)
+                planted = [(-rng.randrange(q) % q, 1) for _ in range(rng.randrange(0, 4))]
+                f = fq_mul([_random_monic(rng, q, rng.randrange(0, 5)), *planted, *planted], q)
                 for r in range(-q, q):
-                    yield f, r
+                    yield f, q, r
 
     def test_against_oracle_division(self):
-        for f, r in self.cases():
-            quot, rem = _divide_linear(f.coeffs, r, f.q)
-            assert (quot, (rem,) if rem else ()) == _fq_divmod(f.coeffs, (-r % f.q, 1), f.q)
+        for f, q, r in self.cases():
+            quot, rem = _divide_linear(f, r, q)
+            assert (quot, (rem,) if rem else ()) == _fq_divmod(f, (-r % q, 1), q)
 
     def test_root_multiplicity_against_repeated_oracle_division(self):
         repeated = 0
-        for f, r in self.cases():
-            count, coeffs = 0, f.coeffs
-            while not (step := _fq_divmod(coeffs, (-r % f.q, 1), f.q))[1]:
+        for f, q, r in self.cases():
+            count, coeffs = 0, f
+            while not (step := _fq_divmod(coeffs, (-r % q, 1), q))[1]:
                 count, coeffs = count + 1, step[0]
-            assert _root_multiplicity(f, r) == count, (f.coeffs, r)
+            assert _root_multiplicity(f, r, q) == count, (f, r)
             repeated += count > 1
         assert repeated
 

@@ -281,7 +281,7 @@ def test_runtime_squareness_is_wired(monkeypatch):
     # tests: breaking it must abort the search
     import heegner.sssearch as mod
 
-    monkeypatch.setattr(mod, "is_perfect_square", lambda f: None)
+    monkeypatch.setattr(mod, "is_perfect_square", lambda coeffs, q: None)
     with pytest.raises(ArithmeticError):
         search(11, H11, count=1)
 

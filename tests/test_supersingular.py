@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from heegner.intmath import is_prime
 from heegner.supersingular import (
     PHI2,
@@ -79,6 +81,12 @@ class TestFq2Field:
                 x = F.m * pow(rng.randrange(1, q), 2, q) % q  # a non-square
                 root = F.sqrt((x, 0))
                 assert root[0] == 0 and F.mul(root, root) == (x, 0), (q, x)
+
+    @pytest.mark.parametrize("q", [2, 1, 0])
+    def test_no_non_residue_raises(self, q):
+        # F_2 and the rings below it have no non-residue to adjoin a root of
+        with pytest.raises(ValueError, match="non-residue"):
+            Fq2Field(q)
 
     def test_inverse(self):
         F = Fq2Field(101)
