@@ -87,7 +87,9 @@ def _build_parser() -> _Parser:
     se.add_argument("--avoid", type=int_list, default="", help="comma-separated primes")
     se.add_argument("--count", type=int, default=1)
     se.add_argument("--ell-bound", type=int, default=500)
-    se.add_argument("--factor-budget", type=int, default=FactorBudget.rho_iterations)
+    se.add_argument("--factor-budget", type=int, default=FactorBudget.rho_iterations,
+                    help="ECM effort of the whole search, in rho iterations; the "
+                    "denominator and every numerator draw on it")
     se.add_argument("--verify-bound", type=int, default=VERIFY_EFFORT_BOUND)
 
     ve = sub.add_parser("verify", help="test supersingularity of a j-invariant")

@@ -17,7 +17,7 @@ import math
 import random
 from array import array
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Factorization",
@@ -104,11 +104,14 @@ def is_prime(n: int) -> bool:
 @dataclass(frozen=True, slots=True)
 class Factorization:
     """Signed prime factorization; ``cofactor`` holds the composites left
-    unsplit, either beyond the effort budget or not needed by the caller."""
+    unsplit, either beyond the effort budget or not needed by the caller.
+    ``effort`` is the part of the budget its ECM curves were charged; it is
+    bookkeeping, not part of the result, so equality ignores it."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
+    effort: int = field(default=0, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -123,18 +126,26 @@ class FactorBudget:
     """Effort limit for ``factorize``.
 
     ``rho_iterations`` is one budget that ECM spends across all split
-    attempts.  Its unit is the time of one iteration of Brent's rho cycle
-    walk, five modular multiplications; an ECM curve is charged a fixed
-    number of them, its stage's ``_ecm_plan`` cost, so a budget buys the
-    same curves however fast they run.  A composite that survives it is
-    returned unsplit in the ``cofactor``, and a search goes on with the
-    primes already found, or to the next l if they hold none.  The default
-    is 7-10 s of work when spent whole (2-core Xeon, CPython 3.11, two
-    25-digit primes); it splits two 14-digit primes in about 0.1 s.  Raise
-    it when stalling is acceptable.
+    attempts, and ``search`` spends one budget across all of its
+    factorizations: the denominator of h and each numerator are handed what
+    the earlier ones left, so once it is spent a later l still gets trial
+    division and the stop rule, but no ECM curve.  Its unit is the time of
+    one iteration of Brent's rho cycle walk, five modular multiplications;
+    an ECM curve is charged a fixed number of them, its stage's
+    ``_ecm_plan`` cost, so a budget buys the same curves however fast they
+    run.  A composite that survives it is returned unsplit in the
+    ``cofactor``, and a search goes on with the primes already found, or to
+    the next l if they hold none.  The default is 7-10 s of work when spent
+    whole (2-core Xeon, CPython 3.11, two 25-digit primes); it splits two
+    14-digit primes in about 0.1 s.  Raise it when stalling is acceptable.
+    A negative budget raises ValueError; 0 buys no curve.
     """
 
     rho_iterations: int = 1 << 22
+
+    def __post_init__(self):
+        if self.rho_iterations < 0:
+            raise ValueError(f"rho_iterations must be >= 0, not {self.rho_iterations}")
 
 
 TRIAL_BOUND = 10**6  # trial division and ECM's stage 2 primes lie below it
@@ -352,7 +363,8 @@ def factorize(n: int, budget: FactorBudget | None = None,
     Trial division by the primes below ``TRIAL_BOUND`` = 10^6 (a gcd per
     chunk of primes, then division by the primes of the chunks that share a
     factor with n), then ECM on Montgomery curves, which alone spends the
-    whole budget; every reported prime is certified by ``is_prime``.
+    budget and reports what its curves were charged as the result's
+    ``effort``; every reported prime is certified by ``is_prime``.
 
     ``enough``, the caller's stop rule, is asked before every ECM call,
     so first after trial division, with the primes found so far; once it
@@ -369,7 +381,7 @@ def factorize(n: int, budget: FactorBudget | None = None,
     n = _trial_divide(abs(n), found)
     pending = [n] if n > 1 else []
     cofactor = 1
-    effort = [budget.rho_iterations]
+    left = [budget.rho_iterations]
     while pending:
         m = pending.pop()
         if is_prime(m):
@@ -379,13 +391,14 @@ def factorize(n: int, budget: FactorBudget | None = None,
         if root * root == m:
             pending.extend([root, root])
             continue
-        d = None if enough is not None and enough(found.keys()) else _ecm(m, effort)
+        d = None if enough is not None and enough(found.keys()) else _ecm(m, left)
         if d is None:
             cofactor *= m
         else:
             pending.extend([d, m // d])
     factors = tuple(sorted(found.items()))
-    return Factorization(sign=sign, factors=factors, cofactor=cofactor)
+    return Factorization(sign=sign, factors=factors, cofactor=cofactor,
+                         effort=budget.rho_iterations - left[0])
 
 
 def is_square(n: int) -> bool:

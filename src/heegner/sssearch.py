@@ -223,8 +223,10 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     factored only until it yields the primes still needed, so a certificate
     may leave part of its numerator unfactored.  ``sigma`` holds primes
     (ValueError otherwise); besides them, 2 and the denominator primes of h
-    are always avoided.  The denominator is factored within ``budget``, and
-    a ValueError names a cofactor it leaves.
+    are always avoided.  ``budget`` is the ECM effort of the whole search:
+    the denominator is factored first, and a ValueError names a cofactor it
+    leaves; each numerator then gets what the earlier factorizations left,
+    and once that is spent only trial division and the stop rule remain.
     """
     lev, h = _check_point(p, h)
     given = set(sigma)
@@ -234,8 +236,10 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
     # primes of bad reduction are invisible from h alone; always avoid 2
     # and the denominator primes of h
     avoided.add(2)
+    effort = (budget or FactorBudget()).rho_iterations  # what ECM may still spend
     if h.denominator > 1:
-        denominator = factorize(h.denominator, budget)
+        denominator = factorize(h.denominator, FactorBudget(effort))
+        effort -= denominator.effort
         if not denominator.complete:
             raise ValueError(
                 f"the denominator of h leaves {denominator.cofactor} unfactored within "
@@ -255,8 +259,9 @@ def search(p: int, h, sigma=(), count: int = 1, ell_bound: int = 500,
             continue
         _runtime_squareness(p, ell, poly, parts, value)
         current = tuple(sorted(avoided))
-        selected, _, fac, skip = extract_primes(value, p, ell, current, budget,
+        selected, _, fac, skip = extract_primes(value, p, ell, current, FactorBudget(effort),
                                                 needed=count - found)
+        effort -= fac.effort
         if skip:
             continue
         if lev.j_lift:

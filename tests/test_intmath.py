@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -143,6 +144,17 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_negative_budget_rejected(self):
+        # a search hands each factorization what is left of its budget, so a
+        # remainder below zero must fail where it is made; zero is a spent
+        # budget and buys no curve
+        for units in (-1, -(1 << 16)):
+            with pytest.raises(ValueError, match="rho_iterations"):
+                FactorBudget(rho_iterations=units)
+        n = 10000000000000000051 * 10000000000000000087
+        f = factorize(n, FactorBudget(rho_iterations=0))
+        assert (f.cofactor, f.factors, f.effort) == (n, (), 0)
 
     def test_chunked_trial_division_matches_loop(self):
         # trial division by a gcd per chunk of 256 primes finds what dividing
@@ -312,6 +324,29 @@ class TestEcm:
                 x, a24 = rng.randrange(n), rng.randrange(n)
                 assert (math.gcd(intmath._ecm_stage2(x, 1, a24, n, giants), n)
                         == math.gcd(_reference_stage2(x, 1, a24, n, giants), n)), (n, x, a24)
+
+    def test_effort_is_what_the_reference_charges(self):
+        # a factorization reports as its effort the units its curves were
+        # charged: for a semiprime, one ECM run that splits it or gives up
+        for n, units in ((math.prod(self.SEMIPRIME_P7), FactorBudget().rho_iterations),
+                         (math.prod(self.SEMIPRIME_P7), 1 << 14),
+                         (math.prod(self.TWO_25_DIGIT_PRIMES), 1 << 16)):
+            reference = [units]
+            split = ecm_reference(n, reference)
+            f = factorize(n, FactorBudget(rho_iterations=units))
+            assert f.effort == units - reference[0] > 0, (n, units)
+            assert f.complete == (split is not None), (n, units)
+
+    def test_effort_zero_without_ecm(self, no_ecm):
+        # the stop rule holds after trial division, or nothing is left to split
+        n = 1531 * math.prod(self.SEMIPRIME_P7)
+        assert factorize(n, enough=lambda found: 1531 in found).effort == 0
+        assert factorize(1531 * 42391**2).effort == 0
+
+    def test_effort_is_not_part_of_the_result(self):
+        # the same factors charged a different effort compare equal
+        f = factorize(math.prod(self.SEMIPRIME_P7))
+        assert f.effort > 0 and dataclasses.replace(f, effort=0) == f
 
     def test_charge_per_curve(self):
         # a curve's charge is the budget's unit: changing it changes which

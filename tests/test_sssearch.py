@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from heegner import intmath
 from heegner.classpoly import evaluate
 from heegner.intmath import FactorBudget, is_prime, kronecker
 from heegner.levels import level
@@ -23,6 +24,7 @@ from heegner.sssearch import (
 
 H11 = Fraction(21, 2)
 P7_LARGE = (19963943130517, 648155384310727)  # numerator primes at p = 7, h = 2, l = 113
+CURVE = intmath._ecm_plan(300)[2] // intmath._MULS_PER_RHO_ITERATION  # first ECM curve's charge
 
 
 def numerator_symbols(certs):
@@ -372,8 +374,8 @@ def test_check_rejects_nonsquare_numerator():
 
 def test_shared_budget_is_frozen_and_unchanged():
     # one budget object serves many searches: it cannot be assigned to, and
-    # a search that spends its effort at l = 113 and 137 before taking
-    # l = 193 leaves it as it was
+    # a search whose one ECM curve at l = 113 leaves too little for a curve
+    # at l = 137, before it takes l = 193, leaves it as it was
     budget = FactorBudget(rho_iterations=1 << 12)
     with pytest.raises(dataclasses.FrozenInstanceError):
         budget.rho_iterations = 1
@@ -381,6 +383,72 @@ def test_shared_budget_is_frozen_and_unchanged():
                      for _ in range(2))
     assert first == second and json.loads(first[0])["ell"] == 193
     assert budget == FactorBudget(rho_iterations=1 << 12)
+
+
+def record_factorizations(monkeypatch):
+    """(ells, calls): the l of each value a search hands to ``extract_primes``,
+    and (budget handed in, effort reported) for each factorization it makes,
+    the denominator's first, by wrapping the names the search calls."""
+    import heegner.sssearch as mod
+
+    real_extract, real_factorize = mod.extract_primes, mod.factorize
+    ells, calls = [], []
+
+    def extract(value, p, ell, *args, **kwargs):
+        ells.append(ell)
+        return real_extract(value, p, ell, *args, **kwargs)
+
+    def factorize(n, budget=None, enough=None):
+        f = real_factorize(n, budget, enough)
+        calls.append((budget.rho_iterations, f.effort))
+        return f
+
+    monkeypatch.setattr(mod, "extract_primes", extract)
+    monkeypatch.setattr(mod, "factorize", factorize)
+    return ells, calls
+
+
+def test_search_spends_one_budget(monkeypatch):
+    # each factorization is handed what the earlier ones left: l = 113 runs
+    # ECM until less than a curve is left, l = 137 buys one B1 = 300 curve
+    # with the rest, and l = 193 is taken by trial division
+    ells, calls = record_factorizations(monkeypatch)
+    [cert] = search(7, Fraction(9), ell_bound=300, budget=FactorBudget(1 << 16),
+                    effort_bound=10**5)
+    assert (cert.ell, cert.selected) == (193, (97, 114547, 7755251853234992432102587))
+    assert "effort" not in cert.to_json()
+    assert ells == [113, 137, 193]
+    handed, efforts = zip(*calls)
+    assert handed == tuple((1 << 16) - sum(efforts[:i]) for i in range(len(calls)))
+    assert efforts[1:] == (CURVE, 0) and 0 <= (1 << 16) - sum(efforts) < CURVE
+
+
+def test_denominator_draws_on_the_search_budget(monkeypatch):
+    # two 7-digit denominator primes need ECM, and the first numerator is
+    # handed what that left
+    ells, calls = record_factorizations(monkeypatch)
+    [cert] = search(3, Fraction(1, 1000003 * 1000033), budget=FactorBudget(1 << 16))
+    assert {1000003, 1000033} <= set(cert.sigma) and ells == [cert.ell]
+    (_, effort), (handed, _) = calls
+    assert effort > 0 and handed == (1 << 16) - effort
+
+
+def test_spent_budget_changes_the_ell_taken(monkeypatch):
+    # count = 2 at h = -4: l = 113 yields 83 by trial division and spends
+    # the budget failing to split the rest, so l = 137, which a fresh budget
+    # splits, and l = 233 are skipped, and l = 281 gives the second
+    # certificate
+    budget = FactorBudget(1 << 14)
+    value = evaluate(search_polynomial(7, 137)[0], Fraction(-4))
+    selected, _, _, skip = extract_primes(value, 7, 137, (2, 83), budget)
+    assert selected == (338129958014596229321805404501,) and not skip
+    ells, calls = record_factorizations(monkeypatch)
+    certs = search(7, Fraction(-4), count=2, ell_bound=300, budget=budget)
+    assert [(c.ell, c.selected) for c in certs] == [(113, (83,)), (281, (5, 71))]
+    left = (1 << 14) - calls[0][1]
+    assert ells == [113, 137, 233, 281] and calls[1:] == [(left, 0)] * 3
+    assert left < CURVE
+    assert sha256_lines(c.to_json() for c in certs) == SPENT_BUDGET_SHA256
 
 
 def test_level7_stops_before_ecm():
@@ -458,6 +526,7 @@ LEVEL_SEARCHES = ((3, Fraction(-40), 1), (5, Fraction(1), 1), (7, Fraction(2), 1
                   (11, H11, 3), (13, Fraction(3), 1), (19, Fraction(2), 1))
 LEVELS_SHA256 = "959462f84623d2471971d95436351c5869812555672fa60ae9a0f49777f5014d"
 POINTS_SHA256 = "9056b01415a46eadc230ebc860eec8ba9d92a63c077fe582c02c4abace35a6b5"
+SPENT_BUDGET_SHA256 = "2d506a2d7bf74ae74520fec77c632f25ae65a148649619db8cf703a7270b6661"
 
 
 def sha256_lines(lines):
