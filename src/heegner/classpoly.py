@@ -226,8 +226,14 @@ def build_Pl(parts: tuple[ClassPolynomial, ClassPolynomial]) -> ClassPolynomial:
 
 
 def evaluate(P: ClassPolynomial, h: Fraction) -> Fraction:
-    """Exact rational value P(h), by Horner's rule."""
-    h, acc = Fraction(h), Fraction(0)
-    for c in reversed(P.coefficients):
-        acc = acc * h + c
-    return acc
+    """Exact rational value P(h).  For h = u/v in lowest terms, Horner's rule
+    in integers gives the numerator sum c_i u^i v^(n-i), and one Fraction
+    puts it over v^n."""
+    h = Fraction(h)
+    u, v = h.numerator, h.denominator
+    coefficients = reversed(P.coefficients)
+    acc, vk = next(coefficients), 1
+    for c in coefficients:
+        vk *= v
+        acc = acc * u + c * vk
+    return Fraction(acc, vk)

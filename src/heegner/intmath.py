@@ -92,13 +92,14 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 53 * 53:  # no prime factor below 53, so n is prime
+        return True
     if n < 2**64:
-        witnesses = _MR_WITNESSES_64
-    else:
-        # 66 rounds at error <= 1/4 each: strictly below 2**-128
-        rng = random.Random(n)  # deterministic per input
-        witnesses = [rng.randrange(2, n - 1) for _ in range(66)]
-    return all(_miller_rabin(n, a) for a in witnesses)
+        return all(_miller_rabin(n, a) for a in _MR_WITNESSES_64)
+    # 66 rounds at error <= 1/4 each: strictly below 2**-128.  The witnesses
+    # are drawn as the rounds run, so a composite stops at its first failure.
+    rng = random.Random(n)  # deterministic per input
+    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(66))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,8 +8,10 @@ paths from a vertex one descends and meets the floor, where only one
 neighbour lies in F_q^2, within ceil(log2 q) + 1 steps.  So j is supersingular
 iff the roots of Phi_2(j, Y) lie in F_q^2 and three such paths from them never
 leave it: O(log q) square roots, where the Hasse invariant costs O(q).  They
-are all the field's: ``Fq2Field`` finds its non-residue once, in its
-constructor, for Tonelli-Shanks.  This module imports nothing from the package.
+are all the field's: ``Fq2Field`` finds its non-residue and its Tonelli-Shanks
+constants once, in its constructor, so a square root in F_q is one
+exponentiation that also tells a non-residue, with no Euler test before it.
+This module imports nothing from the package.
 
 Hasse-invariant contract: ``hasse_nonzero_fq(q, j)`` and
 ``hasse_nonzero_fq2(q, j0, j1)`` take the invariant itself and answer
@@ -33,22 +35,22 @@ PHI2 = (
 )
 
 
-def _is_square(a: int, q: int) -> bool:
-    """Euler's criterion; 0 counts as a square."""
-    return pow(a, (q - 1) // 2, q) != q - 1
-
-
 class Fq2Field:
     """F_q^2 = F_q(t), t^2 = m for the least non-residue m, with elements
-    x0 + x1 t as pairs (x0, x1), 0 <= xi < q."""
+    x0 + x1 t as pairs (x0, x1), 0 <= xi < q.  The field also keeps the
+    Tonelli-Shanks constants of q - 1 = 2^s d, d odd, and c = m^d, so each
+    square root in F_q costs one exponentiation."""
 
-    __slots__ = ("q", "m")
+    __slots__ = ("q", "m", "s", "d", "c")
 
     def __init__(self, q: int):
         self.q = q
-        self.m = next((z for z in range(2, q) if not _is_square(z, q)), None)
+        self.m = next((z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1), None)
         if self.m is None:
             raise ValueError(f"F_{q} has no non-residue to adjoin a square root of")
+        self.s = ((q - 1) & (1 - q)).bit_length() - 1
+        self.d = (q - 1) >> self.s
+        self.c = pow(self.m, self.d, q)
 
     def mul(self, x, y):
         q = self.q
@@ -70,40 +72,45 @@ class Fq2Field:
 
     def sqrt(self, x):
         """A square root of x, or None: in F_q or on t F_q for x in F_q.  For
-        x1 != 0 a root y0 + y1 t has y0^2 = (x0 +- sqrt(norm x)) / 2, one sign
-        giving a square in F_q, and y1 = x1 / (2 y0)."""
+        x1 != 0 a root y0 + y1 t has y0^2 = (x0 +- sqrt(norm x)) / 2, exactly
+        one sign giving a square in F_q, and y1 = x1 / (2 y0)."""
         q = self.q
         x0, x1 = x[0] % q, x[1] % q
         if x1 == 0:
-            if _is_square(x0, q):
-                return self._sqrt_fq(x0), 0
+            r = self._sqrt_fq(x0)
+            if r is not None:
+                return r, 0
             return 0, self._sqrt_fq(x0 * pow(self.m, -1, q) % q)
-        norm = (x0 * x0 - self.m * x1 * x1) % q
-        if not _is_square(norm, q):
+        n = self._sqrt_fq((x0 * x0 - self.m * x1 * x1) % q)
+        if n is None:
             return None
-        n = self._sqrt_fq(norm)
-        y2 = (x0 + n) * (q + 1) // 2 % q
-        if not _is_square(y2, q):
-            y2 = (x0 - n) * (q + 1) // 2 % q
-        y0 = self._sqrt_fq(y2)
+        y0 = self._sqrt_fq((x0 + n) * (q + 1) // 2 % q)
+        if y0 is None:
+            y0 = self._sqrt_fq((x0 - n) * (q + 1) // 2 % q)
         return y0, x1 * pow(2 * y0, -1, q) % q
 
-    def _sqrt_fq(self, a: int) -> int:
-        """A square root of a square 0 <= a < q of F_q: Tonelli-Shanks (Cohen,
-        GTM 138, Algorithm 1.5.1) with the field's non-residue m."""
+    def _sqrt_fq(self, a: int) -> int | None:
+        """A square root of 0 <= a < q in F_q, or None for a non-residue, in
+        one exponentiation.  For q = 3 mod 4 it is a^((q+1)/4), checked by
+        squaring.  Otherwise Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)
+        with the field's constants: w = a^((d-1)/2) gives r = a^((d+1)/2) and
+        t = a^d, and a t of order 2^s, found in the loop, marks a non-residue."""
         q = self.q
         if a == 0:
             return 0
         if q % 4 == 3:
-            return pow(a, (q + 1) // 4, q)
-        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s d, d odd
-        d = (q - 1) >> s
-        e, c, t, r = s, pow(self.m, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
+            r = pow(a, (q + 1) // 4, q)
+            return r if r * r % q == a else None
+        w = pow(a, (self.d - 1) // 2, q)
+        r = w * a % q
+        e, c, t = self.s, self.c, w * r % q
         while t != 1:
             t2, i = t * t % q, 1
             while t2 != 1:
                 t2 = t2 * t2 % q
                 i += 1
+            if i == e:
+                return None
             b = pow(c, 1 << (e - i - 1), q)
             e, c = i, b * b % q
             t, r = t * c % q, r * b % q

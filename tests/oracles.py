@@ -22,8 +22,9 @@ unbounded root and the Diophantine obstruction, and the algebra that checks
 every class polynomial: it splits completely modulo q exactly when the
 ideals above q lie in the principal or the p-ideal class.  The
 Kronecker-symbol reduction of a quadratic surd is the reference for the one
-the library decides by a square root.  Last, small readers the
-library does not need: the checked Gauss reduction of any form, the
+the library decides by a square root, and Tonelli-Shanks with an Euler test
+and every power raised apart the reference for that root.  Last, small
+readers the library does not need: the checked Gauss reduction of any form, the
 reduced-form test, the Brandt column sums and class polynomials read back
 from JSON.  For the factoring budget, Brent's rho,
 whose iteration is its unit, and ECM with the unnormalized stage 2 whose
@@ -1245,6 +1246,31 @@ def j_of_curve(q, m2, a0, a1, b0, b1):
 
 def nonresidue(q):
     return next(m for m in range(2, q) if pow(m, (q - 1) // 2, q) == q - 1)
+
+
+def tonelli_shanks(a, q, m):
+    """A square root of 0 <= a < q in F_q, or None for a non-residue, with
+    the non-residue m: Euler's criterion first, then a^((q+1)/4) for q = 3
+    mod 4, else Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1) with m^d,
+    a^d and a^((d+1)/2) each raised on its own, q - 1 = 2^s d, d odd."""
+    if a == 0:
+        return 0
+    if pow(a, (q - 1) // 2, q) == q - 1:
+        return None
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    e, c, t, r = s, pow(m, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
+    while t != 1:
+        t2, i = t * t % q, 1
+        while t2 != 1:
+            t2 = t2 * t2 % q
+            i += 1
+        b = pow(c, 1 << (e - i - 1), q)
+        e, c = i, b * b % q
+        t, r = t * c % q, r * b % q
+    return r
 
 
 def supersingular_mass(q):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,23 @@ class TestEvaluate:
         for h in (Fraction(21, 2), Fraction(5, 3), Fraction(-7, 6)):
             den = evaluate(poly, h).denominator
             assert math.isqrt(den) ** 2 == den
+
+    def test_matches_fraction_horner(self):
+        # integer Horner on the homogenized numerator gives the value of
+        # Horner's rule in Fractions: negative n, zero and d > 1 included
+        rng = random.Random(3)
+        hs = [Fraction(0), Fraction(1), Fraction(-40), Fraction(21, 2), Fraction(-7, 6),
+              Fraction(-1, 9), 5]
+        hs += [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+               for _ in range(8)]
+        for degree in range(10):
+            coeffs = tuple(rng.randrange(-10**12, 10**12) for _ in range(degree)) + (1,)
+            poly = ClassPolynomial(11, -220, coeffs, 0.0)
+            for h in hs:
+                expected = Fraction(0)
+                for c in reversed(coeffs):
+                    expected = expected * Fraction(h) + c
+                assert evaluate(poly, h) == expected, (coeffs, h)
 
 
 class TestBuildPl:

@@ -99,6 +99,37 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             is_prime(-7)
 
+    def test_no_round_below_53_squared(self, monkeypatch):
+        # with no prime factor up to 47, an n below 53^2 is prime
+        def no_round(n, a):
+            raise AssertionError(f"Miller-Rabin round on {n}")
+
+        monkeypatch.setattr(intmath, "_miller_rabin", no_round)
+        primes = set(primes_below(53 * 53))
+        assert [n for n in range(53 * 53) if is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize("n", [
+        2**89 - 1,  # prime: all 66 rounds
+        (2**61 - 1) * (2**31 - 1),  # composite: stops at its first failing round
+        (2**89 - 1) * 1000003,
+    ])
+    def test_witnesses_above_2_64_are_drawn_as_rounds_run(self, monkeypatch, n):
+        rounds = []
+        real_round = intmath._miller_rabin
+
+        def traced(m, a):
+            verdict = real_round(m, a)
+            rounds.append((a, verdict))
+            return verdict
+
+        monkeypatch.setattr(intmath, "_miller_rabin", traced)
+        rng = random.Random(n)
+        witnesses = [rng.randrange(2, n - 1) for _ in range(66)]
+        verdicts = [real_round(n, a) for a in witnesses]
+        drawn = verdicts.index(False) + 1 if False in verdicts else 66
+        assert is_prime(n) == all(verdicts)
+        assert rounds == list(zip(witnesses, verdicts))[:drawn]
+
 
 class TestFactorize:
     def test_negative_prime(self):

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heegner import intmath
+from heegner import intmath, ssverify, supersingular
 from heegner.intmath import is_prime, kronecker
 from heegner.ssverify import (
     BadReductionError,
@@ -264,6 +265,21 @@ class TestVerifyCertificate:
     ])
     def test_q3_closed_form(self, text, status):
         assert verify_certificate((3,), QuadSurd.from_string(text)) == {3: status}
+
+    def test_pow_calls_of_one_verification(self, monkeypatch):
+        # every square root in F_q is one exponentiation, so verifying
+        # q = 6175217 for the level-3 point h = -40 makes 506 pow calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        for module in (intmath, ssverify, supersingular):
+            monkeypatch.setattr(module, "pow", counted, raising=False)
+        j = lift_j_from_h_level3(-40)
+        assert verify_certificate((6175217,), j) == {6175217: "supersingular"}
+        assert len(calls) == 506
 
     def test_bad_reduction_above_the_bound(self):
         # a q in the denominator is reported as such, whatever the bound

@@ -22,6 +22,7 @@ from oracles import (
     point_count,
     supersingular_js,
     supersingular_mass,
+    tonelli_shanks,
 )
 
 
@@ -81,6 +82,17 @@ class TestFq2Field:
                 x = F.m * pow(rng.randrange(1, q), 2, q) % q  # a non-square
                 root = F.sqrt((x, 0))
                 assert root[0] == 0 and F.mul(root, root) == (x, 0), (q, x)
+
+    @pytest.mark.parametrize("q", [7, 11, 5, 13, 41, 17, 97, 193, 641, 257, 7681, 13313,
+                                   18433, 12289, 40961, 114689, 163841, 65537])
+    def test_sqrt_fq_is_the_reference_root(self, q):
+        # q - 1 = 2^s d for every s from 1 to 16, with q = 3 mod 4 at s = 1:
+        # on every a in F_q the root is the reference's integer, and None
+        # exactly on the (q - 1) / 2 non-residues
+        F = Fq2Field(q)
+        roots = [F._sqrt_fq(a) for a in range(q)]
+        assert roots == [tonelli_shanks(a, q, F.m) for a in range(q)]
+        assert roots.count(None) == (q - 1) // 2
 
     @pytest.mark.parametrize("q", [2, 1, 0])
     def test_no_non_residue_raises(self, q):
