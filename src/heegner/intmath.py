@@ -2,11 +2,12 @@
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always normalized, positive denominator).  Everything
-here is pure and deterministic: Miller-Rabin above 2^64 and ECM draw from
-PRNGs seeded with their input.  Factoring is trial division by the primes
-below 10^6, sieved once over the odd numbers and kept as a 4-byte ``array``,
-then ECM on Montgomery curves within one effort budget, until the caller's
-stop rule, if any, holds.
+here is pure and deterministic: only ECM draws from a PRNG, seeded with its
+input.  Primality is proven below 2^64; above it, it is Baillie-PSW's
+answer, which no known composite passes.  Factoring is trial division by
+the primes below 10^6, sieved once over the odd numbers and kept as a 4-byte
+``array``, until the rest is 1 or prime, then ECM on Montgomery curves
+within one effort budget, until the caller's stop rule, if any, holds.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# Deterministic Miller-Rabin witnesses for n < 2**64 (Sinclair set).
+# The first twelve primes: Miller-Rabin to these bases is deterministic below
+# psi_12 = 318 665 857 834 031 151 167 461 > 2^64 (Sorenson and Webster,
+# Math. Comp. 86, 2017).
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -83,8 +86,41 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's method
+    A (Baillie and Wagstaff, Math. Comp. 35, 1980): D is the first of 5, -7,
+    9, -11, ... with (D | n) = -1, P = 1 and Q = (1 - D) / 4.  With
+    n + 1 = d 2^s, d odd, n passes if U_d = 0 or V_(d 2^r) = 0 for some
+    r < s.  A square has no such D and is rejected first; a zero symbol
+    means a factor |D| of n."""
+    if is_square(n):
+        return False
+    D = 5
+    while (symbol := kronecker(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if symbol == 0:
+        return n == abs(D)
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half = 1 / 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    u, v, qk = 1, 1, Q % n  # U_m, V_m and Q^m at m = 1, the top bit of d
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n  # m -> 2 m
+        if bit == "1":  # 2 m -> 2 m + 1
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below 2**64, error < 2**-128 above."""
+    """Primality test: deterministic below 2**64, Baillie-PSW above (a
+    strong test to base 2 and a strong Lucas test), which no known
+    composite passes."""
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
     if n < 2:
@@ -96,10 +132,7 @@ def is_prime(n: int) -> bool:
         return True
     if n < 2**64:
         return all(_miller_rabin(n, a) for a in _MR_WITNESSES_64)
-    # 66 rounds at error <= 1/4 each: strictly below 2**-128.  The witnesses
-    # are drawn as the rounds run, so a composite stops at its first failure.
-    rng = random.Random(n)  # deterministic per input
-    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(66))
+    return _miller_rabin(n, 2) and _strong_lucas(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,8 +217,11 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
     has all its prime factors above the bound.
 
     One gcd of n with the product of a chunk of primes tells whether any of
-    them divides n; only such a chunk is divided prime by prime.  A chunk's
-    product is built on its first use and kept.
+    them divides n; only such a chunk is divided prime by prime, up to the
+    last prime of the gcd.  A rest that this leaves smaller is tested by
+    ``is_prime``, and a prime rest is recorded too and ends the sweep, with
+    1 returned: no other prime divides it.  A chunk's product is built on
+    its first use and kept.
     """
     primes = _trial_primes()
     for start in range(0, len(primes), _CHUNK):
@@ -194,6 +230,7 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
         g = math.gcd(n, _chunk_product(start))
         if g == 1:
             continue
+        rest = n
         for p in primes[start:start + _CHUNK]:
             if p * p > n:
                 break
@@ -201,6 +238,12 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
                 while n % p == 0:
                     found[p] = found.get(p, 0) + 1
                     n //= p
+                g //= p  # the chunk's primes that divide n and are still to come
+                if g == 1:
+                    break
+        if n < rest and is_prime(n):
+            found[n] = 1
+            return 1
     return n
 
 
@@ -230,19 +273,20 @@ def _xadd(x1, z1, x2, z2, xd, zd, n):
     return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
 
 
-def _ladder(k, x, z, a24, n):
-    """Montgomery ladder: x-only [k](x : z), k >= 1.  Each bit makes one
-    ``_xadd`` and one ``_xdbl``, written out here on local variables."""
-    s, d = (x + z) * (x + z) % n, (x - z) * (x - z) % n
-    x0, z0, x1, z1 = x, z, s * d % n, (s - d) * (d + a24 * (s - d)) % n  # [m] P, [m + 1] P
+def _ladder(k, x, a24, n):
+    """Montgomery ladder: x-only [k](x : 1), k >= 1.  Each bit makes one
+    ``_xadd`` and one ``_xdbl``, written out here on local variables; the
+    base point's Z = 1 saves the ``_xadd`` one of its products."""
+    s, d = (x + 1) * (x + 1) % n, (x - 1) * (x - 1) % n
+    x0, z0, x1, z1 = x, 1, s * d % n, (s - d) * (d + a24 * (s - d)) % n  # [m] P, [m + 1] P
     for bit in bin(k)[3:]:
         u, v = (x0 - z0) * (x1 + z1), (x0 + z0) * (x1 - z1)
         if bit == "1":
-            x0, z0 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+            x0, z0 = (u + v) ** 2 % n, x * (u - v) ** 2 % n
             s, d = (x1 + z1) * (x1 + z1) % n, (x1 - z1) * (x1 - z1) % n
             x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
         else:
-            x1, z1 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+            x1, z1 = (u + v) ** 2 % n, x * (u - v) ** 2 % n
             s, d = (x0 + z0) * (x0 + z0) % n, (x0 - z0) * (x0 - z0) % n
             x0, z0 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
     return x0, z0
@@ -256,8 +300,9 @@ def _ecm_plan(b1: int) -> tuple:
     ``cost`` is the fixed charge of one curve in modular multiplications,
     ``_MULS_PER_RHO_ITERATION`` times the budget's unit: 11 a ladder bit, 6 a
     baby or giant step, 2 a prime.  It counts the arithmetic of
-    ``tests/oracles.ecm_reference``; ``_ecm_stage2`` makes one product a
-    prime, but the charge stays, so a budget buys the same curves."""
+    ``tests/oracles.ecm_reference``; ``_ladder`` makes 10 products a bit on
+    its normalized base point and ``_ecm_stage2`` one a prime, but the
+    charge stays, so a budget buys the same curves."""
     k, d, giants = 1, _ECM_STRIDE, {}
     for p in _trial_primes():
         if p > 100 * b1:
@@ -296,7 +341,9 @@ def _normalize(points, n):
 def _ecm_stage2(x, z, a24, n, giants) -> int:
     """The product of X_g - x_j Z_g, (X_g : Z_g) = [g D] Q and x_j = x([j] Q),
     over the primes g D +- j: q divides it if Q has such an order mod q.  A
-    Z_j that shares a factor with n is returned in its place.
+    Z_j that shares a factor with n is returned in its place.  Q = (x : z)
+    with z a unit mod n, and Q is normalized to (x / z : 1) first, the same
+    projective point, for the ladders.
 
     The x_j and the x_g = X_g / Z_g are normalized by ``_normalize``, so the
     product taken is that of x_g - x_j, one modular product a prime: it
@@ -304,16 +351,17 @@ def _ecm_stage2(x, z, a24, n, giants) -> int:
     same gcd with n.  Where a Z_g shares a factor with n, the product above
     is taken as it stands."""
     d = _ECM_STRIDE
-    twice = _xdbl(x, z, a24, n)
-    babies = [(x, z), _xadd(*twice, x, z, x, z, n)]  # [j] Q for odd j < D/2
+    x = x * pow(z, -1, n) % n
+    twice = _xdbl(x, 1, a24, n)
+    babies = [(x, 1), _xadd(*twice, x, 1, x, 1, n)]  # [j] Q for odd j < D/2
     while len(babies) < d // 4:
         babies.append(_xadd(*babies[-1], *twice, *babies[-2], n))
     xs = _normalize(babies, n)
     if isinstance(xs, int):
         return next(zj for _, zj in babies if math.gcd(zj, n) != 1)
-    step = _ladder(d, x, z, a24, n)
+    step = _ladder(d, x, a24, n)
     at = giants[0][0]
-    here, after = (_ladder(g * d, x, z, a24, n) for g in (at, at + 1))
+    here, after = (_ladder(g * d, x, a24, n) for g in (at, at + 1))
     points = []
     for g, _ in giants:
         while at < g:
@@ -347,9 +395,10 @@ def _ecm(n: int, budget: list[int]) -> int | None:
             x, z = pow(u, 3, n), pow(v, 3, n)
             den = 16 * x * v % n  # (A + 2) / 4 = (v - u)^3 (3u + v) / (16 u^3 v)
             g = math.gcd(den, n)
-            if g == 1:
-                a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-                x, z = _ladder(k, x, z, a24, n)  # stage 1
+            if g == 1:  # so z = v^3 is a unit too: one inversion gives 1 / den and 1 / z
+                inverse = pow(den * z, -1, n)
+                a24 = pow(v - u, 3, n) * (3 * u + v) * z * inverse % n
+                x, z = _ladder(k, x * den * inverse % n, a24, n)  # stage 1 on (x / z : 1)
                 g = math.gcd(z, n)
                 if g == 1:
                     g = math.gcd(_ecm_stage2(x, z, a24, n, giants), n)
@@ -363,9 +412,10 @@ def factorize(n: int, budget: FactorBudget | None = None,
 
     Trial division by the primes below ``TRIAL_BOUND`` = 10^6 (a gcd per
     chunk of primes, then division by the primes of the chunks that share a
-    factor with n), then ECM on Montgomery curves, which alone spends the
-    budget and reports what its curves were charged as the result's
-    ``effort``; every reported prime is certified by ``is_prime``.
+    factor with n, until the rest is prime), then ECM on Montgomery curves,
+    which alone spends the budget and reports what its curves were charged
+    as the result's ``effort``; every reported prime is certified by
+    ``is_prime``.
 
     ``enough``, the caller's stop rule, is asked before every ECM call,
     so first after trial division, with the primes found so far; once it

@@ -12,8 +12,11 @@ floating point at any tau (summed from the exact coefficient lists, with the
 orbit reduction done on tau rather than on a form), class polynomials from
 the full h-class product of those values, square-rooted over Z, real roots
 counted and isolated by Sturm sequences, trial division one prime at a
-time, the fixed-point series sum with its error counted term by term, and
-exp with one division per Taylor term and its term count from factorials.
+time (also as the full sweep of the trial division that stops at a prime
+rest), primality by 66 seeded Miller-Rabin rounds, Chernick numbers that
+pass the strong test to base 2, the fixed-point series sum with its error
+counted term by term, and exp with one division per Taylor term and its
+term count from factorials.
 Also
 the checks of statements of the paper that the pipeline does not run: the
 T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
@@ -1448,6 +1451,23 @@ def primes_below(bound):
     return [i for i in range(bound) if flags[i]]
 
 
+def _reference_trial_divide(n, found):
+    """``intmath._trial_divide`` by the full sweep: every prime below
+    ``TRIAL_BOUND`` in turn, until its square exceeds the rest; a prime rest
+    smaller than n is then recorded too, and 1 returned."""
+    start = n
+    for p in primes_below(TRIAL_BOUND):
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    if n < start and is_prime_by_rounds(n):
+        found[n] = found.get(n, 0) + 1
+        return 1
+    return n
+
+
 def factorize_by_trial_loop(n, budget=None):
     """``factorize`` with trial division by every prime below ``TRIAL_BOUND``
     in turn; the rest, whose prime factors all exceed the bound, goes to the
@@ -1464,6 +1484,55 @@ def factorize_by_trial_loop(n, budget=None):
     for p, e in rest.factors:
         found[p] = found.get(p, 0) + e
     return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())), rest.cofactor)
+
+
+# --- primality: seeded Miller-Rabin rounds and base-2 pseudoprimes ----------
+
+
+def _strong_round(n, a):
+    """Whether odd n > 2 is a strong probable prime to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_by_rounds(n):
+    """Primality by trial division below 53 and 66 Miller-Rabin rounds to
+    bases drawn from a PRNG seeded with n, each wrong on a composite with
+    probability at most 1/4: error below 2^-128."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    if n < 53 * 53:
+        return True
+    rng = random.Random(n)
+    return all(_strong_round(n, rng.randrange(2, n - 1)) for _ in range(66))
+
+
+def chernick_base_2_pseudoprimes(start, count):
+    """The first ``count`` Chernick numbers (6k + 1)(12k + 1)(18k + 1) with
+    k >= start that pass the strong test to base 2, the first half of
+    Baillie-PSW.  With all three factors prime the product is a Carmichael
+    number, which passes a Fermat test to every base prime to it."""
+    found = []
+    for k in itertools.count(start):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(is_prime_by_rounds(f) for f in factors):
+            n = math.prod(factors)
+            if _strong_round(n, 2):
+                found.append((k, n))
+                if len(found) == count:
+                    return found
 
 
 # --- Brent rho: the unit of the factoring budget -----------------------------

@@ -17,9 +17,12 @@ from heegner.intmath import (
 from oracles import (
     _reference_ladder,
     _reference_stage2,
+    _reference_trial_divide,
     brent_rho,
+    chernick_base_2_pseudoprimes,
     ecm_reference,
     factorize_by_trial_loop,
+    is_prime_by_rounds,
     primes_below,
 )
 
@@ -108,27 +111,42 @@ class TestIsPrime:
         primes = set(primes_below(53 * 53))
         assert [n for n in range(53 * 53) if is_prime(n)] == sorted(primes)
 
-    @pytest.mark.parametrize("n", [
-        2**89 - 1,  # prime: all 66 rounds
-        (2**61 - 1) * (2**31 - 1),  # composite: stops at its first failing round
-        (2**89 - 1) * 1000003,
-    ])
-    def test_witnesses_above_2_64_are_drawn_as_rounds_run(self, monkeypatch, n):
-        rounds = []
-        real_round = intmath._miller_rabin
+    def test_agrees_with_66_rounds_above_2_64(self):
+        # Baillie-PSW against 66 seeded Miller-Rabin rounds (error below
+        # 2^-128), on seeded odd n of 65 to 200 bits
+        rng = random.Random(61)
+        cases = []
+        for _ in range(20000):
+            bits = rng.randint(65, 200)
+            cases.append(rng.randrange(1 << (bits - 1), 1 << bits) | 1)
+        verdicts = [is_prime(n) for n in cases]
+        assert verdicts == [is_prime_by_rounds(n) for n in cases]
+        assert sum(verdicts) == 459
 
-        def traced(m, a):
-            verdict = real_round(m, a)
-            rounds.append((a, verdict))
-            return verdict
+    def test_strong_lucas_passes_its_pseudoprimes_and_primes(self):
+        # the first ten strong Lucas pseudoprimes with Selfridge's
+        # parameters (OEIS A217255) pass, as do the primes, and no other
+        # odd number below 60 000 does
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519}
+        primes = set(primes_below(60000))
+        assert {n for n in range(3, 60000, 2) if intmath._strong_lucas(n)} == (
+            primes - {2}) | pseudoprimes
+        assert all(intmath._strong_lucas(q) for q in (2**89 - 1, 2**107 - 1, 2**127 - 1))
 
-        monkeypatch.setattr(intmath, "_miller_rabin", traced)
-        rng = random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(66)]
-        verdicts = [real_round(n, a) for a in witnesses]
-        drawn = verdicts.index(False) + 1 if False in verdicts else 66
-        assert is_prime(n) == all(verdicts)
-        assert rounds == list(zip(witnesses, verdicts))[:drawn]
+    def test_strong_lucas_rejects_squares(self):
+        # no D has (D | n) = -1 for a square n, so it is rejected before the
+        # search for D
+        for q in (1000003, 2**61 - 1, 2**89 - 1):
+            assert not intmath._strong_lucas(q * q)
+
+    def test_rejects_base_2_pseudoprimes_above_2_64(self):
+        # Carmichael numbers that pass the strong test to base 2 fall to the
+        # Lucas half of Baillie-PSW
+        chernick = chernick_base_2_pseudoprimes(1 << 20, 3)
+        assert [k for k, _ in chernick] == [1051410, 1051980, 1052366]
+        for _, n in chernick:
+            assert n > 2**64 and intmath._miller_rabin(n, 2)
+            assert not is_prime(n), n
 
 
 class TestFactorize:
@@ -202,6 +220,41 @@ class TestFactorize:
         cases.remove(0)
         for n in cases:
             assert factorize(n) == factorize_by_trial_loop(n), n
+
+    def test_trial_divide_matches_full_sweep(self):
+        # stopping at a prime rest finds what the full sweep finds: no prime
+        # below 10^6 but itself divides a prime
+        primes = primes_below(10**6)
+        rng = random.Random(67)
+        cases = [1, 2, 3, 999983, 2**32 + 15, 2**89 - 1, 1000003 * 1000033]
+        cases += [q**e for q in (2, 3, 997, 999983, 1000003) for e in (1, 2, 5)]
+        cases += [q * (2**89 - 1) for q in (2, 997, 999983)]  # a prime rest after one chunk
+        cases += [2 * 3 * 999983 * (2**61 - 1), 7**2 * 151 * 452233314041]
+        for _ in range(300):
+            bits = rng.randint(20, 300)
+            n = rng.randrange(1 << (bits - 1), 1 << bits)
+            n *= math.prod(rng.sample(primes, rng.randint(0, 3)))
+            cases.append(n)
+        for n in cases:
+            found, reference = {}, {}
+            assert (intmath._trial_divide(n, found), found) == (
+                _reference_trial_divide(n, reference), reference), n
+
+    def test_prime_rest_ends_trial_division(self, monkeypatch):
+        # the numerator of search(11, 21/2, count=3) is -7^2 151 452233314041:
+        # the first chunk holds 7 and 151, and the prime rest ends the sweep
+        # there; the full sweep takes 213 chunk gcds, up to the square root
+        gcds = []
+        real = intmath._chunk_product
+
+        def counted(start):
+            gcds.append(start)
+            return real(start)
+
+        monkeypatch.setattr(intmath, "_chunk_product", counted)
+        f = factorize(-3346074290589359)
+        assert f.factors == ((7, 2), (151, 1), (452233314041, 1)) and f.complete
+        assert gcds == [0]
 
 
 @pytest.fixture
@@ -338,12 +391,18 @@ class TestEcm:
         assert None in results and results[-2] == self.SEMIPRIME_P7[0]
 
     def test_ladder_matches_reference(self):
+        # the ladder from (x / z : 1) gives the reference's projective point
+        # from (x : z): the same x-coordinate, and the same gcd of Z with n
         rng = random.Random(47)
         for _ in range(50):
             n = rng.randrange(10**20, 10**40) | 1
             k = rng.randrange(1, 1 << rng.randint(1, 200))
-            x, z, a24 = (rng.randrange(n) for _ in range(3))
-            assert intmath._ladder(k, x, z, a24, n) == _reference_ladder(k, x, z, a24, n)
+            x, a24 = rng.randrange(n), rng.randrange(n)
+            while math.gcd(z := rng.randrange(1, n), n) != 1:
+                pass
+            x1, z1 = intmath._ladder(k, x * pow(z, -1, n) % n, a24, n)
+            x2, z2 = _reference_ladder(k, x, z, a24, n)
+            assert (x1 * z2 - x2 * z1) % n == 0 and math.gcd(z1, n) == math.gcd(z2, n)
 
     def test_stage2_matches_reference_where_points_vanish(self):
         # modulo small primes, baby and giant points reach the identity, whose
