@@ -5,15 +5,20 @@ coefficients (for p = 23, a quotient of two theta series), and every series
 is summed the same way: sparsely, over the exponents that occur
 (generalized pentagonal numbers for eta, values of a positive binary
 quadratic form for theta, of two such forms for theta*), in fixed point.
-The terms of each series kind live in one table, grown by doubling, and a
-sum reads the prefix up to its truncation.  q is a Gaussian integer scaled
-by 2^prec, and the powers a sum needs come from a table of q^g for the gaps
-g between consecutive exponents.  Each sum returns its value with an error
-radius in units of 2^-prec: the truncations of the fixed-point products,
-whose count for q^n is n times a constant, so that the table carries the
-whole count as a running sum of |c| n, plus an explicit bound on the
-dropped tail, which is geometric because no coefficient of q^n exceeds a
-constant times n.
+The terms of each series kind at q^s, s = 1 or p, live in one table, grown
+by doubling, and a sum reads the prefix up to its truncation; the table
+also holds a chain of steps q^(a + b) = q^a q^b that builds the powers the
+terms read, each from two built before it (Enge, Math. Comp. 78, 2009,
+sums such series over addition sequences).  q is a Gaussian integer scaled
+by 2^prec, and the series of one point share one table of its powers: a
+step whose power is already there costs nothing, so the eta series at q^p
+and the second theta series at p = 19 read much of what the first built.  Each
+sum returns its value with an error radius in units of 2^-prec: the
+truncations of the fixed-point products, whose count for q^e is at most e
+times a constant whatever its chain, so that the table carries the whole
+count as a running sum of |c| s n, plus an explicit bound on the dropped
+tail, which is geometric because no coefficient of q^n exceeds a constant
+times n.
 
 ``jp_at_form`` is the one evaluation of j_p.  It evaluates j_p at the point
 of a Heegner form as given, which its caller has reduced
@@ -37,9 +42,9 @@ theta series of discriminant -23.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -49,7 +54,7 @@ from .quadforms import QuadForm
 __all__ = ["GUARD_BITS", "Ball", "jp_at_form", "jp_arc_interval"]
 
 # jp_at_form's guard, the one of a build.  Builds with l < 1000 spend at most
-# 30.3 bits (p = 19), up to 25.6 on the largest _qsum error, which grows as
+# 30.3 bits (p = 19), up to 25.6 on the largest series error, which grows as
 # 2 log2 nmax.  A shortfall fails the rounding proof, never giving a wrong value.
 GUARD_BITS = 40
 ARC_BITS = 256  # precision of the endpoints of j_p(S)
@@ -106,53 +111,97 @@ def _theta_star_counts(nmax: int) -> list[int]:
     return list(map(sub, _theta_counts(4, 2, 5, kmax)[1::2], _theta_counts(1, 0, 19, kmax)[1::2]))
 
 
-def _table(kind, nmax: int):
-    """The term table of a series kind up to q^nmax: (nmax, terms, gaps, weights).
+def _chain(exponents) -> tuple[list, list]:
+    """Steps that build q^e from q for every exponent e > 1 of a series.
 
-    ``terms`` holds the nonzero (n, c), n ascending from 0; gaps[i] and
-    weights[i] are the largest gap between consecutive exponents (at least
-    1) and the sum of |c| n over terms[:i + 1].
+    A step (e, a, b) forms q^e = q^a q^b from two powers built before it: a
+    is the largest built exponent that leaves a built e - a, and when none
+    does, the gap e - a to the largest built a below e is built first, the
+    same way.  Returns the steps and, for each exponent, the number of steps
+    that build it and every exponent before it.
+    """
+    built, have, steps, ends = [0, 1], {0, 1}, [], []
+
+    def build(e):
+        i = bisect_right(built, e) - 1
+        a = built[i]
+        while 2 * built[i] >= e:
+            if e - built[i] in have:
+                a = built[i]
+                break
+            i -= 1
+        else:
+            build(e - a)
+        steps.append((e, a, e - a))
+        insort(built, e)
+        have.add(e)
+
+    for e in exponents:
+        if e not in have:
+            build(e)
+        ends.append(len(steps))
+    return steps, ends
+
+
+def _halving(e: int) -> list:
+    """Steps that build q^e from q by halving: q^e = q^(e // 2) q^(e - e // 2)."""
+    if e < 2:
+        return []
+    half = e // 2
+    return _halving(half) + _halving(e - half) + [(e, half, e - half)]
+
+
+def _table(kind, scale: int, nmax: int):
+    """The term table of a series kind at q^scale up to its nmax-th power.
+
+    Returns (nmax, terms, weights, steps, ends).  ``terms`` holds the
+    nonzero (scale n, c), n ascending from 0, and weights[i] is the sum of
+    |c| scale n over terms[:i + 1].  ``steps`` build every power of q that
+    the terms read, q^scale by halving first and then the chain of the
+    exponents n, each times scale; ends[i] counts the steps that
+    terms[:i + 1] need.
     """
     if kind == ETA:
         terms = _pentagonal_terms(nmax)
     else:
         counts = _theta_star_counts(nmax) if kind == THETA_STAR else _theta_counts(*kind[1:], nmax)
         terms = [(n, c) for n, c in enumerate(counts) if c]
-    gaps, weights = [], []
-    gap = weight = last = 0
-    for n, c in terms:
-        gap, weight, last = max(gap, n - last, 1), weight + abs(c) * n, n
-        gaps.append(gap)
-        weights.append(weight)
-    return nmax, terms, gaps, weights
+    lead = _halving(scale)
+    steps, ends = _chain(n for n, _ in terms)
+    steps = lead + [(scale * e, scale * a, scale * b) for e, a, b in steps]
+    ends = [len(lead) + end for end in ends]
+    terms = [(scale * n, c) for n, c in terms]
+    return nmax, terms, list(accumulate(abs(c) * n for n, c in terms)), steps, ends
 
 
-_TABLES = {}  # series kind -> its _table, grown by doubling
+_TABLES = {}  # (series kind, scale) -> its _table, grown by doubling
 
 
 class _Prefix(NamedTuple):
-    """The terms of a series kind up to some q^nmax: terms[:count], with the
-    largest gap between consecutive exponents and the sum of |c| n."""
+    """The terms of a series up to some power: terms[:count], their sum of
+    |c| n and the steps[:built] that build the powers they read."""
 
     terms: list
     count: int
-    max_gap: int
     weight: int
+    steps: list
+    built: int
 
 
-def _terms(kind, nmax: int) -> _Prefix:
-    """The nonzero terms (n, c) of a series kind up to q^nmax, n ascending.
+def _terms(kind, scale: int, nmax: int) -> _Prefix:
+    """The nonzero terms (scale n, c) of a series kind at q^scale, n <= nmax.
 
-    Each kind keeps one table, of the terms up to the largest nmax asked so
-    far; a larger nmax rebuilds it at no less than twice its reach, and
-    every sum reads a prefix of it, found by bisection.
+    Each (kind, scale) keeps one table, of the terms up to the largest nmax
+    asked so far; a larger nmax rebuilds it at no less than twice its reach,
+    and every sum reads a prefix of it, found by bisection.
     """
-    table = _TABLES.get(kind)
+    key = kind, scale
+    table = _TABLES.get(key)
     if table is None or table[0] < nmax:
-        table = _TABLES[kind] = _table(kind, max(nmax, 2 * table[0]) if table else nmax)
-    _, terms, gaps, weights = table
-    count = bisect_right(terms, nmax, key=itemgetter(0))
-    return _Prefix(terms, count, gaps[count - 1], weights[count - 1])
+        table = _TABLES[key] = _table(kind, scale, max(nmax, 2 * table[0]) if table else nmax)
+    _, terms, weights, steps, ends = table
+    count = bisect_right(terms, scale * nmax, key=itemgetter(0))
+    return _Prefix(terms, count, weights[count - 1], steps, ends[count - 1])
 
 
 def _growth(kind) -> int:
@@ -189,45 +238,45 @@ def _truncation(kind, rate: float, prec: int) -> tuple[int, int]:
     return nmax, max(1, math.ceil(2.0 ** (log_tail + prec) * (1 + 1e-9)))
 
 
-def _qsum(q, q_err: int, prefix: _Prefix, prec: int):
-    """Sum of c q^n over the terms of ``prefix`` in fixed point: (re, im, err).
+class _Powers:
+    """The powers of q at one point, exponent -> Gaussian integer over
+    2^prec, shared by every series the point's Hauptmodul reads.
 
-    q is a Gaussian integer over 2^prec within q_err units of a value of
-    modulus below 1.  A product of two such values with errors e, f is
-    within e + f + 2 units (the two floor shifts cost under sqrt(2), and e f
-    stays below a unit while both are under 2^(prec/2 - 1), checked at the
-    end).  q^g in the table of gaps is g - 1 products from q, within
-    g (q_err + 2) - 2 units, and a power q^n one product per gap on the way
-    from q^0, so it is within n (q_err + 2) units: the error of the sum is
-    (q_err + 2) times the prefix's sum of |c| n, in closed form.
+    A product of two values within e and f units of values of modulus below
+    1 is within e + f + 2 units: the two floor shifts cost under sqrt(2),
+    and e f stays below a unit while both are under 2^(prec/2 - 1).  A
+    power q^e the table lacks is one product q^a q^b of two it holds, a + b
+    = e, so by induction every q^e, e >= 1, is within e (err(q) + 2) - 2
+    units whatever its chain, and a series at q^s within (err(q) + 2) s
+    sum |c| n, its prefix's weight.  That count also bounds the error of
+    every power the series multiplied, so the sum raises
+    ``ArithmeticError`` once it reaches 2^(prec/2 - 1).
     """
-    one = 1 << prec
-    qr, qi = q
-    table = [(one, 0), q]
-    for _ in range(2, prefix.max_gap + 1):
-        gr, gi = table[-1]
-        table.append(((gr * qr - gi * qi) >> prec, (gr * qi + gi * qr) >> prec))
-    re = im = last = 0
-    pr, pi = one, 0
-    for n, c in islice(prefix.terms, prefix.count):
-        if n != last:
-            gr, gi = table[n - last]
-            pr, pi = (pr * gr - pi * gi) >> prec, (pr * gi + pi * gr) >> prec
-            last = n
-        re += c * pr
-        im += c * pi
-    err = (q_err + 2) * prefix.weight
-    if err >= 1 << (prec // 2 - 1):
-        raise ArithmeticError("fixed-point error count outgrew its bound")
-    return re, im, err
 
+    def __init__(self, q: Ball, im_tau: float):
+        self.q, self.im_tau = q, im_tau
+        self.powers = {0: (1 << q.prec, 0), 1: (q.re, q.im)}
 
-def _fixed_series(kind, q: Ball, im_tau: float, scale: int = 1) -> Ball:
-    """A series kind at q^scale, where q = exp(2 pi i tau), Im(tau) = im_tau."""
-    q = q**scale
-    nmax, tail = _truncation(kind, 2 * math.pi * scale * im_tau / math.log(2), q.prec)
-    re, im, err = _qsum((q.re, q.im), q.rad, _terms(kind, nmax), q.prec)
-    return Ball(re, im, err + tail, q.prec)
+    def series(self, kind, scale: int = 1) -> Ball:
+        """A series kind at q^scale, where q = exp(2 pi i tau), Im(tau) = im_tau."""
+        q = self.q
+        prec = q.prec
+        nmax, tail = _truncation(kind, 2 * math.pi * scale * self.im_tau / math.log(2), prec)
+        prefix = _terms(kind, scale, nmax)
+        powers = self.powers
+        for e, a, b in islice(prefix.steps, prefix.built):
+            if e not in powers:
+                (ar, ai), (br, bi) = powers[a], powers[b]
+                powers[e] = (ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec
+        re = im = 0
+        for e, c in islice(prefix.terms, prefix.count):
+            pr, pi = powers[e]
+            re += c * pr
+            im += c * pi
+        err = (q.rad + 2) * prefix.weight
+        if err >= 1 << (prec // 2 - 1):
+            raise ArithmeticError("fixed-point error count outgrew its bound")
+        return Ball(re, im, err + tail, prec)
 
 
 class Ball:
@@ -272,12 +321,12 @@ class Ball:
         return self + -other
 
     def __mul__(self, other) -> "Ball":
-        if isinstance(other, int):
+        if other.__class__ is not Ball:
             return Ball(self.re * other, self.im * other, self.rad * abs(other), self.prec)
-        (a, b, e), (c, d, f) = (self.re, self.im, self.rad), (other.re, other.im, other.rad)
+        a, b, e, prec = self.re, self.im, self.rad, self.prec
+        c, d, f = other.re, other.im, other.rad
         # |(x + s)(y + t) - x y| <= |x| f + |y| e + e f for |s| <= e, |t| <= f
         spread = (abs(a) + abs(b)) * f + (abs(c) + abs(d) + f) * e
-        prec = self.prec
         return Ball((a * c - b * d) >> prec, (a * d + b * c) >> prec,
                     -(-spread >> prec) + 2, prec)
 
@@ -418,7 +467,7 @@ def jp_at_form(form: QuadForm, p: int, bits: int) -> Ball:
     root = Ball(math.isqrt(-D << (2 * wide)), form.b << wide, 1, wide)  # sqrt|D| + b i
     q_wide = _exp(-(_pi(wide) * root) / form.a)
     q, qinv = q_wide.round_to(prec), q_wide.inverse().round_to(prec)
-    return hauptmodul(lambda kind, scale=1: _fixed_series(kind, q, im_tau, scale), qinv)
+    return hauptmodul(_Powers(q, im_tau).series, qinv)
 
 
 @lru_cache(maxsize=None)

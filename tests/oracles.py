@@ -670,38 +670,35 @@ def _series_terms(kind, size: int):
     return tuple((n, int(c)) for n, c in enumerate(coeffs) if c)
 
 
-def qsum_per_term(q, q_err: int, terms, prec: int):
-    """The library's series sum with its error counted term by term: the
-    reference for the closed-form count of ``hauptmodul._qsum``.
+def series_per_term(q, q_err: int, prefixes, prec: int):
+    """The sums of one point's series with the error of each power counted
+    along its own chain of products: the reference for the closed-form
+    count of ``hauptmodul._Powers``.
 
-    Sum of c q^n over ``terms`` in fixed point: (re, im, err).  A product of
-    two values with errors e, f is within e + f + 2 units; each power
-    carries the count of its chain of products, and each term adds |c|
-    times the error of its power.
+    ``prefixes`` are the library's term prefixes (``hauptmodul._terms``) in
+    the order the point's series ask for them; their steps build the shared
+    powers, each from two built before it.  A product of two values with
+    errors e, f is within e + f + 2 units while both are under
+    2^(prec/2 - 1), and an operand past that raises.  Returns (re, im, err)
+    per prefix: the fixed-point sum of c q^n over its terms and the sum of
+    |c| times the count of each power.
     """
-    def mul(x, y):
-        (a, b), (c, d) = x, y
-        return (a * c - b * d) >> prec, (a * d + b * c) >> prec
-
     one = 1 << prec
-    max_gap = max((n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])), default=1)
-    table, errors = [(one, 0), q], [0, q_err]
-    for _ in range(2, max_gap + 1):
-        table.append(mul(table[-1], q))
-        errors.append(errors[-1] + q_err + 2)
-    re = im = err = 0
-    power, power_err, last = (one, 0), 0, 0
-    for n, c in terms:
-        if n != last:
-            power = mul(power, table[n - last])
-            power_err += errors[n - last] + 2
-            last = n
-        re += c * power[0]
-        im += c * power[1]
-        err += abs(c) * power_err
-    if err >= 1 << (prec // 2 - 1):
-        raise ArithmeticError("fixed-point error count outgrew its bound")
-    return re, im, err
+    powers = {0: ((one, 0), 0), 1: (q, q_err)}
+    sums = []
+    for prefix in prefixes:
+        for e, a, b in prefix.steps[:prefix.built]:
+            if e not in powers:
+                ((xr, xi), ex), ((yr, yi), ey) = powers[a], powers[b]
+                if max(ex, ey) >= 1 << (prec // 2 - 1):
+                    raise ArithmeticError("fixed-point error count outgrew its bound")
+                powers[e] = ((xr * yr - xi * yi) >> prec, (xr * yi + xi * yr) >> prec), ex + ey + 2
+        re = im = err = 0
+        for e, c in prefix.terms[:prefix.count]:
+            (x, y), count = powers[e]
+            re, im, err = re + c * x, im + c * y, err + abs(c) * count
+        sums.append((re, im, err))
+    return sums
 
 
 def exp_reference(z: Ball) -> Ball:

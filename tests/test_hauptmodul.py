@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from heegner import hauptmodul
-from heegner.hauptmodul import (ETA, THETA_STAR, Ball, _exp, _growth, _pi, _qsum, _terms,
+from heegner.classpoly import build_PD
+from heegner.hauptmodul import (ETA, THETA_STAR, Ball, _exp, _growth, _pi, _Powers, _terms,
                                 _truncation, jp_arc_interval, jp_at_form)
 from heegner.levels import LEVELS, level
 from heegner.quadforms import (
@@ -31,8 +32,8 @@ from oracles import (
     exp_reference,
     j_p,
     j_p0,
-    qsum_per_term,
     reduce_tau,
+    series_per_term,
     tau_from_form,
     theta,
     theta_star,
@@ -406,7 +407,7 @@ class TestJpAtForm:
         # the tail bound assumes |coefficient of q^n| <= A n for n >= 1
         for kind in SERIES_KINDS:
             bound = _growth(kind)
-            prefix = _terms(kind, 3000)
+            prefix = _terms(kind, 1, 3000)
             assert all(abs(c) <= bound * n for n, c in prefix.terms[:prefix.count] if n)
 
 
@@ -422,59 +423,159 @@ def level_series(p):
     return asked
 
 
+def seeded_point(rng, p):
+    """(q, Im(tau)) at a random point of level p: a q ball at a random
+    precision whose every point has modulus at most exp(-2 pi Im(tau)),
+    as the series' tail bounds require."""
+    im_tau = rng.uniform(math.sqrt(3) / (2 * p), 3)
+    prec = rng.randrange(64, 200)
+    rad = rng.randrange(0, 40)
+    with mpmath.workprec(4 * prec):
+        bound = mpmath.exp(-2 * mpmath.pi * im_tau) * (1 - mpmath.ldexp(1, -20))
+        # flooring each coordinate moves the centre by under 2 units
+        reach = bound - mpmath.ldexp(rad + 2, -prec)
+        centre = reach * rng.uniform(0.3, 1) * mpmath.expjpi(2 * mpmath.mpf(rng.random()))
+        re, im = (int(mpmath.floor(mpmath.ldexp(x, prec))) for x in (centre.real, centre.imag))
+    q = Ball(re, im, rad, prec)
+    with mpmath.workprec(4 * prec):
+        assert abs(ball_center(q)) + mpmath.ldexp(rad, -prec) <= bound
+    return q, im_tau
+
+
+def series_reference(kind, x, bits):
+    """The whole series of a kind at x, within 2^-bits, by mpmath: Euler's
+    product for ETA, the oracle's coefficients otherwise."""
+    if kind == ETA:
+        return mpmath.qp(x)
+    # past N the tail is below A N |x|^N / (1 - |x|)^2, far under 2^-bits
+    nmax = math.ceil((bits + 64) / -float(mpmath.log(abs(x), 2)))
+    total, power, last = mpmath.mpc(0), mpmath.mpc(1), 0
+    for n, c in _series_terms(kind, 1 << nmax.bit_length()):
+        if n > nmax:
+            break
+        power *= x ** (n - last)
+        total, last = total + c * power, n
+    return total
+
+
+def check_per_term(q, im_tau, asked):
+    """The balls a point's series returned, in the order asked, against the
+    per-term oracle: the same midpoints, and a closed-form radius no
+    smaller than the oracle's count plus the tail bound."""
+    prefixes, tails = [], []
+    for kind, scale, _ in asked:
+        nmax, tail = _truncation(kind, 2 * math.pi * scale * im_tau / math.log(2), q.prec)
+        prefixes.append(_terms(kind, scale, nmax))
+        tails.append(tail)
+    sums = series_per_term((q.re, q.im), q.rad, prefixes, q.prec)
+    for (_, _, ball), tail, (re, im, err) in zip(asked, tails, sums):
+        assert (ball.re, ball.im) == (re, im)
+        assert err + tail <= ball.rad
+
+
+@pytest.fixture
+def recorded_points(monkeypatch):
+    """Every point's power table that jp_at_form makes, each with the
+    (kind, scale, ball) of every series it returned."""
+    points = []
+
+    class Recorded(_Powers):
+        def __init__(self, q, im_tau):
+            super().__init__(q, im_tau)
+            self.asked = []
+            points.append(self)
+
+        def series(self, kind, scale=1):
+            ball = super().series(kind, scale)
+            self.asked.append((kind, scale, ball))
+            return ball
+
+    monkeypatch.setattr(hauptmodul, "_Powers", Recorded)
+    return points
+
+
+# complex products of the power tables over the 160 sweep builds, retries
+# included
+SWEEP_PRODUCTS = 28164
+
+
 class TestSeriesEngine:
-    """The prefix term tables and the closed-form error count of the sums."""
+    """The prefix term tables, the power table of a point, and the
+    closed-form error count of its series."""
 
     @pytest.mark.parametrize("order", [(1, 7, 40, 41, 300, 600), (600, 300, 41, 40, 7, 1),
                                        (40, 40, 7, 40, 300, 300, 41)])
     def test_terms_match_fresh_computation(self, monkeypatch, order):
         monkeypatch.setattr(hauptmodul, "_TABLES", {})
         for kind in SERIES_KINDS:
-            for nmax in order:
-                prefix = _terms(kind, nmax)
-                terms = prefix.terms[:prefix.count]
-                assert terms == list(_series_terms(kind, nmax + 1)), (kind, nmax)
-                gaps = [n1 - n0 for (n0, _), (n1, _) in zip(terms, terms[1:])]
-                assert prefix.max_gap == max(gaps, default=1)
-                assert prefix.weight == sum(abs(c) * n for n, c in terms)
+            for scale in (1, 13):
+                for nmax in order:
+                    prefix = _terms(kind, scale, nmax)
+                    terms = prefix.terms[:prefix.count]
+                    fresh = [(scale * n, c) for n, c in _series_terms(kind, nmax + 1)]
+                    assert terms == fresh, (kind, scale, nmax)
+                    assert prefix.weight == sum(abs(c) * n for n, c in terms)
+                    # each step multiplies two powers built before it, and
+                    # the steps build every power the terms read
+                    built = {0, 1}
+                    for e, a, b in prefix.steps[:prefix.built]:
+                        assert e == a + b and a in built and b in built
+                        built.add(e)
+                    assert {n for n, _ in terms} <= built
 
     def test_tables_grow_by_doubling(self, monkeypatch):
         monkeypatch.setattr(hauptmodul, "_TABLES", {})
         builds = []
         table = hauptmodul._table
-        monkeypatch.setattr(hauptmodul, "_table",
-                            lambda kind, nmax: builds.append(nmax) or table(kind, nmax))
+        monkeypatch.setattr(hauptmodul, "_table", lambda kind, scale, nmax:
+                            builds.append(nmax) or table(kind, scale, nmax))
         for nmax in range(1, 1001):
-            _terms(ETA, nmax)
+            _terms(ETA, 1, nmax)
         assert builds == [1 << k for k in range(11)]
+
+    @pytest.mark.parametrize("p", sorted(LEVELS))
+    def test_series_enclose_mpmath_values(self, p):
+        # at the centre of q's disc and at its two radial extremes, each
+        # series the level asks for, in its order, holds the series at that
+        # point, computed with mpmath at four times the precision
+        rng = random.Random(100 + p)
+        for _ in range(3):
+            q, im_tau = seeded_point(rng, p)
+            powers = _Powers(q, im_tau)
+            with mpmath.workprec(4 * q.prec):
+                centre = ball_center(q)
+                rad = mpmath.ldexp(q.rad, -q.prec) * (1 - mpmath.ldexp(1, -2 * q.prec))
+                unit = centre / abs(centre)
+                points = (centre, centre + rad * unit, centre - rad * unit)
+                for kind, scale in level_series(p):
+                    ball = powers.series(kind, scale)
+                    for x in points:
+                        assert_encloses(ball, series_reference(kind, x**scale, 2 * q.prec))
 
     @pytest.mark.parametrize("p", sorted(LEVELS))
     def test_closed_form_error_matches_per_term_count(self, p):
         rng = random.Random(p)
-        for kind, scale in level_series(p):
-            for _ in range(12):
-                rate = scale * rng.uniform(0.4, 27)  # -log2 |q| at Im(tau) in [0.05, 3]
-                prec = rng.randrange(64, 500) + math.ceil(rate)
-                bound = 1 << (prec - math.ceil(rate) - 1)  # |q| < 2^-rate
-                q = (rng.randrange(-bound, bound), rng.randrange(-bound, bound))
-                q_err = rng.randrange(0, 40)
-                nmax, _ = _truncation(kind, rate, prec)
-                assert _qsum(q, q_err, _terms(kind, nmax), prec) == qsum_per_term(
-                    q, q_err, list(_series_terms(kind, nmax + 1)), prec)
+        for _ in range(12):
+            q, im_tau = seeded_point(rng, p)
+            powers = _Powers(q, im_tau)
+            check_per_term(q, im_tau, [(kind, scale, powers.series(kind, scale))
+                                       for kind, scale in level_series(p)])
 
     @pytest.mark.parametrize("p,ell,shape", HEEGNER_CASES)
-    def test_sums_of_jp_at_form_match_per_term_count(self, monkeypatch, p, ell, shape):
-        calls = []
-
-        def checked(q, q_err, prefix, prec):
-            out = _qsum(q, q_err, prefix, prec)
-            calls.append(out == qsum_per_term(q, q_err, prefix.terms[:prefix.count], prec))
-            return out
-
-        monkeypatch.setattr(hauptmodul, "_qsum", checked)
+    def test_sums_of_jp_at_form_match_per_term_count(self, recorded_points, p, ell, shape):
         for form in heegner_forms(p, ell, shape):
             jp_at_form(reduce_heegner_form(form, p), p, 96)
-        assert calls and all(calls)
+        assert recorded_points
+        for point in recorded_points:
+            assert [(kind, scale) for kind, scale, _ in point.asked] == level_series(p)
+            check_per_term(point.q, point.im_tau, point.asked)
+
+    def test_sweep_product_count(self, recorded_points):
+        # every entry of a table past q^0 and q^1 is one complex product
+        for p, ell in admissible_pairs():
+            for shape in ("-pl", "-4pl"):
+                build_PD(Discriminant(p, ell, shape))
+        assert sum(len(point.powers) - 2 for point in recorded_points) == SWEEP_PRODUCTS
 
 
 BALL_PREC = 64
