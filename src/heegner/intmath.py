@@ -3,11 +3,12 @@
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always normalized, positive denominator).  Everything
 here is pure and deterministic: only ECM draws from a PRNG, seeded with its
-input.  Primality is proven below 2^64; above it, it is Baillie-PSW's
-answer, which no known composite passes.  Factoring is trial division by
-the primes below 10^6, sieved once over the odd numbers and kept as a 4-byte
-``array``, until the rest is 1 or prime, then ECM on Montgomery curves
-within one effort budget, until the caller's stop rule, if any, holds.
+input.  Primality is Baillie-PSW, proven below 2^64 (Baillie, Fiori and
+Wagstaff, Math. Comp. 90, 2021) and passed by no known composite above.
+Factoring is trial division by the primes below 10^6, sieved once over the
+odd numbers and kept as a 4-byte ``array``, until the rest is 1 or prime,
+then ECM on Montgomery curves within one effort budget, until the caller's
+stop rule, if any, holds.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# The first twelve primes: Miller-Rabin to these bases is deterministic below
-# psi_12 = 318 665 857 834 031 151 167 461 > 2^64 (Sorenson and Webster,
-# Math. Comp. 86, 2017).
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -118,9 +115,9 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below 2**64, Baillie-PSW above (a
-    strong test to base 2 and a strong Lucas test), which no known
-    composite passes."""
+    """Baillie-PSW primality test: a strong test to base 2 and a strong
+    Lucas test.  No composite below 2^64 passes it (Baillie, Fiori and
+    Wagstaff, Math. Comp. 90, 2021), and no known composite above."""
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
     if n < 2:
@@ -130,8 +127,6 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 53 * 53:  # no prime factor below 53, so n is prime
         return True
-    if n < 2**64:
-        return all(_miller_rabin(n, a) for a in _MR_WITNESSES_64)
     return _miller_rabin(n, 2) and _strong_lucas(n)
 
 
@@ -343,7 +338,8 @@ def _ecm_stage2(x, z, a24, n, giants) -> int:
     over the primes g D +- j: q divides it if Q has such an order mod q.  A
     Z_j that shares a factor with n is returned in its place.  Q = (x : z)
     with z a unit mod n, and Q is normalized to (x / z : 1) first, the same
-    projective point, for the ladders.
+    projective point, for the one ladder, to [D] Q; the giants are stepped
+    from it by D Q at a time.
 
     The x_j and the x_g = X_g / Z_g are normalized by ``_normalize``, so the
     product taken is that of x_g - x_j, one modular product a prime: it
@@ -360,8 +356,7 @@ def _ecm_stage2(x, z, a24, n, giants) -> int:
     if isinstance(xs, int):
         return next(zj for _, zj in babies if math.gcd(zj, n) != 1)
     step = _ladder(d, x, a24, n)
-    at = giants[0][0]
-    here, after = (_ladder(g * d, x, a24, n) for g in (at, at + 1))
+    here, after, at = step, _xdbl(*step, a24, n), 1  # [at D] Q, [(at + 1) D] Q
     points = []
     for g, _ in giants:
         while at < g:

@@ -4,9 +4,9 @@ A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
 nothing factored, and the residue itself is tested by walking its 2-isogeny
 graph (``supersingular``), which answers the Hasse-invariant question in
 O(log q) square roots; at q = 3 the answer is the closed form j = 0.
-Verification is bounded by an explicit limit, by default 2^64, where
-``is_prime`` stops being deterministic; larger primes are reported as
-unverified rather than trusted.
+Verification is bounded by an explicit limit, by default 2^64, above which
+``is_prime``'s Baillie-PSW answer is no longer proven; larger primes are
+reported as unverified rather than trusted.
 
 Also home to the exact h -> j lift that enables end-to-end verification for
 p = 3.

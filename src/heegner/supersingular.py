@@ -10,7 +10,8 @@ iff the roots of Phi_2(j, Y) lie in F_q^2 and three such paths from them never
 leave it: O(log q) square roots, where the Hasse invariant costs O(q).  They
 are all the field's: ``Fq2Field`` finds its non-residue and its Tonelli-Shanks
 constants once, in its constructor, so a square root in F_q is one
-exponentiation that also tells a non-residue, with no Euler test before it.
+Tonelli-Shanks exponentiation for every odd q, q = 3 mod 4 included, that
+also tells a non-residue, with no Euler test before it.
 This module imports nothing from the package.
 
 Hasse-invariant contract: ``hasse_nonzero_fq(q, j)`` and
@@ -91,16 +92,14 @@ class Fq2Field:
 
     def _sqrt_fq(self, a: int) -> int | None:
         """A square root of 0 <= a < q in F_q, or None for a non-residue, in
-        one exponentiation.  For q = 3 mod 4 it is a^((q+1)/4), checked by
-        squaring.  Otherwise Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)
-        with the field's constants: w = a^((d-1)/2) gives r = a^((d+1)/2) and
-        t = a^d, and a t of order 2^s, found in the loop, marks a non-residue."""
+        one exponentiation: Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)
+        with the field's constants.  w = a^((d-1)/2) gives r = a^((d+1)/2)
+        and t = a^d, and a t of order 2^s, found in the loop, marks a
+        non-residue.  For q = 3 mod 4, s = 1 and r = a^((q+1)/4), and a
+        non-residue's t = -1 is told by the loop's first order test."""
         q = self.q
         if a == 0:
             return 0
-        if q % 4 == 3:
-            r = pow(a, (q + 1) // 4, q)
-            return r if r * r % q == a else None
         w = pow(a, (self.d - 1) // 2, q)
         r = w * a % q
         e, c, t = self.s, self.c, w * r % q

@@ -38,11 +38,12 @@ class TestClasspoly:
 
     def test_round_trip(self, capsys):
         code, out, _ = run(capsys, "classpoly", "--p", "11", "--D", "-220")
+        assert code == 0
         assert poly_from_json(out).coefficients == build_PD(-220, 11).coefficients
 
     def test_invalid_shape_exits_64(self, capsys):
         code, _, err = run(capsys, "classpoly", "--p", "11", "--D", "-3")
-        assert code == 64 and "shape" in err or "valid" in err
+        assert code == 64 and ("shape" in err or "valid" in err)
 
     def test_ell_flag_product_form(self, capsys):
         code, out, _ = run(capsys, "classpoly", "--p", "5", "--ell", "3")

@@ -111,6 +111,36 @@ class TestIsPrime:
         primes = set(primes_below(53 * 53))
         assert [n for n in range(53 * 53) if is_prime(n)] == sorted(primes)
 
+    def test_agrees_with_66_rounds_below_2_64(self):
+        # Baillie-PSW against 66 seeded Miller-Rabin rounds, on seeded odd n
+        # of 12 to 64 bits, where it has no pseudoprime
+        rng = random.Random(12)
+        cases = []
+        for _ in range(20000):
+            bits = rng.randint(12, 64)
+            cases.append(rng.randrange(1 << (bits - 1), 1 << bits) | 1)
+        verdicts = [is_prime(n) for n in cases]
+        assert verdicts == [is_prime_by_rounds(n) for n in cases]
+        assert sum(verdicts) == 1928
+
+    def test_rejects_base_2_pseudoprimes_below_2_64(self):
+        # strong pseudoprimes to base 2 pass the first half of Baillie-PSW
+        # and fall to the strong Lucas test: the first 16 (OEIS A001262),
+        # one strong to every prime base up to 23, and Carmichael numbers
+        a001262 = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+                   65281, 74665, 80581, 85489, 88357, 90751]
+        primes = set(primes_below(91000))
+        assert [n for n in range(3, 91000, 2)
+                if n not in primes and intmath._miller_rabin(n, 2)] == a001262
+        strong_to_23 = 3825123056546413051
+        assert all(intmath._miller_rabin(strong_to_23, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        chernick = chernick_base_2_pseudoprimes(1, 5)
+        assert [k for k, _ in chernick] == [276, 370, 506, 710, 2256]
+        for n in a001262 + [strong_to_23] + [n for _, n in chernick]:
+            assert n < 2**64 and intmath._miller_rabin(n, 2)
+            assert not is_prime(n), n
+
     def test_agrees_with_66_rounds_above_2_64(self):
         # Baillie-PSW against 66 seeded Miller-Rabin rounds (error below
         # 2^-128), on seeded odd n of 65 to 200 bits

@@ -267,8 +267,10 @@ class TestVerifyCertificate:
         assert verify_certificate((3,), QuadSurd.from_string(text)) == {3: status}
 
     def test_pow_calls_of_one_verification(self, monkeypatch):
-        # every square root in F_q is one exponentiation, so verifying
-        # q = 6175217 for the level-3 point h = -40 makes 506 pow calls
+        # every square root in F_q is one exponentiation, and each of the two
+        # is_prime(6175217) calls one (the strong test to base 2 of
+        # Baillie-PSW; its Lucas half takes no pow), so verifying q = 6175217
+        # for the level-3 point h = -40 makes 484 pow calls
         calls = []
 
         def counted(*args):
@@ -279,7 +281,7 @@ class TestVerifyCertificate:
             monkeypatch.setattr(module, "pow", counted, raising=False)
         j = lift_j_from_h_level3(-40)
         assert verify_certificate((6175217,), j) == {6175217: "supersingular"}
-        assert len(calls) == 506
+        assert len(calls) == 484
 
     def test_bad_reduction_above_the_bound(self):
         # a q in the denominator is reported as such, whatever the bound
