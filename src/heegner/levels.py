@@ -26,12 +26,11 @@ THETA_STAR = ("theta*",)
 class T2Data:
     """Brandt matrix B(2) data for the Hecke correspondence T_2 mod p.
 
-    Row i lists the coefficients of T_2(basis_i) in the basis.  The basis
-    entries are supersingular j_p-invariants; for p = 23 the source only
-    provides the matrix.
+    The basis is the level's supersingular residues, ascending, the classes
+    B(2) acts on: row i lists the coefficients of T_2(s_i) in it.  Nothing
+    reads p = 23's matrix in that order; its source gives no basis.
     """
 
-    basis: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
     note: str = ""
 
@@ -72,7 +71,7 @@ def _theta_11(value, qinv):
 def _theta_19(value, qinv):
     # theta* = -2 q^(1/2) (1 + ...), so the square of the printed quotient
     # has residue 1/4; rescale to a residue-1 Hauptmodul (pinned by the
-    # supersingular basis {0, 8} mod 19)
+    # supersingular residues {0, 8} mod 19)
     return 4 * qinv * (value(("theta", 1, 1, 5), 1) / value(THETA_STAR, 1)) ** 2
 
 
@@ -98,12 +97,12 @@ class Level:
     times a square.  ``shapes``, derived from ``linear_root``, lists the
     shapes whose class polynomials the search multiplies; only
     ``sssearch.search_polynomial`` reads it.
-    ``supersingular`` lists the supersingular j_p-invariants mod p.
-    ``real_arc`` marks the levels with a fundamental unit of Q(sqrt p) and
-    the arc S of bounded real roots; ``t2_check`` runs the T_2 exponent
-    check mod p; ``j_lift`` marks an exact h -> j lift, through which the
-    harvested primes are verified (``ssverify.lift_j_from_h_level3``, the
-    only one so far).
+    ``supersingular`` lists the supersingular j_p-invariants mod p, ascending,
+    the basis of ``brandt``.  ``t2_check`` runs the T_2 exponent check mod p;
+    ``j_lift`` marks an exact h -> j lift, through which the harvested primes
+    are verified (``ssverify.lift_j_from_h_level3``, the only one so far).
+    ``real_arc``, derived, marks the searchable p = 3 mod 4, where Q(sqrt p)
+    has a fundamental unit of norm +1 and j_p the arc S of bounded real roots.
     """
 
     p: int
@@ -112,7 +111,6 @@ class Level:
     linear_root: int | None = None
     brandt: T2Data | None = None
     searchable: bool = True
-    real_arc: bool = False
     t2_check: bool = False
     j_lift: bool = False
 
@@ -122,18 +120,20 @@ class Level:
         # by multiplying both shapes
         return ("-4pl",) if self.linear_root is None else ("-pl", "-4pl")
 
+    @property
+    def real_arc(self) -> bool:
+        return self.searchable and self.p % 4 == 3
+
 
 LEVELS = {lev.p: lev for lev in (
-    Level(3, EtaQuotient(3), (0,), real_arc=True, j_lift=True),
+    Level(3, EtaQuotient(3), (0,), j_lift=True),
     Level(5, EtaQuotient(5), (0,), linear_root=-22),
-    Level(7, EtaQuotient(7), (0,), real_arc=True),
-    Level(11, _theta_11, (0, 10), real_arc=True, t2_check=True,
-          brandt=T2Data((0, -1), ((1, 2), (3, 0)))),
+    Level(7, EtaQuotient(7), (0,)),
+    Level(11, _theta_11, (0, 10), t2_check=True, brandt=T2Data(((1, 2), (3, 0)))),
     Level(13, EtaQuotient(13), (0,), linear_root=-6),
-    Level(19, _theta_19, (0, 8), real_arc=True,
-          brandt=T2Data((0, 8), ((1, 2), (1, 2)))),
+    Level(19, _theta_19, (0, 8), brandt=T2Data(((1, 2), (1, 2)))),
     Level(23, _theta_23, (11, 15, 18), searchable=False,
-          brandt=T2Data((), ((1, 2, 0), (1, 1, 1), (0, 3, 0)),
+          brandt=T2Data(((1, 2, 0), (1, 1, 1), (0, 3, 0)),
                         note="not all column sums even: theorem not proven for p=23")),
 )}
 

@@ -121,10 +121,10 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[int, ...] | None:
     with the T_2 check (p = 11) the companion P_{-pl}, of discriminant
     D / 4, is required (ValueError when it is missing or of another D), and
     the Hecke exponent pattern predicted by the T_2 expansion is verified:
-    if the Brandt basis invariants b_j have multiplicities m_j in P_{-pl}
-    mod p, then b_i has multiplicity sum_j m_j B_ji - eps m_i in P_{-4pl}
-    mod p, with B the Brandt matrix and eps read off the companion's
-    discriminant (at p = 11, X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
+    if the supersingular residues s_j, ascending, have multiplicities m_j in
+    P_{-pl} mod p, then s_i has multiplicity sum_j m_j B_ji - eps m_i in
+    P_{-4pl} mod p, with B the Brandt matrix on that basis and eps read off
+    the companion's discriminant (at p = 11, X^(m+3n-eps*m) (X+1)^(2m-eps*n)).
     """
     p = poly.p
     lev = level(p)
@@ -135,7 +135,7 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[int, ...] | None:
     if root is None:
         return None
     if lev.t2_check:
-        basis, matrix = lev.brandt.basis, lev.brandt.matrix
+        basis, matrix = lev.supersingular, lev.brandt.matrix
         g = tuple(c % p for c in poly_minus_pl.coefficients)
         m = [_root_multiplicity(g, b, p) for b in basis]
         if sum(m) != len(g) - 1:

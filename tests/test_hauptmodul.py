@@ -878,12 +878,26 @@ ARC_ENDS_HEX = {
 
 def test_arc_ends_pinned():
     assert {p: tuple(map(float.hex, jp_arc_interval(p))) for p in ARC_ENDS_HEX} == ARC_ENDS_HEX
+    # the ends at elliptic points and zeros of j_p are integers
+    assert jp_arc_interval(3) == (-54.0, 54.0)
+    assert jp_arc_interval(7) == (-14.0, 14.0)
+    assert jp_arc_interval(11)[0] == 0.0 and jp_arc_interval(19)[0] == 0.0
 
 
 @pytest.mark.parametrize("p", [5, 13, 23])
 def test_arc_interval_needs_the_real_arc(p):
     with pytest.raises(ValueError, match="real-arc"):
         jp_arc_interval(p)
+
+
+@pytest.mark.parametrize("p", sorted(LEVELS))
+def test_arc_and_unit_exist_exactly_at_the_derived_real_arc(p):
+    if level(p).real_arc:
+        assert len(jp_arc_interval(p)) == 2 and len(fundamental_unit(p)) == 2
+    else:
+        for derive in (jp_arc_interval, fundamental_unit):
+            with pytest.raises(ValueError, match="real-arc"):
+                derive(p)
 
 
 def arc_forms(p):

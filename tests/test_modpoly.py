@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heegner.classpoly import build_PD, build_Pl
-from heegner.levels import LEVELS, level
+from heegner.levels import LEVELS, T2Data, level
 from heegner.modpoly import (
     _divide_linear,
     _root_multiplicity,
@@ -288,14 +288,15 @@ class TestT2DegreeCheck:
 
 
 class TestBrandtTable:
+    # the basis is the level's supersingular residues, ascending
     def test_p11(self):
         t = brandt_table(11)
-        assert t.basis == (0, -1)
+        assert level(11).supersingular == (0, 10)
         assert t.matrix == ((1, 2), (3, 0))
 
     def test_p19(self):
         t = brandt_table(19)
-        assert t.basis == (0, 8)
+        assert level(19).supersingular == (0, 8)
         assert t.matrix == ((1, 2), (1, 2))
 
     def test_p23(self):
@@ -337,6 +338,19 @@ class TestModPSquareCheck:
         other = dataclasses.replace(companion, coefficients=(1, 0, 1))
         with pytest.raises(ArithmeticError, match="outside the Brandt basis"):
             mod_p_square_check(poly, other)
+
+    def test_residue_order_indexes_the_brandt_matrix(self, monkeypatch, sweep_polys):
+        # B(2) at p = 11 on the residues (0, 10) in that order passes every
+        # sweep pair; the same matrix written on (10, 0) predicts another
+        # exponent pattern and passes none
+        pairs = [shapes for (p, _), shapes in sweep_polys.items() if p == 11]
+        assert len(pairs) == 12
+        for pair in pairs:
+            assert mod_p_square_check(pair["-4pl"], pair["-pl"]) is not None, pair["-pl"].D
+        swapped = T2Data(((0, 3), (2, 1)))
+        monkeypatch.setitem(LEVELS, 11, dataclasses.replace(LEVELS[11], brandt=swapped))
+        for pair in pairs:
+            assert mod_p_square_check(pair["-4pl"], pair["-pl"]) is None, pair["-pl"].D
 
     def test_t2_pattern_holds_at_19(self, monkeypatch, sweep_polys):
         # the Brandt data of p = 19 predicts its exponent pattern too, so the
