@@ -43,12 +43,6 @@ from .sssearch import (
     search_polynomial,
     sigma_condition,
 )
-from .ssverify import (
-    QuadSurd,
-    is_supersingular_j,
-    lift_j_from_h_level3,
-    reduce_mod,
-    verify_certificate,
-)
+from .ssverify import QuadSurd, lift_j_from_h_level3, verify_certificate
 
 __version__ = "0.1.0"

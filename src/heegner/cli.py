@@ -18,9 +18,9 @@ import sys
 from fractions import Fraction
 
 from .classpoly import PrecisionExhaustedError, build_PD
-from .intmath import FactorBudget, is_prime
+from .intmath import FactorBudget
 from .levels import level
-from .quadforms import Discriminant, fundamental_unit
+from .quadforms import fundamental_unit
 from .hauptmodul import jp_arc_interval
 from .sssearch import RealJCaseError, SupersingularAtPError, search, search_polynomial
 from .ssverify import VERIFY_EFFORT_BOUND, QuadSurd, verify_certificate
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_classpoly(args) -> int:
     if args.D is not None:
-        poly = build_PD(Discriminant.from_D(args.D, args.p))
+        poly = build_PD(args.D, args.p)
     else:
         poly, _ = search_polynomial(args.p, args.ell)
     print(poly.to_json())
@@ -137,8 +137,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     j = QuadSurd.from_string(args.j)
-    if not is_prime(args.q):  # else a composite q above the bound is unverified-large
-        raise ValueError(f"q = {args.q} is not prime")
     status = verify_certificate((args.q,), j, args.verify_bound)[args.q]
     if status not in VERIFY_EXIT:
         raise ValueError(f"{status} at q = {args.q}")

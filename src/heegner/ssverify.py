@@ -4,6 +4,9 @@ A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
 nothing factored, and the residue itself is tested by walking its 2-isogeny
 graph (``supersingular``), which answers the Hasse-invariant question in
 O(log q) square roots; at q = 3 the answer is the closed form j = 0.
+``verify_certificate`` tests each q once and builds one ``Fq2Field(q)`` for
+both the reduction and the walk, whose Hasse adapters in ``supersingular``
+take q first, where the benchmark's tracer reads it, then the field.
 Verification is bounded by an explicit limit, by default 2^64, above which
 ``is_prime``'s Baillie-PSW answer is no longer proven; larger primes are
 reported as unverified rather than trusted.
@@ -26,8 +29,6 @@ __all__ = [
     "QuadSurd",
     "BadReductionError",
     "VERIFY_EFFORT_BOUND",
-    "reduce_mod",
-    "is_supersingular_j",
     "verify_certificate",
     "lift_j_from_h_level3",
 ]
@@ -70,27 +71,31 @@ class QuadSurd:
         g = math.gcd(math.gcd(u, v), w)
         return cls(u // g, v // g, w // g, m)
 
+    # parentheses in pairs, and a sign between u and the surd
     _PATTERN = re.compile(
-        r"^\(?\s*(?P<u>[+-]?\d+)?\s*"
-        r"(?:(?P<sign>[+-]?)\s*(?:(?P<v>\d+)\s*\*\s*)?sqrt\(\s*(?P<m>-?\d+)\s*\))?"
-        r"\s*\)?\s*(?:/\s*(?P<w>\d+))?$"
+        r"(?P<open>\()?(?P<u>[+-]?\d+)?"
+        r"(?:(?P<sign>(?(u)[+-]|[+-]?))(?:(?P<v>\d+)\*)?sqrt\((?P<m>-?\d+)\))?"
+        r"(?(open)\))(?:/(?P<w>\d+))?"
     )
 
     @classmethod
     def from_string(cls, text: str) -> "QuadSurd":
-        """Parse "(u + v*sqrt(m))/w"; the surd and denominator are optional."""
-        match = cls._PATTERN.match(text.strip().replace(" ", ""))
-        if not match or (match.group("u") is None and match.group("m") is None):
-            raise ValueError(f"cannot parse quadratic surd {text!r}")
-        u = int(match.group("u") or 0)
-        if match.group("m") is not None:
-            v = int(match.group("v") or 1)
-            if match.group("sign") == "-":
+        """Parse "(u+v*sqrt(m))/w".  The surd, the denominator and the
+        parentheses are optional, but not those around u+v*sqrt(m) before a
+        denominator: "u+sqrt(m)/w" reads u + sqrt(m)/w."""
+        match = cls._PATTERN.fullmatch(text.strip().replace(" ", ""))
+        if (not match or match["u"] is None and match["m"] is None
+                or match["u"] and match["m"] and match["w"] and not match["open"]):
+            raise ValueError(f"cannot parse quadratic surd {text!r}: the form is (u+v*sqrt(m))/w")
+        u = int(match["u"] or 0)
+        if match["m"] is not None:
+            v = int(match["v"] or 1)
+            if match["sign"] == "-":
                 v = -v
-            m = int(match.group("m"))
+            m = int(match["m"])
         else:
             v, m = 0, 1
-        w = int(match.group("w") or 1)
+        w = int(match["w"] or 1)
         return cls.make(u, v, w, m)
 
     def __str__(self) -> str:
@@ -112,9 +117,9 @@ def _local(j: QuadSurd, q: int) -> tuple[int, int, int, int]:
     return u // g, v // g, w // g, m
 
 
-def reduce_mod(j: QuadSurd, q: int) -> list[tuple[int, int]]:
-    """The residues of j modulo the odd prime q, as pairs (x0, x1) of the
-    standard ``Fq2Field(q)``, F_q(t) with t^2 = z for its non-residue z.
+def _residues(j: QuadSurd, F: Fq2Field) -> list[tuple[int, int]]:
+    """The residues of j modulo the odd prime q = F.q, as pairs (x0, x1) of
+    F, F_q(t) with t^2 = z for its non-residue z.
 
     After ``_local``, j = (u + v sqrt(m)) / w reduces to (u + v s) / w for
     the field's square root s of m.  A root in F_q^* means m splits: two
@@ -123,33 +128,31 @@ def reduce_mod(j: QuadSurd, q: int) -> list[tuple[int, int]]:
     ramified or q divides v: one residue in F_q.  So one number has one
     reduction however m is written, the one its squarefree form gives.
     """
-    if not is_prime(q) or q == 2:
-        raise ValueError(f"q = {q} must be an odd prime")
+    q = F.q
     u, v, w, m = _local(j, q)
     winv = pow(w, -1, q)
     x0 = u * winv % q
-    s0, s1 = (v * r * winv % q for r in Fq2Field(q).sqrt((m, 0)))
+    s0, s1 = (v * r * winv % q for r in F.sqrt((m, 0)))
     if s0:
         return sorted([((x0 + s0) % q, 0), ((x0 - s0) % q, 0)])
     return [(x0, min(s1, q - s1))]
 
 
-def is_supersingular_j(j: tuple[int, int], q: int) -> bool:
-    """Supersingularity of a j-invariant (x0, x1) of the standard
-    ``Fq2Field(q)``, x1 = 0 for one in F_q.
+def _is_supersingular(F: Fq2Field, j: tuple[int, int]) -> bool:
+    """Supersingularity of a j-invariant (x0, x1) of F, x1 = 0 for one in
+    F_q, for the odd prime q = F.q.
 
     In characteristic 3 the only supersingular j is 0.  Otherwise j itself
     goes to the 2-isogeny walk, through ``hasse_nonzero_fq`` for j in F_q and
     ``hasse_nonzero_fq2`` for j outside it: a curve is supersingular iff its
     Hasse invariant vanishes, and twists share the answer, so j decides it.
     """
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"q = {q}: the test is defined for odd primes q")
+    q = F.q
     if q == 3:
         return (j[0] % 3, j[1] % 3) == (0, 0)
     if j[1] % q == 0:
-        return not hasse_nonzero_fq(q, j[0])
-    return not hasse_nonzero_fq2(q, j[0], j[1])
+        return not hasse_nonzero_fq(q, j[0], F)
+    return not hasse_nonzero_fq2(q, j[0], j[1], F)
 
 
 def verify_certificate(selected, j: QuadSurd,
@@ -157,23 +160,25 @@ def verify_certificate(selected, j: QuadSurd,
     """Per-prime verification statuses for the selected primes of a search
     certificate, given the j-invariant corresponding to its h.
 
-    q = 2 is ``unverified-small``, a q that divides the denominator of j
-    ``bad-reduction``, and a q above ``effort_bound`` ``unverified-large``.
-    Otherwise, q = 3 included, every residue of j mod q must give the same
-    verdict (conjugate curves are supersingular together), ``supersingular``
-    or ``ordinary``; disagreement raises ArithmeticError.  Primes above the
-    bound are taken as given, not tested.
+    Each q must be an odd prime, whatever the bound (ValueError otherwise).
+    A q that divides the denominator of j is ``bad-reduction``, and a q above
+    ``effort_bound`` ``unverified-large``: taken as given, not tested.
+    Otherwise, q = 3 included, one ``Fq2Field(q)`` serves the reduction and
+    the verdicts, and every residue of j mod q must give the same verdict
+    (conjugate curves are supersingular together), ``supersingular`` or
+    ``ordinary``; disagreement raises ArithmeticError.
     """
     statuses: dict[int, str] = {}
     for q in selected:
+        if q == 2 or not is_prime(q):
+            raise ValueError(f"q = {q} must be an odd prime")
         try:
-            if q == 2:
-                status = "unverified-small"
-            elif q > effort_bound:
+            if q > effort_bound:
                 _local(j, q)  # bad reduction is reported whatever the bound
                 status = "unverified-large"
             else:
-                verdicts = {is_supersingular_j(r, q) for r in reduce_mod(j, q)}
+                F = Fq2Field(q)
+                verdicts = {_is_supersingular(F, r) for r in _residues(j, F)}
                 if len(verdicts) != 1:
                     raise ArithmeticError(f"conjugate residues disagree at q = {q}")
                 status = "supersingular" if verdicts.pop() else "ordinary"

@@ -14,12 +14,12 @@ Tonelli-Shanks exponentiation for every odd q, q = 3 mod 4 included, that
 also tells a non-residue, with no Euler test before it.
 This module imports nothing from the package.
 
-Hasse-invariant contract: ``hasse_nonzero_fq(q, j)`` and
-``hasse_nonzero_fq2(q, j0, j1)`` take the invariant itself and answer
-whether curves with that j are ordinary, their Hasse invariant nonzero,
-which holds iff j is not supersingular.  Each is one ``is_supersingular``
-call; they stay as names only because the benchmark's tracer
-(perfbench/spans.py) patches them in ``ssverify``.
+Hasse-invariant contract: ``hasse_nonzero_fq(q, j, F)`` and
+``hasse_nonzero_fq2(q, j0, j1, F)`` answer whether curves with invariant j
+in F = ``Fq2Field(q)`` are ordinary, their Hasse invariant nonzero, that is,
+whether j is not supersingular.  Each is one ``is_supersingular`` call; they
+stay only because the benchmark's tracer (perfbench/spans.py) patches them
+in ``ssverify`` and reads q, their first argument.
 """
 
 from __future__ import annotations
@@ -237,12 +237,12 @@ def is_supersingular(F: Fq2Field, j) -> bool:
 # --- the Hasse-invariant contract -----------------------------------------------
 
 
-def hasse_nonzero_fq(q: int, j: int) -> bool:
+def hasse_nonzero_fq(q: int, j: int, F: Fq2Field) -> bool:
     """True iff curves over F_q with invariant j have nonzero Hasse
-    invariant, that is, iff j is ordinary."""
-    return not is_supersingular(Fq2Field(q), (j, 0))
+    invariant, that is, iff j is ordinary; F is ``Fq2Field(q)``."""
+    return not is_supersingular(F, (j, 0))
 
 
-def hasse_nonzero_fq2(q: int, j0: int, j1: int) -> bool:
-    """The same for j = j0 + j1 t in the standard ``Fq2Field(q)``."""
-    return not is_supersingular(Fq2Field(q), (j0, j1))
+def hasse_nonzero_fq2(q: int, j0: int, j1: int, F: Fq2Field) -> bool:
+    """The same for j = j0 + j1 t in F = ``Fq2Field(q)``."""
+    return not is_supersingular(F, (j0, j1))

@@ -1290,7 +1290,7 @@ def supersingular_js(q, m2):
 
 
 def reduce_mod_by_kronecker(j, q: int) -> list[tuple[int, int]]:
-    """The residues of ``ssverify.reduce_mod``, with split, inert and
+    """The residues of ``ssverify._residues``, with split, inert and
     ramified m told apart by the symbol (m | q): two residues in F_q for
     split m, one for ramified m or q | v, and for inert m one on t F_q, with
     sqrt(m) = sqrt(m / z) t for the non-residue z of the standard F_q^2.

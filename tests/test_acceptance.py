@@ -36,7 +36,8 @@ from heegner.quadforms import (
     fundamental_unit,
 )
 from heegner.sssearch import ell_admissible, search
-from heegner.ssverify import is_supersingular_j, reduce_mod, QuadSurd
+from heegner.ssverify import _is_supersingular, _residues, QuadSurd
+from heegner.supersingular import Fq2Field
 
 from oracles import (
     arc_point,
@@ -104,13 +105,14 @@ def test_criterion_2_end_to_end_search():
 def test_criterion_3_verification():
     with criterion(3, "the printed j reduces to 6 mod 7 and {67,101} mod 151, all supersingular"):
         started = time.time()
-        assert reduce_mod(J11_POINT, 7) == [(6, 0)]
-        assert reduce_mod(J11_POINT, 151) == [(67, 0), (101, 0)]
-        assert is_supersingular_j((6, 0), 7)
-        assert is_supersingular_j((67, 0), 151)
-        assert is_supersingular_j((101, 0), 151)
-        [r2309] = reduce_mod(J11_POINT, 2309)
-        assert is_supersingular_j(r2309, 2309)
+        F7, F151, F2309 = Fq2Field(7), Fq2Field(151), Fq2Field(2309)
+        assert _residues(J11_POINT, F7) == [(6, 0)]
+        assert _residues(J11_POINT, F151) == [(67, 0), (101, 0)]
+        assert _is_supersingular(F7, (6, 0))
+        assert _is_supersingular(F151, (67, 0))
+        assert _is_supersingular(F151, (101, 0))
+        [r2309] = _residues(J11_POINT, F2309)
+        assert _is_supersingular(F2309, r2309)
         assert time.time() - started < 10
 
 
@@ -252,6 +254,7 @@ def test_criterion_7_structural_oracles():
         # supersingularity test vs exhaustive point counting for q < 100
         for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                   61, 67, 71, 73, 79, 83, 89, 97):
+            F = Fq2Field(q)
             for j0 in range(q):
                 if j0 == 0:
                     a, b = 0, 1
@@ -260,7 +263,7 @@ def test_criterion_7_structural_oracles():
                 else:
                     k = j0 * pow((1728 - j0) % q, -1, q) % q
                     a, b = 3 * k % q, 2 * k % q
-                assert is_supersingular_j((j0, 0), q) == (point_count(q, a, b) == q + 1)
+                assert _is_supersingular(F, (j0, 0)) == (point_count(q, a, b) == q + 1)
 
 
 def test_criterion_8_level_23_empirical():

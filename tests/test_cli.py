@@ -254,7 +254,7 @@ class TestVerify:
     @pytest.mark.parametrize("q", ["2"])
     def test_small_q_exit_64(self, capsys, q):
         code, out, err = run(capsys, "verify", "--j", "5", "--q", q)
-        assert code == 64 and out == "" and "unverified-small" in err
+        assert code == 64 and out == "" and "odd prime" in err
 
     @pytest.mark.parametrize("j,code,status", [("0", 0, "supersingular"), ("5", 1, "ordinary")])
     def test_q3_closed_form(self, capsys, j, code, status):
@@ -305,6 +305,70 @@ class TestTables:
     def test_unsupported_p(self, capsys):
         code, _, _ = run(capsys, "tables", "--p", "17")
         assert code == 64
+
+
+# worked examples, one a row: argv, exit code, and either the exact stdout or
+# the substrings that stdout and stderr together must and must not hold
+EXAMPLES = [
+    # search(7, 9) spends its 2^16 units failing to split the numerators at
+    # l = 113 and 137, and takes l = 193 by trial division
+    pytest.param(("search", "--p", "7", "--h", "9", "--ell-bound", "300",
+                  "--factor-budget", "65536", "--verify-bound", "100000"),
+                 0, (['"ell": 193'], []), id="one-factoring-budget"),
+    # search(3, -40) verifies its prime 6175217 by the 2-isogeny walk, whose
+    # square roots each take one exponentiation
+    pytest.param(("search", "--p", "3", "--h", "-40"),
+                 0, (['{"q": "6175217", "status": "supersingular"}'], []),
+                 id="one-exponentiation-per-root"),
+    # search(7, 4) takes l = 113, whose numerator's rest after the first
+    # chunk of trial division is a 109-bit Baillie-PSW prime
+    pytest.param(("search", "--p", "7", "--h", "4", "--ell-bound", "300",
+                  "--factor-budget", "65536", "--verify-bound", "100000"),
+                 0, (['"prime": "466752684500104298919195787301011"'], []),
+                 id="baillie-psw-above-2^64"),
+    # at p = 19 two theta series read one table of powers of q, and at
+    # p = 13 eta(13 tau) reads it at q^13
+    pytest.param(("classpoly", "--p", "19", "--ell", "5"), 0,
+                 '{"p": 19, "D": -380, "coefficients": ["361", "-380", "178", "-35", "1"]}',
+                 id="q-powers-p19"),
+    pytest.param(("classpoly", "--p", "13", "--ell", "7"), 0,
+                 '{"p": 13, "D": [-91, -364], "coefficients": '
+                 '["-19773", "-11154", "-1924", "-78", "1"]}', id="q-powers-p13"),
+    # 2819 is a prime above 53^2 with 2819 = 3 mod 4, so it goes through
+    # Baillie-PSW and Tonelli-Shanks with s = 1; j = 0 is supersingular
+    # exactly when q = 2 mod 3
+    pytest.param(("verify", "--j", "0", "--q", "2819"), 0, "supersingular",
+                 id="one-square-root-path"),
+    # real_arc follows from p = 3 mod 4, so p = 11 prints its unit and arc
+    # and p = 5 neither; the Brandt matrix has no basis of its own
+    pytest.param(("tables", "--p", "11"), 0,
+                 (['"brandt": ', '"fundamental_unit": ', '"arc_interval": '], ['"basis"']),
+                 id="tables-p11"),
+    pytest.param(("tables", "--p", "5"), 0, ([], ['"arc_interval"', '"brandt"']),
+                 id="tables-p5"),
+    # verification tests q once: q = 2 is refused as no odd prime
+    pytest.param(("verify", "--j", "0", "--q", "2"), 64, (["odd prime"], []),
+                 id="verify-q-2"),
+    # one field serves both conjugate residues of a split m
+    pytest.param(("verify", "--j", TestVerify.J, "--q", "151"), 0, "supersingular",
+                 id="verify-split-151"),
+    # 1 + sqrt(5)/2 is not (1 + sqrt(5))/2, and the surd must say which
+    pytest.param(("verify", "--j", "1+sqrt(5)/2", "--q", "31"), 64,
+                 (["(u+v*sqrt(m))/w"], ["ordinary"]), id="verify-unparenthesized"),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", EXAMPLES)
+def test_cli_examples(capsys, argv, code, expected):
+    result, out, err = run(capsys, *argv)
+    assert result == code, err
+    if isinstance(expected, str):
+        assert out == expected
+    else:
+        required, forbidden = expected
+        text = f"{out}\n{err}"
+        assert [s for s in required if s not in text] == [], text
+        assert [s for s in forbidden if s in text] == [], text
 
 
 def test_module_entry_point_exit_status():

@@ -326,14 +326,15 @@ def test_only_hauptmodul_reads_the_guard():
 
 
 def test_only_the_entry_points_read_from_D():
-    # a Discriminant is validated once, where an integer D enters: the CLI
-    # and build_PD.  Below them, the pairing trusts the D it is given
+    # a Discriminant is validated once, where an integer D enters: build_PD,
+    # which the CLI hands its --D.  Below it, the pairing trusts the D it is
+    # given
     readers = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "from_D":
                 readers.add(path.name)
-    assert readers == {"cli.py", "classpoly.py"}
+    assert readers == {"classpoly.py"}
 
 
 def test_only_the_search_reads_the_shapes():

@@ -1,6 +1,7 @@
 import builtins
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +12,9 @@ from heegner.intmath import is_prime, kronecker
 from heegner.ssverify import (
     BadReductionError,
     QuadSurd,
-    is_supersingular_j,
+    _is_supersingular,
+    _residues,
     lift_j_from_h_level3,
-    reduce_mod,
     verify_certificate,
 )
 from heegner.supersingular import Fq2Field, is_supersingular, phi2_roots
@@ -73,29 +74,39 @@ class TestQuadSurd:
         with pytest.raises(ValueError):
             QuadSurd.from_string("garbage+")
 
+    @pytest.mark.parametrize("text", ["(1", "1)", "(1+sqrt(5)/2", "1+sqrt(5))/2",
+                                      "1+sqrt(5)/2", "1sqrt(5)"])
+    def test_read_only_as_written(self, text):
+        # "1+sqrt(5)/2" is 1 + sqrt(5)/2, not (1 + sqrt(5))/2, and a lone
+        # parenthesis or a missing sign has no reading: each names the form
+        with pytest.raises(ValueError, match=re.escape("(u+v*sqrt(m))/w")):
+            QuadSurd.from_string(text)
+        assert QuadSurd.from_string("sqrt(5)/2") == QuadSurd.make(0, 1, 2, 5)
+
 
 class TestReduceMod:
     def test_known_mod_7(self):
-        assert reduce_mod(J11_POINT, 7) == [(6, 0)]  # -84567 = 0 mod 7
+        assert _residues(J11_POINT, Fq2Field(7)) == [(6, 0)]  # -84567 = 0 mod 7
 
     def test_known_mod_151(self):
-        assert reduce_mod(J11_POINT, 151) == [(67, 0), (101, 0)]
+        assert _residues(J11_POINT, Fq2Field(151)) == [(67, 0), (101, 0)]
 
     def test_zero_surd(self):
-        assert reduce_mod(QuadSurd.make(0, 0, 1, 5), 13) == [(0, 0)]
+        assert _residues(QuadSurd.make(0, 0, 1, 5), Fq2Field(13)) == [(0, 0)]
 
     def test_inert_gives_fq2(self):
         assert kronecker(J11_POINT.m, 2309) == -1
-        [(x0, x1)] = reduce_mod(J11_POINT, 2309)
+        [(x0, x1)] = _residues(J11_POINT, Fq2Field(2309))
         assert 0 < x1 <= 2309 - x1  # the conjugate with the smaller x1
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13, 151, 2309])
     def test_one_number_one_reduction(self, q):
         # sqrt(-12) = 2 sqrt(-3) and sqrt(50) = 5 sqrt(2), where 5 | w
         pairs = [((1, 1, 2, -12), (1, 2, 2, -3)), ((5, 1, 5, 50), (1, 1, 1, 2))]
+        F = Fq2Field(q)
         for one, other in pairs:
-            residues = reduce_mod(QuadSurd.make(*one), q)
-            assert residues == reduce_mod(QuadSurd.make(*other), q)
+            residues = _residues(QuadSurd.make(*one), F)
+            assert residues == _residues(QuadSurd.make(*other), F)
             assert all(type(r) is tuple and len(r) == 2 for r in residues)
 
     def test_residues_are_roots_of_the_minimal_polynomial(self):
@@ -111,20 +122,21 @@ class TestReduceMod:
             if j.w % q == 0:
                 continue
             F = Fq2Field(q)
-            for x in reduce_mod(j, q):
+            for x in _residues(j, F):
                 value = F.sub(F.scale(F.mul(x, x), j.w * j.w), F.scale(x, 2 * j.u * j.w))
                 assert F.add(value, ((j.u * j.u - j.m * j.v * j.v) % q, 0)) == (0, 0), (j, q)
 
     def test_q_squared_in_radicand_cancels_from_w(self):
         # (7 + sqrt(49 * 3)) / 7 = 1 + sqrt(3): good reduction at 7
-        expected = reduce_mod(QuadSurd.make(1, 1, 1, 3), 7)
-        assert reduce_mod(QuadSurd.make(7, 1, 7, 147), 7) == expected == [(1, 1)]
+        F = Fq2Field(7)
+        expected = _residues(QuadSurd.make(1, 1, 1, 3), F)
+        assert _residues(QuadSurd.make(7, 1, 7, 147), F) == expected == [(1, 1)]
         with pytest.raises(BadReductionError):
-            reduce_mod(QuadSurd.make(1, 1, 7, 147), 7)  # (1 + 7 sqrt(3)) / 7
+            _residues(QuadSurd.make(1, 1, 7, 147), F)  # (1 + 7 sqrt(3)) / 7
 
     def test_bad_reduction(self):
         with pytest.raises(BadReductionError):
-            reduce_mod(QuadSurd.make(1, 2, 35, -3), 7)  # 7 | w
+            _residues(QuadSurd.make(1, 2, 35, -3), Fq2Field(7))  # 7 | w
 
     def test_agrees_with_the_kronecker_reference(self):
         # the field's square root of m decides split, inert and ramified m as
@@ -137,13 +149,14 @@ class TestReduceMod:
             m = rng.choice([-1, 1]) * rng.randrange(2, 300) * rng.choice([1, q, q * q])
             j = QuadSurd.make(rng.randrange(-500, 500), rng.randrange(1, 30) * rng.choice([1, q]),
                               rng.randrange(1, 40) * rng.choice([1, 1, q]), m)
+            F = Fq2Field(q)
             try:
                 expected = reduce_mod_by_kronecker(j, q)
             except BadReductionError:
                 with pytest.raises(BadReductionError):
-                    reduce_mod(j, q)
+                    _residues(j, F)
                 continue
-            assert reduce_mod(j, q) == expected, (j, q)
+            assert _residues(j, F) == expected, (j, q)
             if j.v % q == 0:
                 kinds.add("q | v")
             elif j.m % (q * q) == 0:
@@ -155,24 +168,27 @@ class TestReduceMod:
 
 class TestIsSupersingular:
     def test_known_values(self):
-        assert is_supersingular_j((6, 0), 7)
-        assert is_supersingular_j((67, 0), 151)
-        assert is_supersingular_j((101, 0), 151)
+        F7, F151 = Fq2Field(7), Fq2Field(151)
+        assert _is_supersingular(F7, (6, 0))
+        assert _is_supersingular(F151, (67, 0))
+        assert _is_supersingular(F151, (101, 0))
 
     def test_at_2309_via_fq2(self):
-        [r] = reduce_mod(J11_POINT, 2309)
-        assert is_supersingular_j(r, 2309)
+        F = Fq2Field(2309)
+        [r] = _residues(J11_POINT, F)
+        assert _is_supersingular(F, r)
 
     def test_1728_mod_7_same_class_as_6(self):
         assert 1728 % 7 == 6
-        assert is_supersingular_j((1728 % 7, 0), 7)
+        assert _is_supersingular(Fq2Field(7), (1728 % 7, 0))
         # cross-check with naive counting: #E(F_7) = 8 for y^2 = x^3 + x
         assert point_count(7, 1, 0) == 8
 
     def test_exhaustive_against_point_counting(self):
         for q in (5, 7, 11, 13, 17, 19, 23):
+            F = Fq2Field(q)
             for j0 in range(q):
-                by_hasse = is_supersingular_j((j0, 0), q)
+                by_hasse = _is_supersingular(F, (j0, 0))
                 if j0 == 0:
                     a, b = 0, 1
                 elif (j0 - 1728) % q == 0:
@@ -189,21 +205,15 @@ class TestIsSupersingular:
         # the non-split CM reduction argument and holds at certificate
         # primes, not at arbitrary split primes
         for q in (151, 7):
-            residues = reduce_mod(J11_POINT, q)
-            verdicts = {is_supersingular_j(r, q) for r in residues}
+            F = Fq2Field(q)
+            verdicts = {_is_supersingular(F, r) for r in _residues(J11_POINT, F)}
             assert verdicts == {True}
-
-    def test_rejects_2_and_composites(self):
-        with pytest.raises(ValueError):
-            is_supersingular_j((0, 0), 2)
-        with pytest.raises(ValueError):
-            is_supersingular_j((0, 0), 15)
 
     def test_characteristic_3_against_point_counting(self):
         # every curve y^2 = x^3 + a2 x^2 + a4 x + a6 over F_3: supersingular
         # iff its trace 4 - #E(F_3) is 0 mod 3, which the closed form j = 0
         # must match
-        seen = set()
+        F, seen = Fq2Field(3), set()
         for a2, a4, a6 in itertools.product(range(3), repeat=3):
             b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
             disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -212,14 +222,15 @@ class TestIsSupersingular:
             j = (b2 * b2 - 24 * b4) ** 3 * pow(disc, -1, 3) % 3
             count = 1 + sum((y * y - x**3 - a2 * x * x - a4 * x - a6) % 3 == 0
                             for x in range(3) for y in range(3))
-            assert is_supersingular_j((j, 0), 3) == ((4 - count) % 3 == 0), (a2, a4, a6)
+            assert _is_supersingular(F, (j, 0)) == ((4 - count) % 3 == 0), (a2, a4, a6)
             seen.add(j)
         assert seen == {0, 1, 2}
 
     def test_characteristic_3_in_fq2(self):
-        assert is_supersingular_j((0, 0), 3) and is_supersingular_j((3, -6), 3)
-        assert not is_supersingular_j((0, 1), 3)
-        assert not is_supersingular_j((1, 2), 3)
+        F = Fq2Field(3)
+        assert _is_supersingular(F, (0, 0)) and _is_supersingular(F, (3, -6))
+        assert not _is_supersingular(F, (0, 1))
+        assert not _is_supersingular(F, (1, 2))
 
 
 def test_supersingular_census_matches_mass_formula():
@@ -267,10 +278,10 @@ class TestVerifyCertificate:
         assert verify_certificate((3,), QuadSurd.from_string(text)) == {3: status}
 
     def test_pow_calls_of_one_verification(self, monkeypatch):
-        # every square root in F_q is one exponentiation, and each of the two
+        # every square root in F_q is one exponentiation, and the one
         # is_prime(6175217) calls one (the strong test to base 2 of
         # Baillie-PSW; its Lucas half takes no pow), so verifying q = 6175217
-        # for the level-3 point h = -40 makes 484 pow calls
+        # for the level-3 point h = -40 makes 480 pow calls
         calls = []
 
         def counted(*args):
@@ -281,7 +292,28 @@ class TestVerifyCertificate:
             monkeypatch.setattr(module, "pow", counted, raising=False)
         j = lift_j_from_h_level3(-40)
         assert verify_certificate((6175217,), j) == {6175217: "supersingular"}
-        assert len(calls) == 484
+        assert len(calls) == 480
+
+    @pytest.mark.parametrize("q,j,symbol", [
+        (6175217, lift_j_from_h_level3(-40), -1),  # inert m: one residue in F_q^2
+        (151, J11_POINT, 1),  # split m: two residues in F_q
+    ])
+    def test_one_field_and_one_primality_test_per_prime(self, monkeypatch, q, j, symbol):
+        assert kronecker(j.m, q) == symbol
+        fields, tests = [], []
+        init, prime = Fq2Field.__init__, ssverify.is_prime
+        monkeypatch.setattr(Fq2Field, "__init__", lambda F, n: fields.append(n) or init(F, n))
+        monkeypatch.setattr(ssverify, "is_prime", lambda n: tests.append(n) or prime(n))
+        assert verify_certificate((q,), j) == {q: "supersingular"}
+        assert fields == tests == [q]
+
+    def test_rejects_2_and_composites(self):
+        # q is tested where it enters, whatever the bound: 2^64 + 1 =
+        # 274177 * 67280421310721 is not unverified-large
+        for q in (2, 15, 2**64 + 1):
+            for bound in ({}, {"effort_bound": 5}):
+                with pytest.raises(ValueError, match="odd prime"):
+                    verify_certificate((q,), J11_POINT, **bound)
 
     def test_bad_reduction_above_the_bound(self):
         # a q in the denominator is reported as such, whatever the bound

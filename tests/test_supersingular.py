@@ -110,14 +110,14 @@ class TestHasseFq:
     def test_against_literal_power(self):
         rng = random.Random(2)
         for q in (5, 7, 11, 37, 101, 151):
-            m2 = nonresidue(q)
+            m2, F = nonresidue(q), Fq2Field(q)
             for _ in range(12):
                 a, b = rng.randrange(q), rng.randrange(q)
                 if (4 * a**3 + 27 * b**2) % q == 0:
                     continue
                 expected = hasse_coefficient_by_power(q, a, b) != 0
                 j0, j1 = j_of_curve(q, m2, a, 0, b, 0)
-                assert j1 == 0 and hasse_nonzero_fq(q, j0) == expected, (q, a, b)
+                assert j1 == 0 and hasse_nonzero_fq(q, j0, F) == expected, (q, a, b)
 
     def test_special_curves(self):
         # j = 1728 (b = 0): supersingular iff q = 3 mod 4
@@ -126,24 +126,26 @@ class TestHasseFq:
             m2 = nonresidue(q)
             assert j_of_curve(q, m2, 1, 0, 0, 0) == (1728 % q, 0)
             assert j_of_curve(q, m2, 0, 0, 1, 0) == (0, 0)
-            assert (not hasse_nonzero_fq(q, 1728)) == (q % 4 == 3)
-            assert (not hasse_nonzero_fq(q, 0)) == (q % 3 == 2)
+            F = Fq2Field(q)
+            assert (not hasse_nonzero_fq(q, 1728, F)) == (q % 4 == 3)
+            assert (not hasse_nonzero_fq(q, 0, F)) == (q % 3 == 2)
 
 
 class TestHasseFq2:
     def test_rational_inputs_match_fq(self):
         rng = random.Random(3)
         for q in (13, 37, 151):
+            F = Fq2Field(q)
             for _ in range(10):
                 j = rng.randrange(q)
-                assert hasse_nonzero_fq2(q, j, 0) == hasse_nonzero_fq(q, j)
+                assert hasse_nonzero_fq2(q, j, 0, F) == hasse_nonzero_fq(q, j, F)
 
     def test_against_sweep(self):
         # y^2 = x^3 + (1 + t) x + b for every b in the standard F_q(t),
         # against the O(q) Hasse sweep there; both verdicts occur
         for q in (13, 37):
-            m2 = Fq2Field(q).m
-            verdicts = set()
+            F = Fq2Field(q)
+            m2, verdicts = F.m, set()
             for b0 in range(q):
                 for b1 in range(q):
                     try:
@@ -151,7 +153,7 @@ class TestHasseFq2:
                     except ValueError:  # singular
                         continue
                     expected = hasse_nonzero_by_sweep(q, m2, 1, 1, b0, b1)
-                    assert hasse_nonzero_fq2(q, *j) == expected, (q, b0, b1)
+                    assert hasse_nonzero_fq2(q, *j, F) == expected, (q, b0, b1)
                     verdicts.add(expected)
             assert verdicts == {False, True}, q
 
