@@ -16,7 +16,7 @@ from .classpoly import (
     evaluate,
 )
 from .intmath import FactorBudget, Factorization, factorize, is_prime, kronecker
-from .levels import LEVELS, Level, T2Data, level
+from .levels import LEVELS, Level, level
 from .modpoly import (
     epsilon_split,
     is_perfect_square,

@@ -149,9 +149,8 @@ def _cmd_tables(args) -> int:
     lev = level(p)
     data: dict = {"p": p, "supersingular_jp": {"values": list(lev.supersingular),
                                                "provenance": "table"}}
-    if (t2 := lev.brandt) is not None:
-        data["brandt"] = {"matrix": [list(row) for row in t2.matrix], "note": t2.note,
-                          "provenance": "table"}
+    if lev.brandt is not None:
+        data["brandt"] = {"matrix": [list(row) for row in lev.brandt], "provenance": "table"}
     if lev.real_arc:
         c, d = fundamental_unit(p)
         lo, hi = jp_arc_interval(p)

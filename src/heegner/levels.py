@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-__all__ = ["ETA", "THETA_STAR", "T2Data", "EtaQuotient", "Level", "LEVELS", "level"]
+__all__ = ["ETA", "THETA_STAR", "EtaQuotient", "Level", "LEVELS", "level"]
 
 # Series kinds of the evaluator value(kind, scale) that a Hauptmodul
 # expression receives: ETA is the pentagonal sum eta(tau) q^(-1/24),
@@ -20,19 +20,6 @@ __all__ = ["ETA", "THETA_STAR", "T2Data", "EtaQuotient", "Level", "LEVELS", "lev
 # series of a positive definite form.
 ETA = ("eta",)
 THETA_STAR = ("theta*",)
-
-
-@dataclass(frozen=True)
-class T2Data:
-    """Brandt matrix B(2) data for the Hecke correspondence T_2 mod p.
-
-    The basis is the level's supersingular residues, ascending, the classes
-    B(2) acts on: row i lists the coefficients of T_2(s_i) in it.  Nothing
-    reads p = 23's matrix in that order; its source gives no basis.
-    """
-
-    matrix: tuple[tuple[int, ...], ...]
-    note: str = ""
 
 
 class EtaQuotient(NamedTuple):
@@ -97,9 +84,11 @@ class Level:
     times a square.  ``shapes``, derived from ``linear_root``, lists the
     shapes whose class polynomials the search multiplies; only
     ``sssearch.search_polynomial`` reads it.
-    ``supersingular`` lists the supersingular j_p-invariants mod p, ascending,
-    the basis of ``brandt``.  ``t2_check`` runs the T_2 exponent check mod p;
-    ``j_lift`` marks an exact h -> j lift, through which the harvested primes
+    ``supersingular`` lists the supersingular j_p-invariants s_i mod p,
+    ascending.  ``brandt`` is the Brandt matrix B(2) of T_2 on them: row i
+    lists the coefficients of T_2(s_i) in that order (the test suite derives
+    both from the 2-isogeny graph mod p).  ``t2_check`` runs the T_2 exponent
+    check mod p; ``j_lift`` marks an exact h -> j lift, through which the harvested primes
     are verified (``ssverify.lift_j_from_h_level3``, the only one so far).
     ``real_arc``, derived, marks the searchable p = 3 mod 4, where Q(sqrt p)
     has a fundamental unit of norm +1 and j_p the arc S of bounded real roots.
@@ -109,7 +98,7 @@ class Level:
     hauptmodul: Callable
     supersingular: tuple[int, ...]
     linear_root: int | None = None
-    brandt: T2Data | None = None
+    brandt: tuple[tuple[int, ...], ...] | None = None
     searchable: bool = True
     t2_check: bool = False
     j_lift: bool = False
@@ -129,12 +118,11 @@ LEVELS = {lev.p: lev for lev in (
     Level(3, EtaQuotient(3), (0,), j_lift=True),
     Level(5, EtaQuotient(5), (0,), linear_root=-22),
     Level(7, EtaQuotient(7), (0,)),
-    Level(11, _theta_11, (0, 10), t2_check=True, brandt=T2Data(((1, 2), (3, 0)))),
+    Level(11, _theta_11, (0, 10), t2_check=True, brandt=((1, 2), (3, 0))),
     Level(13, EtaQuotient(13), (0,), linear_root=-6),
-    Level(19, _theta_19, (0, 8), brandt=T2Data(((1, 2), (1, 2)))),
+    Level(19, _theta_19, (0, 8), brandt=((1, 2), (1, 2))),
     Level(23, _theta_23, (11, 15, 18), searchable=False,
-          brandt=T2Data(((1, 2, 0), (1, 1, 1), (0, 3, 0)),
-                        note="not all column sums even: theorem not proven for p=23")),
+          brandt=((1, 1, 1), (3, 0, 0), (2, 0, 1))),
 )}
 
 

@@ -135,7 +135,7 @@ def mod_p_square_check(poly, poly_minus_pl=None) -> tuple[int, ...] | None:
     if root is None:
         return None
     if lev.t2_check:
-        basis, matrix = lev.supersingular, lev.brandt.matrix
+        basis, matrix = lev.supersingular, lev.brandt
         g = tuple(c % p for c in poly_minus_pl.coefficients)
         m = [_root_multiplicity(g, b, p) for b in basis]
         if sum(m) != len(g) - 1:

@@ -82,8 +82,10 @@ class QuadSurd:
     def from_string(cls, text: str) -> "QuadSurd":
         """Parse "(u+v*sqrt(m))/w".  The surd, the denominator and the
         parentheses are optional, but not those around u+v*sqrt(m) before a
-        denominator: "u+sqrt(m)/w" reads u + sqrt(m)/w."""
-        match = cls._PATTERN.fullmatch(text.strip().replace(" ", ""))
+        denominator: "u+sqrt(m)/w" reads u + sqrt(m)/w.  White space may
+        stand around a token but not inside one: "1 2" is not 12."""
+        match = None if re.search(r"\w\s+\w", text) else cls._PATTERN.fullmatch(
+            re.sub(r"\s+", "", text))
         if (not match or match["u"] is None and match["m"] is None
                 or match["u"] and match["m"] and match["w"] and not match["open"]):
             raise ValueError(f"cannot parse quadratic surd {text!r}: the form is (u+v*sqrt(m))/w")

@@ -19,7 +19,10 @@ counted term by term, and exp with one division per Taylor term and its
 term count from factorials.
 Also
 the checks of statements of the paper that the pipeline does not run: the
-T_2 degree relation, the Brandt table lookup, the level-3 norm N(j - 1728),
+T_2 degree relation, the Brandt table lookup, the exact sum S(j_p) and
+product N(j_p) of j(tau) and j(p tau) with j = E_4^3 / Delta, and from them,
+by Kronecker's congruence and every element of F_p^2 tried, the level
+table's supersingular residues and B(2), the level-3 norm N(j - 1728),
 the Pell data and bounded roots on the arc S, the genus forms of the
 unbounded root and the Diophantine obstruction, and the algebra that checks
 every class polynomial: it splits completely modulo q exactly when the
@@ -64,7 +67,7 @@ from heegner.intmath import (
     is_square,
     kronecker,
 )
-from heegner.levels import ETA, THETA_STAR, EtaQuotient, T2Data, level
+from heegner.levels import ETA, THETA_STAR, EtaQuotient, level
 from heegner.modpoly import epsilon_split
 from heegner.quadforms import (
     Discriminant,
@@ -77,6 +80,7 @@ from heegner.quadforms import (
     heegner_rep,
 )
 from heegner.ssverify import _local
+from heegner.supersingular import PHI2
 
 
 # --- ideal arithmetic in O_D with basis (1, w), w = (D + sqrt(D))/2 ---------
@@ -622,6 +626,64 @@ def hauptmodul_q_expansion(p, terms=16):
     raise ValueError(p)
 
 
+# --- j(tau) and j(p tau) over Z[j_p] -----------------------------------------
+#
+# w_p swaps j(tau) and j(p tau), so their sum S and their product N are
+# polynomials in j_p, of degrees p and p + 1.  Every series below carries the
+# same number of coefficients from its valuation, each of them exact.
+
+
+def _integral(coeffs) -> tuple[int, ...]:
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"not an integer series: {coeffs}")
+    return tuple(int(c) for c in coeffs)
+
+
+def j_q_expansion(terms: int):
+    """j = E_4^3 / Delta = q^-1 + 744 + 196884 q + ..., with ``terms``
+    coefficients from q^-1 on."""
+    e4 = (0, [Fraction(1)] + [Fraction(240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0))
+                             for n in range(1, terms)])
+    delta = _ser_pow(dedekind_product_series(1, terms), 24, terms)
+    val, coeffs = _ser_div(_ser_pow(e4, 3, terms), delta, terms)
+    return val - 1, coeffs
+
+
+def _as_polynomial(f, x, degree: int, terms: int) -> tuple[int, ...]:
+    """The integers c_k with f = sum c_k x^k on all ``terms`` coefficients of f,
+    for x = q^-1 + O(1) and f of valuation -degree."""
+    powers = [(0, [Fraction(1)] + [Fraction(0)] * (terms - 1))]
+    for _ in range(degree):
+        powers.append(_ser_mul(powers[-1], x, terms))
+    coeffs = [Fraction(0)] * (degree + 1)
+    for k in range(degree, -1, -1):
+        val, fc = f
+        coeffs[k] = fc[-k - val]
+        f = _ser_add(f, (-k, [-coeffs[k] * c for c in powers[k][1]]), terms)
+    if any(f[1]):
+        raise ArithmeticError(f"no polynomial of degree {degree} through q^{f[0] + terms - 1}")
+    return _integral(coeffs)
+
+
+def jp_pair_polynomials(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S, N), ascending integer coefficients of degrees p and p + 1, with
+    j(tau) + j(p tau) = S(j_p) and j(tau) j(p tau) = N(j_p), read off the
+    exact q-expansions and checked through q^(p+8).
+
+    Each series keeps 2p + 10 coefficients from its valuation: j and j_p
+    reach q^(2p+8), and j_p^(p+1) and j(tau) j(p tau) reach q^(p+8).
+    j(p tau) is j's series spread out to every p-th power."""
+    terms = 2 * p + 10
+    jp = hauptmodul_q_expansion(p, terms=terms)
+    if jp[0] != -1 or jp[1][0] != 1:
+        raise ArithmeticError(f"j_p at p = {p} is not q^-1 + O(1)")
+    j = j_q_expansion(terms)
+    j_of_p_tau = (-p, [j[1][i // p] if i % p == 0 else Fraction(0) for i in range(terms)])
+    S = _as_polynomial(_ser_add(j, j_of_p_tau, terms), jp, p, terms)
+    N = _as_polynomial(_ser_mul(j, j_of_p_tau, terms), jp, p + 1, terms)
+    return S, N
+
+
 # --- the Hauptmoduls in plain floating point ----------------------------------
 #
 # mpc values of eta, theta, theta* and j_p at an mpc tau, with no error bound.
@@ -994,16 +1056,15 @@ def t2_degree_check(p: int, ell: int) -> bool:
     return class_number(-4 * p * ell) == (3 - eps) * class_number(-p * ell)
 
 
-def brandt_table(p: int) -> T2Data:
-    t2 = level(p).brandt
-    if t2 is None:
+def brandt_table(p: int) -> tuple[tuple[int, ...], ...]:
+    matrix = level(p).brandt
+    if matrix is None:
         raise ValueError(f"no Brandt data for p = {p}")
-    return t2
+    return matrix
 
 
-def column_sums(t2: T2Data) -> tuple[int, ...]:
-    n = len(t2.matrix[0])
-    return tuple(sum(row[j] for row in t2.matrix) for j in range(n))
+def column_sums(matrix) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*matrix)))
 
 
 def _j30_minpoly_norm(h: Fraction, poly_low: Fraction, poly_lin: Fraction) -> Fraction:
@@ -1284,6 +1345,59 @@ def supersingular_js(q, m2):
     by the sweep; their number is the census of F_(q^2)."""
     return {(j0, j1) for j1 in range(q) for j0 in range(q)
             if not hasse_nonzero_by_sweep(q, m2, *curve_from_j(q, m2, j0, j1))}
+
+
+# --- the level table from the 2-isogeny graph mod p ----------------------------
+
+
+def _fq2_eval(coeffs, y, q, m2):
+    acc = (0, 0)
+    for c0, c1 in reversed(coeffs):
+        a0, a1 = _mul2(*acc, *y, q, m2)
+        acc = (a0 + c0) % q, (a1 + c1) % q
+    return acc
+
+
+def _fq2_multiplicity(coeffs, y, q, m2) -> int:
+    """The multiplicity of y as a root of a polynomial over F_q(t) whose
+    degree is below q: the number of derivatives that vanish at y."""
+    count = 0
+    while coeffs and _fq2_eval(coeffs, y, q, m2) == (0, 0):
+        count += 1
+        coeffs = [(k * c0 % q, k * c1 % q) for k, (c0, c1) in enumerate(coeffs)][1:]
+    return count
+
+
+def isogeny_graph_mod_p(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The supersingular j_p residues mod p, ascending, and the Brandt
+    matrix B(2) on them, derived from the 2-isogeny graph, for p >= 5.
+
+    By Kronecker's congruence the roots of Y^2 - S(x) Y + N(x) in F_p^2 are
+    the curves over the residue x, so x is supersingular when both roots are
+    (``supersingular_js``).  Row i of B(2) counts, with multiplicity, the
+    roots of Phi_2(j, Y) that lie over each residue, for one root j over
+    s_i.  Each root is found by trying every element of F_p^2 = F_p(t),
+    t^2 = m2."""
+    S, N = jp_pair_polynomials(p)
+    m2 = nonresidue(p)
+    field = [(y0, y1) for y1 in range(p) for y0 in range(p)]
+    over = {}
+    for x in range(p):
+        quadratic = [(fq_eval(N, p, x), 0), (-fq_eval(S, p, x) % p, 0), (1, 0)]
+        over[x] = {y for y in field if _fq2_eval(quadratic, y, p, m2) == (0, 0)}
+    supersingular = supersingular_js(p, m2)
+    residues = tuple(x for x in range(p) if over[x] <= supersingular)
+    matrix = []
+    for s in residues:
+        j = min(over[s])
+        cubic = [_fq2_eval([(c, 0) for c in row], j, p, m2) for row in PHI2]
+        row = [0] * len(residues)
+        for y in field:
+            if count := _fq2_multiplicity(cubic, y, p, m2):
+                (k,) = [k for k, r in enumerate(residues) if y in over[r]]
+                row[k] += count
+        matrix.append(tuple(row))
+    return residues, tuple(matrix)
 
 
 # --- reduction of a quadratic surd, decided by the Kronecker symbol ----------

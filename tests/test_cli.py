@@ -292,7 +292,8 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--p", "23")
         data = json.loads(out)
         assert code == 0
-        assert data["brandt"]["matrix"] == [[1, 2, 0], [1, 1, 1], [0, 3, 0]]
+        assert data["brandt"] == {"matrix": [[1, 1, 1], [3, 0, 0], [2, 0, 1]],
+                                  "provenance": "table"}
         assert data["note"] == "theorem not proven for p=23"
 
     def test_p11_has_unit(self, capsys):
@@ -355,6 +356,15 @@ EXAMPLES = [
     # 1 + sqrt(5)/2 is not (1 + sqrt(5))/2, and the surd must say which
     pytest.param(("verify", "--j", "1+sqrt(5)/2", "--q", "31"), 64,
                  (["(u+v*sqrt(m))/w"], ["ordinary"]), id="verify-unparenthesized"),
+    # white space never joins digits: "1 2" is no j = 12
+    pytest.param(("verify", "--j", "1 2", "--q", "7"), 64,
+                 (["(u+v*sqrt(m))/w"], ["ordinary"]), id="verify-split-digits"),
+    # p = 23's B(2) is written on its ascending residues (11, 15, 18), and
+    # its odd column sum is stated once, by the level's note
+    pytest.param(("tables", "--p", "23"), 0,
+                 (['"matrix": [[1, 1, 1], [3, 0, 0], [2, 0, 1]]',
+                   '"note": "theorem not proven for p=23"'],
+                  ['"not all column sums even"']), id="tables-p23"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The level table against what the library and its oracles derive."""
 
+import mpmath
 import pytest
 
 from heegner.classpoly import build_PD
@@ -7,7 +8,15 @@ from heegner.levels import LEVELS, EtaQuotient, level
 from heegner.modpoly import supersingular_jp_residues
 from heegner.quadforms import Discriminant
 
-from oracles import brandt_table, fq_eval, fq_mul
+from oracles import (
+    brandt_table,
+    classical_j,
+    fq_eval,
+    fq_mul,
+    isogeny_graph_mod_p,
+    j_p,
+    jp_pair_polynomials,
+)
 
 # l whose P_{-4pl} mod p reaches every supersingular j_p-invariant
 RESIDUE_ELLS = {3: (5,), 5: (3,), 7: (3,), 13: (3,), 23: (3, 13, 29)}
@@ -66,6 +75,30 @@ def test_supersingular_residues_are_class_polynomial_roots(p):
 @pytest.mark.parametrize("p", [11, 19, 23])
 def test_brandt_matrix_acts_on_the_supersingular_residues(p):
     # B(2) is written on the residues, so it has one row and one column each
-    side, matrix = len(level(p).supersingular), brandt_table(p).matrix
+    side, matrix = len(level(p).supersingular), brandt_table(p)
     assert len(matrix) == side and all(len(row) == side for row in matrix)
     assert supersingular_jp_residues(p) == level(p).supersingular
+
+
+@pytest.mark.parametrize("p", sorted(LEVELS))
+def test_pair_polynomials_over_j_p(p):
+    # the oracle checks j(tau) + j(p tau) = S(j_p) and j(tau) j(p tau) =
+    # N(j_p) through q^(p+8); both hold as functions too, at a point where
+    # |q| = e^(-1.4 pi) leaves every series term past the check visible
+    S, N = jp_pair_polynomials(p)
+    tau = mpmath.mpc(0.1, 0.7)
+    with mpmath.workprec(300):
+        x, j, jp = j_p(tau, p, 300, reduce=False), classical_j(tau, 300), classical_j(p * tau, 300)
+        for poly, value in ((S, j + jp), (N, j * jp)):
+            assert abs(mpmath.polyval(poly[::-1], x) / value - 1) < mpmath.mpf(2) ** -200, p
+
+
+@pytest.mark.parametrize("p", [p for p in sorted(LEVELS) if p >= 5])
+def test_level_table_from_the_isogeny_graph_mod_p(p):
+    # the residues and B(2) re-derived mod p from S, N and Phi_2 alone; each
+    # curve has three 2-isogenies, so B(2) is (3,) where one residue is
+    # supersingular, and the table stores no matrix there
+    residues, matrix = isogeny_graph_mod_p(p)
+    assert residues == level(p).supersingular
+    assert all(sum(row) == 3 for row in matrix)
+    assert level(p).brandt in (None, matrix)

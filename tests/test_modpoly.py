@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heegner.classpoly import build_PD, build_Pl
-from heegner.levels import LEVELS, T2Data, level
+from heegner.levels import LEVELS, level
 from heegner.modpoly import (
     _divide_linear,
     _root_multiplicity,
@@ -290,19 +290,18 @@ class TestT2DegreeCheck:
 class TestBrandtTable:
     # the basis is the level's supersingular residues, ascending
     def test_p11(self):
-        t = brandt_table(11)
         assert level(11).supersingular == (0, 10)
-        assert t.matrix == ((1, 2), (3, 0))
+        assert brandt_table(11) == ((1, 2), (3, 0))
 
     def test_p19(self):
-        t = brandt_table(19)
         assert level(19).supersingular == (0, 8)
-        assert t.matrix == ((1, 2), (1, 2))
+        assert brandt_table(19) == ((1, 2), (1, 2))
 
     def test_p23(self):
-        t = brandt_table(23)
-        assert t.matrix == ((1, 2, 0), (1, 1, 1), (0, 3, 0))
-        assert "not proven" in t.note
+        # an odd column sum is where the argument stops at p = 23
+        assert level(23).supersingular == (11, 15, 18)
+        assert brandt_table(23) == ((1, 1, 1), (3, 0, 0), (2, 0, 1))
+        assert column_sums(brandt_table(23)) == (6, 1, 2)
 
     def test_column_sums_parity(self):
         assert all(s % 2 == 0 for s in column_sums(brandt_table(11)))
@@ -347,7 +346,7 @@ class TestModPSquareCheck:
         assert len(pairs) == 12
         for pair in pairs:
             assert mod_p_square_check(pair["-4pl"], pair["-pl"]) is not None, pair["-pl"].D
-        swapped = T2Data(((0, 3), (2, 1)))
+        swapped = ((0, 3), (2, 1))
         monkeypatch.setitem(LEVELS, 11, dataclasses.replace(LEVELS[11], brandt=swapped))
         for pair in pairs:
             assert mod_p_square_check(pair["-4pl"], pair["-pl"]) is None, pair["-pl"].D

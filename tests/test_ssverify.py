@@ -75,13 +75,20 @@ class TestQuadSurd:
             QuadSurd.from_string("garbage+")
 
     @pytest.mark.parametrize("text", ["(1", "1)", "(1+sqrt(5)/2", "1+sqrt(5))/2",
-                                      "1+sqrt(5)/2", "1sqrt(5)"])
+                                      "1+sqrt(5)/2", "1sqrt(5)", "2 1/2", "1 2",
+                                      "sqrt(1 3)", "3 2*sqrt(5)"])
     def test_read_only_as_written(self, text):
-        # "1+sqrt(5)/2" is 1 + sqrt(5)/2, not (1 + sqrt(5))/2, and a lone
-        # parenthesis or a missing sign has no reading: each names the form
+        # "1+sqrt(5)/2" is 1 + sqrt(5)/2, not (1 + sqrt(5))/2, a lone
+        # parenthesis or a missing sign has no reading, and white space never
+        # joins two numbers into one: each names the form
         with pytest.raises(ValueError, match=re.escape("(u+v*sqrt(m))/w")):
             QuadSurd.from_string(text)
         assert QuadSurd.from_string("sqrt(5)/2") == QuadSurd.make(0, 1, 2, 5)
+
+    def test_white_space_around_tokens(self):
+        assert QuadSurd.from_string(" 21/2 ") == QuadSurd.make(21, 0, 2, 1)
+        assert QuadSurd.from_string("(1 + sqrt(5)) / 2") == QuadSurd.make(1, 1, 2, 5)
+        assert QuadSurd.from_string("( 3 - 2 * sqrt( -7 ) ) / 4") == QuadSurd.make(3, -2, 4, -7)
 
 
 class TestReduceMod:
