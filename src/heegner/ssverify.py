@@ -1,12 +1,15 @@
 """Independent supersingularity verification.
 
-A quadratic-surd j-invariant is reduced modulo a prime q into F_q^2, with
-nothing factored, and the residue itself is tested by walking its 2-isogeny
-graph (``supersingular``), which answers the Hasse-invariant question in
-O(log q) square roots; at q = 3 the answer is the closed form j = 0.
-``verify_certificate`` tests each q once and builds one ``Fq2Field(q)`` for
-both the reduction and the walk, whose Hasse adapters in ``supersingular``
-take q first, where the benchmark's tracer reads it, then the field.
+A quadratic-surd j-invariant, canonical as constructed, is rewritten
+q-locally with nothing factored: the powers of q^2 leave m, and a q common
+to u, v and w cancels.  A q left in the denominator is bad reduction.
+Otherwise j is reduced into F_q^2, and its residue is tested by walking its
+2-isogeny graph (``supersingular``), which answers the Hasse-invariant
+question in O(log q) square roots; at q = 3 the answer is the closed form
+j = 0.  ``verify_certificate`` tests each q once and builds one
+``Fq2Field(q)`` for both the reduction and the walk, whose Hasse adapters in
+``supersingular`` take q first, where the benchmark's tracer reads it, then
+the field.
 Verification is bounded by an explicit limit, by default 2^64, above which
 ``is_prime``'s Baillie-PSW answer is no longer proven; larger primes are
 reported as unverified rather than trusted.
@@ -27,7 +30,6 @@ from .supersingular import Fq2Field, hasse_nonzero_fq, hasse_nonzero_fq2
 
 __all__ = [
     "QuadSurd",
-    "BadReductionError",
     "VERIFY_EFFORT_BOUND",
     "verify_certificate",
     "lift_j_from_h_level3",
@@ -36,14 +38,12 @@ __all__ = [
 VERIFY_EFFORT_BOUND = 2**64
 
 
-class BadReductionError(ValueError):
-    """q divides the denominator of the surd representation."""
-
-
 @dataclass(frozen=True)
 class QuadSurd:
-    """(u + v*sqrt(m)) / w with w > 0, gcd(u, v, w) = 1 and m not a square,
-    or m = 1 and v = 0 for a rational number.  m may have square factors."""
+    """(u + v*sqrt(m)) / w, put by the constructor into canonical form:
+    w > 0, gcd(u, v, w) = 1 and m not a square, or m = 1 and v = 0 for a
+    rational number (a square m is folded into u).  m may have square
+    factors: nothing is factored.  ZeroDivisionError for w = 0."""
 
     u: int
     v: int
@@ -51,15 +51,7 @@ class QuadSurd:
     m: int
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("denominator must be positive")
-        if math.gcd(math.gcd(self.u, self.v), self.w) != 1:
-            raise ValueError("representation not in lowest terms")
-
-    @classmethod
-    def make(cls, u: int, v: int, w: int, m: int) -> "QuadSurd":
-        """Canonicalize: positive w, a square m (a rational surd) folded
-        into u, gcd 1.  Any other m is kept as given."""
+        u, v, w, m = self.u, self.v, self.w, self.m
         if w == 0:
             raise ZeroDivisionError("denominator is zero")
         if w < 0:
@@ -68,8 +60,9 @@ class QuadSurd:
             v, m = 0, 1
         elif is_square(m):
             u, v, m = u + v * math.isqrt(m), 0, 1
-        g = math.gcd(math.gcd(u, v), w)
-        return cls(u // g, v // g, w // g, m)
+        g = math.gcd(u, v, w)
+        for name, value in zip("uvwm", (u // g, v // g, w // g, m)):
+            object.__setattr__(self, name, value)
 
     # parentheses in pairs, and a sign between u and the surd
     _PATTERN = re.compile(
@@ -98,7 +91,7 @@ class QuadSurd:
         else:
             v, m = 0, 1
         w = int(match["w"] or 1)
-        return cls.make(u, v, w, m)
+        return cls(u, v, w, m)
 
     def __str__(self) -> str:
         if self.v == 0:
@@ -107,34 +100,32 @@ class QuadSurd:
         return f"({self.u}{sign}{abs(self.v)}*sqrt({self.m}))/{self.w}"
 
 
-def _local(j: QuadSurd, q: int) -> tuple[int, int, int, int]:
-    """(u, v, w, m) of j with sqrt(m) = q sqrt(m/q^2) while q^2 divides m,
-    then a q common to u, v and w cancelled; BadReductionError if q | w."""
-    u, v, w, m = j.u, j.v, j.w, j.m
-    while m and m % (q * q) == 0:
+def _local(j: QuadSurd, q: int) -> QuadSurd:
+    """j with sqrt(m) = q sqrt(m/q^2) while q^2 divides m; the constructor
+    then cancels a q common to u, v and w.  j has good reduction at q
+    exactly when q does not divide the local denominator."""
+    v, m = j.v, j.m
+    while m % (q * q) == 0:
         m, v = m // (q * q), v * q
-    g = math.gcd(u, v, w)  # a power of q, as gcd(j.u, j.v, j.w) = 1
-    if w // g % q == 0:
-        raise BadReductionError(f"{q} divides the denominator of {j}")
-    return u // g, v // g, w // g, m
+    return QuadSurd(j.u, v, j.w, m)
 
 
 def _residues(j: QuadSurd, F: Fq2Field) -> list[tuple[int, int]]:
-    """The residues of j modulo the odd prime q = F.q, as pairs (x0, x1) of
-    F, F_q(t) with t^2 = z for its non-residue z.
+    """The residues of the q-local j, from ``_local``, modulo the odd prime
+    q = F.q that does not divide its denominator, as pairs (x0, x1) of F,
+    F_q(t) with t^2 = z for its non-residue z.
 
-    After ``_local``, j = (u + v sqrt(m)) / w reduces to (u + v s) / w for
-    the field's square root s of m.  A root in F_q^* means m splits: two
-    conjugate residues in F_q.  A root on t F_q means m is inert: one
-    residue, the conjugate with the smaller x1.  A zero root means m is
-    ramified or q divides v: one residue in F_q.  So one number has one
-    reduction however m is written, the one its squarefree form gives.
+    j = (u + v sqrt(m)) / w reduces to (u + v s) / w for the field's square
+    root s of m.  A root in F_q^* means m splits: two conjugate residues in
+    F_q.  A root on t F_q means m is inert: one residue, the conjugate with
+    the smaller x1.  A zero root means m is ramified or q divides v: one
+    residue in F_q.  So one number has one reduction however m is written,
+    the one its squarefree form gives.
     """
     q = F.q
-    u, v, w, m = _local(j, q)
-    winv = pow(w, -1, q)
-    x0 = u * winv % q
-    s0, s1 = (v * r * winv % q for r in F.sqrt((m, 0)))
+    winv = pow(j.w, -1, q)
+    x0 = j.u * winv % q
+    s0, s1 = (j.v * r * winv % q for r in F.sqrt((j.m, 0)))
     if s0:
         return sorted([((x0 + s0) % q, 0), ((x0 - s0) % q, 0)])
     return [(x0, min(s1, q - s1))]
@@ -163,8 +154,9 @@ def verify_certificate(selected, j: QuadSurd,
     certificate, given the j-invariant corresponding to its h.
 
     Each q must be an odd prime, whatever the bound (ValueError otherwise).
-    A q that divides the denominator of j is ``bad-reduction``, and a q above
-    ``effort_bound`` ``unverified-large``: taken as given, not tested.
+    A q that divides the denominator of j's q-local form (``_local``) is
+    ``bad-reduction``, whatever the bound; otherwise a q above
+    ``effort_bound`` is ``unverified-large``: taken as given, not tested.
     Otherwise, q = 3 included, one ``Fq2Field(q)`` serves the reduction and
     the verdicts, and every residue of j mod q must give the same verdict
     (conjugate curves are supersingular together), ``supersingular`` or
@@ -174,18 +166,17 @@ def verify_certificate(selected, j: QuadSurd,
     for q in selected:
         if q == 2 or not is_prime(q):
             raise ValueError(f"q = {q} must be an odd prime")
-        try:
-            if q > effort_bound:
-                _local(j, q)  # bad reduction is reported whatever the bound
-                status = "unverified-large"
-            else:
-                F = Fq2Field(q)
-                verdicts = {_is_supersingular(F, r) for r in _residues(j, F)}
-                if len(verdicts) != 1:
-                    raise ArithmeticError(f"conjugate residues disagree at q = {q}")
-                status = "supersingular" if verdicts.pop() else "ordinary"
-        except BadReductionError:
+        local = _local(j, q)
+        if local.w % q == 0:
             status = "bad-reduction"
+        elif q > effort_bound:
+            status = "unverified-large"
+        else:
+            F = Fq2Field(q)
+            verdicts = {_is_supersingular(F, r) for r in _residues(local, F)}
+            if len(verdicts) != 1:
+                raise ArithmeticError(f"conjugate residues disagree at q = {q}")
+            status = "supersingular" if verdicts.pop() else "ordinary"
         statuses[q] = status
     return statuses
 
@@ -215,4 +206,4 @@ def lift_j_from_h_level3(h) -> QuadSurd:
     tbar = (n, -1)  # Tbar = n - sqrt(m0)
     u, v = mul(mul(g, g), mul(mul(tbar, tbar), tbar))
     w = 128 * d**7 * 729**3
-    return QuadSurd.make(u + 1728 * w, v, w, m0)
+    return QuadSurd(u + 1728 * w, v, w, m0)

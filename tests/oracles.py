@@ -79,7 +79,6 @@ from heegner.quadforms import (
     fundamental_unit,
     heegner_rep,
 )
-from heegner.ssverify import _local
 from heegner.supersingular import PHI2
 
 
@@ -1403,23 +1402,31 @@ def isogeny_graph_mod_p(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
 # --- reduction of a quadratic surd, decided by the Kronecker symbol ----------
 
 
-def reduce_mod_by_kronecker(j, q: int) -> list[tuple[int, int]]:
-    """The residues of ``ssverify._residues``, with split, inert and
-    ramified m told apart by the symbol (m | q): two residues in F_q for
-    split m, one for ramified m or q | v, and for inert m one on t F_q, with
-    sqrt(m) = sqrt(m / z) t for the non-residue z of the standard F_q^2.
-    Square roots by scanning F_q, so only for small q."""
-    u, v, w, m = _local(j, q)
-    winv = pow(w, -1, q)
-    x0 = u * winv % q
-    symbol = kronecker(m, q)
-    if v % q == 0 or symbol == 0:
-        return [(x0, 0)]
+def reduce_mod_by_kronecker(j, q: int) -> list[tuple[int, int]] | None:
+    """The residues of j = (u + v sqrt(m)) / w modulo the odd prime q, as
+    ``ssverify._residues`` gives them, or None for bad reduction.
+
+    j is integral above q exactly when its trace t = 2u/w and its norm
+    n = (u^2 - m v^2)/w^2 are q-integral, and its residues are then the
+    roots of X^2 - t X + n.  The symbol of the discriminant d = t^2 - 4n
+    tells them apart: two roots in F_q for a nonzero square d, one for d = 0,
+    and for a non-square d one on t F_q, with sqrt(d) = sqrt(d / z) t for
+    the non-residue z of the standard F_q^2.  Square roots by scanning F_q, so
+    only for small q."""
+    trace = Fraction(2 * j.u, j.w)
+    norm = Fraction(j.u * j.u - j.m * j.v * j.v, j.w * j.w)
+    if trace.denominator % q == 0 or norm.denominator % q == 0:
+        return None
+    t, n = (x.numerator * pow(x.denominator, -1, q) % q for x in (trace, norm))
+    d, half = (t * t - 4 * n) % q, pow(2, -1, q)
+    symbol = kronecker(d, q)
+    if symbol == 0:
+        return [(t * half % q, 0)]
     if symbol == 1:
-        s = v * _sqrt_by_scan(m, q) * winv
-        return sorted({((x0 + s) % q, 0), ((x0 - s) % q, 0)})
-    x1 = v * _sqrt_by_scan(m * pow(nonresidue(q), -1, q), q) * winv % q
-    return [(x0, min(x1, q - x1))]
+        s = _sqrt_by_scan(d, q)
+        return sorted({((t + s) * half % q, 0), ((t - s) * half % q, 0)})
+    x1 = _sqrt_by_scan(d * pow(nonresidue(q), -1, q) % q, q) * half % q
+    return [(t * half % q, min(x1, q - x1))]
 
 
 def _sqrt_by_scan(a: int, q: int) -> int:

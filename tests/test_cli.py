@@ -381,18 +381,28 @@ def test_cli_examples(capsys, argv, code, expected):
         assert [s for s in forbidden if s in text] == [], text
 
 
+def cli_process(*argv, flags=()):
+    return subprocess.run([sys.executable, *flags, "-m", "heegner.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
 def test_module_entry_point_exit_status():
     # python -m heegner.cli hands main()'s code to sys.exit, so the process
     # exits with it: the README's example prints its JSON line and exits 0,
     # a supersingular h exits 65
-    def cli_process(*argv):
-        return subprocess.run([sys.executable, "-m", "heegner.cli", *argv],
-                              capture_output=True, text=True, timeout=300,
-                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
-
     done = cli_process("classpoly", "--p", "11", "--D", "-220")
     assert done.returncode == 0, done.stderr
     assert done.stdout == '{"p": 11, "D": -220, "coefficients": ["121", "-77", "1"]}\n'
     done = cli_process("search", "--p", "3", "--h", "0")
     assert done.returncode == 65 and done.stdout == ""
     assert done.stderr.startswith("error: ")
+
+
+def test_outputs_do_not_depend_on_assert():
+    # python -O strips assert statements; a search must exit 0 and print the
+    # same bytes with and without them
+    argv = ("search", "--p", "11", "--h", "21/2", "--count", "3")
+    plain, optimized = cli_process(*argv), cli_process(*argv, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0, (plain.stderr, optimized.stderr)
+    assert plain.stdout == optimized.stdout != ""

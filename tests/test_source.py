@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import heegner
 from heegner import classpoly, sssearch, ssverify
 
@@ -299,54 +301,35 @@ def unreferenced_definitions(sources, readers) -> list[str]:
                   if name.rpartition(".")[2] not in read)
 
 
-def test_only_the_search_factors():
+NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+ONE_READER = [
     # factoring is budgeted, and only the search holds the budget: a call
     # elsewhere, as verification once made, would spend the default budget
-    # whatever --factor-budget says
-    readers = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Name) and node.id == "factorize") or (
-                    isinstance(node, ast.Attribute) and node.attr == "factorize"):
-                readers.add(path.name)
-    assert readers == {"sssearch.py"}
-
-
-def test_only_hauptmodul_reads_the_guard():
+    # whatever --factor-budget says.  No alias: __init__.py re-exports it
+    pytest.param("factorize", (ast.Name, ast.Attribute), {"sssearch.py"}, id="factorize"),
     # a build has one precision and one guard, added by jp_at_form: a module
     # that reads GUARD_BITS pads the precision again
-    readers = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Name) and node.id == "GUARD_BITS") or (
-                    isinstance(node, ast.Attribute) and node.attr == "GUARD_BITS") or (
-                    isinstance(node, ast.alias) and node.name == "GUARD_BITS"):
-                readers.add(path.name)
-    assert readers == {"hauptmodul.py"}
-
-
-def test_only_the_entry_points_read_from_D():
+    pytest.param("GUARD_BITS", (ast.Name, ast.Attribute, ast.alias), {"hauptmodul.py"},
+                 id="GUARD_BITS"),
     # a Discriminant is validated once, where an integer D enters: build_PD,
     # which the CLI hands its --D.  Below it, the pairing trusts the D it is
     # given
-    readers = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "from_D":
-                readers.add(path.name)
-    assert readers == {"classpoly.py"}
-
-
-def test_only_the_search_reads_the_shapes():
+    pytest.param("from_D", (ast.Attribute,), {"classpoly.py"}, id="from_D"),
     # a level's search polynomial is formed in one place,
     # sssearch.search_polynomial; a second reader of Level.shapes would be a
     # second statement of which polynomial a level searches with
-    readers = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "shapes":
-                readers.add(path.name)
-    assert readers == {"sssearch.py"}
+    pytest.param("shapes", (ast.Attribute,), {"sssearch.py"}, id="shapes"),
+]
+
+
+@pytest.mark.parametrize("name,kinds,modules", ONE_READER)
+def test_only_one_module_reads(name, kinds, modules):
+    readers = {path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, kinds) and getattr(node, NAME_FIELD[type(node)]) == name}
+    assert readers == modules
 
 
 def test_every_definition_has_a_caller():

@@ -10,9 +10,9 @@ import pytest
 from heegner import intmath, ssverify, supersingular
 from heegner.intmath import is_prime, kronecker
 from heegner.ssverify import (
-    BadReductionError,
     QuadSurd,
     _is_supersingular,
+    _local,
     _residues,
     lift_j_from_h_level3,
     verify_certificate,
@@ -53,21 +53,35 @@ class TestQuadSurd:
 
     def test_radicand_kept_as_given(self):
         # nothing is factored: sqrt(-12) is not rewritten as 2 sqrt(-3)
-        s = QuadSurd.make(1, 1, 2, -12)
+        s = QuadSurd(1, 1, 2, -12)
         assert (s.u, s.v, s.w, s.m) == (1, 1, 2, -12)
-        assert QuadSurd.make(0, 1, 1, -UNFACTORED).m == -UNFACTORED
+        assert QuadSurd(0, 1, 1, -UNFACTORED).m == -UNFACTORED
 
     def test_square_radicand_folded_into_u(self):
         # (1 + 2 sqrt(4)) / 1 is the rational 5: no conjugate to reduce
-        assert QuadSurd.make(1, 2, 1, 4) == QuadSurd.make(5, 0, 1, 1)
-        assert QuadSurd.make(3, -1, 2, 9) == QuadSurd(0, 0, 1, 1)
+        assert QuadSurd(1, 2, 1, 4) == QuadSurd(5, 0, 1, 1)
+        assert QuadSurd(3, -1, 2, 9) == QuadSurd(0, 0, 1, 1)
+
+    @pytest.mark.parametrize("given,canonical", [
+        ((1, 1, 1, 4), (3, 0, 1, 1)),  # (1 + sqrt(4)) / 1 is the number 3
+        ((5, 0, 1, 7), (5, 0, 1, 1)),  # v = 0 drops m
+        ((2, 0, -4, 1), (-1, 0, 2, 1)),  # w is made positive
+    ])
+    def test_every_construction_is_canonical(self, given, canonical):
+        # the constructor is the one path, whatever form the caller wrote
+        assert QuadSurd(*given) == QuadSurd(*canonical)
+        assert hash(QuadSurd(*given)) == hash(QuadSurd(*canonical))
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="denominator is zero"):
+            QuadSurd(1, 0, 0, 1)
 
     def test_gcd_normalization(self):
-        s = QuadSurd.make(6, 4, 10, 7)
+        s = QuadSurd(6, 4, 10, 7)
         assert (s.u, s.v, s.w) == (3, 2, 5)
 
     def test_round_trip(self):
-        for s in (J11_POINT, QuadSurd.make(0, 0, 1, 1), QuadSurd.make(-3, 5, 7, -11)):
+        for s in (J11_POINT, QuadSurd(0, 0, 1, 1), QuadSurd(-3, 5, 7, -11)):
             assert QuadSurd.from_string(str(s)) == s
 
     def test_invalid(self):
@@ -83,12 +97,12 @@ class TestQuadSurd:
         # joins two numbers into one: each names the form
         with pytest.raises(ValueError, match=re.escape("(u+v*sqrt(m))/w")):
             QuadSurd.from_string(text)
-        assert QuadSurd.from_string("sqrt(5)/2") == QuadSurd.make(0, 1, 2, 5)
+        assert QuadSurd.from_string("sqrt(5)/2") == QuadSurd(0, 1, 2, 5)
 
     def test_white_space_around_tokens(self):
-        assert QuadSurd.from_string(" 21/2 ") == QuadSurd.make(21, 0, 2, 1)
-        assert QuadSurd.from_string("(1 + sqrt(5)) / 2") == QuadSurd.make(1, 1, 2, 5)
-        assert QuadSurd.from_string("( 3 - 2 * sqrt( -7 ) ) / 4") == QuadSurd.make(3, -2, 4, -7)
+        assert QuadSurd.from_string(" 21/2 ") == QuadSurd(21, 0, 2, 1)
+        assert QuadSurd.from_string("(1 + sqrt(5)) / 2") == QuadSurd(1, 1, 2, 5)
+        assert QuadSurd.from_string("( 3 - 2 * sqrt( -7 ) ) / 4") == QuadSurd(3, -2, 4, -7)
 
 
 class TestReduceMod:
@@ -99,7 +113,7 @@ class TestReduceMod:
         assert _residues(J11_POINT, Fq2Field(151)) == [(67, 0), (101, 0)]
 
     def test_zero_surd(self):
-        assert _residues(QuadSurd.make(0, 0, 1, 5), Fq2Field(13)) == [(0, 0)]
+        assert _residues(QuadSurd(0, 0, 1, 5), Fq2Field(13)) == [(0, 0)]
 
     def test_inert_gives_fq2(self):
         assert kronecker(J11_POINT.m, 2309) == -1
@@ -112,8 +126,8 @@ class TestReduceMod:
         pairs = [((1, 1, 2, -12), (1, 2, 2, -3)), ((5, 1, 5, 50), (1, 1, 1, 2))]
         F = Fq2Field(q)
         for one, other in pairs:
-            residues = _residues(QuadSurd.make(*one), F)
-            assert residues == _residues(QuadSurd.make(*other), F)
+            residues = _residues(_local(QuadSurd(*one), q), F)
+            assert residues == _residues(_local(QuadSurd(*other), q), F)
             assert all(type(r) is tuple and len(r) == 2 for r in residues)
 
     def test_residues_are_roots_of_the_minimal_polynomial(self):
@@ -123,8 +137,7 @@ class TestReduceMod:
         primes = [q for q in range(5, 400) if is_prime(q)]
         for _ in range(200):
             m = rng.choice([-1, 1]) * rng.randrange(2, 60) * rng.choice([1, 4, 9, 25, 49])
-            j = QuadSurd.make(rng.randrange(-99, 100), rng.randrange(1, 30),
-                              rng.randrange(1, 50), m)
+            j = QuadSurd(rng.randrange(-99, 100), rng.randrange(1, 30), rng.randrange(1, 50), m)
             q = rng.choice(primes)
             if j.w % q == 0:
                 continue
@@ -136,41 +149,39 @@ class TestReduceMod:
     def test_q_squared_in_radicand_cancels_from_w(self):
         # (7 + sqrt(49 * 3)) / 7 = 1 + sqrt(3): good reduction at 7
         F = Fq2Field(7)
-        expected = _residues(QuadSurd.make(1, 1, 1, 3), F)
-        assert _residues(QuadSurd.make(7, 1, 7, 147), F) == expected == [(1, 1)]
-        with pytest.raises(BadReductionError):
-            _residues(QuadSurd.make(1, 1, 7, 147), F)  # (1 + 7 sqrt(3)) / 7
+        local = _local(QuadSurd(7, 1, 7, 147), 7)
+        assert local == QuadSurd(1, 1, 1, 3)
+        assert _residues(local, F) == _residues(QuadSurd(1, 1, 1, 3), F) == [(1, 1)]
+        assert _local(QuadSurd(1, 1, 7, 147), 7).w % 7 == 0  # (1 + 7 sqrt(3)) / 7
 
     def test_bad_reduction(self):
-        with pytest.raises(BadReductionError):
-            _residues(QuadSurd.make(1, 2, 35, -3), Fq2Field(7))  # 7 | w
+        assert _local(QuadSurd(1, 2, 35, -3), 7).w % 7 == 0  # 7 | w
 
     def test_agrees_with_the_kronecker_reference(self):
         # the field's square root of m decides split, inert and ramified m as
-        # the symbol (m | q) does, also where q | v or q^2 | m
+        # the symbol (m | q) does, also where q | v or q^2 | m, and the local
+        # denominator decides bad reduction as the trace and norm do
         rng = random.Random(41)
         primes = [q for q in range(3, 400) if is_prime(q)]
         kinds = set()
         for _ in range(1500):
             q = rng.choice(primes)
             m = rng.choice([-1, 1]) * rng.randrange(2, 300) * rng.choice([1, q, q * q])
-            j = QuadSurd.make(rng.randrange(-500, 500), rng.randrange(1, 30) * rng.choice([1, q]),
-                              rng.randrange(1, 40) * rng.choice([1, 1, q]), m)
-            F = Fq2Field(q)
-            try:
-                expected = reduce_mod_by_kronecker(j, q)
-            except BadReductionError:
-                with pytest.raises(BadReductionError):
-                    _residues(j, F)
+            j = QuadSurd(rng.randrange(-500, 500), rng.randrange(1, 30) * rng.choice([1, q]),
+                         rng.randrange(1, 40) * rng.choice([1, 1, q]), m)
+            local, expected = _local(j, q), reduce_mod_by_kronecker(j, q)
+            if expected is None:
+                assert local.w % q == 0, (j, q)
+                kinds.add("bad")
                 continue
-            assert _residues(j, F) == expected, (j, q)
+            assert local.w % q != 0 and _residues(local, Fq2Field(q)) == expected, (j, q)
             if j.v % q == 0:
                 kinds.add("q | v")
             elif j.m % (q * q) == 0:
                 kinds.add("q^2 | m")
             else:
                 kinds.add({1: "split", -1: "inert", 0: "ramified"}[kronecker(j.m, q)])
-        assert kinds == {"split", "inert", "ramified", "q | v", "q^2 | m"}
+        assert kinds == {"split", "inert", "ramified", "q | v", "q^2 | m", "bad"}
 
 
 class TestIsSupersingular:
@@ -269,8 +280,15 @@ class TestVerifyCertificate:
         statuses = verify_certificate((ABOVE_VERIFY_BOUND,), J11_POINT)
         assert statuses == {ABOVE_VERIFY_BOUND: "unverified-large"}
 
+    def test_a_rational_written_as_a_surd(self):
+        # (1 + sqrt(4)) / 1 = 3 has the statuses of 3, with no conjugate to
+        # disagree at q = 7
+        statuses = verify_certificate((7, 11), QuadSurd(1, 1, 1, 4))
+        assert statuses == verify_certificate((7, 11), QuadSurd(3, 0, 1, 1)) == {
+            7: "ordinary", 11: "ordinary"}
+
     def test_bad_reduction_status(self):
-        statuses = verify_certificate((5,), QuadSurd.make(1, 1, 5, -3))
+        statuses = verify_certificate((5,), QuadSurd(1, 1, 5, -3))
         assert statuses == {5: "bad-reduction"}
 
     @pytest.mark.parametrize("text,status", [
@@ -324,9 +342,9 @@ class TestVerifyCertificate:
 
     def test_bad_reduction_above_the_bound(self):
         # a q in the denominator is reported as such, whatever the bound
-        j = QuadSurd.make(1, 1, 7, -3)
+        j = QuadSurd(1, 1, 7, -3)
         assert verify_certificate((7,), j, effort_bound=5) == {7: "bad-reduction"}
-        assert verify_certificate((7,), QuadSurd.make(7, 1, 7, 147), effort_bound=5) == {
+        assert verify_certificate((7,), QuadSurd(7, 1, 7, 147), effort_bound=5) == {
             7: "unverified-large"}
 
 
