@@ -17,7 +17,8 @@ real quadratic X^2 - 2 Re(r) X + |r|^2, and their product is formed at the
 roots' prec in real balls, integer midpoints with integer radii, by integer
 multiplies.  A coefficient is accepted only when its whole ball lies within
 2^-20 of exactly one integer, so the rounding is proven rather than tested;
-a coefficient ball that fails the proof raises ``PrecisionExhaustedError``.
+the test is exact, one integer comparison in units of 2^-prec.  A
+coefficient ball that fails the proof raises ``PrecisionExhaustedError``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 ROUNDING_BITS = 20
-ROUNDING_TOLERANCE = 2.0**-ROUNDING_BITS
 
 
 class PrecisionExhaustedError(ArithmeticError):
@@ -56,18 +56,19 @@ class PrecisionExhaustedError(ArithmeticError):
 
 @dataclass(frozen=True, slots=True)
 class ClassPolynomial:
-    """Monic integer polynomial of degree h(D)/2 (or a product of two)."""
+    """Monic integer polynomial of degree h(D)/2 (or a product of two).
+
+    Its equality and hash are those of (p, D, coefficients): a polynomial
+    read back from ``to_json`` equals the one built.
+    """
 
     p: int
     D: int | tuple[int, int]
     coefficients: tuple[int, ...]  # ascending, leading coefficient 1
-    rounding_residual: float
 
     def __post_init__(self):
         if self.coefficients[-1] != 1:
             raise ValueError("class polynomial must be monic")
-        if self.rounding_residual >= ROUNDING_TOLERANCE:
-            raise ValueError("rounding residual above certification threshold")
 
     @property
     def degree(self) -> int:
@@ -157,28 +158,20 @@ def _product(factors, prec):
 
 
 def _round_proven(coeffs, prec):
-    """(integers, residual) when every coefficient ball lies within 2^-20 of
-    one integer, else None.
+    """The integers of the coefficient balls (mid, rad) over 2^prec when every
+    ball lies within 2^-20 of one integer n, else None.
 
-    The residual bounds the distance from every point of every ball to its
-    integer, rounded up.
+    The test is exact, in units of 2^-prec: the farthest point of the ball
+    from n, |mid - n 2^prec| + rad, is below 2^(prec - 20).
     """
     ints = []
-    residual = 0.0
+    margin = 1 << (prec - ROUNDING_BITS)
     for mid, rad in coeffs:
         n = (mid + (1 << (prec - 1))) >> prec
-        distance = _ceil_float(abs(mid - (n << prec)) + rad, prec)
-        if not distance < ROUNDING_TOLERANCE:
+        if not abs(mid - (n << prec)) + rad < margin:
             return None
-        residual = max(residual, distance)
         ints.append(n)
-    return tuple(ints), residual
-
-
-def _ceil_float(units: int, prec: int) -> float:
-    """A float at least units / 2^prec."""
-    shift = max(0, units.bit_length() - 53)
-    return math.ldexp((units >> shift) + 1, shift - prec)
+    return tuple(ints)
 
 
 def build_PD(D, p: int | None = None) -> ClassPolynomial:
@@ -205,11 +198,11 @@ def build_PD(D, p: int | None = None) -> ClassPolynomial:
     bits = _sized_bits(disc.D, reps)
     roots = [(jp_at_form(rep, disc.p, bits), real) for rep, real in evaluated]
     prec = roots[0][0].prec
-    rounded = _round_proven(_product(_real_factors(roots), prec), prec)
-    if rounded is None:
+    coefficients = _round_proven(_product(_real_factors(roots), prec), prec)
+    if coefficients is None:
         raise PrecisionExhaustedError(f"could not prove the rounding of P_D for D = {disc.D} "
                                       f"at {bits} bits")
-    return ClassPolynomial(disc.p, disc.D, *rounded)
+    return ClassPolynomial(disc.p, disc.D, coefficients)
 
 
 def build_Pl(parts: tuple[ClassPolynomial, ClassPolynomial]) -> ClassPolynomial:
@@ -220,9 +213,7 @@ def build_Pl(parts: tuple[ClassPolynomial, ClassPolynomial]) -> ClassPolynomial:
     if odd.p != even.p or even.D != 4 * odd.D:
         raise ValueError(f"the parts P_{odd.D} (p = {odd.p}) and P_{even.D} (p = {even.p}) "
                          "are not P_-pl and P_-4pl of one p and l")
-    coeffs = poly_mul(odd.coefficients, even.coefficients)
-    residual = max(odd.rounding_residual, even.rounding_residual)
-    return ClassPolynomial(odd.p, (odd.D, even.D), coeffs, residual)
+    return ClassPolynomial(odd.p, (odd.D, even.D), poly_mul(odd.coefficients, even.coefficients))
 
 
 def evaluate(P: ClassPolynomial, h: Fraction) -> Fraction:

@@ -5,11 +5,11 @@ q-locally with nothing factored: the powers of q^2 leave m, and a q common
 to u, v and w cancels.  A q left in the denominator is bad reduction.
 Otherwise j is reduced into F_q^2, and its residue is tested by walking its
 2-isogeny graph (``supersingular``), which answers the Hasse-invariant
-question in O(log q) square roots; at q = 3 the answer is the closed form
-j = 0.  ``verify_certificate`` tests each q once and builds one
-``Fq2Field(q)`` for both the reduction and the walk, whose Hasse adapters in
-``supersingular`` take q first, where the benchmark's tracer reads it, then
-the field.
+question in O(log q) square roots; at q = 3 ``is_supersingular`` answers
+with the closed form j = 0.  ``verify_certificate`` tests each q once and
+builds one ``Fq2Field(q)`` for both the reduction and the walk, whose Hasse
+adapters in ``supersingular`` take q first, where the benchmark's tracer
+reads it, then the field.
 Verification is bounded by an explicit limit, by default 2^64, above which
 ``is_prime``'s Baillie-PSW answer is no longer proven; larger primes are
 reported as unverified rather than trusted.
@@ -133,16 +133,14 @@ def _residues(j: QuadSurd, F: Fq2Field) -> list[tuple[int, int]]:
 
 def _is_supersingular(F: Fq2Field, j: tuple[int, int]) -> bool:
     """Supersingularity of a j-invariant (x0, x1) of F, x1 = 0 for one in
-    F_q, for the odd prime q = F.q.
+    F_q, for every odd prime q = F.q.
 
-    In characteristic 3 the only supersingular j is 0.  Otherwise j itself
-    goes to the 2-isogeny walk, through ``hasse_nonzero_fq`` for j in F_q and
-    ``hasse_nonzero_fq2`` for j outside it: a curve is supersingular iff its
-    Hasse invariant vanishes, and twists share the answer, so j decides it.
+    j itself goes to ``supersingular.is_supersingular``, through
+    ``hasse_nonzero_fq`` for j in F_q and ``hasse_nonzero_fq2`` for j
+    outside it: a curve is supersingular iff its Hasse invariant vanishes,
+    and twists share the answer, so j decides it.
     """
     q = F.q
-    if q == 3:
-        return (j[0] % 3, j[1] % 3) == (0, 0)
     if j[1] % q == 0:
         return not hasse_nonzero_fq(q, j[0], F)
     return not hasse_nonzero_fq2(q, j[0], j[1], F)

@@ -7,11 +7,13 @@ lies on a 2-volcano of depth at most log2 q + 1, and of three non-backtracking
 paths from a vertex one descends and meets the floor, where only one
 neighbour lies in F_q^2, within ceil(log2 q) + 1 steps.  So j is supersingular
 iff the roots of Phi_2(j, Y) lie in F_q^2 and three such paths from them never
-leave it: O(log q) square roots, where the Hasse invariant costs O(q).  They
-are all the field's: ``Fq2Field`` finds its non-residue and its Tonelli-Shanks
-constants once, in its constructor, so a square root in F_q is one
-Tonelli-Shanks exponentiation for every odd q, q = 3 mod 4 included, that
-also tells a non-residue, with no Euler test before it.
+leave it: O(log q) square roots, where the Hasse invariant costs O(q).  At
+q = 3, where the only supersingular j is 0, ``is_supersingular`` answers
+with that closed form and walks nothing.  The square roots are all the
+field's: ``Fq2Field`` finds its non-residue and its Tonelli-Shanks constants
+once, in its constructor, so a square root in F_q is one Tonelli-Shanks
+exponentiation for every odd q, q = 3 mod 4 included, that also tells a
+non-residue, with no Euler test before it.
 This module imports nothing from the package.
 
 Hasse-invariant contract: ``hasse_nonzero_fq(q, j, F)`` and
@@ -211,9 +213,12 @@ def phi2_roots(F: Fq2Field, j):
 
 
 def is_supersingular(F: Fq2Field, j) -> bool:
-    """Whether j in F_q^2 (q >= 5 prime) is a supersingular j-invariant."""
+    """Whether j in F_q^2 (q an odd prime) is a supersingular j-invariant;
+    in characteristic 3 only j = 0 is."""
     q = F.q
     j = (j[0] % q, j[1] % q)
+    if q == 3:
+        return j == (0, 0)
     if j == (0, 0):
         return q % 3 == 2
     if j == (1728 % q, 0):

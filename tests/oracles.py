@@ -981,7 +981,6 @@ def poly_from_json(text: str) -> ClassPolynomial:
         p=data["p"],
         D=D,
         coefficients=tuple(int(c) for c in data["coefficients"]),
-        rounding_residual=0.0,
     )
 
 
@@ -1039,7 +1038,7 @@ def build_PD_via_square_root(D, p, bits=None, max_bits=1 << 17):
             if residual < 2.0**-20:
                 root = int_poly_sqrt(ints)
                 if root is not None:
-                    return ClassPolynomial(disc.p, disc.D, root, float(residual))
+                    return ClassPolynomial(disc.p, disc.D, root)
         work *= 2
     raise PrecisionExhaustedError(f"square-root route failed for D = {disc.D}")
 

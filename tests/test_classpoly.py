@@ -59,10 +59,14 @@ P1628_COEFFS = (
 class TestBuildPD:
     def test_refuses_non_monic_or_unproven(self):
         with pytest.raises(ValueError, match="monic"):
-            ClassPolynomial(11, -220, (121, -77, 2), 0.0)
-        with pytest.raises(ValueError, match="residual"):
-            ClassPolynomial(11, -220, (121, -77, 1), classpoly.ROUNDING_TOLERANCE)
-        ClassPolynomial(11, -220, (121, -77, 1), classpoly.ROUNDING_TOLERANCE / 2)
+            ClassPolynomial(11, -220, (121, -77, 2))
+        ClassPolynomial(11, -220, (121, -77, 1))
+        # the rounding proof is exact at 2^-20: a ball within 2^-20 - 2^-64
+        # of 5 rounds, one whose edge reaches 5 + 2^-20 does not
+        assert classpoly._round_proven([(5 << 64, (1 << 44) - 1)], 64) == (5,)
+        assert classpoly._round_proven([(5 << 64, 1 << 44)], 64) is None
+        assert classpoly._round_proven([((5 << 64) - 1, (1 << 44) - 2)], 64) == (5,)
+        assert classpoly._round_proven([((5 << 64) - 1, (1 << 44) - 1)], 64) is None
 
     def test_minus_220(self):
         poly = build_PD(-220, 11)
@@ -92,16 +96,19 @@ class TestBuildPD:
         assert build_PD(disc, 11).coefficients == (121, -77, 1)
 
     def test_monic_and_residual(self):
-        poly = build_PD(-220, 11)
+        # the residual, the farthest point of a coefficient ball from its
+        # integer, is below 2^-20, compared in units of 2^-prec
+        (poly,), _, ((coeffs, prec),) = traced_builds([Discriminant.from_D(-220, 11)])
         assert poly.coefficients[-1] == 1
-        assert poly.rounding_residual < 2.0**-20
+        assert all(farthest(ball, n, prec) < 1 << (prec - 20)
+                   for ball, n in zip(coeffs, poly.coefficients, strict=True))
 
     def test_cross_construction_agreement(self):
         for D, p in ((-220, 11), (-1628, 11), (-55, 11), (-60, 3), (-15, 5),
                      (-260, 13), (-380, 19), (-35, 7)):
             a = build_PD(D, p)
             b = build_PD_via_square_root(D, p)
-            assert a.coefficients == b.coefficients, (D, p)
+            assert a == b and hash(a) == hash(b), (D, p)
 
 
 class TestEvaluate:
@@ -135,7 +142,7 @@ class TestEvaluate:
                for _ in range(8)]
         for degree in range(10):
             coeffs = tuple(rng.randrange(-10**12, 10**12) for _ in range(degree)) + (1,)
-            poly = ClassPolynomial(11, -220, coeffs, 0.0)
+            poly = ClassPolynomial(11, -220, coeffs)
             for h in hs:
                 expected = Fraction(0)
                 for c in reversed(coeffs):
@@ -240,12 +247,14 @@ class TestSerialization:
         back = poly_from_json(poly.to_json())
         assert back.coefficients == poly.coefficients
         assert back.p == poly.p and back.D == poly.D
+        assert back == poly and hash(back) == hash(poly)
 
     def test_product_round_trip(self):
         prod, _ = search_polynomial(5, 3)
         back = poly_from_json(prod.to_json())
         assert back.D == (-15, -60)
         assert back.coefficients == prod.coefficients
+        assert back == prod and hash(back) == hash(prod)
 
 
 def test_cross_construction_sweep(sweep_polys):
@@ -424,19 +433,42 @@ def beyond_sweep_discriminants():
 
 def traced_builds(discriminants):
     """The class polynomials of ``discriminants``, with the (bits, ball) of
-    every evaluation their builds made."""
-    evaluations = []
-    real = classpoly.jp_at_form
+    every evaluation their builds made and the (coefficient balls, prec)
+    that each build's rounding proof received."""
+    evaluations, roundings = [], []
+    real, real_round = classpoly.jp_at_form, classpoly._round_proven
 
     def recorded(form, p, bits):
         ball = real(form, p, bits)
         evaluations.append((bits, ball))
         return ball
 
+    def recorded_round(coeffs, prec):
+        roundings.append((coeffs, prec))
+        return real_round(coeffs, prec)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classpoly, "jp_at_form", recorded)
+        patch.setattr(classpoly, "_round_proven", recorded_round)
         polys = [build_PD(disc) for disc in discriminants]
-    return polys, evaluations
+    return polys, evaluations, roundings
+
+
+def farthest(ball, n, prec):
+    """The farthest point of the ball (mid, rad) over 2^prec from the
+    integer n, in units of 2^-prec."""
+    mid, rad = ball
+    return abs(mid - (n << prec)) + rad
+
+
+def within(polys, roundings, spare):
+    """Whether every coefficient ball of every build lies within
+    2^-(20 + spare) of its integer: the proof's margin with ``spare`` bits
+    left, compared in integers."""
+    assert len(polys) == len(roundings)
+    return all(farthest(ball, n, prec) < 1 << (prec - 20 - spare)
+               for poly, (coeffs, prec) in zip(polys, roundings)
+               for ball, n in zip(coeffs, poly.coefficients, strict=True))
 
 
 @pytest.fixture(scope="module")
@@ -444,31 +476,33 @@ def beyond_sweep():
     return traced_builds(beyond_sweep_discriminants())
 
 
+@pytest.fixture(scope="module")
+def sweep_traced():
+    return traced_builds([Discriminant(p, ell, shape) for p, ell in admissible_pairs()
+                          for shape in ("-pl", "-4pl")])
+
+
 def test_rounding_beyond_the_sweep(beyond_sweep):
     # the precision is sized without a guard of its own, and no build past
     # the sweep raises; each proves its rounding with 10 bits to spare
-    polys, _ = beyond_sweep
+    polys, _, roundings = beyond_sweep
     assert len(polys) == 133 and max(poly.degree for poly in polys) == 84
-    assert max(poly.rounding_residual for poly in polys) < 2.0**-30
+    assert within(polys, roundings, spare=10)
     lines = [poly.to_json() for poly in polys]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BEYOND_SWEEP_SHA256
 
 
-def test_sweep_residuals_below_2_to_the_minus_30(sweep_polys):
-    residuals = [poly.rounding_residual for shapes in sweep_polys.values()
-                 for poly in shapes.values()]
-    assert len(residuals) == 160 and max(residuals) < 2.0**-30
+def test_sweep_residuals_below_2_to_the_minus_30(sweep_traced):
+    polys, _, roundings = sweep_traced
+    assert len(polys) == 160 and within(polys, roundings, spare=10)
 
 
-def test_guard_leaves_eight_bits(beyond_sweep):
+def test_guard_leaves_eight_bits(sweep_traced, beyond_sweep):
     # jp_at_form's guard covers what its evaluations spend with at least 8
     # bits left: rad 2^-prec <= 2^-(bits + 8) max(1, |mid|) at every
     # evaluation of the sweep and of the builds beyond it.  isqrt bounds
     # |mid| from below, so the check errs on the safe side
-    sweep = [Discriminant(p, ell, shape) for p, ell in admissible_pairs()
-             for shape in ("-pl", "-4pl")]
-    _, evaluations = traced_builds(sweep)
-    evaluations += beyond_sweep[1]
+    evaluations = sweep_traced[1] + beyond_sweep[1]
     assert len(evaluations) > 2000
     short = [(bits, ball.prec) for bits, ball in evaluations
              if ball.rad << (bits + 8) > max(1 << ball.prec,

@@ -719,8 +719,9 @@ class TestBall:
     @pytest.mark.parametrize("D,p", [(-220, 11), (-1628, 11), (-29564, 19), (-215, 5), (-940, 5),
                                      (-2132, 13), (-1524, 3)])
     def test_build_residual_bounds_coefficient_balls(self, monkeypatch, D, p):
-        # every coefficient ball of the product contains its integer, and the
-        # reported residual is at least its largest distance from it
+        # every coefficient ball of the product contains its integer, and its
+        # residual, the farthest point of the ball from that integer, is
+        # below the proof's 2^-20, compared in units of 2^-prec
         import heegner.classpoly as mod
 
         seen = []
@@ -736,8 +737,7 @@ class TestBall:
         assert len(coeffs) == len(poly.coefficients)
         for (mid, rad), n in zip(coeffs, poly.coefficients):
             assert abs(mid - (n << prec)) <= rad
-            distance = Fraction(abs(mid - (n << prec)) + rad, 1 << prec)
-            assert distance <= Fraction(poly.rounding_residual)
+            assert abs(mid - (n << prec)) + rad < 1 << (prec - 20)
 
 
 class TestPiAndExp:

@@ -77,6 +77,15 @@ class TestKronecker:
         with pytest.raises(ValueError):
             kronecker(3, 0)
 
+    def test_negative_denominator(self):
+        # (a | -n) = (a | n) times -1 exactly when a < 0
+        rng = random.Random(13)
+        for _ in range(500):
+            a, n = rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)
+            assert kronecker(a, -n) == kronecker(a, n) * (-1 if a < 0 else 1), (a, n)
+        assert kronecker(-1, -1) == -1
+        assert kronecker(0, -1) == 1
+
 
 class TestIsPrime:
     def test_known_primes(self):

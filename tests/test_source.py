@@ -321,6 +321,11 @@ ONE_READER = [
     # sssearch.search_polynomial; a second reader of Level.shapes would be a
     # second statement of which polynomial a level searches with
     pytest.param("shapes", (ast.Attribute,), {"sssearch.py"}, id="shapes"),
+    # the precision sizing and the rounding proof each add the 20-bit margin
+    # once, both in classpoly; a second reader would prove the rounding
+    # against another margin
+    pytest.param("ROUNDING_BITS", (ast.Name, ast.Attribute, ast.alias), {"classpoly.py"},
+                 id="ROUNDING_BITS"),
 ]
 
 

@@ -196,6 +196,14 @@ def test_exhaustive_against_hasse_sweep():
     assert repeated > 0  # the repeated-root branch was exercised
 
 
+def test_characteristic_3_only_zero():
+    # in characteristic 3 the only supersingular j is 0 (and 1728 = 0 there)
+    F = Fq2Field(3)
+    found = {(j0, j1) for j1 in range(3) for j0 in range(3) if is_supersingular(F, (j0, j1))}
+    assert found == {(0, 0)}
+    assert is_supersingular(F, (3, -6)) and not is_supersingular(F, (4, 0))
+
+
 def test_rational_against_point_count():
     # every j in F_q, q < 500: supersingular iff #E(F_q) = q + 1
     for q in range(5, 500):
