@@ -7,8 +7,9 @@ input.  Primality is Baillie-PSW, proven below 2^64 (Baillie, Fiori and
 Wagstaff, Math. Comp. 90, 2021) and passed by no known composite above.
 Factoring is trial division by the primes below 10^6, sieved once over the
 odd numbers and kept as a 4-byte ``array``, until the rest is 1 or prime,
-then ECM on Montgomery curves within one effort budget, until the caller's
-stop rule, if any, holds.
+then ECM on Montgomery curves within one effort budget.  The caller's stop
+rule, if any, is asked after each prime trial division finds and before
+every ECM call, and ends the factorization once it holds.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def is_prime(n: int) -> bool:
 class Factorization:
     """Signed prime factorization; ``cofactor`` holds the composites left
     unsplit, either beyond the effort budget or not needed by the caller.
+    Trial division that the caller's stop rule ended leaves its rest whole,
+    so the cofactor may hold primes below ``TRIAL_BOUND`` too.
     ``effort`` is the part of the budget its ECM curves were charged; it is
     bookkeeping, not part of the result, so equality ignores it."""
 
@@ -206,10 +209,16 @@ def _chunk_product(start: int) -> int:
     return math.prod(_trial_primes()[start:start + _CHUNK])
 
 
-def _trial_divide(n: int, found: dict[int, int]) -> int:
+def _trial_divide(n: int, found: dict[int, int],
+                  enough: Callable[[Collection[int]], bool] | None = None) -> int:
     """Divide out of n the primes below ``TRIAL_BOUND`` that divide it,
     recording them in ``found``; returns the rest, which is 1, a prime, or
-    has all its prime factors above the bound.
+    has all its prime factors above the bound, unless ``enough`` ended the
+    sweep.
+
+    ``enough``, the caller's stop rule, if given, is asked with the primes
+    found so far after each prime's whole power is divided out; once it
+    holds, the rest is returned at once, small primes and all.
 
     One gcd of n with the product of a chunk of primes tells whether any of
     them divides n; only such a chunk is divided prime by prime, up to the
@@ -233,6 +242,8 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
                 while n % p == 0:
                     found[p] = found.get(p, 0) + 1
                     n //= p
+                if enough is not None and enough(found.keys()):
+                    return n
                 g //= p  # the chunk's primes that divide n and are still to come
                 if g == 1:
                     break
@@ -248,8 +259,8 @@ def _trial_divide(n: int, found: dict[int, int]) -> int:
 # budget is spent.  Chosen on the composites of the points benchmark, whose
 # smallest factors have 7-11 digits; B1 = 1000 splits the 29-digit product of
 # two 14-digit primes in the numerator at search(7, 2) on its third curve with
-# the seeded sigmas, though the search stops before it once trial division has
-# found its prime.
+# the seeded sigmas, though the search stops before it: its stop rule holds
+# once trial division has found 1531, and 42391 stays in the cofactor too.
 _ECM_SCHEDULE = ((300, 16), (1000, 48), (2000, None))
 _ECM_STRIDE = 210  # D, the giant step of stage 2
 # Modular multiplications that take as long as one rho iteration, measured
@@ -412,10 +423,14 @@ def factorize(n: int, budget: FactorBudget | None = None,
     as the result's ``effort``; every reported prime is certified by
     ``is_prime``.
 
-    ``enough``, the caller's stop rule, is asked before every ECM call,
-    so first after trial division, with the primes found so far; once it
-    holds, each composite left goes unsplit into ``cofactor``, as one that
-    survives the budget does.  Without it the factorization runs to
+    ``enough``, the caller's stop rule, is asked with the primes found so
+    far after each prime trial division finds and before every ECM call;
+    once it holds, trial division ends, a prime or square rest is still
+    recorded, and each composite left goes unsplit into ``cofactor``, as
+    one that survives the budget does, small primes and all.  A rule that
+    is monotone in the primes found, as the search's is, and holds after the
+    whole sweep first held at some prime of it, so asking it early changes
+    no ECM call and no effort.  Without it the factorization runs to
     completion or to the end of the budget.
     """
     if n == 0:
@@ -424,7 +439,7 @@ def factorize(n: int, budget: FactorBudget | None = None,
         budget = FactorBudget()
     sign = 1 if n > 0 else -1
     found: dict[int, int] = {}
-    n = _trial_divide(abs(n), found)
+    n = _trial_divide(abs(n), found, enough)
     pending = [n] if n > 1 else []
     cofactor = 1
     left = [budget.rho_iterations]

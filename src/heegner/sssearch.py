@@ -17,6 +17,7 @@ exact h -> j lift; elsewhere primes are reported unverified.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,11 @@ class SearchCertificate:
 
     def check(self) -> None:
         """Machine-checkable invariants, independent of the search run;
-        ArithmeticError names the first that fails."""
+        ArithmeticError names the first that fails.  The factorization must
+        multiply to the numerator, cofactor included, and hold every
+        selected prime: a factorization the stop rule ended has a cofactor,
+        and this identity is then the only link from its primes to the
+        value."""
         if self.value >= 0:
             raise ArithmeticError("certificate value is not negative")
         if not is_square(self.value.denominator):
@@ -84,6 +89,9 @@ class SearchCertificate:
         num = self.value.numerator
         if kronecker(num, pl) == -1:
             raise ArithmeticError(f"value numerator is a nonsquare modulo {pl}")
+        fac = self.factorization
+        if fac.sign * fac.cofactor * math.prod(q**e for q, e in fac.factors) != num:
+            raise ArithmeticError("the factorization does not multiply to the numerator")
         for q in self.selected:
             if kronecker(q, pl) == 1:
                 raise ArithmeticError(f"selected prime {q} is a square mod {pl}")
@@ -91,6 +99,8 @@ class SearchCertificate:
                 raise ArithmeticError(f"selected prime {q} is excluded")
             if num % q != 0:
                 raise ArithmeticError(f"selected prime {q} does not divide the numerator")
+            if q not in fac.primes():
+                raise ArithmeticError(f"selected prime {q} is not a factor")
 
     def to_json(self) -> str:
         data = {

@@ -1568,17 +1568,22 @@ def primes_below(bound):
     return [i for i in range(bound) if flags[i]]
 
 
-def _reference_trial_divide(n, found):
+def _reference_trial_divide(n, found, enough=None):
     """``intmath._trial_divide`` by the full sweep: every prime below
-    ``TRIAL_BOUND`` in turn, until its square exceeds the rest; a prime rest
-    smaller than n is then recorded too, and 1 returned."""
+    ``TRIAL_BOUND`` in turn, until its square exceeds the rest, with the
+    rule ``enough``, if given, asked after each prime recorded and the rest
+    returned as soon as it holds; a prime rest smaller than n is then
+    recorded too, and 1 returned."""
     start = n
     for p in primes_below(TRIAL_BOUND):
         if p * p > n:
             break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
+            if enough is not None and enough(found.keys()):
+                return n
     if n < start and is_prime_by_rounds(n):
         found[n] = found.get(n, 0) + 1
         return 1

@@ -365,6 +365,10 @@ EXAMPLES = [
                  (['"matrix": [[1, 1, 1], [3, 0, 0], [2, 0, 1]]',
                    '"note": "theorem not proven for p=23"'],
                   ['"not all column sums even"']), id="tables-p23"),
+    # one prime is asked for, so trial division stops at 1531 and leaves
+    # 42391 in the unfactored rest
+    pytest.param(("search", "--p", "7", "--h", "2"), 0, (['"selected": ["1531"]'], []),
+                 id="search-p7-stops-at-1531"),
 ]
 
 

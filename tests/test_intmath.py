@@ -279,6 +279,23 @@ class TestFactorize:
             assert (intmath._trial_divide(n, found), found) == (
                 _reference_trial_divide(n, reference), reference), n
 
+    def test_trial_divide_stops_where_the_full_sweep_does(self):
+        # asked after each prime divided out, the rule ends the sweep at the
+        # same prime and leaves the same rest as the full sweep does
+        primes = primes_below(1000)
+        rng = random.Random(71)
+        rules = [lambda found, k=k: len(found) >= k for k in (1, 2, 3)]
+        rules.append(lambda found: any(q % 4 == 3 for q in found))
+        for _ in range(200):
+            while not (is_prime(a := rng.getrandbits(30) | 1 << 29)
+                       and is_prime(b := rng.getrandbits(30) | 1 << 29)):
+                pass
+            n = math.prod(rng.choices(primes, k=rng.randint(0, 5))) * a * b
+            for enough in rules:
+                found, reference = {}, {}
+                assert (intmath._trial_divide(n, found, enough), found) == (
+                    _reference_trial_divide(n, reference, enough), reference), n
+
     def test_prime_rest_ends_trial_division(self, monkeypatch):
         # the numerator of search(11, 21/2, count=3) is -7^2 151 452233314041:
         # the first chunk holds 7 and 151, and the prime rest ends the sweep
@@ -308,6 +325,9 @@ class TestStopRule:
     SEMIPRIME = 19963943130517 * 648155384310727  # left after trial division
 
     def test_rule_met_by_trial_division_skips_ecm(self, no_ecm):
+        # the rule holds once 1531 is divided out, so trial division stops
+        # there: 42391^2 stays in the cofactor with the semiprime, and the
+        # rule is asked once more before the ECM call it saves
         seen = []
 
         def enough(found):
@@ -315,9 +335,9 @@ class TestStopRule:
             return 1531 in found
 
         f = factorize(-1531 * 42391**2 * self.SEMIPRIME, enough=enough)
-        assert f.sign == -1 and f.factors == ((1531, 1), (42391, 2))
-        assert f.cofactor == self.SEMIPRIME and not f.complete
-        assert seen == [[1531, 42391]]
+        assert f.sign == -1 and f.factors == ((1531, 1),)
+        assert f.cofactor == 42391**2 * self.SEMIPRIME and not f.complete
+        assert seen == [[1531], [1531]]
 
     def test_rule_not_met_splits_with_ecm(self):
         f = factorize(1531 * self.SEMIPRIME, enough=lambda found: len(found) >= 2)

@@ -326,6 +326,10 @@ ONE_READER = [
     # against another margin
     pytest.param("ROUNDING_BITS", (ast.Name, ast.Attribute, ast.alias), {"classpoly.py"},
                  id="ROUNDING_BITS"),
+    # trial division stops at the caller's stop rule, so a cofactor's primes
+    # no longer all exceed the bound: no other module may reason from it
+    pytest.param("TRIAL_BOUND", (ast.Name, ast.Attribute, ast.alias), {"intmath.py"},
+                 id="TRIAL_BOUND"),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -21,6 +22,8 @@ from heegner.sssearch import (
     search_polynomial,
     sigma_condition,
 )
+
+from oracles import factorize_by_trial_loop
 
 H11 = Fraction(21, 2)
 P7_LARGE = (19963943130517, 648155384310727)  # numerator primes at p = 7, h = 2, l = 113
@@ -98,9 +101,11 @@ class TestWalk:
             search(11, H11, sigma=(value,), count=1)
 
     def test_integral_avoided_value_kept(self):
+        # the one prime needed is 7, so trial division leaves 151 in the rest
         for value in (2309, 2309.0, Fraction(2309)):
             cert, = search(11, H11, sigma=(value,), count=1)
-            assert cert.sigma == (2, 2309) and cert.selected == (7, 151)
+            assert cert.sigma == (2, 2309) and cert.selected == (7,)
+            assert cert.factorization.cofactor == 151 * 452233314041
 
     def test_negativity_skip(self):
         # h = 1 and h = 13/10 lie left of the bounded root 1.6049 of P_-220,
@@ -156,9 +161,13 @@ class TestExtractPrimes:
         assert dict(candidates)[2309] == -1
 
     def test_second_value(self):
+        # one prime needed: trial division stops at 7; two: at 151, and the
+        # prime rest is recorded, a residue that is not selected
         value = Fraction(-(7**2) * 151 * 452233314041, 256)
         selected, candidates, fac, skip = extract_primes(value, 11, 37, (2, 2309))
-        assert set(selected) == {7, 151}
+        assert selected == (7,) and fac.cofactor == 151 * 452233314041
+        selected, candidates, fac, skip = extract_primes(value, 11, 37, (2, 2309), needed=2)
+        assert set(selected) == {7, 151} and fac.complete
         assert dict(candidates)[452233314041] == 1  # residue, not selected
 
     def test_degenerate_unit_numerator(self):
@@ -170,13 +179,14 @@ class TestExtractPrimes:
             extract_primes(Fraction(5, 4), 11, 5, ())
 
     def test_stops_at_the_primes_needed(self):
-        # the l = 113 value at p = 7, h = 2: trial division finds 1531 and
-        # 42391, both usable, and ECM is left the product of two 14-digit primes
+        # the l = 113 value at p = 7, h = 2: trial division stops at 1531 when
+        # one prime is needed and at 42391, both usable, when two are; ECM is
+        # left the product of two 14-digit primes and never called
         value = evaluate(search_polynomial(7, 113)[0], Fraction(2))
-        for needed in (1, 2):
+        for needed, primes in ((1, (1531,)), (2, (1531, 42391))):
             selected, candidates, fac, skip = extract_primes(value, 7, 113, (2,), needed=needed)
-            assert selected == (1531, 42391) and not skip
-            assert fac.cofactor == math.prod(P7_LARGE)
+            assert selected == primes and not skip and fac.effort == 0
+            assert fac.cofactor == math.prod(P7_LARGE) * (42391 if needed == 1 else 1)
             assert [q for q, _ in candidates] == fac.primes()
         selected, _, fac, _ = extract_primes(value, 7, 113, (2,), needed=3)
         assert selected == (1531, 42391, P7_LARGE[1]) and fac.complete
@@ -233,9 +243,11 @@ class TestSearch:
         certs[0].check()
 
     def test_level13(self):
+        # the value is -5^5 37 43 89 421, and trial division stops at 5
         certs = search(13, Fraction(3), count=1)
         assert certs[0].ell == 11
-        assert set(certs[0].selected) == {5, 37, 43, 89, 421}
+        assert certs[0].selected == (5,)
+        assert certs[0].factorization.cofactor == 37 * 43 * 89 * 421
         certs[0].check()
 
     def test_rejects_unsupported_p(self):
@@ -352,6 +364,23 @@ def test_check_names_each_broken_invariant():
             dataclasses.replace(cert, **change).check()
 
 
+def test_check_requires_the_factorization_of_the_numerator():
+    # an exponent bumped or a cofactor doubled leaves every selected prime a
+    # divisor of the numerator, but the factorization no longer multiplies
+    # to it; a selected prime outside the factorization is caught too
+    [cert] = search(7, Fraction(2))
+    cert.check()
+    fac = cert.factorization
+    (q, e), = fac.factors
+    for bad in (dataclasses.replace(fac, factors=((q, e + 1),)),
+                dataclasses.replace(fac, cofactor=2 * fac.cofactor)):
+        with pytest.raises(ArithmeticError, match="does not multiply to the numerator"):
+            dataclasses.replace(cert, factorization=bad).check()
+    unlisted = dataclasses.replace(fac, factors=(), cofactor=q**e * fac.cofactor)
+    with pytest.raises(ArithmeticError, match=f"{q} is not a factor"):
+        dataclasses.replace(cert, factorization=unlisted).check()
+
+
 def test_check_rejects_nonsquare_numerator():
     # a value whose numerator has symbol -1 modulo pl, with the sign, the
     # square denominator and every selected prime kept, fails check()
@@ -411,11 +440,12 @@ def record_factorizations(monkeypatch):
 def test_search_spends_one_budget(monkeypatch):
     # each factorization is handed what the earlier ones left: l = 113 runs
     # ECM until less than a curve is left, l = 137 buys one B1 = 300 curve
-    # with the rest, and l = 193 is taken by trial division
+    # with the rest, and l = 193 is taken by trial division, which stops at 97
     ells, calls = record_factorizations(monkeypatch)
     [cert] = search(7, Fraction(9), ell_bound=300, budget=FactorBudget(1 << 16),
                     effort_bound=10**5)
-    assert (cert.ell, cert.selected) == (193, (97, 114547, 7755251853234992432102587))
+    assert (cert.ell, cert.selected) == (193, (97,))
+    assert cert.factorization.cofactor == 114547 * 7755251853234992432102587
     assert "effort" not in cert.to_json()
     assert ells == [113, 137, 193]
     handed, efforts = zip(*calls)
@@ -437,14 +467,14 @@ def test_spent_budget_changes_the_ell_taken(monkeypatch):
     # count = 2 at h = -4: l = 113 yields 83 by trial division and spends
     # the budget failing to split the rest, so l = 137, which a fresh budget
     # splits, and l = 233 are skipped, and l = 281 gives the second
-    # certificate
+    # certificate, where trial division stops at 5
     budget = FactorBudget(1 << 14)
     value = evaluate(search_polynomial(7, 137)[0], Fraction(-4))
     selected, _, _, skip = extract_primes(value, 7, 137, (2, 83), budget)
     assert selected == (338129958014596229321805404501,) and not skip
     ells, calls = record_factorizations(monkeypatch)
     certs = search(7, Fraction(-4), count=2, ell_bound=300, budget=budget)
-    assert [(c.ell, c.selected) for c in certs] == [(113, (83,)), (281, (5, 71))]
+    assert [(c.ell, c.selected) for c in certs] == [(113, (83,)), (281, (5,))]
     left = (1 << 14) - calls[0][1]
     assert ells == [113, 137, 233, 281] and calls[1:] == [(left, 0)] * 3
     assert left < CURVE
@@ -452,13 +482,13 @@ def test_spent_budget_changes_the_ell_taken(monkeypatch):
 
 
 def test_level7_stops_before_ecm():
-    # count = 1: the trial-division primes suffice, so the 29-digit product
-    # of two 14-digit primes is left unfactored in the certificate
+    # count = 1: trial division stops at 1531, so 42391 and the 29-digit
+    # product of two 14-digit primes are left unfactored in the certificate
     [cert] = search(7, Fraction(2))
-    assert (cert.ell, cert.selected) == (113, (1531, 42391))
-    assert not cert.factorization.complete
-    assert cert.factorization.cofactor == math.prod(P7_LARGE)
-    assert json.loads(cert.to_json())["unfactored"] == str(math.prod(P7_LARGE))
+    assert (cert.ell, cert.selected) == (113, (1531,))
+    assert not cert.factorization.complete and cert.factorization.effort == 0
+    assert cert.factorization.cofactor == 42391 * math.prod(P7_LARGE)
+    assert json.loads(cert.to_json())["unfactored"] == str(42391 * math.prod(P7_LARGE))
     cert.check()
 
 
@@ -484,7 +514,9 @@ def test_level7_and_level19_search():
     assert 1531 in certs7[0].selected
     certs19 = search(19, Fraction(2), count=1, ell_bound=300)
     assert certs19[0].ell == 61
-    assert set(certs19[0].selected) == {7, 13, 103, 317}
+    # the value is -7^2 13 103 317, and trial division stops at 7
+    assert certs19[0].selected == (7,)
+    assert certs19[0].factorization.cofactor == 13 * 103 * 317
     for c in certs7 + certs19:
         c.check()
 
@@ -521,20 +553,45 @@ def test_unfactored_cofactor_skips_to_next_ell(monkeypatch):
 
 # SHA-256 of the to_json() lines of the worked example at each level, and of
 # the searches at every integer |h| <= 40 the theorem covers, with a tight
-# factoring budget
+# factoring budget.  ELL_EFFORT_SHA256 is that of the (l, effort) pairs of
+# the same searches: the stop rule decides where a factorization stops, and
+# with it which primes are selected, but never which l or which ECM curves
 LEVEL_SEARCHES = ((3, Fraction(-40), 1), (5, Fraction(1), 1), (7, Fraction(2), 1),
                   (11, H11, 3), (13, Fraction(3), 1), (19, Fraction(2), 1))
-LEVELS_SHA256 = "959462f84623d2471971d95436351c5869812555672fa60ae9a0f49777f5014d"
-POINTS_SHA256 = "9056b01415a46eadc230ebc860eec8ba9d92a63c077fe582c02c4abace35a6b5"
-SPENT_BUDGET_SHA256 = "2d506a2d7bf74ae74520fec77c632f25ae65a148649619db8cf703a7270b6661"
+POINT_OPTIONS = {"count": 1, "ell_bound": 300, "budget": FactorBudget(rho_iterations=1 << 16),
+                 "effort_bound": 10**5}
+LEVELS_SHA256 = "dd05ddf3d8c412fe557448a236898a24cda69abf65cb918947a80eda0187c939"
+POINTS_SHA256 = "91e81b561efe28b1c065ac059996e68bd87662d6c5567182598355196fe180c3"
+SPENT_BUDGET_SHA256 = "9867cd63e1250bd99de5b4eb85a553025c053b689e51cebfae6031a9ee8cc3b0"
+ELL_EFFORT_SHA256 = "dce99b5c5cc4c0d97a764d2f22407724fc7f5870258bad7d426be73888b33516"
 
 
 def sha256_lines(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@functools.cache
+def level_searches():
+    """(p, h, count, certificates) of each worked example."""
+    return [(p, h, count, search(p, h, count=count)) for p, h, count in LEVEL_SEARCHES]
+
+
+@functools.cache
+def point_searches():
+    """(p, h, 1, certificates) at each integer |h| <= 40 the theorem covers."""
+    searches = []
+    for p in (3, 5, 7, 11, 13, 19):
+        for n in range(-40, 41):
+            try:
+                certs = search(p, Fraction(n), **POINT_OPTIONS)
+            except (RealJCaseError, SupersingularAtPError):
+                continue  # outside the theorem's hypotheses
+            searches.append((p, Fraction(n), 1, certs))
+    return searches
+
+
 def test_level_certificates_pinned():
-    certs = [c for p, h, count in LEVEL_SEARCHES for c in search(p, h, count=count)]
+    certs = [c for *_, found in level_searches() for c in found]
     for c in certs:
         c.check()
     lines = [c.to_json() for c in certs]
@@ -543,19 +600,44 @@ def test_level_certificates_pinned():
 
 
 def test_point_certificates_pinned():
-    lines, searched, symbols = [], 0, set()
-    for p in (3, 5, 7, 11, 13, 19):
-        for n in range(-40, 41):
-            try:
-                certs = search(p, Fraction(n), count=1, ell_bound=300,
-                               budget=FactorBudget(rho_iterations=1 << 16), effort_bound=10**5)
-            except (RealJCaseError, SupersingularAtPError):
-                continue  # outside the theorem's hypotheses
-            searched += 1
-            for c in certs:
-                c.check()
-            lines.extend(c.to_json() for c in certs)
-            symbols |= numerator_symbols(certs)
-    assert (searched, len(lines)) == (239, 239)
+    lines, symbols = [], set()
+    for *_, certs in point_searches():
+        for c in certs:
+            c.check()
+        lines.extend(c.to_json() for c in certs)
+        symbols |= numerator_symbols(certs)
+    assert (len(point_searches()), len(lines)) == (239, 239)
     assert symbols <= {0, 1}
     assert sha256_lines(lines) == POINTS_SHA256
+
+
+def test_ell_and_effort_pinned():
+    # the pin was taken with trial division that swept every prime below
+    # 10^6: stopping at the rule must move no l and no effort
+    lines = [f"{p} {h} {[(c.ell, c.factorization.effort) for c in certs]}"
+             for p, h, _, certs in level_searches() + point_searches()]
+    assert sha256_lines(lines) == ELL_EFFORT_SHA256
+
+
+def test_selected_primes_are_the_first_usable():
+    # where the first primes a certificate needs lie below 10^6, trial
+    # division stops at the last of them, so they are the ones selected; a
+    # prime rest left there is recorded too and may be selected after them
+    checked = extra = 0
+    for p, h, count, certs in level_searches() + point_searches():
+        found = 0
+        for c in certs:
+            needed, pl = count - found, p * c.ell
+            found += len(c.selected)
+            trial = factorize_by_trial_loop(c.value.numerator, FactorBudget(0)).primes()
+            usable = [q for q in trial
+                      if kronecker(q, pl) != 1 and q != p and q not in c.sigma][:needed]
+            if len(usable) < needed or usable[-1] >= 10**6:
+                continue
+            checked += 1
+            assert c.selected[:needed] == tuple(usable), (p, h, c.ell)
+            if c.selected[needed:]:
+                extra += 1
+                assert c.factorization.complete, (p, h, c.ell)
+                assert c.selected[needed:] == tuple(c.factorization.primes()[-1:]), (p, h, c.ell)
+    assert (checked, extra) == (221, 22)
