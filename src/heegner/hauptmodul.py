@@ -6,19 +6,18 @@ is summed the same way: sparsely, over the exponents that occur
 (generalized pentagonal numbers for eta, values of a positive binary
 quadratic form for theta, of two such forms for theta*), in fixed point.
 The terms of each series kind at q^s, s = 1 or p, live in one table, grown
-by doubling, and a sum reads the prefix up to its truncation; the table
-also holds a chain of steps q^(a + b) = q^a q^b that builds the powers the
-terms read, each from two built before it (Enge, Math. Comp. 78, 2009,
-sums such series over addition sequences).  q is a Gaussian integer scaled
-by 2^prec, and the series of one point share one table of its powers: a
-step whose power is already there costs nothing, so the eta series at q^p
-and the second theta series at p = 19 read much of what the first built.  Each
-sum returns its value with an error radius in units of 2^-prec: the
-truncations of the fixed-point products, whose count for q^e is at most e
-times a constant whatever its chain, so that the table carries the whole
-count as a running sum of |c| s n, plus an explicit bound on the dropped
-tail, which is geometric because no coefficient of q^n exceeds a constant
-times n.
+by doubling, and a sum reads the prefix up to its truncation, found in one
+lookup.  q is a Gaussian integer scaled by 2^prec, and the series of one
+point share one table of its powers.  A sum takes each power it lacks as
+the previous term's power times the power of the gap, and a gap the table
+lacks is built by halving; a power already there costs nothing, so the eta
+series at q^p and the second theta series at p = 19 read much of what the
+first built.  Each sum returns its value with an error radius in units of
+2^-prec: the truncations of the fixed-point products, whose count for q^e
+is at most e times a constant whatever products built it, so that the table
+carries the whole count as a running sum of |c| s n, plus an explicit bound
+on the dropped tail, which is geometric because no coefficient of q^n
+exceeds a constant times n.
 
 ``jp_at_form`` is the one evaluation of j_p.  It evaluates j_p at the point
 of a Heegner form as given, which its caller has reduced
@@ -42,11 +41,10 @@ theta series of discriminant -23.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import itemgetter, sub
-from typing import NamedTuple
+from operator import sub
 
 from .levels import ETA, THETA_STAR, level
 from .quadforms import QuadForm
@@ -111,85 +109,30 @@ def _theta_star_counts(nmax: int) -> list[int]:
     return list(map(sub, _theta_counts(4, 2, 5, kmax)[1::2], _theta_counts(1, 0, 19, kmax)[1::2]))
 
 
-def _chain(exponents) -> tuple[list, list]:
-    """Steps that build q^e from q for every exponent e > 1 of a series.
-
-    A step (e, a, b) forms q^e = q^a q^b from two powers built before it: a
-    is the largest built exponent that leaves a built e - a, and when none
-    does, the gap e - a to the largest built a below e is built first, the
-    same way.  Returns the steps and, for each exponent, the number of steps
-    that build it and every exponent before it.
-    """
-    built, have, steps, ends = [0, 1], {0, 1}, [], []
-
-    def build(e):
-        i = bisect_right(built, e) - 1
-        a = built[i]
-        while 2 * built[i] >= e:
-            if e - built[i] in have:
-                a = built[i]
-                break
-            i -= 1
-        else:
-            build(e - a)
-        steps.append((e, a, e - a))
-        insort(built, e)
-        have.add(e)
-
-    for e in exponents:
-        if e not in have:
-            build(e)
-        ends.append(len(steps))
-    return steps, ends
-
-
-def _halving(e: int) -> list:
-    """Steps that build q^e from q by halving: q^e = q^(e // 2) q^(e - e // 2)."""
-    if e < 2:
-        return []
-    half = e // 2
-    return _halving(half) + _halving(e - half) + [(e, half, e - half)]
-
-
 def _table(kind, scale: int, nmax: int):
     """The term table of a series kind at q^scale up to its nmax-th power.
 
-    Returns (nmax, terms, weights, steps, ends).  ``terms`` holds the
-    nonzero (scale n, c), n ascending from 0, and weights[i] is the sum of
-    |c| scale n over terms[:i + 1].  ``steps`` build every power of q that
-    the terms read, q^scale by halving first and then the chain of the
-    exponents n, each times scale; ends[i] counts the steps that
-    terms[:i + 1] need.
+    Returns (nmax, exponents, terms, weights).  ``terms`` holds the nonzero
+    (scale n, c), n ascending from 0, ``exponents`` their scale n, and
+    weights[i] is the sum of |c| scale n over terms[:i + 1].
     """
     if kind == ETA:
         terms = _pentagonal_terms(nmax)
     else:
         counts = _theta_star_counts(nmax) if kind == THETA_STAR else _theta_counts(*kind[1:], nmax)
         terms = [(n, c) for n, c in enumerate(counts) if c]
-    lead = _halving(scale)
-    steps, ends = _chain(n for n, _ in terms)
-    steps = lead + [(scale * e, scale * a, scale * b) for e, a, b in steps]
-    ends = [len(lead) + end for end in ends]
     terms = [(scale * n, c) for n, c in terms]
-    return nmax, terms, list(accumulate(abs(c) * n for n, c in terms)), steps, ends
+    exponents = [n for n, _ in terms]
+    return nmax, exponents, terms, list(accumulate(abs(c) * n for n, c in terms))
 
 
 _TABLES = {}  # (series kind, scale) -> its _table, grown by doubling
 
 
-class _Prefix(NamedTuple):
-    """The terms of a series up to some power: terms[:count], their sum of
-    |c| n and the steps[:built] that build the powers they read."""
-
-    terms: list
-    count: int
-    weight: int
-    steps: list
-    built: int
-
-
-def _terms(kind, scale: int, nmax: int) -> _Prefix:
-    """The nonzero terms (scale n, c) of a series kind at q^scale, n <= nmax.
+def _terms(kind, scale: int, nmax: int) -> tuple[list, int, int]:
+    """(terms, count, weight): the nonzero terms (scale n, c) of a series kind
+    at q^scale are terms[:count], n <= nmax, and their sum of |c| scale n is
+    weight.
 
     Each (kind, scale) keeps one table, of the terms up to the largest nmax
     asked so far; a larger nmax rebuilds it at no less than twice its reach,
@@ -199,11 +142,12 @@ def _terms(kind, scale: int, nmax: int) -> _Prefix:
     table = _TABLES.get(key)
     if table is None or table[0] < nmax:
         table = _TABLES[key] = _table(kind, scale, max(nmax, 2 * table[0]) if table else nmax)
-    _, terms, weights, steps, ends = table
-    count = bisect_right(terms, scale * nmax, key=itemgetter(0))
-    return _Prefix(terms, count, weights[count - 1], steps, ends[count - 1])
+    _, exponents, terms, weights = table
+    count = bisect_right(exponents, scale * nmax)
+    return terms, count, weights[count - 1]
 
 
+@lru_cache(maxsize=None)
 def _growth(kind) -> int:
     """A with |coefficient of q^n| <= A n for every n >= 1.
 
@@ -238,42 +182,59 @@ def _truncation(kind, rate: float, prec: int) -> tuple[int, int]:
     return nmax, max(1, math.ceil(2.0 ** (log_tail + prec) * (1 + 1e-9)))
 
 
+def _times(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """The fixed-point product of two Gaussian integers over 2^prec."""
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> prec, (xr * yi + xi * yr) >> prec
+
+
 class _Powers:
     """The powers of q at one point, exponent -> Gaussian integer over
     2^prec, shared by every series the point's Hauptmodul reads.
 
-    A product of two values within e and f units of values of modulus below
-    1 is within e + f + 2 units: the two floor shifts cost under sqrt(2),
-    and e f stays below a unit while both are under 2^(prec/2 - 1).  A
-    power q^e the table lacks is one product q^a q^b of two it holds, a + b
-    = e, so by induction every q^e, e >= 1, is within e (err(q) + 2) - 2
-    units whatever its chain, and a series at q^s within (err(q) + 2) s
-    sum |c| n, its prefix's weight.  That count also bounds the error of
-    every power the series multiplied, so the sum raises
-    ``ArithmeticError`` once it reaches 2^(prec/2 - 1).
+    A series reads its terms in ascending order and takes each power it
+    lacks as the previous term's power times the power of the gap, or as
+    the gap's power alone after q^0, and a gap the table lacks is built by
+    halving (``power``).  A product of two values within e and f units of
+    values of modulus below 1 is within e + f + 2 units: the two floor
+    shifts cost under sqrt(2), and e f stays below a unit while both are
+    under 2^(prec/2 - 1).  Every power q^e the table lacks is one product
+    q^a q^b of two it holds, a + b = e, so by induction every q^e, e >= 1,
+    is within e (err(q) + 2) - 2 units whatever products built it, and a
+    series at q^s within (err(q) + 2) s sum |c| n, its prefix's weight.
+    That count also bounds the error of every power the series multiplied,
+    so the sum raises ``ArithmeticError`` once it reaches 2^(prec/2 - 1).
     """
 
     def __init__(self, q: Ball, im_tau: float):
         self.q, self.im_tau = q, im_tau
         self.powers = {0: (1 << q.prec, 0), 1: (q.re, q.im)}
 
+    def power(self, e: int) -> tuple[int, int]:
+        """q^e; one the table lacks is built as q^(e // 2) q^(e - e // 2)."""
+        powers = self.powers
+        if e not in powers:
+            half = e // 2
+            powers[e] = _times(self.power(half), self.power(e - half), self.q.prec)
+        return powers[e]
+
     def series(self, kind, scale: int = 1) -> Ball:
         """A series kind at q^scale, where q = exp(2 pi i tau), Im(tau) = im_tau."""
         q = self.q
         prec = q.prec
         nmax, tail = _truncation(kind, 2 * math.pi * scale * self.im_tau / math.log(2), prec)
-        prefix = _terms(kind, scale, nmax)
+        terms, count, weight = _terms(kind, scale, nmax)
         powers = self.powers
-        for e, a, b in islice(prefix.steps, prefix.built):
-            if e not in powers:
-                (ar, ai), (br, bi) = powers[a], powers[b]
-                powers[e] = (ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec
-        re = im = 0
-        for e, c in islice(prefix.terms, prefix.count):
-            pr, pi = powers[e]
-            re += c * pr
-            im += c * pi
-        err = (q.rad + 2) * prefix.weight
+        re = im = last = 0
+        for e, c in islice(terms, count):
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = (_times(powers[last], self.power(e - last), prec) if last
+                                     else self.power(e))
+            re += c * power[0]
+            im += c * power[1]
+            last = e
+        err = (q.rad + 2) * weight
         if err >= 1 << (prec // 2 - 1):
             raise ArithmeticError("fixed-point error count outgrew its bound")
         return Ball(re, im, err + tail, prec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -144,7 +144,6 @@ def enumerate_classes(D: int) -> tuple[QuadForm, ...]:
     return tuple(sorted(forms))
 
 
-@lru_cache(maxsize=None)
 def class_number(D: int) -> int:
     return len(enumerate_classes(D))
 
@@ -276,7 +275,6 @@ def al_pair_classes(classes: tuple[QuadForm, ...], p: int) -> list[tuple[QuadFor
     return pairs
 
 
-@lru_cache(maxsize=None)
 def fundamental_unit(p: int) -> tuple[int, int]:
     """Fundamental unit c + d*sqrt(p) of Q(sqrt(p)) at a level with the real arc.
 

@@ -733,31 +733,40 @@ def _series_terms(kind, size: int):
 
 def series_per_term(q, q_err: int, prefixes, prec: int):
     """The sums of one point's series with the error of each power counted
-    along its own chain of products: the reference for the closed-form
+    along the products that built it: the reference for the closed-form
     count of ``hauptmodul._Powers``.
 
-    ``prefixes`` are the library's term prefixes (``hauptmodul._terms``) in
-    the order the point's series ask for them; their steps build the shared
-    powers, each from two built before it.  A product of two values with
-    errors e, f is within e + f + 2 units while both are under
-    2^(prec/2 - 1), and an operand past that raises.  Returns (re, im, err)
-    per prefix: the fixed-point sum of c q^n over its terms and the sum of
-    |c| times the count of each power.
+    ``prefixes`` are the library's term prefixes (terms, count, weight) of
+    ``hauptmodul._terms`` in the order the point's series ask for them.  The
+    powers are shared and built as the library builds them: a power a series
+    lacks is the previous term's power times the power of the gap, or that
+    gap's power alone after q^0, and a missing gap g is q^(g // 2)
+    q^(g - g // 2).  A product of two values with errors e, f is within
+    e + f + 2 units while both are under 2^(prec/2 - 1), and an operand past
+    that raises.  Returns (re, im, err) per prefix: the fixed-point sum of
+    c q^n over its terms and the sum of |c| times the count of each power.
     """
-    one = 1 << prec
-    powers = {0: ((one, 0), 0), 1: (q, q_err)}
+    powers = {0: ((1 << prec, 0), 0), 1: (q, q_err)}
+
+    def product(x, y):
+        ((xr, xi), ex), ((yr, yi), ey) = x, y
+        if max(ex, ey) >= 1 << (prec // 2 - 1):
+            raise ArithmeticError("fixed-point error count outgrew its bound")
+        return ((xr * yr - xi * yi) >> prec, (xr * yi + xi * yr) >> prec), ex + ey + 2
+
+    def power(e):
+        if e not in powers:
+            powers[e] = product(power(e // 2), power(e - e // 2))
+        return powers[e]
+
     sums = []
-    for prefix in prefixes:
-        for e, a, b in prefix.steps[:prefix.built]:
+    for terms, count, _ in prefixes:
+        re = im = err = last = 0
+        for e, c in terms[:count]:
             if e not in powers:
-                ((xr, xi), ex), ((yr, yi), ey) = powers[a], powers[b]
-                if max(ex, ey) >= 1 << (prec // 2 - 1):
-                    raise ArithmeticError("fixed-point error count outgrew its bound")
-                powers[e] = ((xr * yr - xi * yi) >> prec, (xr * yi + xi * yr) >> prec), ex + ey + 2
-        re = im = err = 0
-        for e, c in prefix.terms[:prefix.count]:
-            (x, y), count = powers[e]
-            re, im, err = re + c * x, im + c * y, err + abs(c) * count
+                powers[e] = product(powers[last], power(e - last)) if last else power(e)
+            (x, y), errors = powers[e]
+            re, im, err, last = re + c * x, im + c * y, err + abs(c) * errors, e
         sums.append((re, im, err))
     return sums
 
