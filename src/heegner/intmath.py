@@ -6,10 +6,11 @@ here is pure and deterministic: only ECM draws from a PRNG, seeded with its
 input.  Primality is Baillie-PSW, proven below 2^64 (Baillie, Fiori and
 Wagstaff, Math. Comp. 90, 2021) and passed by no known composite above.
 Factoring is trial division by the primes below 10^6, sieved once over the
-odd numbers and kept as a 4-byte ``array``, until the rest is 1 or prime,
-then ECM on Montgomery curves within one effort budget.  The caller's stop
-rule, if any, is asked after each prime trial division finds and before
-every ECM call, and ends the factorization once it holds.
+odd numbers and read into a 4-byte ``array`` only as far as a factorization
+reaches, until the rest is 1 or prime, then ECM on Montgomery curves within
+one effort budget.  The caller's stop rule, if any, is asked after each
+prime trial division finds and before every ECM call, and ends the
+factorization once it holds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import itertools
 import math
 import random
+import threading
 from array import array
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
@@ -182,16 +184,13 @@ class FactorBudget:
 
 TRIAL_BOUND = 10**6  # trial division and ECM's stage 2 primes lie below it
 _CHUNK = 256  # primes per gcd in trial division
+_SEGMENT = 8192  # sieve flags turned into primes at a time
 
 
 @functools.cache
-def _trial_primes() -> array:
-    """The primes below ``TRIAL_BOUND``, sieved on first use, 4 bytes each.
-
-    The sieve flags the odd numbers only, 2 i + 1 at index i, and the primes
-    are read off it by ``itertools.compress``, so no Python-level loop runs
-    over the integers below the bound.
-    """
+def _sieve() -> bytearray:
+    """The sieve below ``TRIAL_BOUND``, marked on first use: it flags the
+    odd numbers only, 2 i + 1 at index i, 1 for a prime."""
     sieve = bytearray([1]) * (TRIAL_BOUND // 2)
     sieve[0] = 0  # 1
     for i in range(1, (math.isqrt(TRIAL_BOUND - 1) + 1) // 2):
@@ -199,14 +198,41 @@ def _trial_primes() -> array:
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    primes = array("I", [2])
-    primes.extend(itertools.compress(range(1, TRIAL_BOUND, 2), sieve))
-    return primes
+    return sieve
+
+
+_primes = array("I", [2])  # the primes read off the sieve so far, 4 bytes each
+_flags_read = 0  # the sieve flags they were read from, a whole number of segments
+_reading = threading.Lock()  # held while a segment is read and counted
+
+
+def _trial_primes(count: int = TRIAL_BOUND, past: int = TRIAL_BOUND) -> array:
+    """The primes below ``TRIAL_BOUND`` in ascending order, read off the
+    sieve until the table holds ``count`` of them or one above ``past``;
+    all of them by default.
+
+    The table grows by ``_SEGMENT`` flags at a time, each read by
+    ``itertools.compress``, so no Python-level loop runs over the integers
+    below the bound, and a prime becomes an int only once a reader reaches
+    its segment.  The table is kept, and the same array is returned to every
+    reader.  Readers in other threads wait while a segment is read, so the
+    table stays in order; one that finds it grown meanwhile may read one
+    more segment than it asked for.
+    """
+    global _flags_read
+    sieve = _sieve()
+    while len(_primes) < count and _primes[-1] <= past and _flags_read < len(sieve):
+        with _reading:
+            start = _flags_read
+            _primes.extend(itertools.compress(range(2 * start + 1, TRIAL_BOUND, 2),
+                                              sieve[start:start + _SEGMENT]))
+            _flags_read = start + _SEGMENT
+    return _primes
 
 
 @functools.cache
 def _chunk_product(start: int) -> int:
-    return math.prod(_trial_primes()[start:start + _CHUNK])
+    return math.prod(_trial_primes(start + _CHUNK)[start:start + _CHUNK])
 
 
 def _trial_divide(n: int, found: dict[int, int],
@@ -225,11 +251,12 @@ def _trial_divide(n: int, found: dict[int, int],
     last prime of the gcd.  A rest that this leaves smaller is tested by
     ``is_prime``, and a prime rest is recorded too and ends the sweep, with
     1 returned: no other prime divides it.  A chunk's product is built on
-    its first use and kept.
+    its first use and kept, and the table of primes is read only as far
+    as the sweep reaches, a chunk at a time.
     """
-    primes = _trial_primes()
-    for start in range(0, len(primes), _CHUNK):
-        if primes[start] * primes[start] > n:
+    for start in itertools.count(0, _CHUNK):
+        primes = _trial_primes(start + _CHUNK)
+        if start >= len(primes) or primes[start] * primes[start] > n:
             break
         g = math.gcd(n, _chunk_product(start))
         if g == 1:
@@ -308,9 +335,10 @@ def _ecm_plan(b1: int) -> tuple:
     baby or giant step, 2 a prime.  It counts the arithmetic of
     ``tests/oracles.ecm_reference``; ``_ladder`` makes 10 products a bit on
     its normalized base point and ``_ecm_stage2`` one a prime, but the
-    charge stays, so a budget buys the same curves."""
+    charge stays, so a budget buys the same curves.  The table of primes is
+    read only until it holds one above B2."""
     k, d, giants = 1, _ECM_STRIDE, {}
-    for p in _trial_primes():
+    for p in _trial_primes(past=100 * b1):
         if p > 100 * b1:
             break
         if p > b1:
@@ -418,7 +446,8 @@ def factorize(n: int, budget: FactorBudget | None = None,
 
     Trial division by the primes below ``TRIAL_BOUND`` = 10^6 (a gcd per
     chunk of primes, then division by the primes of the chunks that share a
-    factor with n, until the rest is prime), then ECM on Montgomery curves,
+    factor with n, until the rest is prime; the primes are read off the
+    sieve only as far as this reaches), then ECM on Montgomery curves,
     which alone spends the budget and reports what its curves were charged
     as the result's ``effort``; every reported prime is certified by
     ``is_prime``.

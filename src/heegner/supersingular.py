@@ -184,7 +184,10 @@ def phi2_roots(F: Fq2Field, j):
     repeated factor fails that test whatever its roots).  When h takes one
     value at two roots, h minus it is c (Y - r2)(Y - r3) and the third root is
     h1/h2 - c2; shifts d = k + t, k + 2t, ... are tried until one gives it.
+    The closed forms divide by 3, so q = 3 raises ValueError.
     """
+    if F.q == 3:
+        raise ValueError("phi2_roots needs q > 3: its closed forms divide by 3")
     c0, c1, c2 = f = _phi2_at(F, j)
     mul, sub, scale = F.mul, F.sub, F.scale
     # for f = Y^3 + bY^2 + cY + d: d1 = b^2 - 3c and 27 disc(f) = 4 d1^3 - d3^2

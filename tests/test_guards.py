@@ -16,6 +16,7 @@ from heegner.quadforms import (
 )
 from heegner.sssearch import extract_primes
 from heegner.ssverify import lift_j_from_h_level3
+from heegner.supersingular import Fq2Field, phi2_roots
 
 GUARDS = [
     ("even degree", lambda: is_square_times_linear((1, 0, 1), 7, 0),
@@ -33,6 +34,7 @@ GUARDS = [
     ("bare D", lambda: build_PD(-220), ValueError, "p is required"),
     ("non-square denominator", lambda: extract_primes(Fraction(-1, 2), 11, 5, ()),
      ArithmeticError, "is not a perfect square"),
+    ("characteristic 3", lambda: phi2_roots(Fq2Field(3), (0, 0)), ValueError, "needs q > 3"),
 ]
 
 

@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
+from array import array
 
 import pytest
 
@@ -30,6 +35,24 @@ from oracles import (
 def product(f):
     """The integer a Factorization stands for."""
     return f.sign * f.cofactor * math.prod(p**e for p, e in f.factors)
+
+
+def read_nothing(monkeypatch):
+    """Reset the table of trial-division primes to nothing read off the sieve."""
+    monkeypatch.setattr(intmath, "_primes", array("I", [2]))
+    monkeypatch.setattr(intmath, "_flags_read", 0)
+
+
+def segment_edge_primes():
+    """The primes next to the first four segment edges of the sieve, and the
+    primes next to 10^6: each edge's last prime below it and first above."""
+    primes = primes_below(10**5)
+    near = [999983, 1000003]
+    for k in (1, 2, 3, 4):
+        edge = 2 * k * intmath._SEGMENT
+        i = next(i for i, q in enumerate(primes) if q > edge)
+        near += primes[i - 1:i + 1]
+    return sorted(near)
 
 
 def euler_criterion(a, q):
@@ -260,9 +283,10 @@ class TestFactorize:
         for n in cases:
             assert factorize(n) == factorize_by_trial_loop(n), n
 
-    def test_trial_divide_matches_full_sweep(self):
+    def test_trial_divide_matches_full_sweep(self, monkeypatch):
         # stopping at a prime rest finds what the full sweep finds: no prime
-        # below 10^6 but itself divides a prime
+        # below 10^6 but itself divides a prime; the cases whose primes sit
+        # at the edges of the sieve's segments each start from an unread table
         primes = primes_below(10**6)
         rng = random.Random(67)
         cases = [1, 2, 3, 999983, 2**32 + 15, 2**89 - 1, 1000003 * 1000033]
@@ -278,14 +302,29 @@ class TestFactorize:
             found, reference = {}, {}
             assert (intmath._trial_divide(n, found), found) == (
                 _reference_trial_divide(n, reference), reference), n
+        near = segment_edge_primes()
+        for n in [a * b * c for i, a in enumerate(near) for b in near[i:] for c in (1, 2**61 - 1)]:
+            read_nothing(monkeypatch)
+            found, reference = {}, {}
+            assert (intmath._trial_divide(n, found), found) == (
+                _reference_trial_divide(n, reference), reference), n
 
-    def test_trial_divide_stops_where_the_full_sweep_does(self):
+    def test_trial_divide_stops_where_the_full_sweep_does(self, monkeypatch):
         # asked after each prime divided out, the rule ends the sweep at the
-        # same prime and leaves the same rest as the full sweep does
+        # same prime and leaves the same rest as the full sweep does, also
+        # with primes at the edges of the sieve's segments, from an unread table
         primes = primes_below(1000)
         rng = random.Random(71)
         rules = [lambda found, k=k: len(found) >= k for k in (1, 2, 3)]
         rules.append(lambda found: any(q % 4 == 3 for q in found))
+        near = segment_edge_primes()
+        for a, b in zip(near, near[1:]):
+            for enough in rules:
+                n = 3 * a * b * (2**61 - 1)
+                read_nothing(monkeypatch)
+                found, reference = {}, {}
+                assert (intmath._trial_divide(n, found, enough), found) == (
+                    _reference_trial_divide(n, reference, enough), reference), n
         for _ in range(200):
             while not (is_prime(a := rng.getrandbits(30) | 1 << 29)
                        and is_prime(b := rng.getrandbits(30) | 1 << 29)):
@@ -383,6 +422,52 @@ class TestTrialPrimes:
     def test_four_bytes_a_prime(self):
         primes = intmath._trial_primes()
         assert primes.itemsize * len(primes) <= 4 * len(primes)
+
+
+class TestOnDemandTable:
+    def test_primes_read_only_as_far_as_reached(self):
+        # a fresh interpreter, so that no earlier test has read the table: the
+        # level-3 worked example reads the first segment of the sieve only, and
+        # ECM's last plan, B2 = 200 000, reads to the first segment edge past B2
+        script = (
+            "from heegner import intmath, search\n"
+            "intmath.factorize(2)\n"
+            "search(3, -40)\n"
+            "print(intmath._flags_read)\n"
+            "intmath._ecm_plan(2000)\n"
+            "print(intmath._flags_read, len(intmath._primes))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(intmath.__file__))})
+        assert done.returncode == 0, done.stderr
+        first, (flags, count) = (list(map(int, line.split())) for line in done.stdout.splitlines())
+        segment = 2 * intmath._SEGMENT  # integers a segment covers
+        edge = segment * (200_000 // segment + 1)
+        assert first == [intmath._SEGMENT]
+        assert (2 * flags, count) == (edge, len(primes_below(edge)))
+
+    def test_concurrent_readers_keep_the_table_in_order(self, monkeypatch):
+        # threads that each read the table a chunk further at a time, as trial
+        # division does, switching as often as the interpreter allows: the
+        # table is read whole, each prime once and in order
+        reference = primes_below(intmath.TRIAL_BOUND)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                read_nothing(monkeypatch)
+                readers = [threading.Thread(target=lambda: [
+                    intmath._trial_primes(count) for count in range(256, 80_000, 256)])
+                    for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=60)
+                assert not any(reader.is_alive() for reader in readers)
+                assert list(intmath._primes) == reference
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEcm:

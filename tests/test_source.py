@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -253,6 +254,22 @@ def test_benchmark_library_names_exist():
         if target is None:
             missing.append(dotted)
     assert not missing, missing
+
+
+def test_benchmark_output_checks_pass():
+    # perfbench/checks.py checks outputs without calling the library (sympy
+    # primality, shapes over GF(l), point counts at p = 3), and its self-test
+    # requires each corrupted output to be rejected; one short traced round
+    # of every workload must come out correct with no operation failed
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--seconds", "0.1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(results) == ["levels", "points", "sweep"]
+    bad = {name: (result["correct"], result["failed"]) for name, result in results.items()
+           if result["correct"] is not True or result["failed"] != 0}
+    assert not bad, bad
 
 
 def test_cli_catches_only_in_main():
