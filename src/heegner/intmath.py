@@ -7,10 +7,10 @@ input.  Primality is Baillie-PSW, proven below 2^64 (Baillie, Fiori and
 Wagstaff, Math. Comp. 90, 2021) and passed by no known composite above.
 Factoring is trial division by the primes below 10^6, sieved once over the
 odd numbers and read into a 4-byte ``array`` only as far as a factorization
-reaches, until the rest is 1 or prime, then ECM on Montgomery curves within
-one effort budget.  The caller's stop rule, if any, is asked after each
-prime trial division finds and before every ECM call, and ends the
-factorization once it holds.
+reaches (the sieve is freed once read whole), until the rest is 1 or prime,
+then ECM on Montgomery curves within one effort budget.  The caller's stop
+rule, if any, is asked after each prime trial division finds and before
+every ECM call, and ends the factorization once it holds.
 """
 
 from __future__ import annotations
@@ -185,13 +185,15 @@ class FactorBudget:
 TRIAL_BOUND = 10**6  # trial division and ECM's stage 2 primes lie below it
 _CHUNK = 256  # primes per gcd in trial division
 _SEGMENT = 8192  # sieve flags turned into primes at a time
+_FLAGS = TRIAL_BOUND // 2  # one per odd number below the bound
 
 
 @functools.cache
 def _sieve() -> bytearray:
-    """The sieve below ``TRIAL_BOUND``, marked on first use: it flags the
+    """The sieve below ``TRIAL_BOUND``, marked on first use and dropped
+    from the cache once ``_trial_primes`` has read it whole: it flags the
     odd numbers only, 2 i + 1 at index i, 1 for a prime."""
-    sieve = bytearray([1]) * (TRIAL_BOUND // 2)
+    sieve = bytearray([1]) * _FLAGS
     sieve[0] = 0  # 1
     for i in range(1, (math.isqrt(TRIAL_BOUND - 1) + 1) // 2):
         if sieve[i]:
@@ -215,18 +217,21 @@ def _trial_primes(count: int = TRIAL_BOUND, past: int = TRIAL_BOUND) -> array:
     ``itertools.compress``, so no Python-level loop runs over the integers
     below the bound, and a prime becomes an int only once a reader reaches
     its segment.  The table is kept, and the same array is returned to every
-    reader.  Readers in other threads wait while a segment is read, so the
-    table stays in order; one that finds it grown meanwhile may read one
-    more segment than it asked for.
+    reader; the sieve is freed once its last segment is read.  A reader
+    reads under a lock and asks again there whether it needs more, so one
+    that waited while another read finds the table grown, and neither marks
+    the sieve again nor reads a segment twice.
     """
     global _flags_read
-    sieve = _sieve()
-    while len(_primes) < count and _primes[-1] <= past and _flags_read < len(sieve):
+    if len(_primes) < count and _primes[-1] <= past and _flags_read < _FLAGS:
         with _reading:
-            start = _flags_read
-            _primes.extend(itertools.compress(range(2 * start + 1, TRIAL_BOUND, 2),
-                                              sieve[start:start + _SEGMENT]))
-            _flags_read = start + _SEGMENT
+            while len(_primes) < count and _primes[-1] <= past and _flags_read < _FLAGS:
+                start = _flags_read
+                _primes.extend(itertools.compress(range(2 * start + 1, TRIAL_BOUND, 2),
+                                                  _sieve()[start:start + _SEGMENT]))
+                _flags_read = start + _SEGMENT
+            if _flags_read >= _FLAGS:
+                _sieve.cache_clear()
     return _primes
 
 

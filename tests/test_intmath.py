@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -446,6 +447,37 @@ class TestOnDemandTable:
         edge = segment * (200_000 // segment + 1)
         assert first == [intmath._SEGMENT]
         assert (2 * flags, count) == (edge, len(primes_below(edge)))
+
+    def test_sieve_freed_once_read_whole(self, monkeypatch):
+        # the sieve's 500 000 flags go when its last segment is read; later
+        # readers find the whole table and mark no sieve again, nor do
+        # readers that waited on one another while it was read
+        marks, unmarked = [], intmath._sieve.__wrapped__
+        monkeypatch.setattr(intmath, "_sieve", functools.cache(
+            lambda: marks.append(1) or unmarked()))
+        read_nothing(monkeypatch)
+        intmath._trial_primes(intmath._CHUNK)
+        assert intmath._sieve.cache_info().currsize == 1
+        table = intmath._trial_primes()
+        assert intmath._sieve.cache_info().currsize == 0
+        assert intmath._trial_primes(intmath._CHUNK) is intmath._trial_primes() is table
+        assert list(table) == primes_below(intmath.TRIAL_BOUND)
+        assert factorize(999983 * 1000003).factors == ((999983, 1), (1000003, 1))
+        assert (len(marks), intmath._sieve.cache_info().currsize) == (1, 0)
+        read_nothing(monkeypatch)
+        readers = [threading.Thread(target=intmath._trial_primes) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert list(intmath._primes) == list(table)
+        assert (len(marks), intmath._sieve.cache_info().currsize) == (2, 0)
 
     def test_concurrent_readers_keep_the_table_in_order(self, monkeypatch):
         # threads that each read the table a chunk further at a time, as trial

@@ -303,11 +303,16 @@ class TestVerifyCertificate:
         assert verify_certificate((3,), QuadSurd.from_string(text)) == {3: status}
 
     def test_pow_calls_of_one_verification(self, monkeypatch):
-        # every square root in F_q is one exponentiation, and the one
-        # is_prime(6175217) calls one (the strong test to base 2 of
-        # Baillie-PSW; its Lucas half takes no pow), so verifying q = 6175217
-        # for the level-3 point h = -40 makes 480 pow calls
-        calls = []
+        # verifying q = 6175217 for the level-3 point h = -40 makes one pow
+        # per square root of a nonzero a in F_q, the exponentiation of its
+        # Tonelli-Shanks (the root of a / m for a non-residue included),
+        # plus one per inversion, plus the field constructor's: an Euler test
+        # for each of 2, ..., m and the powers m^d and m^(-(d+1)/2), plus the
+        # one is_prime(6175217) calls (the strong test to base 2 of
+        # Baillie-PSW; its Lucas half takes no pow)
+        q = 6175217
+        m = Fq2Field(q).m
+        calls, roots = [], []
 
         def counted(*args):
             calls.append(args)
@@ -315,9 +320,14 @@ class TestVerifyCertificate:
 
         for module in (intmath, ssverify, supersingular):
             monkeypatch.setattr(module, "pow", counted, raising=False)
+        root = Fq2Field._root_or_twisted_root
+        monkeypatch.setattr(Fq2Field, "_root_or_twisted_root",
+                            lambda F, a: roots.append(a) or root(F, a))
         j = lift_j_from_h_level3(-40)
-        assert verify_certificate((6175217,), j) == {6175217: "supersingular"}
-        assert len(calls) == 480
+        assert verify_certificate((q,), j) == {q: "supersingular"}
+        inversions = sum(1 for args in calls if args[1] == -1)
+        exponentiations = sum(1 for a in roots if a)
+        assert len(calls) == exponentiations + inversions + (m - 1) + 2 + 1
 
     @pytest.mark.parametrize("q,j,symbol", [
         (6175217, lift_j_from_h_level3(-40), -1),  # inert m: one residue in F_q^2

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from heegner.intmath import is_prime
+from heegner.intmath import is_prime, kronecker
 from heegner.supersingular import (
     PHI2,
     Fq2Field,
     hasse_nonzero_fq,
     hasse_nonzero_fq2,
     is_supersingular,
+    phi2_roots,
 )
 
 from oracles import (
@@ -194,6 +195,32 @@ def test_exhaustive_against_hasse_sweep():
         repeated += sum(1 for j in expected if j not in ((0, 0), (1728 % q, 0))
                         and _has_repeated_root(F, j))
     assert repeated > 0  # the repeated-root branch was exercised
+
+
+@pytest.mark.parametrize("q", [7681, 12289])
+def test_walk_off_fq_at_large_two_adic_part(q):
+    # q - 1 = 2^s d with s = 9 and 12, so Tonelli-Shanks reads deep into the
+    # field's table.  j off F_q: every vertex within three 2-isogenies of
+    # j(-43) = -960^3, supersingular since q is inert in Q(sqrt(-43)), and
+    # seeded random j; each verdict against the O(q) Hasse sweep
+    F = Fq2Field(q)
+    assert F.s >= 9 and kronecker(-43, q) == -1
+    seen = {(-960**3 % q, 0)}
+    frontier = list(seen)
+    for _ in range(3):
+        frontier = list(dict.fromkeys(y for x in frontier for y in phi2_roots(F, x)
+                                      if y not in seen))
+        seen.update(frontier)
+    near = sorted(j for j in seen if j[1])
+    rng = random.Random(q)
+    inputs = near + [(rng.randrange(q), rng.randrange(1, q)) for _ in range(12)]
+    verdicts = []
+    for j in inputs:
+        expected = not hasse_nonzero_by_sweep(q, F.m, *curve_from_j(q, F.m, *j))
+        assert is_supersingular(F, j) == expected, (q, j)
+        verdicts.append(expected)
+    assert len(near) >= 8 and all(verdicts[:len(near)]), (q, near)
+    assert not all(verdicts), q
 
 
 def test_characteristic_3_only_zero():
