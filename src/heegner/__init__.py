@@ -34,6 +34,7 @@ from .quadforms import (
 )
 from .hauptmodul import jp_arc_interval
 from .sssearch import (
+    InvariantError,
     RealJCaseError,
     SearchCertificate,
     SupersingularAtPError,

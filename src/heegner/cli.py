@@ -4,9 +4,10 @@ classpoly, search and tables print JSON to stdout (big integers as decimal
 strings) and verify its status word; diagnostics go to stderr.
 Exit codes: 0 success, 1 ordinary (verify), 2 rounding not proven at the
 sized precision, 3 l-bound exhausted, 4 unverified-large (verify), 64 usage
-error, 65 supersingular-at-p precondition, 66 real-j case (h outside j_p(S)).
-Any other ValueError or ArithmeticError, such as an unparsable --h (which
-takes ``n`` or ``n/d``) or a non-positive count or bound, exits 64.
+error, 65 supersingular-at-p precondition, 66 real-j case (h outside j_p(S)),
+70 a broken invariant (a selected prime verified ordinary).  Any other
+ValueError or ArithmeticError, such as an unparsable --h (which takes ``n``
+or ``n/d``) or a non-positive count or bound, exits 64.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from .intmath import FactorBudget
 from .levels import level
 from .quadforms import fundamental_unit
 from .hauptmodul import jp_arc_interval
-from .sssearch import RealJCaseError, SupersingularAtPError, search, search_polynomial
+from .sssearch import (
+    InvariantError,
+    RealJCaseError,
+    SupersingularAtPError,
+    search,
+    search_polynomial,
+)
 from .ssverify import VERIFY_EFFORT_BOUND, QuadSurd, verify_certificate
 
 EXIT_OK = 0
@@ -33,6 +40,7 @@ EXIT_UNVERIFIED = 4
 EXIT_USAGE = 64
 EXIT_SUPERSINGULAR_AT_P = 65
 EXIT_REAL_J = 66
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of sysexits.h
 
 # the statuses that answer ``heegner verify``; any other exits 64
 VERIFY_EXIT = {"supersingular": EXIT_OK, "ordinary": EXIT_ORDINARY,
@@ -44,6 +52,7 @@ FAILURE_EXIT = {
     SupersingularAtPError: EXIT_SUPERSINGULAR_AT_P,
     RealJCaseError: EXIT_REAL_J,
     PrecisionExhaustedError: EXIT_PRECISION,
+    InvariantError: EXIT_SOFTWARE,
     ValueError: EXIT_USAGE,
     ArithmeticError: EXIT_USAGE,
 }

@@ -35,6 +35,7 @@ from .ssverify import (
 
 __all__ = [
     "SearchCertificate",
+    "InvariantError",
     "RealJCaseError",
     "SupersingularAtPError",
     "ell_admissible",
@@ -53,6 +54,12 @@ class RealJCaseError(ValueError):
 
 class SupersingularAtPError(ValueError):
     """h reduces to a supersingular j_p-invariant mod p (theorem hypothesis)."""
+
+
+class InvariantError(ArithmeticError):
+    """A result breaks what the theorem proves, so the program is wrong:
+    a selected prime of good reduction verifies ordinary, which only a
+    wrong lift, a wrong P_D or a wrong walk can give."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +87,7 @@ class SearchCertificate:
         multiply to the numerator, cofactor included, and hold every
         selected prime: a factorization the stop rule ended has a cofactor,
         and this identity is then the only link from its primes to the
-        value."""
+        value.  A selected prime verified ordinary raises InvariantError."""
         if self.value >= 0:
             raise ArithmeticError("certificate value is not negative")
         if not is_square(self.value.denominator):
@@ -101,6 +108,8 @@ class SearchCertificate:
                 raise ArithmeticError(f"selected prime {q} does not divide the numerator")
             if q not in fac.primes():
                 raise ArithmeticError(f"selected prime {q} is not a factor")
+            if self.verification.get(q) == "ordinary":
+                raise InvariantError(f"selected prime {q} verifies ordinary")
 
     def to_json(self) -> str:
         data = {

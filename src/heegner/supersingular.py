@@ -9,15 +9,17 @@ neighbour lies in F_q^2, within ceil(log2 q) + 1 steps.  So j is supersingular
 iff the roots of Phi_2(j, Y) lie in F_q^2 and three such paths from them never
 leave it: O(log q) square roots, where the Hasse invariant costs O(q).  At
 q = 3, where the only supersingular j is 0, ``is_supersingular`` answers
-with that closed form and walks nothing.  A step of a path works on ints
-alone: the two coefficients of Phi_2(current, Y) it needs, the quadratic
-left by the previous vertex and its discriminant, whose root is the one
-call into the field.  The square roots are all the field's: ``Fq2Field``
-finds its non-residue and its Tonelli-Shanks constants once, in its
-constructor, so a square root in F_q is one Tonelli-Shanks exponentiation
-for every odd q, q = 3 mod 4 included, that also tells a non-residue, with
-no Euler test before it, and a root in F_q^2 is two of them and one
-inversion.
+with that closed form and walks nothing.  The three first roots come from
+Cardano's formula: one square root and one cube root in F_q^2 and one
+inversion.  A step of a path works on ints alone: the two coefficients of
+Phi_2(current, Y) it needs, the quadratic left by the previous vertex and
+its discriminant, whose root is the one call into the field.  The roots are
+all the field's: ``Fq2Field`` finds its non-residue and its Tonelli-Shanks
+constants once, in its constructor, so a square root in F_q is one
+Tonelli-Shanks exponentiation for every odd q, q = 3 mod 4 included, that
+also tells a non-residue, with no Euler test before it, and gives the
+root's inverse; a root in F_q^2 is two of them and no inversion.  Its
+cube-root constants the field finds once, for the first cube root.
 This module imports nothing from the package.
 
 Hasse-invariant contract: ``hasse_nonzero_fq(q, j, F)`` and
@@ -44,14 +46,17 @@ PHI2 = (
 
 class Fq2Field:
     """F_q^2 = F_q(t), t^2 = m for the least non-residue m, with elements
-    x0 + x1 t as pairs (x0, x1), 0 <= xi < q.  The field also keeps the
-    Tonelli-Shanks constants of q - 1 = 2^s d, d odd: the table
-    ``c_powers`` of c^(2^k), k < s, for c = m^d, and ``twist``, the pair
-    m^(-(d+1)/2) and c^-1 that turn the state of a non-residue a into that
-    of a / m.  So each square root in F_q costs one exponentiation and no
-    other, the root of a / m for a non-residue a included."""
+    x0 + x1 t as pairs (x0, x1), 0 <= xi < q.  The field keeps the
+    Tonelli-Shanks constants of q - 1 = 2^s d, d odd: the table ``c_powers``
+    of c^(2^k), k < s, for c = m^d, and ``twist``, which turns the state of
+    a non-residue a into that of a / m.  So a square root in F_q and its
+    inverse cost one exponentiation.  For the first cube root,
+    ``_cube_constants`` finds those of q^2 - 1 = 3^e k, 3 prime to k:
+    ``sylow``, the pairs (g^(3^i), g^(2 3^i)), i < e, for a generator g of
+    the Sylow 3-subgroup, and ``omega`` = g^(3^(e-1)), which is
+    (-1 + sqrt(-3)) / 2 for one of the roots of -3."""
 
-    __slots__ = ("q", "m", "s", "d", "c_powers", "twist")
+    __slots__ = ("q", "m", "s", "d", "c_powers", "twist", "cube_exponent", "sylow", "omega")
 
     def __init__(self, q: int):
         self.q = q
@@ -64,7 +69,9 @@ class Fq2Field:
         while len(self.c_powers) < self.s:
             self.c_powers.append(self.c_powers[-1] ** 2 % q)
         r = pow(self.m, -((self.d + 1) // 2), q)
-        self.twist = r, r * r * self.m % q  # r^2 m = m^-d = c^-1
+        # the factors of r, t and 1/r: r^2 m = m^-d = c^-1
+        self.twist = r, r * r * self.m % q, r * self.m % q
+        self.sylow = None
 
     def mul(self, x, y):
         q = self.q
@@ -88,92 +95,108 @@ class Fq2Field:
         """A square root of x, or None: in F_q or on t F_q for x in F_q.  For
         x1 != 0 a root y0 + y1 t has y0^2 = a = (x0 + sqrt(norm x)) / 2 and
         y1 = x1 / (2 y0) when a is a square of F_q, and else
-        m y1^2 = a and y0 = x1 / (2 y1)."""
+        m y1^2 = a and y0 = x1 / (2 y1), the inverse coming with the root."""
         q = self.q
         x0, x1 = x[0] % q, x[1] % q
         if x1 == 0:
-            r, square = self._root_or_twisted_root(x0)
+            r, _, square = self._root_or_twisted_root(x0)
             return (r, 0) if square else (0, r)
-        n = self._sqrt_fq((x0 * x0 - self.m * x1 * x1) % q)
-        if n is None:
+        n, _, square = self._root_or_twisted_root((x0 * x0 - self.m * x1 * x1) % q)
+        if not square:
             return None
-        r, square = self._root_or_twisted_root((x0 + n) * (q + 1) // 2 % q)
-        other = x1 * pow(2 * r, -1, q) % q
+        r, inverse, square = self._root_or_twisted_root((x0 + n) * (q + 1) // 2 % q)
+        other = x1 * inverse * (q + 1) // 2 % q
         return (r, other) if square else (other, r)
 
-    def _sqrt_fq(self, a: int) -> int | None:
-        """A square root of 0 <= a < q in F_q, or None for a non-residue,
-        in one exponentiation, ``_root_or_twisted_root``'s."""
-        r, square = self._root_or_twisted_root(a)
-        return r if square else None
-
-    def _root_or_twisted_root(self, a: int) -> tuple[int, bool]:
-        """(r, True) with r^2 = a for a square a, 0 <= a < q, else
-        (r, False) with r^2 = a / m, in one exponentiation: Tonelli-Shanks
-        (Cohen, GTM 138, Algorithm 1.5.1) with the field's constants.
-        w = a^((d-1)/2) gives r = a^((d+1)/2) and t = a^d.  Each step of
-        the loop finds the order 2^i of t by squaring and multiplies r by
-        c^(2^(s-i-1)) and t by its square, both read from the table.  A t
-        of order 2^s marks a non-residue, at the first order test; then
-        a / m, a square, takes over, its r and t those of a times the
-        field's ``twist``.  For q = 3 mod 4, s = 1 and r = a^((q+1)/4)."""
+    def _root_or_twisted_root(self, a: int) -> tuple[int, int, bool]:
+        """(r, 1/r, True) with r^2 = a for a square a, 0 <= a < q, else
+        (r, 1/r, False) with r^2 = a / m, in one exponentiation:
+        Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1) with the field's
+        constants; a = 0 gives (0, 0, True).  w = a^((d-1)/2) gives
+        r = a^((d+1)/2) and t = a^d.  Each step of the loop finds the order
+        2^i of t by squaring and multiplies r by c^(2^(s-i-1)) and t by its
+        square, both read from the table.  A t of order 2^s marks a
+        non-residue, at the first order test; then a / m, a square, takes
+        over, its r and t those of a times the field's ``twist``.  As t ends
+        at 1, 1/r = w C for the product C of the factors of r, with
+        m^(-(d+1)/2) m for the twist's.  For q = 3 mod 4, s = 1 and
+        r = a^((q+1)/4)."""
         q = self.q
         if a == 0:
-            return 0, True
+            return 0, 0, True
         w = pow(a, (self.d - 1) // 2, q)
         r = w * a % q
         s, c_powers, t = self.s, self.c_powers, w * r % q
-        square = True
+        inverse, square = w, True
         while t != 1:
             t2, i = t * t % q, 1
             while t2 != 1:
                 t2 = t2 * t2 % q
                 i += 1
             if i == s:
-                r, t, square = r * self.twist[0] % q, t * self.twist[1] % q, False
+                twist, square = self.twist, False
+                r, t, inverse = r * twist[0] % q, t * twist[1] % q, inverse * twist[2] % q
                 continue
-            r = r * c_powers[s - i - 1] % q
+            c = c_powers[s - i - 1]
+            r, inverse = r * c % q, inverse * c % q
             t = t * c_powers[s - i] % q
-        return r, square
+        return r, inverse, square
 
+    def cbrt(self, x):
+        """A cube root of x != 0, or None if x is no cube: the
+        Adleman-Manders-Miller analogue of Tonelli-Shanks.  w = x^(n-1)
+        gives r = x^n and t = r^3 / x = r^2 w, in the Sylow 3-subgroup as k
+        divides 3n - 1.  Each step finds the order 3^i of t by cubing; as
+        t^(3^(i-1)) is omega^c, c = 1 or 2, r times g^((3-c) 3^(e-i-1)) and
+        t times its cube lower that order, so at most e - 1 steps follow,
+        none at e = 1.  A t of order 3^e marks a non-cube, at the first."""
+        if self.sylow is None:
+            self._cube_constants()
+        mul, sylow = self.mul, self.sylow
+        e = len(sylow)
+        w = self._power(x, self.cube_exponent)
+        r = mul(w, x)
+        t = mul(mul(r, r), w)
+        while t != (1, 0):
+            last, power, i = t, mul(mul(t, t), t), 1
+            while power != (1, 0):
+                last, power, i = power, mul(mul(power, power), power), i + 1
+            if i == e:
+                return None
+            twice = last == self.omega  # c = 1, so 3 - c = 2
+            r, t = mul(r, sylow[e - i - 1][twice]), mul(t, sylow[e - i][twice])
+        return r
 
-# --- polynomials over F_q^2 modulo a monic cubic --------------------------------
-# A polynomial is a list of field elements, lowest degree first.
+    def _cube_constants(self):
+        """n - 1, ``sylow`` and ``omega``, for q > 3: g = z^k for the first
+        z = c + t, c = 0, 1, ..., with g^(3^(e-1)) != 1, so of order 3^e."""
+        q, mul = self.q, self.mul
+        k, e = q * q - 1, 0
+        while k % 3 == 0:
+            k, e = k // 3, e + 1
+        for c in range(q):
+            powers = [self._power((c, 1), k)]
+            while len(powers) < e:
+                g = powers[-1]
+                powers.append(mul(mul(g, g), g))
+            if powers[-1] != (1, 0):
+                break
+        self.cube_exponent = (k * (3 - k % 3) + 1) // 3 - 1  # 3^-1 mod k, minus 1
+        self.sylow = [(g, mul(g, g)) for g in powers]
+        self.omega = powers[-1]
 
-
-def _square(F, a, f):
-    """a^2 mod the monic cubic f, for a of degree at most 2."""
-    q, m = F.q, F.m
-    (a0, a1), (b0, b1), (c0, c1) = a
-    # a^2 = p0 + p1 Y + p2 Y^2 + p3 Y^3 + p4 Y^4 over Z[t], t^2 = m
-    x0, x1 = (c0 * c0 + m * c1 * c1) % q, 2 * c0 * c1 % q  # p4
-    p3 = (2 * (b0 * c0 + m * b1 * c1), 2 * (b0 * c1 + b1 * c0))
-    p2 = (2 * (a0 * c0 + m * a1 * c1) + b0 * b0 + m * b1 * b1, 2 * (a0 * c1 + a1 * c0 + b0 * b1))
-    p1 = (2 * (a0 * b0 + m * a1 * b1), 2 * (a0 * b1 + a1 * b0))
-    p0 = (a0 * a0 + m * a1 * a1, 2 * a0 * a1)
-    (f0, f1), (h0, h1), (k0, k1) = f
-    # Y^4 = -f2 Y^3 - f1 Y^2 - f0 Y and Y^3 = -f2 Y^2 - f1 Y - f0 modulo f
-    p3 = ((p3[0] - x0 * k0 - m * x1 * k1) % q, (p3[1] - x0 * k1 - x1 * k0) % q)
-    p2 = (p2[0] - x0 * h0 - m * x1 * h1, p2[1] - x0 * h1 - x1 * h0)
-    p1 = (p1[0] - x0 * f0 - m * x1 * f1, p1[1] - x0 * f1 - x1 * f0)
-    x0, x1 = p3
-    return [((p0[0] - x0 * f0 - m * x1 * f1) % q, (p0[1] - x0 * f1 - x1 * f0) % q),
-            ((p1[0] - x0 * h0 - m * x1 * h1) % q, (p1[1] - x0 * h1 - x1 * h0) % q),
-            ((p2[0] - x0 * k0 - m * x1 * k1) % q, (p2[1] - x0 * k1 - x1 * k0) % q)]
-
-
-def _times_y_plus(F, a, d, f):
-    """a (Y + d) mod the monic cubic f, for a of degree at most 2: a d, and
-    a Y with its Y^3 term a2 Y^3 = -a2 (f2 Y^2 + f1 Y + f0) folded in."""
-    q, m = F.q, F.m
-    (a0, a1), (b0, b1), (c0, c1) = a
-    (f0, f1), (h0, h1), (k0, k1), (d0, d1) = *f, d
-    return [((d0 * a0 + m * d1 * a1 - c0 * f0 - m * c1 * f1) % q,
-             (d0 * a1 + d1 * a0 - c0 * f1 - c1 * f0) % q),
-            ((a0 + d0 * b0 + m * d1 * b1 - c0 * h0 - m * c1 * h1) % q,
-             (a1 + d0 * b1 + d1 * b0 - c0 * h1 - c1 * h0) % q),
-            ((b0 + d0 * c0 + m * d1 * c1 - c0 * k0 - m * c1 * k1) % q,
-             (b1 + d0 * c1 + d1 * c0 - c0 * k1 - c1 * k0) % q)]
+    def _power(self, x, n: int):
+        """x^n: x^(q+1) = x conj(x) is the norm of x, in F_q, so
+        n = a (q + 1) + b takes one pow in F_q and a ladder over b <= q."""
+        q, m = self.q, self.m
+        (x0, x1), (a, b) = x, divmod(n, q + 1)
+        y0, y1 = 1, 0
+        for bit in bin(b)[2:]:
+            y0, y1 = (y0 * y0 + m * y1 * y1) % q, 2 * y0 * y1 % q
+            if bit == "1":
+                y0, y1 = (y0 * x0 + m * y1 * x1) % q, (y0 * x1 + y1 * x0) % q
+        norm = pow((x0 * x0 - m * x1 * x1) % q, a, q)
+        return y0 * norm % q, y1 * norm % q
 
 
 # --- Phi_2 and the walk -------------------------------------------------------
@@ -213,51 +236,49 @@ def _neighbour(F, previous, current):
 def phi2_roots(F: Fq2Field, j):
     """The three roots of Phi_2(j, Y), with multiplicity, if all lie in F_q^2.
 
-    The cubic f is first reduced to its squarefree part: a repeated root has
-    a closed form in the coefficients, so it and the third root -c2 - 2r lie
-    in F_q^2.  For squarefree f, h = (Y + d)^((q^2-1)/2) mod f is 0 or +-1 at
-    a root in F_q^2 and neither at a root outside, so f splits iff h^2 is
-    idempotent (a repeated factor fails that test whatever its roots).  h is
-    raised by squaring and by multiplying by the linear Y + d.  When h takes
-    one value at two roots, h minus it is c (Y - r2)(Y - r3) and the third
-    root is h1/h2 - c2; shifts d = k + t, k + 2t, ... are tried until one
-    gives it, and the other two are the roots of f / (Y - r), as in a step
-    of the walk.  The closed forms divide by 3, so q = 3 raises ValueError.
+    Cardano's formula.  For f = Y^3 + c2 Y^2 + c1 Y + c0, d1 = c2^2 - 3 c1
+    and d3 = 2 c2^3 - 9 c2 c1 + 27 c0, W = 3Y + c2 turns 27 f into
+    W^3 - 3 d1 W + d3, and delta = d3^2 - 4 d1^3 is -27 disc(f).  At
+    delta = 0 a repeated root has a closed form, so it and the third root
+    -c2 - 2r lie in F_q^2.  Otherwise W = a + d1 / a for the three cube
+    roots a of u = (sqrt(delta) - d3) / 2, or of -d3 if that u is 0.  F_q^2
+    holds omega, so if f splits there delta is a square and the Lagrange
+    resolvent, a cube root of u, lies in F_q^2; a missing root answers
+    None.  One inversion, of a, serves the three roots, each checked
+    against f.  The formula divides by 2 and 3, so q = 3 raises ValueError.
     """
     q = F.q
     if q == 3:
-        raise ValueError("phi2_roots needs q > 3: its closed forms divide by 3")
-    c0, c1, c2 = f = _phi2_at(F, j)
-    mul, sub, scale = F.mul, F.sub, F.scale
-    # for f = Y^3 + bY^2 + cY + d: d1 = b^2 - 3c and 27 disc(f) = 4 d1^3 - d3^2
+        raise ValueError("phi2_roots needs q > 3: Cardano's formula divides by 2 and 3")
+    c0, c1, c2 = _phi2_at(F, j)
+    mul, add, sub, scale = F.mul, F.add, F.sub, F.scale
+    third = (q * (3 - q % 3) + 1) // 3  # 1/3 mod q
     c2c2, c2c1 = mul(c2, c2), mul(c2, c1)
     d1 = sub(c2c2, scale(c1, 3))
-    d3 = F.add(sub(scale(mul(c2c2, c2), 2), scale(c2c1, 9)), scale(c0, 27))
-    if mul(mul(d1, d1), scale(d1, 4)) == mul(d3, d3):
+    d3 = add(sub(scale(mul(c2c2, c2), 2), scale(c2c1, 9)), scale(c0, 27))
+    delta = sub(mul(d3, d3), mul(mul(d1, d1), scale(d1, 4)))
+    if delta == (0, 0):
         if d1 == (0, 0):  # (Y - r)^3
-            r = scale(c2, q - pow(3, -1, q))
+            r = scale(c2, q - third)
             return [r, r, r]
         r = mul(sub(scale(c0, 9), c2c1), F.inv(scale(d1, 2)))  # (Y - r)^2 (Y - s)
         return [r, r, sub(sub((0, 0), c2), scale(r, 2))]
-    bits = bin((q * q - 1) // 2)[3:]
-    for k in range(q * q):
-        d = (k % q, k // q + 1)
-        h = [d, (1, 0), (0, 0)]
-        for bit in bits:
-            h = _square(F, h, f)
-            if bit == "1":
-                h = _times_y_plus(F, h, d, f)
-        h2 = _square(F, h, f)
-        if _square(F, h2, f) != h2:
-            return None
-        if h[2] != (0, 0):
-            r = sub(mul(h[1], F.inv(h[2])), c2)
-            if F.add(mul(F.add(mul(F.add(r, c2), r), c1), r), c0) == (0, 0):
-                break
-    else:
-        raise ArithmeticError(f"no shift separates the roots of Phi_2({j}, Y)")
-    s = _neighbour(F, r, j)
-    return [r, s, sub(sub((0, 0), F.add(c2, r)), s)]
+    root = F.sqrt(delta)
+    if root is None:
+        return None
+    u = scale(sub(root, d3), (q + 1) // 2) if root != d3 else sub((0, 0), d3)
+    a = F.cbrt(u)
+    if a is None:
+        return None
+    b, omega = mul(d1, F.inv(a)), F.omega
+    omega2 = sub((q - 1, 0), omega)
+    roots = []
+    for x, y in ((a, b), (mul(omega, a), mul(omega2, b)), (mul(omega2, a), mul(omega, b))):
+        r = scale(sub(add(x, y), c2), third)
+        if add(mul(add(mul(add(r, c2), r), c1), r), c0) != (0, 0):
+            raise ArithmeticError(f"Cardano's root {r} of Phi_2({j}, Y) is no root")
+        roots.append(r)
+    return roots
 
 
 def is_supersingular(F: Fq2Field, j) -> bool:

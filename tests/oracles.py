@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: ideal arithmetic on
 Z-module bases for form composition, Gauss composition by congruences (the
 reference for the Fricke pairing of classes, with the ramified class and the
 principal form), sparse polynomial powering and an O(q) recurrence for the
-Hasse coefficient, naive point counts for supersingularity, trial
+Hasse coefficient, naive point counts for supersingularity, the roots of
+Phi_2(j, Y) by a splitting test over F_q^2, trial
 factorization over F_q and Yun's squarefree decomposition in characteristic
 q, the references for the square test mod q, the classical
 j-invariant from its Eisenstein and product series, the Hauptmoduls in plain
@@ -1339,6 +1340,98 @@ def tonelli_shanks(a, q, m):
         e, c = i, b * b % q
         t, r = t * c % q, r * b % q
     return r
+
+
+# --- the roots of Phi_2(j, Y) by a splitting test over F_q^2 ------------------
+
+
+def _square_mod_cubic(F, a, f):
+    """a^2 mod the monic cubic f, for a of degree at most 2."""
+    q, m = F.q, F.m
+    (a0, a1), (b0, b1), (c0, c1) = a
+    # a^2 = p0 + p1 Y + p2 Y^2 + p3 Y^3 + p4 Y^4 over Z[t], t^2 = m
+    x0, x1 = (c0 * c0 + m * c1 * c1) % q, 2 * c0 * c1 % q  # p4
+    p3 = (2 * (b0 * c0 + m * b1 * c1), 2 * (b0 * c1 + b1 * c0))
+    p2 = (2 * (a0 * c0 + m * a1 * c1) + b0 * b0 + m * b1 * b1, 2 * (a0 * c1 + a1 * c0 + b0 * b1))
+    p1 = (2 * (a0 * b0 + m * a1 * b1), 2 * (a0 * b1 + a1 * b0))
+    p0 = (a0 * a0 + m * a1 * a1, 2 * a0 * a1)
+    (f0, f1), (h0, h1), (k0, k1) = f
+    # Y^4 = -f2 Y^3 - f1 Y^2 - f0 Y and Y^3 = -f2 Y^2 - f1 Y - f0 modulo f
+    p3 = ((p3[0] - x0 * k0 - m * x1 * k1) % q, (p3[1] - x0 * k1 - x1 * k0) % q)
+    p2 = (p2[0] - x0 * h0 - m * x1 * h1, p2[1] - x0 * h1 - x1 * h0)
+    p1 = (p1[0] - x0 * f0 - m * x1 * f1, p1[1] - x0 * f1 - x1 * f0)
+    x0, x1 = p3
+    return [((p0[0] - x0 * f0 - m * x1 * f1) % q, (p0[1] - x0 * f1 - x1 * f0) % q),
+            ((p1[0] - x0 * h0 - m * x1 * h1) % q, (p1[1] - x0 * h1 - x1 * h0) % q),
+            ((p2[0] - x0 * k0 - m * x1 * k1) % q, (p2[1] - x0 * k1 - x1 * k0) % q)]
+
+
+def _times_y_plus(F, a, d, f):
+    """a (Y + d) mod the monic cubic f, for a of degree at most 2: a d, and
+    a Y with its Y^3 term a2 Y^3 = -a2 (f2 Y^2 + f1 Y + f0) folded in."""
+    q, m = F.q, F.m
+    (a0, a1), (b0, b1), (c0, c1) = a
+    (f0, f1), (h0, h1), (k0, k1), (d0, d1) = *f, d
+    return [((d0 * a0 + m * d1 * a1 - c0 * f0 - m * c1 * f1) % q,
+             (d0 * a1 + d1 * a0 - c0 * f1 - c1 * f0) % q),
+            ((a0 + d0 * b0 + m * d1 * b1 - c0 * h0 - m * c1 * h1) % q,
+             (a1 + d0 * b1 + d1 * b0 - c0 * h1 - c1 * h0) % q),
+            ((b0 + d0 * c0 + m * d1 * c1 - c0 * k0 - m * c1 * k1) % q,
+             (b1 + d0 * c1 + d1 * c0 - c0 * k1 - c1 * k0) % q)]
+
+
+def phi2_roots_by_splitting(F, j):
+    """The three roots of Phi_2(j, Y) in F = ``Fq2Field(q)``, q > 3, with
+    multiplicity, or None if one lies outside F_q^2: the reference for
+    Cardano's formula in ``supersingular.phi2_roots``.
+
+    A repeated root has a closed form in the coefficients of the cubic f.
+    For squarefree f, h = (Y + d)^((q^2-1)/2) mod f is 0 or +-1 at a root
+    in F_q^2 and neither at a root outside, so f splits iff h^2 is
+    idempotent.  When h takes one value at two roots, h minus it is
+    c (Y - r2)(Y - r3) and the third root is h1/h2 - c2; shifts
+    d = k + t, k + 2t, ... are tried until one gives it, and the other two
+    are the roots of the quadratic f / (Y - r).
+    """
+    q = F.q
+    mul, add, sub, scale = F.mul, F.add, F.sub, F.scale
+    powers = [(1, 0), j, mul(j, j)]
+    powers.append(mul(powers[2], j))
+    c0, c1, c2 = f = [functools.reduce(add, (scale(x, k) for x, k in zip(powers, row)))
+                      for row in PHI2[:3]]
+    # for f = Y^3 + bY^2 + cY + d: d1 = b^2 - 3c and 27 disc(f) = 4 d1^3 - d3^2
+    c2c2, c2c1 = mul(c2, c2), mul(c2, c1)
+    d1 = sub(c2c2, scale(c1, 3))
+    d3 = add(sub(scale(mul(c2c2, c2), 2), scale(c2c1, 9)), scale(c0, 27))
+    if mul(mul(d1, d1), scale(d1, 4)) == mul(d3, d3):
+        if d1 == (0, 0):  # (Y - r)^3
+            r = scale(c2, q - pow(3, -1, q))
+            return [r, r, r]
+        r = mul(sub(scale(c0, 9), c2c1), F.inv(scale(d1, 2)))  # (Y - r)^2 (Y - s)
+        return [r, r, sub(sub((0, 0), c2), scale(r, 2))]
+    bits = bin((q * q - 1) // 2)[3:]
+    for k in range(q * q):
+        d = (k % q, k // q + 1)
+        h = [d, (1, 0), (0, 0)]
+        for bit in bits:
+            h = _square_mod_cubic(F, h, f)
+            if bit == "1":
+                h = _times_y_plus(F, h, d, f)
+        h2 = _square_mod_cubic(F, h, f)
+        if _square_mod_cubic(F, h2, f) != h2:
+            return None
+        if h[2] != (0, 0):
+            r = sub(mul(h[1], F.inv(h[2])), c2)
+            if add(mul(add(mul(add(r, c2), r), c1), r), c0) == (0, 0):
+                break
+    else:
+        raise ArithmeticError(f"no shift separates the roots of Phi_2({j}, Y)")
+    # f / (Y - r) = Y^2 + b1 Y + b0 with b1 = c2 + r and b0 = c1 + r b1
+    b1 = add(c2, r)
+    b0 = add(c1, mul(r, b1))
+    root = F.sqrt(sub(mul(b1, b1), scale(b0, 4)))
+    s = scale(sub(root, b1), (q + 1) // 2)
+    return [r, s, sub(sub((0, 0), b1), s)]
 
 
 def supersingular_mass(q):

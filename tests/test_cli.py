@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heegner import cli, sssearch
+from heegner import cli, sssearch, ssverify
 from heegner.cli import main
 from heegner.classpoly import PrecisionExhaustedError, build_PD
 from heegner.intmath import is_prime, kronecker
@@ -102,6 +102,16 @@ class TestSearch:
     def test_supersingular_exit_65(self, capsys):
         code, _, err = run(capsys, "search", "--p", "11", "--h", "10")
         assert code == 65 and "supersingular" in err
+
+    def test_ordinary_selected_prime_exit_70(self, capsys, monkeypatch):
+        # a selected prime of good reduction is supersingular by the
+        # theorem, so a walk that answers ordinary is a broken invariant,
+        # not a status: the search fails with EX_SOFTWARE and prints nothing
+        monkeypatch.setattr(ssverify, "hasse_nonzero_fq", lambda q, j, F: True)
+        monkeypatch.setattr(ssverify, "hasse_nonzero_fq2", lambda q, j0, j1, F: True)
+        code, out, err = run(capsys, "search", "--p", "3", "--h", "-40")
+        assert code == 70 and out == ""
+        assert err == "error: selected prime 6175217 verifies ordinary"
 
     def test_real_j_exit_66(self, capsys):
         code, _, err = run(capsys, "search", "--p", "11", "--h", "80")
@@ -340,6 +350,14 @@ EXAMPLES = [
     # exactly when q = 2 mod 3
     pytest.param(("verify", "--j", "0", "--q", "2819"), 0, "supersingular",
                  id="one-square-root-path"),
+    # Cardano's cube root works in the Sylow 3-subgroup of F_q^2, of order
+    # 3^e: e = 2 at 33029, the level-3 certificate prime of h = -28, and
+    # e = 4 at 163, where the root for this j takes Sylow-3 corrections;
+    # both residues lie off F_q
+    pytest.param(("verify", "--j", "(4472+342*sqrt(-2132))/1", "--q", "33029"), 0,
+                 "supersingular", id="cube-root-e2"),
+    pytest.param(("verify", "--j", "(19+2*sqrt(2))/1", "--q", "163"), 0, "supersingular",
+                 id="cube-root-corrections"),
     # real_arc follows from p = 3 mod 4, so p = 11 prints its unit and arc
     # and p = 5 neither; the Brandt matrix has no basis of its own
     pytest.param(("tables", "--p", "11"), 0,

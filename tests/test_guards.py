@@ -34,7 +34,8 @@ GUARDS = [
     ("bare D", lambda: build_PD(-220), ValueError, "p is required"),
     ("non-square denominator", lambda: extract_primes(Fraction(-1, 2), 11, 5, ()),
      ArithmeticError, "is not a perfect square"),
-    ("characteristic 3", lambda: phi2_roots(Fq2Field(3), (0, 0)), ValueError, "needs q > 3"),
+    ("characteristic 3", lambda: phi2_roots(Fq2Field(3), (0, 0)), ValueError,
+     "needs q > 3: Cardano's formula divides by 2 and 3"),
 ]
 
 

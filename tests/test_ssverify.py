@@ -306,10 +306,14 @@ class TestVerifyCertificate:
         # verifying q = 6175217 for the level-3 point h = -40 makes one pow
         # per square root of a nonzero a in F_q, the exponentiation of its
         # Tonelli-Shanks (the root of a / m for a non-residue included),
-        # plus one per inversion, plus the field constructor's: an Euler test
-        # for each of 2, ..., m and the powers m^d and m^(-(d+1)/2), plus the
-        # one is_prime(6175217) calls (the strong test to base 2 of
-        # Baillie-PSW; its Lucas half takes no pow)
+        # plus two inversions, the reduction's 1/w and the 1/a of Cardano's
+        # formula for the first roots, none in a step of the walk, plus the
+        # field constructor's: an Euler test for each of 2, ..., m and the
+        # powers m^d and m^(-(d+1)/2), plus the one is_prime(6175217) calls
+        # (the strong test to base 2 of Baillie-PSW; its Lucas half takes no
+        # pow), plus one per power in F_q^2, which raises the norm of its
+        # base in F_q: the cube root's, and one for each base the search for
+        # the cube-root constants tries.
         q = 6175217
         m = Fq2Field(q).m
         calls, roots = [], []
@@ -320,14 +324,16 @@ class TestVerifyCertificate:
 
         for module in (intmath, ssverify, supersingular):
             monkeypatch.setattr(module, "pow", counted, raising=False)
-        root = Fq2Field._root_or_twisted_root
+        root, power, powers = Fq2Field._root_or_twisted_root, Fq2Field._power, []
         monkeypatch.setattr(Fq2Field, "_root_or_twisted_root",
                             lambda F, a: roots.append(a) or root(F, a))
+        monkeypatch.setattr(Fq2Field, "_power", lambda F, x, n: powers.append(n) or power(F, x, n))
         j = lift_j_from_h_level3(-40)
         assert verify_certificate((q,), j) == {q: "supersingular"}
         inversions = sum(1 for args in calls if args[1] == -1)
         exponentiations = sum(1 for a in roots if a)
-        assert len(calls) == exponentiations + inversions + (m - 1) + 2 + 1
+        assert inversions == 2 and len(powers) >= 2
+        assert len(calls) == exponentiations + inversions + len(powers) + (m - 1) + 2 + 1
 
     @pytest.mark.parametrize("q,j,symbol", [
         (6175217, lift_j_from_h_level3(-40), -1),  # inert m: one residue in F_q^2

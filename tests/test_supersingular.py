@@ -20,6 +20,7 @@ from oracles import (
     hasse_nonzero_by_sweep,
     j_of_curve,
     nonresidue,
+    phi2_roots_by_splitting,
     point_count,
     supersingular_js,
     supersingular_mass,
@@ -89,11 +90,15 @@ class TestFq2Field:
     def test_sqrt_fq_is_the_reference_root(self, q):
         # q - 1 = 2^s d for every s from 1 to 16, with q = 3 mod 4 at s = 1:
         # on every a in F_q the root is the reference's integer, and None
-        # exactly on the (q - 1) / 2 non-residues
+        # exactly on the (q - 1) / 2 non-residues, whose root is that of
+        # a / m; each nonzero root comes with its inverse
         F = Fq2Field(q)
-        roots = [F._sqrt_fq(a) for a in range(q)]
+        states = [F._root_or_twisted_root(a) for a in range(q)]
+        roots = [r if square else None for r, _, square in states]
         assert roots == [tonelli_shanks(a, q, F.m) for a in range(q)]
         assert roots.count(None) == (q - 1) // 2
+        for a, (r, inverse, square) in enumerate(states[1:], 1):
+            assert r * r * (1 if square else F.m) % q == a and r * inverse % q == 1, (q, a)
 
     @pytest.mark.parametrize("q", [2, 1, 0])
     def test_no_non_residue_raises(self, q):
@@ -195,6 +200,44 @@ def test_exhaustive_against_hasse_sweep():
         repeated += sum(1 for j in expected if j not in ((0, 0), (1728 % q, 0))
                         and _has_repeated_root(F, j))
     assert repeated > 0  # the repeated-root branch was exercised
+
+
+def _same_roots(F, j):
+    roots, reference = phi2_roots(F, j), phi2_roots_by_splitting(F, j)
+    assert (roots is None) == (reference is None), (F.q, j)
+    assert roots is None or sorted(roots) == sorted(reference), (F.q, j)
+    return roots is not None
+
+
+def test_cardano_roots_exhaustive_against_splitting():
+    # every j in F_q^2 for 5 <= q <= 61: Cardano's roots are the splitting
+    # test's, as a multiset, and both outcomes occur at every q
+    for q in range(5, 62):
+        if not is_prime(q):
+            continue
+        F = Fq2Field(q)
+        split = [_same_roots(F, (j0, j1)) for j1 in range(q) for j0 in range(q)]
+        assert any(split) and not all(split), q
+
+
+@pytest.mark.parametrize("q,e", [(17, 2), (53, 3), (163, 4), (7681, 1), (12289, 1),
+                                 (2**61 - 1, 2)])
+def test_cardano_roots_at_random_j_against_splitting(q, e):
+    # q^2 - 1 = 3^e k: at e > 1 the cube root makes Sylow-3 corrections.
+    # Seeded random j, off F_q and in it, give the splitting test's roots,
+    # and the field's omega and Sylow-3 generator g are what they claim
+    F, rng = Fq2Field(q), random.Random(q)
+    split = [_same_roots(F, (rng.randrange(q), rng.randrange(q) if i % 4 else 0))
+             for i in range(40 if q < 10**6 else 12)]
+    assert any(split), q
+    assert len(F.sylow) == e and (q * q - 1) % 3**e == 0 and (q * q - 1) // 3**e % 3
+    omega, g = F.omega, F.sylow[0][0]
+    assert F.add(F.add(F.mul(omega, omega), omega), (1, 0)) == (0, 0)
+    powers = [g]
+    for _ in range(e):
+        powers.append(F.mul(F.mul(powers[-1], powers[-1]), powers[-1]))
+    assert powers[e - 1] != (1, 0) and powers[e] == (1, 0)  # order exactly 3^e
+    assert F.sylow == [(x, F.mul(x, x)) for x in powers[:e]]
 
 
 @pytest.mark.parametrize("q", [7681, 12289])
