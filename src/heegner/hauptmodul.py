@@ -77,21 +77,15 @@ def _theta_counts(a: int, b: int, c: int, nmax: int) -> list[int]:
     """Representation numbers r(n) of a x^2 + b x y + c y^2 for n <= nmax."""
     disc = 4 * a * c - b * b
     counts = [0] * (nmax + 1)
-    counts[0] = 1
-    # y = 0 row: values a x^2, x > 0, doubled by (x, y) -> (-x, -y)
-    x = 1
-    while a * x * x <= nmax:
-        counts[a * x * x] += 2
-        x += 1
-    ymax = math.isqrt(4 * a * nmax // disc)
-    for y in range(1, ymax + 1):
+    for y in range(math.isqrt(4 * a * nmax // disc) + 1):
         w = math.isqrt(4 * a * nmax - disc * y * y)
         xlo = -((b * y + w) // (2 * a))
         xhi = (w - b * y) // (2 * a)
+        weight = 2 if y else 1  # a row y > 0 stands for (-x, -y) too
         for x in range(xlo, xhi + 1):
             n = a * x * x + b * x * y + c * y * y
             if n <= nmax:
-                counts[n] += 2
+                counts[n] += weight
     return counts
 
 

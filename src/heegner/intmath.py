@@ -6,7 +6,7 @@ here is pure and deterministic: only ECM draws from a PRNG, seeded with its
 input.  Primality is Baillie-PSW, proven below 2^64 (Baillie, Fiori and
 Wagstaff, Math. Comp. 90, 2021) and passed by no known composite above.
 Factoring is trial division by the primes below 10^6, sieved once over the
-odd numbers and read into a 4-byte ``array`` only as far as a factorization
+odd numbers and read into a 4-byte ``array`` only as far as trial division
 reaches (the sieve is freed once read whole), until the rest is 1 or prime,
 then ECM on Montgomery curves within one effort budget.  The caller's stop
 rule, if any, is asked after each prime trial division finds and before
@@ -208,10 +208,9 @@ _flags_read = 0  # the sieve flags they were read from, a whole number of segmen
 _reading = threading.Lock()  # held while a segment is read and counted
 
 
-def _trial_primes(count: int = TRIAL_BOUND, past: int = TRIAL_BOUND) -> array:
+def _trial_primes(count: int = TRIAL_BOUND) -> array:
     """The primes below ``TRIAL_BOUND`` in ascending order, read off the
-    sieve until the table holds ``count`` of them or one above ``past``;
-    all of them by default.
+    sieve until the table holds ``count`` of them; all of them by default.
 
     The table grows by ``_SEGMENT`` flags at a time, each read by
     ``itertools.compress``, so no Python-level loop runs over the integers
@@ -223,9 +222,9 @@ def _trial_primes(count: int = TRIAL_BOUND, past: int = TRIAL_BOUND) -> array:
     the sieve again nor reads a segment twice.
     """
     global _flags_read
-    if len(_primes) < count and _primes[-1] <= past and _flags_read < _FLAGS:
+    if len(_primes) < count and _flags_read < _FLAGS:
         with _reading:
-            while len(_primes) < count and _primes[-1] <= past and _flags_read < _FLAGS:
+            while len(_primes) < count and _flags_read < _FLAGS:
                 start = _flags_read
                 _primes.extend(itertools.compress(range(2 * start + 1, TRIAL_BOUND, 2),
                                                   _sieve()[start:start + _SEGMENT]))
@@ -340,10 +339,10 @@ def _ecm_plan(b1: int) -> tuple:
     baby or giant step, 2 a prime.  It counts the arithmetic of
     ``tests/oracles.ecm_reference``; ``_ladder`` makes 10 products a bit on
     its normalized base point and ``_ecm_stage2`` one a prime, but the
-    charge stays, so a budget buys the same curves.  The table of primes is
-    read only until it holds one above B2."""
+    charge stays, so a budget buys the same curves.  It reads the table of
+    primes whole, as trial division has before a rest reaches ECM."""
     k, d, giants = 1, _ECM_STRIDE, {}
-    for p in _trial_primes(past=100 * b1):
+    for p in _trial_primes():
         if p > 100 * b1:
             break
         if p > b1:

@@ -115,10 +115,9 @@ class Discriminant:
             ell = n // (4 * p)
             if is_prime(ell) and ell != p:
                 return cls(p, ell, "-4pl")
-        if n % p == 0:
-            ell = n // p
-            if is_prime(ell) and ell != p and n % 4 == 3:
-                return cls(p, ell, "-pl")
+        ell = n // p
+        if is_prime(ell) and ell != p and n % 4 == 3:
+            return cls(p, ell, "-pl")
         raise ValueError(f"D = {D} has neither shape -p*l nor -4*p*l for p = {p}")
 
 

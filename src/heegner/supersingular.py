@@ -143,7 +143,7 @@ class Fq2Field:
         return r, inverse, square
 
     def cbrt(self, x):
-        """A cube root of x != 0, or None if x is no cube: the
+        """A cube root of x, or None if x is no cube: 0 for x = 0, else the
         Adleman-Manders-Miller analogue of Tonelli-Shanks.  w = x^(n-1)
         gives r = x^n and t = r^3 / x = r^2 w, in the Sylow 3-subgroup as k
         divides 3n - 1.  Each step finds the order 3^i of t by cubing; as
@@ -152,6 +152,8 @@ class Fq2Field:
         none at e = 1.  A t of order 3^e marks a non-cube, at the first."""
         if self.sylow is None:
             self._cube_constants()
+        if x[0] % self.q == 0 == x[1] % self.q:
+            return 0, 0
         mul, sylow = self.mul, self.sylow
         e = len(sylow)
         w = self._power(x, self.cube_exponent)
@@ -238,14 +240,14 @@ def phi2_roots(F: Fq2Field, j):
 
     Cardano's formula.  For f = Y^3 + c2 Y^2 + c1 Y + c0, d1 = c2^2 - 3 c1
     and d3 = 2 c2^3 - 9 c2 c1 + 27 c0, W = 3Y + c2 turns 27 f into
-    W^3 - 3 d1 W + d3, and delta = d3^2 - 4 d1^3 is -27 disc(f).  At
-    delta = 0 a repeated root has a closed form, so it and the third root
-    -c2 - 2r lie in F_q^2.  Otherwise W = a + d1 / a for the three cube
-    roots a of u = (sqrt(delta) - d3) / 2, or of -d3 if that u is 0.  F_q^2
-    holds omega, so if f splits there delta is a square and the Lagrange
-    resolvent, a cube root of u, lies in F_q^2; a missing root answers
-    None.  One inversion, of a, serves the three roots, each checked
-    against f.  The formula divides by 2 and 3, so q = 3 raises ValueError.
+    W^3 - 3 d1 W + d3, and delta = d3^2 - 4 d1^3 is -27 disc(f).  Then
+    W = a + d1 / a for the three cube roots a of u = (sqrt(delta) - d3) / 2,
+    or of -d3 if that u is 0.  F_q^2 holds omega, so if f splits there delta
+    is a square and the Lagrange resolvent, a cube root of u, lies in F_q^2;
+    a missing root answers None.  So do repeated roots: W-roots s, s, -2s
+    give u = (-s)^3 and d1 = s^2, and a triple root u = a = d1 = 0, with
+    d1 / a read as 0.  One inversion, of a, serves the three roots, each
+    checked against f.  The formula divides by 2 and 3: q = 3 raises ValueError.
     """
     q = F.q
     if q == 3:
@@ -253,16 +255,10 @@ def phi2_roots(F: Fq2Field, j):
     c0, c1, c2 = _phi2_at(F, j)
     mul, add, sub, scale = F.mul, F.add, F.sub, F.scale
     third = (q * (3 - q % 3) + 1) // 3  # 1/3 mod q
-    c2c2, c2c1 = mul(c2, c2), mul(c2, c1)
+    c2c2 = mul(c2, c2)
     d1 = sub(c2c2, scale(c1, 3))
-    d3 = add(sub(scale(mul(c2c2, c2), 2), scale(c2c1, 9)), scale(c0, 27))
+    d3 = add(sub(scale(mul(c2c2, c2), 2), scale(mul(c2, c1), 9)), scale(c0, 27))
     delta = sub(mul(d3, d3), mul(mul(d1, d1), scale(d1, 4)))
-    if delta == (0, 0):
-        if d1 == (0, 0):  # (Y - r)^3
-            r = scale(c2, q - third)
-            return [r, r, r]
-        r = mul(sub(scale(c0, 9), c2c1), F.inv(scale(d1, 2)))  # (Y - r)^2 (Y - s)
-        return [r, r, sub(sub((0, 0), c2), scale(r, 2))]
     root = F.sqrt(delta)
     if root is None:
         return None
@@ -270,7 +266,7 @@ def phi2_roots(F: Fq2Field, j):
     a = F.cbrt(u)
     if a is None:
         return None
-    b, omega = mul(d1, F.inv(a)), F.omega
+    b, omega = mul(d1, F.inv(a)) if a != (0, 0) else a, F.omega
     omega2 = sub((q - 1, 0), omega)
     roots = []
     for x, y in ((a, b), (mul(omega, a), mul(omega2, b)), (mul(omega2, a), mul(omega, b))):

@@ -358,6 +358,10 @@ EXAMPLES = [
                  "supersingular", id="cube-root-e2"),
     pytest.param(("verify", "--j", "(19+2*sqrt(2))/1", "--q", "163"), 0, "supersingular",
                  id="cube-root-corrections"),
+    # j(-7) = -3375 is supersingular where 7691 is inert in Q(sqrt(-7)), and
+    # Phi_2(-3375, Y) has the double root -3375, which Cardano's formula takes
+    pytest.param(("verify", "--j", "-3375", "--q", "7691"), 0, "supersingular",
+                 id="double-root-cardano"),
     # real_arc follows from p = 3 mod 4, so p = 11 prints its unit and arc
     # and p = 5 neither; the Brandt matrix has no basis of its own
     pytest.param(("tables", "--p", "11"), 0,

@@ -429,24 +429,29 @@ class TestOnDemandTable:
     def test_primes_read_only_as_far_as_reached(self):
         # a fresh interpreter, so that no earlier test has read the table: the
         # level-3 worked example reads the first segment of the sieve only, and
-        # ECM's last plan, B2 = 200 000, reads to the first segment edge past B2
+        # a factorization that reaches ECM has read the table whole before its
+        # first plan is built, so a plan reads no prime of its own
+        p, q = 10000019, 10000079  # 8 digits each: no factor below 10^6
         script = (
             "from heegner import intmath, search\n"
             "intmath.factorize(2)\n"
             "search(3, -40)\n"
             "print(intmath._flags_read)\n"
-            "intmath._ecm_plan(2000)\n"
-            "print(intmath._flags_read, len(intmath._primes))\n"
+            "plan, seen = intmath._ecm_plan, []\n"
+            "intmath._ecm_plan = lambda b1: seen.append(intmath._flags_read) or plan(b1)\n"
+            f"factors = intmath.factorize({p * q}).factors\n"
+            "print(seen[0], len(intmath._primes), *(p for p, _ in factors))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(intmath.__file__))})
         assert done.returncode == 0, done.stderr
-        first, (flags, count) = (list(map(int, line.split())) for line in done.stdout.splitlines())
-        segment = 2 * intmath._SEGMENT  # integers a segment covers
-        edge = segment * (200_000 // segment + 1)
+        first, (flags, count, *factors) = (list(map(int, line.split()))
+                                           for line in done.stdout.splitlines())
+        assert is_prime(p) and is_prime(q)
         assert first == [intmath._SEGMENT]
-        assert (2 * flags, count) == (edge, len(primes_below(edge)))
+        assert flags >= intmath._FLAGS and count == len(primes_below(intmath.TRIAL_BOUND))
+        assert factors == [p, q]
 
     def test_sieve_freed_once_read_whole(self, monkeypatch):
         # the sieve's 500 000 flags go when its last segment is read; later

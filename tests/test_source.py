@@ -69,6 +69,14 @@ def test_library_runs_with_mpmath_blocked():
     assert done.stdout.splitlines() == ["X^2 - 77*X + 121", "2309 7 151"]
 
 
+def test_readme_library_example():
+    # the README's library example, as it prints: the class polynomial's
+    # string and the (l, selected primes) of each certificate
+    assert str(classpoly.build_PD(-220, 11)) == "X^2 - 77*X + 121"
+    pairs = [(cert.ell, cert.selected) for cert in sssearch.search(11, Fraction(21, 2), count=3)]
+    assert pairs == [(5, (2309,)), (37, (7, 151))]
+
+
 def test_outputs_keep_no_instance_dict():
     # a benchmark keeps every output of every round; slotted outputs keep
     # that retention small, and a field added without slots would bring a

@@ -106,6 +106,23 @@ class TestFq2Field:
         with pytest.raises(ValueError, match="non-residue"):
             Fq2Field(q)
 
+    @pytest.mark.parametrize("q", [5, 7, 163, 33029, 2**61 - 1])
+    def test_cube_root(self, q):
+        # a cube's root cubes back to it and a Sylow-3 generator has none;
+        # zero has the root 0 in either representative, and a field whose
+        # first cube root is of zero has its omega too, as Cardano reads it
+        F, rng = Fq2Field(q), random.Random(q)
+        for _ in range(10):
+            x = (rng.randrange(q), rng.randrange(1, q))
+            cube = F.mul(F.mul(x, x), x)
+            root = F.cbrt(cube)
+            assert F.mul(F.mul(root, root), root) == cube, (q, x)
+        assert F.cbrt(F.sylow[0][0]) is None
+        for zero in ((0, 0), (q, 0)):
+            F = Fq2Field(q)
+            assert F.cbrt(zero) == (0, 0), (q, zero)
+            assert F.add(F.add(F.mul(F.omega, F.omega), F.omega), (1, 0)) == (0, 0)
+
     def test_inverse(self):
         F = Fq2Field(101)
         for x in ((1, 0), (0, 1), (37, 64)):
@@ -199,7 +216,7 @@ def test_exhaustive_against_hasse_sweep():
         assert found == expected, (q, sorted(found ^ expected))
         repeated += sum(1 for j in expected if j not in ((0, 0), (1728 % q, 0))
                         and _has_repeated_root(F, j))
-    assert repeated > 0  # the repeated-root branch was exercised
+    assert repeated > 0  # Cardano met repeated roots
 
 
 def _same_roots(F, j):
@@ -220,16 +237,47 @@ def test_cardano_roots_exhaustive_against_splitting():
         assert any(split) and not all(split), q
 
 
+def _cm_js_with_repeated_roots(F):
+    """j = 0, 1728, -3375 and the two j of discriminant -15, the roots of
+    X^2 + 191025 X - 121287375, (-191025 +- 85995 sqrt 5) / 2, in F_q^2:
+    the CM points where Phi_2(j, Y) has a repeated root."""
+    q, half = F.q, (F.q + 1) // 2
+    root5 = F.scale(F.sqrt((5, 0)), 85995 * half)
+    base = (-191025 * half % q, 0)
+    return [(0, 0), (1728, 0), (-3375 % q, 0), F.add(base, root5), F.sub(base, root5)]
+
+
+def test_repeated_root_cm_points_follow_deuring():
+    # Deuring: a CM j of discriminant D is supersingular mod q, q prime to D,
+    # iff q does not split in Q(sqrt D); -3375 has D = -7, the other two
+    # D = -15, and each has a repeated root of Phi_2(j, Y)
+    checked = 0
+    for q in range(11, 3000):
+        if not is_prime(q):
+            continue
+        F = Fq2Field(q)
+        _, _, j7, *j15 = _cm_js_with_repeated_roots(F)
+        assert is_supersingular(F, j7) == (kronecker(-7, q) == -1), q
+        for j in j15:
+            assert is_supersingular(F, j) == (kronecker(-15, q) == -1), (q, j)
+        checked += 1
+    assert checked == 426
+
+
 @pytest.mark.parametrize("q,e", [(17, 2), (53, 3), (163, 4), (7681, 1), (12289, 1),
                                  (2**61 - 1, 2)])
 def test_cardano_roots_at_random_j_against_splitting(q, e):
     # q^2 - 1 = 3^e k: at e > 1 the cube root makes Sylow-3 corrections.
-    # Seeded random j, off F_q and in it, give the splitting test's roots,
-    # and the field's omega and Sylow-3 generator g are what they claim
+    # Seeded random j, off F_q and in it, and the CM points of repeated
+    # roots give the splitting test's roots, and the field's omega and
+    # Sylow-3 generator g are what they claim
     F, rng = Fq2Field(q), random.Random(q)
     split = [_same_roots(F, (rng.randrange(q), rng.randrange(q) if i % 4 else 0))
              for i in range(40 if q < 10**6 else 12)]
     assert any(split), q
+    for j in _cm_js_with_repeated_roots(F):
+        assert _has_repeated_root(F, j), (q, j)
+        _same_roots(F, j)
     assert len(F.sylow) == e and (q * q - 1) % 3**e == 0 and (q * q - 1) // 3**e % 3
     omega, g = F.omega, F.sylow[0][0]
     assert F.add(F.add(F.mul(omega, omega), omega), (1, 0)) == (0, 0)
